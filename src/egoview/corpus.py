@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DuplicateId, NoneVisible, SchemaError, UnknownScene
 from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D
-from .selection import AlignmentConfig, image_ref, select_view_for_dc, select_view_for_qa, visible_objects
+from .selection import AlignmentConfig, image_ref, select_view_for_dc, select_view_for_qa, visibility_table
 from .solvability import SceneObject, View
 
 logger = logging.getLogger(__name__)
@@ -161,7 +162,7 @@ def _parse_intrinsics(data: dict, path: str) -> CameraIntrinsics:
             width=int(_require(data, "width", path)),
             height=int(_require(data, "height", path)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -204,7 +205,7 @@ def load_scene(path: str | Path) -> Scene:
                     box=_parse_box(_require(entry, "box", where), f"{where}.box"),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(where, str(exc)) from exc
 
     views = []
@@ -245,8 +246,10 @@ def load_scenes_dir(directory: str | Path) -> dict[str, Scene]:
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:
-    """Read instruction records from a JSONL file (provenance lines skipped)."""
+    """Read instruction records from a JSONL file (provenance lines skipped);
+    a repeated instruction_id raises DuplicateId."""
     records = []
+    seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
         try:
@@ -269,7 +272,15 @@ def read_instructions(path: str | Path) -> list[Instruction]:
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(where, str(exc)) from exc
+        _claim_id(seen, records[-1].instruction_id, where)
     return records
+
+
+def _claim_id(seen: dict[str, str], record_id: str, where: str) -> None:
+    """Note where an id first appears; raise DuplicateId when it repeats."""
+    if record_id in seen:
+        raise DuplicateId(f"{where}: id {record_id!r} already used at {seen[record_id]}")
+    seen[record_id] = where
 
 
 def _iter_jsonl(path: str | Path):
@@ -293,13 +304,12 @@ def _iter_jsonl(path: str | Path):
 def _register_sidecar(clients, views: Sequence[View], objects, tau: float) -> dict[str, set[int]]:
     """Compute visible-object sets for views and register label sidecars on
     any stub clients.  Returns visible ids keyed by view_id."""
-    cfg = AlignmentConfig(tau=tau)
-    by_id = {obj.object_id: obj for obj in objects}
+    table = visibility_table(views, objects, AlignmentConfig(tau=tau))
     visible: dict[str, set[int]] = {}
-    for view in views:
-        ids = visible_objects(view, objects, cfg)
-        visible[view.view_id] = ids
-        labels = sorted({by_id[oid].label for oid in ids})
+    for view, row in zip(views, table):
+        objs = list(compress(objects, row))
+        visible[view.view_id] = {obj.object_id for obj in objs}
+        labels = sorted({obj.label for obj in objs})
         for client in clients:
             register = getattr(client, "register_view_labels", None)
             if register is not None:

@@ -1,4 +1,4 @@
-"""Pinhole camera math: point and oriented-box projection plus 2D rectangle overlap.
+"""Pinhole camera math: batched oriented-box projection plus 2D rectangle overlap.
 
 Coordinate conventions used throughout the toolkit:
 
@@ -16,14 +16,23 @@ Coordinate conventions used throughout the toolkit:
 
 Projection uses a fixed near plane at 0.01 m.  Box edges crossing the near
 plane are clipped at the plane so partially-behind boxes still yield a finite
-bounding rectangle.  All operations are pure functions of value inputs and are
-safe to call concurrently.
+bounding rectangle.
+
+`project_boxes` is the one projector, and `project_box`, `project_point` and
+`iosa` are batch-of-one wrappers over it and `iosa_rects`.  It projects N
+boxes into V views a fixed block of views at a time, with no Python loop per
+box or view inside a block, and clips only the (view, box) pairs that
+straddle the near plane, as a masked intersection over the 12 cube edges.
+All operations are pure functions of value inputs and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +42,21 @@ NEAR_PLANE = 0.01
 
 _ORTHO_TOL = 1e-6
 
+# Views projected together: bounds the kernel's working memory (a block of
+# 8 views over 250 boxes needs about 1 MB of intermediates).
+_VIEW_BLOCK = 8
+
 # Cube corner i has sign bits (sx, sy, sz) = (i >> 2, (i >> 1) & 1, i & 1);
 # edges connect corners differing in exactly one bit.
-_CUBE_EDGES = tuple(
-    (i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < (i ^ bit)
-)
+_CORNER_SIGNS = np.array([[(-1.0, 1.0)[i >> k & 1] for k in (2, 1, 0)] for i in range(8)])
+_EDGE_FROM, _EDGE_TO = np.array(
+    [(i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < (i ^ bit)]
+).T
+
+
+def _require_finite(name: str, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,16 +71,13 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        _require_finite("focal lengths and principal point", (self.fx, self.fy, self.cx, self.cy))
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx <= self.width) or not (0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")
         if int(self.width) <= 0 or int(self.height) <= 0:
             raise ValueError("image dimensions must be positive")
-
-    @property
-    def image_rect(self) -> "Rect2D":
-        return Rect2D(0.0, 0.0, float(self.width), float(self.height))
 
 
 @dataclass(eq=False)
@@ -78,9 +94,10 @@ class CameraPose:
             raise ValueError("rotation must be 3x3")
         if self.translation.shape != (3,):
             raise ValueError("translation must be a 3-vector")
+        _require_finite("translation", self.translation.tolist())
         residual = self.rotation.T @ self.rotation - np.eye(3)
-        if np.max(np.abs(residual)) > _ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal")
+        if not np.max(np.abs(residual)) <= _ORTHO_TOL:  # NaN fails too
+            raise ValueError("rotation must be finite and orthonormal")
         if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
             raise ValueError("rotation determinant must be +1")
 
@@ -102,20 +119,15 @@ class OrientedBox3D:
         self.size = np.asarray(self.size, dtype=np.float64)
         if self.center.shape != (3,) or self.size.shape != (3,):
             raise ValueError("center and size must be 3-vectors")
+        _require_finite(
+            "center, size and heading", [*self.center.tolist(), *self.size.tolist(), self.heading]
+        )
         if np.any(self.size <= 0):
             raise ValueError("all size components must be positive")
 
     def corners(self) -> np.ndarray:
         """World-frame corners, shape (8, 3), ordered by sign bits (x, y, z)."""
-        hx, hy, hz = self.size / 2.0
-        offsets = np.array(
-            [
-                [sx * hx, sy * hy, sz * hz]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
+        offsets = _CORNER_SIGNS * (self.size / 2.0)
         c, s = math.cos(self.heading), math.sin(self.heading)
         rotated = np.empty_like(offsets)
         rotated[:, 0] = c * offsets[:, 0] - s * offsets[:, 1]
@@ -142,12 +154,122 @@ class Rect2D:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-def _world_to_camera(point: np.ndarray, pose: CameraPose) -> np.ndarray:
-    return pose.rotation.T @ (np.asarray(point, dtype=np.float64) - pose.translation)
+def box_corners(boxes: Sequence[OrientedBox3D]) -> np.ndarray:
+    """World-frame corners of each box, shape (len(boxes), 8, 3)."""
+    return np.array([box.corners() for box in boxes], dtype=np.float64).reshape(-1, 8, 3)
 
 
-def _pixel(x: float, y: float, z: float, intr: CameraIntrinsics) -> tuple[float, float]:
-    return intr.cx + intr.fx * x / z, intr.cy + intr.fy * y / z
+def _camera_arrays(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations (V, 3, 3), translations (V, 3) and (fx, fy, cx, cy) rows (V, 4)."""
+    intrinsics = [view.intrinsics for view in views]
+    return (
+        np.array([view.pose.rotation for view in views]).reshape(-1, 3, 3),
+        np.array([view.pose.translation for view in views]).reshape(-1, 3),
+        np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics], dtype=np.float64).reshape(-1, 4),
+    )
+
+
+def image_rects(views) -> np.ndarray:
+    """Each view's image rectangle as (x_min, y_min, x_max, y_max), shape (V, 4)."""
+    return np.array(
+        [(0.0, 0.0, float(v.intrinsics.width), float(v.intrinsics.height)) for v in views]
+    ).reshape(-1, 4)
+
+
+def _project_block(
+    points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, pinhole: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rects (B, N, 4) and visibility (B, N) of N boxes in a block of B views.
+
+    points holds the box corners coordinate-major, shape (3, 8, N), so every
+    coordinate of every corner is a contiguous row.  Corners at or behind
+    the near plane project to NaN, which the fmin/fmax reductions skip.
+    """
+    n_views, n_boxes = len(rotation), points.shape[2]
+    offset = (points[None] - translation[:, :, None, None]).reshape(n_views, 3, -1)
+    # p_cam = R^T (p - t)
+    x, y, z = (rotation.transpose(0, 2, 1) @ offset).reshape(n_views, 3, 8, n_boxes).swapaxes(0, 1)
+    fx, fy, cx, cy = pinhole.T[:, :, None, None]
+    front = z > NEAR_PLANE
+    depth = np.where(front, z, np.nan)
+    uv = np.stack([cx + fx * x / depth, cy + fy * y / depth])
+    rects = np.concatenate([np.fmin.reduce(uv, axis=2), np.fmax.reduce(uv, axis=2)])
+    straddle = front.any(axis=1) & ~front.all(axis=1)
+    if straddle.any():
+        # Only straddling pairs are clipped: each crossing edge adds its
+        # near-plane intersection; the other edges give NaN.
+        cam = np.stack([x, y, z], axis=3).swapaxes(1, 2)[straddle]
+        a, b = cam[:, _EDGE_FROM], cam[:, _EDGE_TO]
+        crosses = (a[..., 2] > NEAR_PLANE) != (b[..., 2] > NEAR_PLANE)
+        f = np.divide(
+            NEAR_PLANE - a[..., 2], b[..., 2] - a[..., 2],
+            out=np.full(crosses.shape, np.nan), where=crosses,
+        )
+        hit = a[..., :2] + f[..., None] * (b[..., :2] - a[..., :2])
+        s_pinhole = pinhole[np.nonzero(straddle)[0], None, :]
+        hit_uv = s_pinhole[..., 2:] + s_pinhole[..., :2] * hit / NEAR_PLANE
+        rects[:2, straddle] = np.fmin(rects[:2, straddle], np.fmin.reduce(hit_uv, axis=1).T)
+        rects[2:, straddle] = np.fmax(rects[2:, straddle], np.fmax.reduce(hit_uv, axis=1).T)
+    return np.moveaxis(rects, 0, 2), front.any(axis=1)
+
+
+def _blocks(corners: np.ndarray, views):
+    """Yield (views slice, rects, visible) for consecutive blocks of views."""
+    points = np.ascontiguousarray(np.asarray(corners, dtype=np.float64).transpose(2, 1, 0))
+    rotation, translation, pinhole = _camera_arrays(views)
+    for start in range(0, len(rotation), _VIEW_BLOCK):
+        block = slice(start, start + _VIEW_BLOCK)
+        yield block, *_project_block(points, rotation[block], translation[block], pinhole[block])
+
+
+def project_boxes(corners: np.ndarray, views) -> tuple[np.ndarray, np.ndarray]:
+    """Project boxes, as world corners (N, 8, 3), into views carrying
+    `intrinsics` and `pose`: rects (V, N, 4) of (x_min, y_min, x_max, y_max)
+    and a visible mask (V, N).  A rect bounds the box's corners in front of
+    the near plane and its crossing edges' near-plane intersections, and is
+    not intersected with the image.  Boxes wholly behind are not visible and
+    their rects are NaN."""
+    rects = np.empty((len(views), len(corners), 4))
+    visible = np.empty((len(views), len(corners)), dtype=bool)
+    for block, block_rects, block_visible in _blocks(corners, views):
+        rects[block], visible[block] = block_rects, block_visible
+    return rects, visible
+
+
+def rect_area(rects: np.ndarray) -> np.ndarray:
+    """Areas of rects stored as (..., 4) arrays of (x_min, y_min, x_max, y_max)."""
+    return (rects[..., 2] - rects[..., 0]) * (rects[..., 3] - rects[..., 1])
+
+
+def iosa_rects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise `iosa` of broadcastable (..., 4) rect arrays; NaN rects give 0."""
+    smaller = np.minimum(rect_area(a), rect_area(b))
+    inter_w = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    inter_h = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((inter_w > 0.0) & (inter_h > 0.0), inter_w * inter_h, 0.0)
+    ratio = np.divide(inter, smaller, out=np.zeros(inter.shape), where=smaller > 0.0)
+    return np.minimum(1.0, ratio)
+
+
+def image_visibility(
+    corners: np.ndarray, views, iosa_threshold: float, min_area_ratio: float = 0.0
+) -> np.ndarray:
+    """Boolean (V, N) table: box j is visible in view i with IoSA against the
+    image strictly above iosa_threshold and a projected area of at least
+    min_area_ratio times the image area.
+
+    Views are projected a block at a time and only the booleans are kept.
+    """
+    images = image_rects(views)[:, None, :]
+    out = np.empty((len(views), len(corners)), dtype=bool)
+    for block, rects, visible in _blocks(corners, views):
+        image = images[block]
+        out[block] = (
+            visible
+            & (rect_area(rects) >= min_area_ratio * rect_area(image))
+            & (iosa_rects(rects, image) > iosa_threshold)
+        )
+    return out
 
 
 def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[float, float]:
@@ -156,50 +278,26 @@ def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[floa
     Raises BehindCamera when the point's camera depth is at or behind the
     near plane (0.01 m).
     """
-    p_cam = _world_to_camera(point, pose)
-    if p_cam[2] <= NEAR_PLANE:
-        raise BehindCamera(f"point depth {p_cam[2]:.4f} m is behind the near plane")
-    u, v = _pixel(p_cam[0], p_cam[1], p_cam[2], intr)
-    return float(u), float(v)
-
-
-def _clip_corners_to_near(corners_cam: np.ndarray) -> list[np.ndarray]:
-    """Camera-frame box corners clipped against z = NEAR_PLANE.
-
-    Returns corners in front of the plane plus the intersection points of
-    box edges that cross it.  Empty only when every corner is behind.
-    """
-    z = corners_cam[:, 2]
-    pts = [corners_cam[i] for i in range(8) if z[i] > NEAR_PLANE]
-    for i, j in _CUBE_EDGES:
-        if (z[i] > NEAR_PLANE) != (z[j] > NEAR_PLANE):
-            f = (NEAR_PLANE - z[i]) / (z[j] - z[i])
-            p = corners_cam[i] + f * (corners_cam[j] - corners_cam[i])
-            p[2] = NEAR_PLANE
-            pts.append(p)
-    return pts
+    corners = np.broadcast_to(np.asarray(point, dtype=np.float64), (1, 8, 3))
+    view = SimpleNamespace(intrinsics=intr, pose=pose)
+    rects, visible = project_boxes(corners, [view])
+    if not visible[0, 0]:
+        raise BehindCamera("point lies at or behind the near plane")
+    return float(rects[0, 0, 0]), float(rects[0, 0, 1])
 
 
 def project_box(box: OrientedBox3D, intr: CameraIntrinsics, pose: CameraPose) -> Rect2D:
-    """Project an oriented box and return the bounding rectangle of its image.
-
-    The rectangle bounds the projections of all corners in front of the near
-    plane plus the near-plane intersection points of crossing edges.  It is
-    NOT intersected with the image rectangle; overlap with the frame is the
-    caller's concern (see `iosa`).
+    """Project an oriented box and return the bounding rectangle of its image,
+    as `project_boxes` does.  The rectangle is NOT intersected with the image
+    rectangle; overlap with the frame is the caller's concern (see `iosa`).
 
     Raises NotVisible when every corner lies at or behind the near plane.
     """
-    corners_cam = np.array([_world_to_camera(c, pose) for c in box.corners()])
-    pts = _clip_corners_to_near(corners_cam)
-    if not pts:
+    view = SimpleNamespace(intrinsics=intr, pose=pose)
+    rects, visible = project_boxes(box.corners()[None], [view])
+    if not visible[0, 0]:
         raise NotVisible("box lies entirely behind the camera")
-    us, vs = [], []
-    for p in pts:
-        u, v = _pixel(p[0], p[1], p[2], intr)
-        us.append(float(u))
-        vs.append(float(v))
-    return Rect2D(min(us), min(vs), max(us), max(vs))
+    return Rect2D(*rects[0, 0].tolist())
 
 
 def iosa(a: Rect2D, b: Rect2D) -> float:
@@ -209,11 +307,4 @@ def iosa(a: Rect2D, b: Rect2D) -> float:
     degenerate (zero-area) rectangle yields 0: an empty projection carries
     no visual evidence.
     """
-    smaller = min(a.area, b.area)
-    if smaller <= 0.0:
-        return 0.0
-    inter_w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    inter_h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if inter_w <= 0.0 or inter_h <= 0.0:
-        return 0.0
-    return min(1.0, inter_w * inter_h / smaller)
+    return float(iosa_rects(np.array(astuple(a)), np.array(astuple(b))))

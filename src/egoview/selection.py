@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .errors import NoneVisible, NotVisible, NoViews, TooManyViews, UnknownObjectId
+from .errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
 from .solvability import SceneObject, View
 
 
@@ -74,22 +74,24 @@ def image_ref(view: View) -> str:
     return view.image_path or view.view_id
 
 
+def visibility_table(
+    views: Sequence[View],
+    objects: Sequence[SceneObject],
+    cfg: AlignmentConfig = AlignmentConfig(),
+) -> np.ndarray:
+    """Boolean (n_views, n_objects) table: entry (i, j) is whether objects[j]
+    is in visible_objects(views[i], objects, cfg)."""
+    return geometry.image_visibility(geometry.box_corners([o.box for o in objects]), views, cfg.tau)
+
+
 def visible_objects(
     view: View,
     objects: Sequence[SceneObject],
     cfg: AlignmentConfig = AlignmentConfig(),
 ) -> set[int]:
     """Ids of objects whose projected box overlaps the image with IoSA > tau."""
-    image_rect = view.intrinsics.image_rect
-    kept = set()
-    for obj in objects:
-        try:
-            rect = geometry.project_box(obj.box, view.intrinsics, view.pose)
-        except NotVisible:
-            continue
-        if geometry.iosa(rect, image_rect) > cfg.tau:
-            kept.add(obj.object_id)
-    return kept
+    row = visibility_table([view], objects, cfg)[0]
+    return {obj.object_id for obj, seen in zip(objects, row) if seen}
 
 
 def select_view_for_qa(
@@ -126,15 +128,12 @@ def select_view_for_dc(
     by_id = {obj.object_id: obj for obj in objects}
     if target_object_id not in by_id:
         raise UnknownObjectId(f"unknown target object id {target_object_id}")
-    target = by_id[target_object_id]
-    candidates = []
-    for view in views:
-        try:
-            rect = geometry.project_box(target.box, view.intrinsics, view.pose)
-        except NotVisible:
-            continue
-        score = geometry.iosa(rect, view.intrinsics.image_rect)
-        candidates.append((view.view_id, score, rect.area))
+    rects, visible = geometry.project_boxes(by_id[target_object_id].box.corners()[None], views)
+    scores = geometry.iosa_rects(rects[:, 0], geometry.image_rects(views)).tolist()
+    areas = geometry.rect_area(rects[:, 0]).tolist()
+    candidates = [
+        (view.view_id, scores[i], areas[i]) for i, view in enumerate(views) if visible[i, 0]
+    ]
     if not candidates:
         raise NoneVisible(f"object {target_object_id} projects into no view")
     best = min(candidates, key=lambda c: (-c[1], -c[2], c[0]))

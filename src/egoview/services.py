@@ -56,13 +56,10 @@ class ServiceEndpointConfig:
 
     base_url: str = ""
     timeout: float = 30.0
-    max_in_flight: int = 8
     mode: str = "stub"
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.mode not in ("stub", "remote"):
             raise ValueError("mode must be 'stub' or 'remote'")
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import geometry
 from ._util import percent
-from .errors import EmptyInput, NotVisible, UnknownObjectId, UnknownScene
-from .geometry import NEAR_PLANE, CameraIntrinsics, CameraPose, OrientedBox3D
+from .errors import EmptyInput, UnknownObjectId, UnknownScene
+from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 
 BUCKETS = ("1", "2", "3", "4+", "unsolvable")
 
@@ -93,74 +94,7 @@ def witnesses(view: View, obj: SceneObject, cfg: WitnessConfig = WitnessConfig()
     min_area_ratio * image area, and overlap with the image rectangle
     strictly above iosa_threshold.  Geometry failures count as not witnessed.
     """
-    try:
-        rect = geometry.project_box(obj.box, view.intrinsics, view.pose)
-    except NotVisible:
-        return False
-    image_rect = view.intrinsics.image_rect
-    if rect.area < cfg.min_area_ratio * image_rect.area:
-        return False
-    return bool(geometry.iosa(rect, image_rect) > cfg.iosa_threshold)
-
-
-def _witness_row(
-    corner_block: np.ndarray,
-    objects: Sequence[SceneObject],
-    view: View,
-    cfg: WitnessConfig,
-) -> np.ndarray:
-    """Witness booleans for one view over all objects.
-
-    corner_block holds precomputed world corners, shape (n_objects, 8, 3).
-    Fully-in-front boxes take a vectorized path; boxes straddling the near
-    plane fall back to the scalar projector.
-    """
-    intr = view.intrinsics
-    n = corner_block.shape[0]
-    cam = (corner_block.reshape(-1, 3) - view.pose.translation) @ view.pose.rotation
-    cam = cam.reshape(n, 8, 3)
-    z = cam[:, :, 2]
-    front = z > NEAR_PLANE
-    n_front = front.sum(axis=1)
-
-    x_min = np.full(n, np.nan)
-    y_min = np.full(n, np.nan)
-    x_max = np.full(n, np.nan)
-    y_max = np.full(n, np.nan)
-
-    full = n_front == 8
-    if full.any():
-        c = cam[full]
-        u = intr.cx + intr.fx * c[:, :, 0] / c[:, :, 2]
-        v = intr.cy + intr.fy * c[:, :, 1] / c[:, :, 2]
-        x_min[full] = u.min(axis=1)
-        x_max[full] = u.max(axis=1)
-        y_min[full] = v.min(axis=1)
-        y_max[full] = v.max(axis=1)
-
-    for idx in np.nonzero((n_front > 0) & ~full)[0]:
-        pts = geometry._clip_corners_to_near(cam[idx])
-        us = [intr.cx + intr.fx * p[0] / p[2] for p in pts]
-        vs = [intr.cy + intr.fy * p[1] / p[2] for p in pts]
-        x_min[idx], x_max[idx] = min(us), max(us)
-        y_min[idx], y_max[idx] = min(vs), max(vs)
-
-    visible = n_front > 0
-    area = np.where(visible, (x_max - x_min) * (y_max - y_min), 0.0)
-    img_w, img_h = float(intr.width), float(intr.height)
-    img_area = img_w * img_h
-
-    inter_w = np.minimum(x_max, img_w) - np.maximum(x_min, 0.0)
-    inter_h = np.minimum(y_max, img_h) - np.maximum(y_min, 0.0)
-    inter = np.where(
-        visible & (inter_w > 0.0) & (inter_h > 0.0), inter_w * inter_h, 0.0
-    )
-    smaller = np.minimum(area, img_area)
-    ratio = np.zeros(n)
-    pos = smaller > 0.0
-    ratio[pos] = np.minimum(1.0, inter[pos] / smaller[pos])
-
-    return visible & (area >= cfg.min_area_ratio * img_area) & (ratio > cfg.iosa_threshold)
+    return bool(witness_matrix([obj], [view], cfg)[0, 0])
 
 
 def witness_matrix(
@@ -171,11 +105,8 @@ def witness_matrix(
     """Boolean matrix of shape (n_views, n_objects): entry (i, j) is witnesses(views[i], objects[j])."""
     if not scene_objects or not views:
         raise EmptyInput("witness_matrix requires at least one view and one object")
-    corner_block = np.stack([obj.box.corners() for obj in scene_objects])
-    out = np.zeros((len(views), len(scene_objects)), dtype=bool)
-    for i, view in enumerate(views):
-        out[i] = _witness_row(corner_block, scene_objects, view, cfg)
-    return out
+    corners = geometry.box_corners([obj.box for obj in scene_objects])
+    return geometry.image_visibility(corners, views, cfg.iosa_threshold, cfg.min_area_ratio)
 
 
 def _objects_by_id(scene_objects: Sequence[SceneObject]) -> dict[int, SceneObject]:
@@ -201,12 +132,8 @@ def is_solvable(
     """True when every relevant object is witnessed by at least one view in the set."""
     by_id = _objects_by_id(scene_objects)
     ids = _check_known(relevant_object_ids, by_id)
-    remaining = set(ids)
-    for view in view_set:
-        remaining = {oid for oid in remaining if not witnesses(view, by_id[oid], cfg)}
-        if not remaining:
-            return True
-    return not remaining
+    table = WitnessTable.build([by_id[oid] for oid in ids], view_set, cfg)
+    return bool(table.matrix.any(axis=0).all())
 
 
 def greedy_cover(
@@ -320,6 +247,34 @@ def min_cover(
     return ViewRequirement(n, "exact")
 
 
+@dataclass(frozen=True, eq=False)
+class WitnessTable:
+    """witness_matrix of views over objects, kept to answer the minimum view
+    count of many sets of those objects without projecting again."""
+
+    views: list[View]
+    objects: list[SceneObject]
+    matrix: np.ndarray
+
+    @classmethod
+    def build(cls, objects: Sequence[SceneObject], views: Sequence[View], cfg: WitnessConfig):
+        """The table of views x objects; all False when either is empty."""
+        if objects and views:
+            return cls(list(views), list(objects), witness_matrix(objects, views, cfg))
+        return cls(list(views), list(objects), np.zeros((len(views), len(objects)), bool))
+
+    def min_view_count(self, relevant_object_ids: Iterable[int]) -> ViewRequirement:
+        """Smallest number of the views that jointly witness all relevant objects."""
+        ids = _check_known(relevant_object_ids, _objects_by_id(self.objects))
+        columns = [j for j, obj in enumerate(self.objects) if obj.object_id in ids]
+        column_ids = [self.objects[j].object_id for j in columns]
+        sets_by_id = [
+            (view.view_id, frozenset(compress(column_ids, row)))
+            for view, row in zip(self.views, self.matrix[:, columns].tolist())
+        ]
+        return min_cover(sets_by_id, ids)
+
+
 def min_view_count(
     relevant_object_ids: Iterable[int],
     views: Sequence[View],
@@ -329,16 +284,7 @@ def min_view_count(
     """Smallest number of views that jointly witness all relevant objects."""
     by_id = _objects_by_id(scene_objects)
     ids = _check_known(relevant_object_ids, by_id)
-    relevant = [by_id[oid] for oid in sorted(ids)]
-    if views:
-        matrix = witness_matrix(relevant, views, cfg)
-    else:
-        matrix = np.zeros((0, len(relevant)), dtype=bool)
-    sets_by_id = [
-        (view.view_id, frozenset(obj.object_id for obj, seen in zip(relevant, matrix[i]) if seen))
-        for i, view in enumerate(views)
-    ]
-    return min_cover(sets_by_id, ids)
+    return WitnessTable.build([by_id[oid] for oid in ids], views, cfg).min_view_count(ids)
 
 
 @dataclass
@@ -367,19 +313,23 @@ def view_requirement_stats(
     Instructions must carry `scene_id` and `related_object_ids`; scenes must
     carry `views` and `objects`.  Candidate views are subsampled with
     `stride` (every stride-th view, first always included); the stride is
-    recorded in the result rather than hidden.
+    recorded in the result rather than hidden.  Each scene's witness table
+    is computed once and shared by its instructions.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     counts = {bucket: 0 for bucket in BUCKETS}
     solver_counts = {"exact": 0, "greedy": 0}
     min_counts: list[int | None] = []
+    tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
     for ins in instructions:
         scene = scenes_by_id.get(ins.scene_id)
         if scene is None:
             raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
-        views = list(scene.views)[::stride]
-        req = min_view_count(ins.related_object_ids, views, scene.objects, cfg)
+        if ins.scene_id not in tables:
+            views = list(scene.views)[::stride]
+            tables[ins.scene_id] = WitnessTable.build(scene.objects, views, cfg)
+        req = tables[ins.scene_id].min_view_count(ins.related_object_ids)
         counts[req.bucket] += 1
         solver_counts[req.solver] += 1
         min_counts.append(req.n)

@@ -10,10 +10,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Scene, _iter_jsonl, _require
+from .corpus import Scene, _claim_id, _iter_jsonl, _require
 from .errors import SchemaError, UnknownScene
 from .services import COMPOSE_MARKER
-from .solvability import ViewRequirement, WitnessConfig, min_view_count
+from .solvability import ViewRequirement, WitnessConfig, WitnessTable
 
 logger = logging.getLogger(__name__)
 
@@ -249,6 +249,7 @@ def synthesize_dataset(
     report = SynthesisReport(prompt_version=cfg.prompt_version, config_hash=config_hash)
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
+    tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
 
     records: list[ComposedQA] = []
     for pair in pairs:
@@ -269,9 +270,9 @@ def synthesize_dataset(
             report.note_drop(reason)
             logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
             continue
-        result.min_view_count = min_view_count(
-            result.related_object_ids, scene.views, scene.objects, witness_cfg
-        )
+        if scene.scene_id not in tables:
+            tables[scene.scene_id] = WitnessTable.build(scene.objects, scene.views, witness_cfg)
+        result.min_view_count = tables[scene.scene_id].min_view_count(result.related_object_ids)
         records.append(result)
 
     report.composed = len(records)
@@ -300,8 +301,10 @@ def composed_to_dict(record: ComposedQA) -> dict:
 
 
 def read_questions(path) -> list[QuestionRecord]:
-    """Read question records from a JSONL file (provenance lines skipped)."""
+    """Read question records from a JSONL file (provenance lines skipped);
+    a repeated question_id raises DuplicateId."""
     records = []
+    seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
         try:
@@ -318,4 +321,5 @@ def read_questions(path) -> list[QuestionRecord]:
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(where, str(exc)) from exc
+        _claim_id(seen, records[-1].question_id, where)
     return records

@@ -2,8 +2,9 @@
 
 Each oracle takes a deliberately different route from the production code:
 counting grid cells instead of interval arithmetic, polytope vertex
-enumeration plus surface sampling instead of edge clipping, and exhaustive
-subset enumeration instead of branch and bound.
+enumeration plus surface sampling instead of edge clipping, a scalar loop
+over points instead of batched arrays, and exhaustive subset enumeration
+instead of branch and bound.
 """
 
 from __future__ import annotations
@@ -92,6 +93,30 @@ def _polytope_vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not any(np.linalg.norm(p - q) < 1e-9 for q in unique):
             unique.append(p)
     return np.array(unique)
+
+
+def scalar_box_rect(box, intr, pose) -> Rect2D | None:
+    """Projected bounding rect by a scalar loop over corners and edges.
+
+    Each corner is moved to the camera frame on its own, corners in front
+    of the near plane are kept, and each crossing edge adds its near-plane
+    intersection.  This is the production arithmetic one point at a time,
+    so the batched projector must match it bit for bit.  None when no
+    corner lies in front of the near plane.
+    """
+    cam = [pose.rotation.T @ (corner - pose.translation) for corner in box.corners()]
+    points = [p for p in cam if p[2] > NEAR_PLANE]
+    for i, j in itertools.combinations(range(8), 2):
+        if (i ^ j).bit_count() == 1 and (cam[i][2] > NEAR_PLANE) != (cam[j][2] > NEAR_PLANE):
+            f = (NEAR_PLANE - cam[i][2]) / (cam[j][2] - cam[i][2])
+            p = cam[i] + f * (cam[j] - cam[i])
+            p[2] = NEAR_PLANE
+            points.append(p)
+    if not points:
+        return None
+    us = [intr.cx + intr.fx * p[0] / p[2] for p in points]
+    vs = [intr.cy + intr.fy * p[1] / p[2] for p in points]
+    return Rect2D(float(min(us)), float(min(vs)), float(max(us)), float(max(vs)))
 
 
 def clipped_box_rect_oracle(box, intr, pose, n_samples: int = 100_000, seed: int = 0) -> Rect2D:

@@ -1,8 +1,12 @@
 """Seeded random scene instances for solver-vs-brute-force comparisons.
 
-Objects sit along a line two meters apart; cameras are dropped at random
-lateral positions and standoff depths, so each view witnesses a run of zero
-or more objects and the witness structure varies freely with the seed.
+Line scenes: objects sit along a line two meters apart; cameras are dropped
+at random lateral positions and standoff depths, so each view witnesses a
+run of zero or more objects and the witness structure varies freely with
+the seed.  Their cameras never rotate and never straddle a box.
+
+Posed scenes: yawed and pitched cameras inside a room of boxes, so that
+some boxes cross the near plane and need clipping.
 """
 
 from __future__ import annotations
@@ -45,6 +49,54 @@ def random_line_scene(
                 pose=CameraPose(rotation=np.eye(3), translation=(x, y, z)),
             )
         )
+    return views, objects
+
+
+def _camera_to_world(yaw: float, pitch: float) -> np.ndarray:
+    """Rotation whose columns are the camera's right, down and forward axes
+    for a camera yawed about world +z and pitched up by `pitch`."""
+    forward = np.array(
+        [math.cos(yaw) * math.cos(pitch), math.sin(yaw) * math.cos(pitch), math.sin(pitch)]
+    )
+    right = np.array([math.sin(yaw), -math.cos(yaw), 0.0])
+    return np.stack([right, np.cross(forward, right), forward], axis=1)
+
+
+def random_posed_scene(
+    rng: np.random.Generator, n_views: int, n_objects: int
+) -> tuple[list[View], list[SceneObject]]:
+    """A 6 x 5 m room of boxes seen by yawed and pitched head-height cameras
+    with varied intrinsics.  Cameras stand among the boxes, so a share of
+    (view, object) pairs straddles the near plane."""
+    objects = [
+        SceneObject(
+            object_id=j,
+            label=f"obj{j}",
+            box=OrientedBox3D(
+                center=rng.uniform([0.0, 0.0, 0.2], [6.0, 5.0, 1.5]),
+                size=rng.uniform(0.2, 1.5, size=3),
+                heading=float(rng.uniform(-math.pi, math.pi)),
+            ),
+        )
+        for j in range(n_objects)
+    ]
+    views = []
+    for i in range(n_views):
+        width, height = (640, 480) if rng.random() < 0.5 else (480, 640)
+        focal = float(rng.uniform(300.0, 700.0))
+        intr = CameraIntrinsics(
+            fx=focal,
+            fy=focal * float(rng.uniform(0.9, 1.1)),
+            cx=width / 2 + float(rng.uniform(-20.0, 20.0)),
+            cy=height / 2 + float(rng.uniform(-20.0, 20.0)),
+            width=width,
+            height=height,
+        )
+        pose = CameraPose(
+            rotation=_camera_to_world(rng.uniform(-math.pi, math.pi), rng.uniform(-0.6, 0.6)),
+            translation=rng.uniform([0.0, 0.0, 1.2], [6.0, 5.0, 1.8]),
+        )
+        views.append(View(view_id=f"v{i:02d}", intrinsics=intr, pose=pose))
     return views, objects
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
+
+import pytest
 
 from egoview.cli import main
 
@@ -9,6 +12,13 @@ DATA = "tests/data"
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def with_repeated_first_record(src, dst):
+    """Copy a JSONL file and append its first data line again: a duplicate id."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    dst.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    return dst
 
 
 class TestSolvabilityCommand:
@@ -53,6 +63,37 @@ class TestSolvabilityCommand:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            (("objects", 0, "box", "center", 2), math.nan, "objects[0].box"),
+            (("views", 0, "intrinsics", "fx"), math.nan, "views[0].intrinsics"),
+            (("views", 2, "pose", "translation", 1), math.nan, "views[2].pose"),
+            (("objects", 1, "box", "heading"), math.inf, "objects[1].box"),
+        ],
+    )
+    def test_non_finite_scene_number_exits_2(
+        self, tmp_path, data_dir, capsys, keys, value, field
+    ):
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        target = scene
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = run(
+            "solvability",
+            "--scenes", str(scenes),
+            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"{field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scene_exits_3(self, tmp_path, data_dir):
         instructions = tmp_path / "ins.jsonl"
@@ -118,6 +159,22 @@ class TestSynthesizeCommand:
         assert code == 4
         assert not out.exists()  # failures never leave partial files behind
 
+    def test_duplicate_question_id_exits_2(self, tmp_path, data_dir, capsys):
+        questions = with_repeated_first_record(
+            data_dir / "questions.jsonl", tmp_path / "q.jsonl"
+        )
+        out = tmp_path / "composed.jsonl"
+        code = run(
+            "synthesize",
+            "--scenes", str(data_dir / "scenes"),
+            "--questions", str(questions),
+            "--out", str(out),
+            "--stub",
+        )
+        assert code == 2
+        assert "'q01' already used" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_eligible_pairs(self, tmp_path, data_dir):
         questions = tmp_path / "q.jsonl"
         questions.write_text(
@@ -173,6 +230,23 @@ class TestBuildCorpusCommand:
         )
         assert code == 0
         assert out.read_bytes() == (golden_dir / "triplets_extend.jsonl").read_bytes()
+
+    def test_duplicate_instruction_id_exits_2(self, tmp_path, data_dir, capsys):
+        instructions = with_repeated_first_record(
+            data_dir / "instructions_extend.jsonl", tmp_path / "ins.jsonl"
+        )
+        out = tmp_path / "t.jsonl"
+        code = run(
+            "build-corpus",
+            "--scenes", str(data_dir / "scenes"),
+            "--mode", "extend",
+            "--instructions", str(instructions),
+            "--out", str(out),
+            "--stub",
+        )
+        assert code == 2
+        assert "already used" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_extend_requires_instructions(self, tmp_path, data_dir):
         code = run(

@@ -14,12 +14,15 @@ from egoview.geometry import (
     CameraPose,
     OrientedBox3D,
     Rect2D,
+    box_corners,
     iosa,
     project_box,
+    project_boxes,
     project_point,
 )
 
-from .oracles import clipped_box_rect_oracle, grid_count_iosa, random_grid_rect
+from .oracles import clipped_box_rect_oracle, grid_count_iosa, random_grid_rect, scalar_box_rect
+from .scenegen import random_line_scene, random_posed_scene
 
 
 def make_pose(rotation=None, translation=(0.0, 0.0, 0.0)) -> CameraPose:
@@ -142,6 +145,60 @@ class TestProjectBox:
         # Quarter turn about the up-axis swaps the wide extent from u to v.
         assert flat.x_max - flat.x_min > flat.y_max - flat.y_min
         assert turned.y_max - turned.y_min > turned.x_max - turned.x_min
+
+
+def _straddles(box: OrientedBox3D, pose: CameraPose) -> bool:
+    depth = (box.corners() - pose.translation) @ pose.rotation[:, 2]
+    return bool(depth.min() <= NEAR_PLANE < depth.max())
+
+
+class TestProjectBoxes:
+    @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
+    @pytest.mark.parametrize("seed", [47, 48])
+    def test_equals_batch_of_one_and_scalar_loop_bit_for_bit(self, make_scene, seed):
+        # 20 views span several internal view blocks.
+        views, objects = make_scene(np.random.default_rng(seed), 20, 30)
+        rects, visible = project_boxes(box_corners([o.box for o in objects]), views)
+        assert rects.shape == (20, 30, 4) and visible.shape == (20, 30)
+        for i, view in enumerate(views):
+            for j, obj in enumerate(objects):
+                reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
+                assert visible[i, j] == (reference is not None)
+                if reference is None:
+                    assert np.isnan(rects[i, j]).all()
+                    with pytest.raises(NotVisible):
+                        project_box(obj.box, view.intrinsics, view.pose)
+                    continue
+                single = project_box(obj.box, view.intrinsics, view.pose)
+                assert single == reference
+                assert tuple(rects[i, j]) == (single.x_min, single.y_min, single.x_max, single.y_max)
+
+    def test_straddling_pairs_match_sampling_oracle(self):
+        views, objects = random_posed_scene(np.random.default_rng(53), 8, 12)
+        rects, visible = project_boxes(box_corners([o.box for o in objects]), views)
+        checked = 0
+        for i, view in enumerate(views):
+            for j, obj in enumerate(objects):
+                if not _straddles(obj.box, view.pose):
+                    continue
+                checked += 1
+                assert visible[i, j]
+                oracle = clipped_box_rect_oracle(
+                    obj.box, view.intrinsics, view.pose, n_samples=20_000, seed=checked
+                )
+                got = Rect2D(*rects[i, j])
+                assert got.x_min == pytest.approx(oracle.x_min, abs=2.0)
+                assert got.x_max == pytest.approx(oracle.x_max, abs=2.0)
+                assert got.y_min == pytest.approx(oracle.y_min, abs=2.0)
+                assert got.y_max == pytest.approx(oracle.y_max, abs=2.0)
+        assert checked >= 10, f"only {checked} straddling pairs exercised"
+
+    def test_no_boxes_or_no_views(self):
+        views, objects = random_posed_scene(np.random.default_rng(3), 3, 2)
+        rects, visible = project_boxes(np.empty((0, 8, 3)), views)
+        assert rects.shape == (3, 0, 4) and visible.shape == (3, 0)
+        rects, visible = project_boxes(box_corners([o.box for o in objects]), [])
+        assert rects.shape == (0, 2, 4) and visible.shape == (0, 2)
 
 
 class TestIosa:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egoview.errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
-from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
 from egoview.selection import (
     AlignmentConfig,
     DiversityConfig,
@@ -18,13 +18,14 @@ from egoview.selection import (
     select_diverse_views,
     select_view_for_dc,
     select_view_for_qa,
+    visibility_table,
     visible_objects,
 )
 from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View, WitnessConfig, witnesses
 
-from .oracles import brute_force_maximin_subset
-from .scenegen import random_line_scene
+from .oracles import brute_force_maximin_subset, scalar_box_rect
+from .scenegen import random_line_scene, random_posed_scene
 
 INTR = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -82,6 +83,18 @@ class TestVisibleObjects:
             witness_set = {o.object_id for o in objects if witnesses(view, o, cfg)}
             assert visible_objects(view, objects, AlignmentConfig(tau=0.5)) == witness_set
 
+    @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
+    def test_table_and_set_equal_per_object_results(self, make_scene):
+        views, objects = make_scene(np.random.default_rng(29), 12, 9)
+        table = visibility_table(views, objects)
+        assert table.any()
+        no_min_area = WitnessConfig(iosa_threshold=0.5, min_area_ratio=0.0)
+        for i, view in enumerate(views):
+            per_object = {o.object_id for o in objects if visible_objects(view, [o])}
+            assert visible_objects(view, objects) == per_object
+            assert {o.object_id for o, seen in zip(objects, table[i]) if seen} == per_object
+            assert {o.object_id for o in objects if witnesses(view, o, no_min_area)} == per_object
+
 
 class TestSelectViewForQA:
     def _stub_for(self, views_labels):
@@ -131,6 +144,23 @@ class TestSelectViewForDC:
             shuffled = list(scene_a.views)
             rng.shuffle(shuffled)
             assert select_view_for_dc(3, shuffled, scene_a.objects)[0] == "v03"
+
+    def test_matches_scalar_reference_on_posed_scene(self):
+        views, objects = random_posed_scene(np.random.default_rng(31), 16, 10)
+        for obj in objects:
+            ranked = []
+            for view in views:
+                rect = scalar_box_rect(obj.box, view.intrinsics, view.pose)
+                if rect is not None:
+                    image = Rect2D(0.0, 0.0, view.intrinsics.width, view.intrinsics.height)
+                    score = iosa(rect, image)
+                    ranked.append((-score, -rect.area, view.view_id))
+            if not ranked:
+                with pytest.raises(NoneVisible):
+                    select_view_for_dc(obj.object_id, views, objects)
+                continue
+            neg_score, _, view_id = min(ranked)
+            assert select_view_for_dc(obj.object_id, views, objects) == (view_id, -neg_score)
 
     def test_none_visible(self):
         objects = [make_object(1, "desk", (0, 0, -5))]

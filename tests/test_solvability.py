@@ -22,7 +22,12 @@ from egoview.solvability import (
 )
 
 from .oracles import brute_force_min_cover
-from .scenegen import random_abstract_instance, random_line_scene, random_relevant_ids
+from .scenegen import (
+    random_abstract_instance,
+    random_line_scene,
+    random_posed_scene,
+    random_relevant_ids,
+)
 
 
 def make_view(view_id="v", translation=(0, 0, 0), intr=None) -> View:
@@ -88,6 +93,20 @@ class TestWitnessMatrix:
         for _ in range(50):
             views, objects = random_line_scene(
                 rng, n_views=int(rng.integers(1, 5)), n_objects=int(rng.integers(1, 4))
+            )
+            matrix = witness_matrix(objects, views)
+            expected = np.array(
+                [[witnesses(v, o) for o in objects] for v in views], dtype=bool
+            )
+            assert np.array_equal(matrix, expected)
+
+    def test_matches_elementwise_on_posed_scenes(self):
+        # Yawed and pitched cameras with straddling boxes; up to 12 views
+        # span more than one projection block.
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            views, objects = random_posed_scene(
+                rng, n_views=int(rng.integers(1, 13)), n_objects=int(rng.integers(1, 8))
             )
             matrix = witness_matrix(objects, views)
             expected = np.array(
