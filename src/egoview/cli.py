@@ -1,9 +1,11 @@
 """Command-line entry point: solvability analysis, question synthesis, corpus
 building, and exact-match evaluation.
 
-Exit codes: 0 success, 1 usage, 2 schema/data error, 3 unknown reference,
-4 service failure.  All randomness flows from --seed; stub-mode runs write
-byte-identical outputs for identical configurations.
+Exit codes: 0 success, 1 usage, 2 schema/data error or unreadable input or
+unwritable output, 3 unknown reference, 4 service failure.  A command's
+outputs appear together or not at all: a failure leaves no partial file.
+All randomness flows from --seed; stub-mode runs write byte-identical
+outputs for identical configurations.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ._util import config_hash
 from .corpus import (
     CaptionBuildConfig,
     ExtendConfig,
+    OutputFiles,
     build_caption_triplets,
     extend_dataset_triplets,
     load_scenes_dir,
@@ -116,9 +119,8 @@ def _service_client(args, seed: int):
     return make_client(ServiceEndpointConfig(mode="remote", base_url=base_url, seed=seed))
 
 
-def _write_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
+    outputs.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def _default_report_path(out: str) -> str:
@@ -144,7 +146,8 @@ def cmd_solvability(args) -> int:
     hist = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
     report = solvability_report(hist, cfg)
     report["provenance"] = run.provenance()
-    _write_json(args.out, report)
+    with OutputFiles() as outputs:
+        _write_json(args.out, report, outputs)
     print(format_solvability_report(report))
     print(f"wrote report -> {args.out}")
     return EXIT_OK
@@ -178,9 +181,11 @@ def cmd_synthesize(args) -> int:
         config_hash=config_hash(run.hash_payload()),
     )
     provenance = {**run.provenance(), "prompt_version": syn_cfg.prompt_version}
-    write_jsonl(args.out, [composed_to_dict(r) for r in records], provenance=provenance)
     report_path = args.report or _default_report_path(args.out)
-    _write_json(report_path, {**report.to_dict(), "provenance": provenance})
+    with OutputFiles() as outputs:
+        rows = [composed_to_dict(r) for r in records]
+        write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
+        _write_json(report_path, {**report.to_dict(), "provenance": provenance}, outputs)
     print(
         f"synthesized {report.composed} of {report.pairs_considered} eligible pairs "
         f"-> {args.out}"
@@ -224,7 +229,6 @@ def cmd_build_corpus(args) -> int:
         )
 
     provenance = run.provenance()
-    write_jsonl(args.out, [triplet_to_dict(r) for r in records], provenance=provenance)
     sources: dict[str, int] = {}
     for record in records:
         sources[record.source] = sources.get(record.source, 0) + 1
@@ -235,7 +239,10 @@ def cmd_build_corpus(args) -> int:
         "provenance": provenance,
     }
     report_path = args.report or _default_report_path(args.out)
-    _write_json(report_path, summary)
+    with OutputFiles() as outputs:
+        rows = [triplet_to_dict(r) for r in records]
+        write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
+        _write_json(report_path, summary, outputs)
     print(f"built {len(records)} triplets -> {args.out}")
     return EXIT_OK
 
@@ -251,7 +258,8 @@ def cmd_eval(args) -> int:
         knobs={"normalization": NORMALIZATION_VERSION, "articles": ARTICLES_POLICY},
     )
     payload = {**report.to_dict(), "provenance": run.provenance()}
-    _write_json(args.out, payload)
+    with OutputFiles() as outputs:
+        _write_json(args.out, payload, outputs)
     print(f"overall EM: {report.overall_em:.1f} over {report.total} questions")
     for bucket, value in report.per_bucket_em.items():
         print(f"  views={bucket}: EM {value:.1f} ({report.bucket_counts[bucket]})")
@@ -331,7 +339,7 @@ def main(argv=None) -> int:
     except ServiceUnavailable as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return EXIT_SERVICE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

@@ -16,15 +16,18 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DuplicateId, NoneVisible, SchemaError, UnknownScene
-from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from .errors import DuplicateId, InvalidPose, NoneVisible, SchemaError, UnknownScene
+from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, pose_arrays
 from .selection import AlignmentConfig, image_ref, select_view_for_dc, select_view_for_qa, visibility_table
 from .solvability import SceneObject, View
 
@@ -141,6 +144,18 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(value, path: str) -> int:
+    """`value` if it is a JSON integer; bools, fractions and other types raise
+    SchemaError naming `path`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, path: str) -> frozenset[int]:
+    return frozenset(_integer(value, f"{path}[{i}]") for i, value in enumerate(values))
+
+
 def _parse_box(data: dict, path: str) -> OrientedBox3D:
     try:
         return OrientedBox3D(
@@ -148,7 +163,7 @@ def _parse_box(data: dict, path: str) -> OrientedBox3D:
             size=_require(data, "size", path),
             heading=float(_require(data, "heading", path)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -159,24 +174,36 @@ def _parse_intrinsics(data: dict, path: str) -> CameraIntrinsics:
             fy=float(_require(data, "fy", path)),
             cx=float(_require(data, "cx", path)),
             cy=float(_require(data, "cy", path)),
-            width=int(_require(data, "width", path)),
-            height=int(_require(data, "height", path)),
+            width=_integer(_require(data, "width", path), f"{path}.width"),
+            height=_integer(_require(data, "height", path), f"{path}.height"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _parse_pose(data: dict, path: str) -> CameraPose:
+def _parse_pose(data: dict, path: str) -> tuple:
+    """A pose's rotation and translation arrays, converted and shape-checked;
+    their numeric check runs once per scene in `load_scene`."""
     convention = _require(data, "convention", path)
     if convention != "camera_to_world":
         raise SchemaError(f"{path}.convention", f"unsupported convention {convention!r}")
     try:
-        return CameraPose(
-            rotation=_require(data, "rotation", path),
-            translation=_require(data, "translation", path),
+        return pose_arrays(_require(data, "rotation", path), _require(data, "translation", path))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _parse_view(entry: dict, where: str) -> tuple:
+    """(view_id, intrinsics, rotation, translation, image_path) of one view."""
+    try:
+        return (
+            str(_require(entry, "view_id", where)),
+            _parse_intrinsics(_require(entry, "intrinsics", where), f"{where}.intrinsics"),
+            *_parse_pose(_require(entry, "pose", where), f"{where}.pose"),
+            entry.get("image_path"),
         )
     except (TypeError, ValueError) as exc:
-        raise SchemaError(path, str(exc)) from exc
+        raise SchemaError(where, str(exc)) from exc
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -200,30 +227,31 @@ def load_scene(path: str | Path) -> Scene:
         try:
             objects.append(
                 SceneObject(
-                    object_id=int(_require(entry, "object_id", where)),
+                    object_id=_integer(_require(entry, "object_id", where), f"{where}.object_id"),
                     label=str(_require(entry, "label", where)),
                     box=_parse_box(_require(entry, "box", where), f"{where}.box"),
                 )
             )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-
-    views = []
-    for i, entry in enumerate(_require(data, "views", "scene")):
-        where = f"views[{i}]"
-        try:
-            views.append(
-                View(
-                    view_id=str(_require(entry, "view_id", where)),
-                    intrinsics=_parse_intrinsics(
-                        _require(entry, "intrinsics", where), f"{where}.intrinsics"
-                    ),
-                    pose=_parse_pose(_require(entry, "pose", where), f"{where}.pose"),
-                    image_path=entry.get("image_path"),
-                )
-            )
         except (TypeError, ValueError) as exc:
             raise SchemaError(where, str(exc)) from exc
+
+    parsed, error = [], None
+    for i, entry in enumerate(_require(data, "views", "scene")):
+        try:
+            parsed.append(_parse_view(entry, f"views[{i}]"))
+        except SchemaError as exc:
+            error = exc  # raised below unless an earlier view has a bad pose
+            break
+    try:
+        poses = CameraPose.stacked([p[2] for p in parsed], [p[3] for p in parsed])
+    except InvalidPose as exc:
+        raise SchemaError(f"views[{exc.index}].pose", exc.reason) from exc
+    if error is not None:
+        raise error
+    views = [
+        View(view_id=view_id, intrinsics=intrinsics, pose=pose, image_path=image_path)
+        for (view_id, intrinsics, _, _, image_path), pose in zip(parsed, poses)
+    ]
 
     return Scene(
         scene_id=str(scene_id),
@@ -260,11 +288,11 @@ def read_instructions(path: str | Path) -> list[Instruction]:
                     task=str(_require(data, "task", where)),
                     text=str(_require(data, "text", where)),
                     answer=data.get("answer"),
-                    related_object_ids=frozenset(
-                        int(x) for x in data.get("related_object_ids", [])
+                    related_object_ids=_integers(
+                        data.get("related_object_ids", []), f"{where}.related_object_ids"
                     ),
                     target_object_id=(
-                        int(data["target_object_id"])
+                        _integer(data["target_object_id"], f"{where}.target_object_id")
                         if data.get("target_object_id") is not None
                         else None
                     ),
@@ -461,7 +489,7 @@ def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
             triplet_id=str(_require(data, "triplet_id", where)),
             scene_id=str(_require(data, "scene_id", where)),
             view_id=str(_require(data, "view_id", where)),
-            object_ids=frozenset(int(x) for x in _require(data, "object_ids", where)),
+            object_ids=_integers(_require(data, "object_ids", where), f"{where}.object_ids"),
             text=str(_require(data, "text", where)),
             source=str(_require(data, "source", where)),
             provenance=TripletProvenance(
@@ -474,14 +502,54 @@ def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
         raise SchemaError(where, str(exc)) from exc
 
 
-def write_jsonl(path: str | Path, rows: Sequence[dict], provenance: dict | None = None) -> None:
-    """Write records as UTF-8 JSON lines with an optional provenance header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if provenance is not None:
-            header = {"record": "provenance", **provenance}
-            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+class OutputFiles:
+    """Output files that appear together or not at all.
+
+    Inside `with OutputFiles() as outputs:`, each `outputs.write(path, text)`
+    goes to a temp file beside `path`.  On a clean exit every temp file is
+    moved into place with `os.replace`; if anything raised, none is.  No temp
+    file outlives the block.
+    """
+
+    def __init__(self):
+        self._staged: list[tuple[Path, Path]] = []
+
+    def __enter__(self) -> OutputFiles:
+        return self
+
+    def write(self, path: str | Path, text: str) -> None:
+        path = Path(path)
+        if path.is_dir():  # os.replace would fail only after earlier outputs moved
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{len(self._staged)}.tmp")
+        self._staged.append((temp, path))
+        temp.write_text(text, encoding="utf-8", newline="\n")
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for temp, path in self._staged:
+                    os.replace(temp, path)
+        finally:
+            for temp, _ in self._staged:
+                temp.unlink(missing_ok=True)
+
+
+def write_jsonl(
+    path: str | Path,
+    rows: Sequence[dict],
+    provenance: dict | None = None,
+    outputs: OutputFiles | None = None,
+) -> None:
+    """Write records as UTF-8 JSON lines with an optional provenance header.
+
+    The file appears whole or not at all; pass `outputs` to move it into
+    place together with the other files written to it.
+    """
+    header = [] if provenance is None else [{"record": "provenance", **provenance}]
+    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in [*header, *rows])
+    with nullcontext(outputs) if outputs is not None else OutputFiles() as staged:
+        staged.write(path, text)
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._util import percent
-from .corpus import _iter_jsonl, _require
+from .corpus import _integer, _iter_jsonl, _require
 from .errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
 from .solvability import BUCKETS, RequirementHistogram, ViewRequirement, WitnessConfig
 
@@ -188,7 +188,9 @@ def read_gold(path) -> list[GoldAnswer]:
                 GoldAnswer(
                     question_id=str(_require(data, "question_id", where)),
                     answer=str(_require(data, "answer", where)),
-                    min_views=None if min_views is None else int(min_views),
+                    min_views=(
+                        None if min_views is None else _integer(min_views, f"{where}.min_views")
+                    ),
                 )
             )
         except (TypeError, ValueError) as exc:

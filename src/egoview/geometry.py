@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BehindCamera, NotVisible
+from .errors import BehindCamera, InvalidPose, NotVisible
 
 NEAR_PLANE = 0.01
 
@@ -80,6 +80,40 @@ class CameraIntrinsics:
             raise ValueError("image dimensions must be positive")
 
 
+def pose_arrays(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
+    """One pose's rotation and translation as float64 arrays of shape (3, 3) and (3,)."""
+    rotation = np.asarray(rotation, dtype=np.float64)
+    translation = np.asarray(translation, dtype=np.float64)
+    if rotation.shape != (3, 3):
+        raise ValueError("rotation must be 3x3")
+    if translation.shape != (3,):
+        raise ValueError("translation must be a 3-vector")
+    return rotation, translation
+
+
+def first_bad_pose(rotations: np.ndarray, translations: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the first pose failing the numeric checks, or None.
+
+    `rotations` (V, 3, 3) and `translations` (V, 3) are checked together: a
+    pose needs a finite translation and a finite, orthonormal rotation with
+    determinant +1.  A pose failing several checks reports the first of them.
+    """
+    with np.errstate(invalid="ignore"):  # NaN and inf entries fail the checks below
+        residual = np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).max(axis=(1, 2))
+        det_error = np.abs(np.linalg.det(rotations) - 1.0)
+        checks = (
+            ("translation must be finite", ~np.isfinite(translations).all(axis=1)),
+            ("rotation must be finite and orthonormal", ~(residual <= _ORTHO_TOL)),
+            ("rotation determinant must be +1", det_error > _ORTHO_TOL),
+        )
+    failed = np.stack([mask for _, mask in checks], axis=1)
+    bad = failed.any(axis=1)
+    if not bad.any():
+        return None
+    index = int(bad.argmax())
+    return index, checks[int(failed[index].argmax())][0]
+
+
 @dataclass(eq=False)
 class CameraPose:
     """Camera-to-world pose: rotation (3x3 orthonormal) and translation (meters)."""
@@ -88,18 +122,30 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        if self.rotation.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if self.translation.shape != (3,):
-            raise ValueError("translation must be a 3-vector")
-        _require_finite("translation", self.translation.tolist())
-        residual = self.rotation.T @ self.rotation - np.eye(3)
-        if not np.max(np.abs(residual)) <= _ORTHO_TOL:  # NaN fails too
-            raise ValueError("rotation must be finite and orthonormal")
-        if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation determinant must be +1")
+        self.rotation, self.translation = pose_arrays(self.rotation, self.translation)
+        bad = first_bad_pose(self.rotation[None], self.translation[None])
+        if bad is not None:
+            raise ValueError(bad[1])
+
+    @classmethod
+    def stacked(cls, rotations, translations) -> list[CameraPose]:
+        """One pose per row of `rotations` (V, 3, 3) and `translations` (V, 3),
+        or of lists of per-view arrays from `pose_arrays`, checked in one batch.
+
+        The first bad pose raises InvalidPose with its index.  The poses are
+        built without checking each one again.
+        """
+        rotations = np.asarray(rotations, dtype=np.float64).reshape(-1, 3, 3)
+        translations = np.asarray(translations, dtype=np.float64).reshape(-1, 3)
+        bad = first_bad_pose(rotations, translations)
+        if bad is not None:
+            raise InvalidPose(*bad)
+        poses = []
+        for rotation, translation in zip(rotations, translations):
+            pose = object.__new__(cls)
+            pose.rotation, pose.translation = rotation, translation
+            poses.append(pose)
+        return poses
 
 
 @dataclass(eq=False)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from ._util import tokenize
 from .errors import EmptyInput, InvalidImageReference, ServiceUnavailable
@@ -192,15 +191,21 @@ class RemoteModelService:
     Transport failures (connection errors, timeouts) are retried twice with
     backoff, then raised as ServiceUnavailable.  Well-formed replies are
     never retried; malformed bodies and non-2xx statuses fail immediately.
+    `requests` is imported here, not at module level, so stub runs never
+    load it.
     """
 
     def __init__(self, config: ServiceEndpointConfig):
+        import requests
+
         if not config.base_url:
             raise ValueError("remote mode requires a base_url")
         self.config = config
         self._session = requests.Session()
 
     def _post(self, route: str, payload: dict) -> dict:
+        import requests
+
         url = self.config.base_url.rstrip("/") + route
         last_error: Exception | None = None
         for attempt in range(len(RETRY_BACKOFF) + 1):

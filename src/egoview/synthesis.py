@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Scene, _claim_id, _iter_jsonl, _require
+from .corpus import Scene, _claim_id, _integers, _iter_jsonl, _require
 from .errors import SchemaError, UnknownScene
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable
@@ -314,8 +314,8 @@ def read_questions(path) -> list[QuestionRecord]:
                     scene_id=str(_require(data, "scene_id", where)),
                     text=str(_require(data, "text", where)),
                     answer=str(_require(data, "answer", where)),
-                    related_object_ids=frozenset(
-                        int(x) for x in _require(data, "related_object_ids", where)
+                    related_object_ids=_integers(
+                        _require(data, "related_object_ids", where), f"{where}.related_object_ids"
                     ),
                 )
             )

@@ -100,6 +100,47 @@ def random_posed_scene(
     return views, objects
 
 
+def scene_to_dict(
+    views: list[View], objects: list[SceneObject], scene_id: str = "generated"
+) -> dict:
+    """The scene-file JSON object for generated views and objects."""
+    return {
+        "scene_id": scene_id,
+        "split": "train",
+        "objects": [
+            {
+                "object_id": obj.object_id,
+                "label": obj.label,
+                "box": {
+                    "center": obj.box.center.tolist(),
+                    "size": obj.box.size.tolist(),
+                    "heading": obj.box.heading,
+                },
+            }
+            for obj in objects
+        ],
+        "views": [
+            {
+                "view_id": view.view_id,
+                "intrinsics": {
+                    "fx": view.intrinsics.fx,
+                    "fy": view.intrinsics.fy,
+                    "cx": view.intrinsics.cx,
+                    "cy": view.intrinsics.cy,
+                    "width": view.intrinsics.width,
+                    "height": view.intrinsics.height,
+                },
+                "pose": {
+                    "rotation": view.pose.rotation.tolist(),
+                    "translation": view.pose.translation.tolist(),
+                    "convention": "camera_to_world",
+                },
+            }
+            for view in views
+        ],
+    }
+
+
 def random_relevant_ids(rng: np.random.Generator, n_objects: int, max_size: int = 8) -> frozenset[int]:
     size = int(rng.integers(1, min(max_size, n_objects) + 1))
     return frozenset(int(x) for x in rng.choice(n_objects, size=size, replace=False))

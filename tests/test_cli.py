@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,18 +68,8 @@ class TestSolvabilityCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "keys,value,field",
-        [
-            (("objects", 0, "box", "center", 2), math.nan, "objects[0].box"),
-            (("views", 0, "intrinsics", "fx"), math.nan, "views[0].intrinsics"),
-            (("views", 2, "pose", "translation", 1), math.nan, "views[2].pose"),
-            (("objects", 1, "box", "heading"), math.inf, "objects[1].box"),
-        ],
-    )
-    def test_non_finite_scene_number_exits_2(
-        self, tmp_path, data_dir, capsys, keys, value, field
-    ):
+    def _run_on_edited_scene(self, tmp_path, data_dir, keys, value):
+        """Run solvability with one value of scene-a replaced; return (code, out)."""
         scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
         target = scene
         for key in keys[:-1]:
@@ -91,8 +85,51 @@ class TestSolvabilityCommand:
             "--instructions", str(data_dir / "instructions_solvability.jsonl"),
             "--out", str(out),
         )
+        return code, out
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            (("objects", 0, "box", "center", 2), math.nan, "objects[0].box"),
+            (("views", 0, "intrinsics", "fx"), math.nan, "views[0].intrinsics"),
+            (("views", 2, "pose", "translation", 1), math.nan, "views[2].pose"),
+            (("objects", 1, "box", "heading"), math.inf, "objects[1].box"),
+            (("views", 11, "pose", "rotation", 2, 0), math.nan, "views[11].pose"),
+            (("views", 10, "pose", "translation", 0), -math.inf, "views[10].pose"),
+            pytest.param(
+                ("views", 3, "pose", "translation", 0), 10**400, "views[3].pose",
+                id="keys6-1e400-views[3].pose",
+            ),
+            pytest.param(
+                ("objects", 2, "box", "heading"), -(10**400), "objects[2].box",
+                id="keys7-minus1e400-objects[2].box",
+            ),
+        ],
+    )
+    def test_non_finite_scene_number_exits_2(
+        self, tmp_path, data_dir, capsys, keys, value, field
+    ):
+        code, out = self._run_on_edited_scene(tmp_path, data_dir, keys, value)
         assert code == 2
         assert f"{field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            (("objects", 0, "object_id"), 1.7, "objects[0].object_id"),
+            (("objects", 3, "object_id"), True, "objects[3].object_id"),
+            (("views", 0, "intrinsics", "width"), 640.9, "views[0].intrinsics.width"),
+            (("views", 4, "intrinsics", "height"), 480.0, "views[4].intrinsics.height"),
+            (("objects", 2, "object_id"), "3", "objects[2].object_id"),
+        ],
+    )
+    def test_non_integer_scene_field_exits_2(
+        self, tmp_path, data_dir, capsys, keys, value, field
+    ):
+        code, out = self._run_on_edited_scene(tmp_path, data_dir, keys, value)
+        assert code == 2
+        assert f"{field}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_scene_exits_3(self, tmp_path, data_dir):
@@ -158,6 +195,25 @@ class TestSynthesizeCommand:
         )
         assert code == 4
         assert not out.exists()  # failures never leave partial files behind
+
+    @pytest.mark.parametrize("directory", ["out", "report"])
+    def test_unwritable_output_exits_2_without_partial_output(
+        self, tmp_path, data_dir, capsys, directory
+    ):
+        paths = {"out": tmp_path / "composed.jsonl", "report": tmp_path / "composed.report.json"}
+        paths[directory].mkdir()
+        code = run(
+            "synthesize",
+            "--scenes", str(data_dir / "scenes"),
+            "--questions", str(data_dir / "questions.jsonl"),
+            "--out", str(paths["out"]),
+            "--report", str(paths["report"]),
+            "--stub",
+        )
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [paths[directory].name]
+        assert not any(paths[directory].iterdir())
 
     def test_duplicate_question_id_exits_2(self, tmp_path, data_dir, capsys):
         questions = with_repeated_first_record(
@@ -247,6 +303,19 @@ class TestBuildCorpusCommand:
         assert code == 2
         assert "already used" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_report_exits_2_without_partial_output(self, tmp_path, data_dir):
+        report = tmp_path / "missing-dir" / "t.report.json"
+        code = run(
+            "build-corpus",
+            "--scenes", str(data_dir / "scenes"),
+            "--mode", "captions",
+            "--out", str(tmp_path / "t.jsonl"),
+            "--report", str(report),
+            "--stub",
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_extend_requires_instructions(self, tmp_path, data_dir):
         code = run(
@@ -339,6 +408,28 @@ class TestUsageAndConfig:
         monkeypatch.delenv("MODEL_SERVICE_URL")
         client = _service_client(Args(), seed=0)
         assert client.config.base_url == "http://from-flag"
+
+    def test_stub_runs_never_import_requests(self, tmp_path, data_dir):
+        script = (
+            "import sys\n"
+            "import egoview.cli\n"
+            "code = egoview.cli.main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "assert 'requests' not in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [
+                sys.executable, "-c", script, "synthesize",
+                "--scenes", str(data_dir / "scenes"),
+                "--questions", str(data_dir / "questions.jsonl"),
+                "--out", str(tmp_path / "composed.jsonl"),
+                "--stub",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_seed_recorded_in_provenance(self, tmp_path, data_dir):
         out = tmp_path / "composed.jsonl"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +23,13 @@ from egoview.corpus import (
     write_jsonl,
 )
 from egoview.errors import DuplicateId, SchemaError, UnknownObjectId, UnknownScene
+from egoview.evaluate import read_gold
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View
+from egoview.synthesis import read_questions
+
+from .scenegen import random_posed_scene, scene_to_dict
 
 
 def scene_payload(**overrides):
@@ -117,6 +122,145 @@ class TestLoadScene:
     def test_load_scenes_dir(self, data_dir):
         scenes = load_scenes_dir(data_dir / "scenes")
         assert set(scenes) == {"scene-a", "scene-b"}
+
+
+def _bad_rotation_scale(pose):
+    pose["rotation"][0] = [2 * x for x in pose["rotation"][0]]
+
+
+def _bad_rotation_reflection(pose):
+    for row in pose["rotation"]:
+        row[2] = -row[2]
+
+
+def _bad_rotation_nan(pose):
+    pose["rotation"][1][2] = math.nan
+
+
+def _bad_rotation_2x2(pose):
+    pose["rotation"] = [row[:2] for row in pose["rotation"][:2]]
+
+
+def _bad_translation_2_vector(pose):
+    pose["translation"] = pose["translation"][:2]
+
+
+BAD_POSES = {
+    "non-orthonormal": (_bad_rotation_scale, "rotation must be finite and orthonormal"),
+    "reflection": (_bad_rotation_reflection, "rotation determinant must be +1"),
+    "nan-rotation": (_bad_rotation_nan, "rotation must be finite and orthonormal"),
+    "2x2-rotation": (_bad_rotation_2x2, "rotation must be 3x3"),
+    "2-vector-translation": (_bad_translation_2_vector, "translation must be a 3-vector"),
+}
+
+
+class TestBatchedPoseCheck:
+    """load_scene checks every view's pose in one batch over the scene."""
+
+    N_VIEWS = 40
+
+    def _payload(self, seed=3):
+        views, objects = random_posed_scene(np.random.default_rng(seed), self.N_VIEWS, 6)
+        return views, scene_to_dict(views, objects)
+
+    def _load_with(self, tmp_path, payload, edits):
+        for k, name in edits:
+            BAD_POSES[name][0](payload["views"][k]["pose"])
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(path)
+        return excinfo.value
+
+    @pytest.mark.parametrize("name", sorted(BAD_POSES))
+    def test_bad_pose_at_late_index_is_named(self, tmp_path, name):
+        k = self.N_VIEWS - 3
+        error = self._load_with(tmp_path, self._payload()[1], [(k, name)])
+        assert error.field == f"views[{k}].pose"
+        assert error.reason == BAD_POSES[name][1]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("nan-rotation", "reflection"),
+            ("reflection", "2x2-rotation"),
+            ("2-vector-translation", "non-orthonormal"),
+        ],
+    )
+    def test_lowest_bad_index_is_named(self, tmp_path, first, second):
+        edits = [(30, second), (17, first)]
+        error = self._load_with(tmp_path, self._payload()[1], edits)
+        assert error.field == "views[17].pose"
+        assert error.reason == BAD_POSES[first][1]
+
+    def test_earlier_bad_pose_named_before_later_bad_intrinsics(self, tmp_path):
+        payload = self._payload()[1]
+        del payload["views"][25]["intrinsics"]["fx"]
+        error = self._load_with(tmp_path, payload, [(20, "reflection")])
+        assert error.field == "views[20].pose"
+
+    def test_earlier_bad_intrinsics_named_before_later_bad_pose(self, tmp_path):
+        payload = self._payload()[1]
+        del payload["views"][12]["intrinsics"]["fx"]
+        error = self._load_with(tmp_path, payload, [(20, "reflection")])
+        assert error.field == "views[12].intrinsics.fx"
+
+    def test_loaded_poses_equal_directly_constructed(self, tmp_path):
+        views, payload = self._payload(seed=11)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_scene(path).views
+        assert len(loaded) == len(views)
+        for view, expected in zip(loaded, views):
+            direct = CameraPose(expected.pose.rotation.tolist(), expected.pose.translation.tolist())
+            assert np.array_equal(view.pose.rotation, direct.rotation)
+            assert np.array_equal(view.pose.translation, direct.translation)
+            assert view.pose.rotation.dtype == view.pose.translation.dtype == np.float64
+
+
+class TestStrictIntegers:
+    """Ids, image sizes and view counts accept JSON integers only."""
+
+    @pytest.mark.parametrize(
+        "reader,record,field",
+        [
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "qa", "text": "?",
+                 "answer": "a", "related_object_ids": [1, 2.5]},
+                "related_object_ids[1]",
+            ),
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "dc", "text": "d",
+                 "target_object_id": True},
+                "target_object_id",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [False],
+                 "text": "x", "source": "extended_qa"},
+                "object_ids[0]",
+            ),
+            (
+                read_questions,
+                {"question_id": "q", "scene_id": "s", "text": "?", "answer": "a",
+                 "related_object_ids": [3.0]},
+                "related_object_ids[0]",
+            ),
+            (
+                read_gold,
+                {"question_id": "q", "answer": "a", "min_views": 2.5},
+                "min_views",
+            ),
+        ],
+    )
+    def test_record_fields(self, tmp_path, reader, record, field):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            reader(path)
+        assert excinfo.value.field == f"{path}:1.{field}"
 
 
 class TestInstructionIO:

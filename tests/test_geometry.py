@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview.errors import BehindCamera, NotVisible
+from egoview.errors import BehindCamera, InvalidPose, NotVisible
 from egoview.geometry import (
     NEAR_PLANE,
     CameraIntrinsics,
@@ -15,6 +15,7 @@ from egoview.geometry import (
     OrientedBox3D,
     Rect2D,
     box_corners,
+    first_bad_pose,
     iosa,
     project_box,
     project_boxes,
@@ -256,6 +257,44 @@ class TestValidation:
         rot = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             CameraPose(rotation=rot, translation=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "rotation,translation,reason",
+        [
+            (np.eye(3), (0.0, math.nan, 0.0), "translation must be finite"),
+            (np.eye(3) * 2, (0.0, math.inf, 0.0), "translation must be finite"),
+            (np.diag([1.0, math.inf, 1.0]), (0, 0, 0), "rotation must be finite and orthonormal"),
+            (np.diag([1.0, 1.0, -1.0]), (0.0, 0.0, 0.0), "rotation determinant must be +1"),
+            ([[1.0, 0.0], [0.0, 1.0]], (0.0, 0.0, 0.0), "rotation must be 3x3"),
+            (np.eye(3), (0.0, 0.0), "translation must be a 3-vector"),
+        ],
+    )
+    def test_pose_reason(self, rotation, translation, reason):
+        with pytest.raises(ValueError) as excinfo:
+            CameraPose(rotation=rotation, translation=translation)
+        assert str(excinfo.value) == reason
+
+    def test_stacked_names_first_bad_pose(self):
+        rotations = np.stack([np.eye(3)] * 6)
+        translations = np.zeros((6, 3))
+        rotations[4] = np.diag([1.0, 1.0, -1.0])
+        rotations[2, 0, 0] = math.nan
+        with pytest.raises(InvalidPose) as excinfo:
+            CameraPose.stacked(rotations, translations)
+        assert excinfo.value.index == 2
+        assert excinfo.value.reason == "rotation must be finite and orthonormal"
+        assert first_bad_pose(rotations[3:], translations[3:]) == (
+            1, "rotation determinant must be +1"
+        )
+        assert first_bad_pose(rotations[:2], translations[:2]) is None
+
+    def test_stacked_keeps_values(self):
+        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        poses = CameraPose.stacked([rotation, np.eye(3)], [(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)])
+        assert np.array_equal(poses[0].rotation, rotation)
+        assert np.array_equal(poses[0].translation, (1.0, 2.0, 3.0))
+        assert np.array_equal(poses[1].rotation, np.eye(3))
+        assert CameraPose.stacked([], []) == []
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
