@@ -15,14 +15,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from ._util import config_hash
 from .corpus import (
     CaptionBuildConfig,
-    ExtendConfig,
     OutputFiles,
     build_caption_triplets,
     extend_dataset_triplets,
@@ -51,10 +50,13 @@ from .evaluate import (
     read_predictions,
     solvability_report,
 )
-from .services import ServiceEndpointConfig, make_client
+from .services import RemoteModelService, ServiceEndpointConfig, StubModelService
 from .solvability import WitnessConfig, view_requirement_stats
 from .synthesis import (
-    SynthesisConfig,
+    ANSWER_TOKEN_LIMIT,
+    MAX_GENERATION_ATTEMPTS,
+    PROMPT_VERSION,
+    TEMPERATURE,
     composed_to_dict,
     read_questions,
     synthesize_dataset,
@@ -114,9 +116,9 @@ class _Parser(argparse.ArgumentParser):
 def _service_client(args, seed: int):
     """Build the model-service client; env var overrides the --service URL."""
     if args.stub:
-        return make_client(ServiceEndpointConfig(mode="stub", seed=seed))
+        return StubModelService(seed)
     base_url = os.environ.get(MODEL_SERVICE_ENV) or args.service
-    return make_client(ServiceEndpointConfig(mode="remote", base_url=base_url, seed=seed))
+    return RemoteModelService(ServiceEndpointConfig(base_url=base_url))
 
 
 def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
@@ -154,33 +156,26 @@ def cmd_solvability(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    syn_cfg = SynthesisConfig()
-    witness_cfg = WitnessConfig()
     run = RunConfig(
         command="synthesize",
         seed=args.seed,
         stub=args.stub,
         knobs={
-            "prompt_version": syn_cfg.prompt_version,
-            "max_attempts": syn_cfg.max_attempts,
-            "answer_token_limit": syn_cfg.answer_token_limit,
-            "temperature": syn_cfg.temperature,
-            "iosa_threshold": witness_cfg.iosa_threshold,
-            "min_area_ratio": witness_cfg.min_area_ratio,
+            "prompt_version": PROMPT_VERSION,
+            "max_attempts": MAX_GENERATION_ATTEMPTS,
+            "answer_token_limit": ANSWER_TOKEN_LIMIT,
+            "temperature": TEMPERATURE,
+            "iosa_threshold": WitnessConfig.iosa_threshold,
+            "min_area_ratio": WitnessConfig.min_area_ratio,
         },
     )
     scenes = load_scenes_dir(args.scenes)
     questions = read_questions(args.questions)
     client = _service_client(args, args.seed)
     records, report = synthesize_dataset(
-        questions,
-        client,
-        scenes,
-        witness_cfg=witness_cfg,
-        cfg=syn_cfg,
-        config_hash=config_hash(run.hash_payload()),
+        questions, client, scenes, config_hash=config_hash(run.hash_payload())
     )
-    provenance = {**run.provenance(), "prompt_version": syn_cfg.prompt_version}
+    provenance = {**run.provenance(), "prompt_version": PROMPT_VERSION}
     report_path = args.report or _default_report_path(args.out)
     with OutputFiles() as outputs:
         rows = [composed_to_dict(r) for r in records]
@@ -225,7 +220,7 @@ def cmd_build_corpus(args) -> int:
     else:
         instructions = read_instructions(args.instructions)
         records = extend_dataset_triplets(
-            instructions, scenes, client, ExtendConfig(tau=args.tau), config_hash=chash
+            instructions, scenes, client, tau=args.tau, config_hash=chash
         )
 
     provenance = run.provenance()
@@ -283,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--instructions", required=True, help="instruction JSONL file")
     sub.add_argument("--out", required=True, help="report JSON output path")
     sub.add_argument("--stride", type=int, default=1, help="candidate view stride (default 1)")
-    sub.add_argument("--iosa-threshold", type=float, default=0.5)
-    sub.add_argument("--min-area-ratio", type=float, default=0.005)
+    sub.add_argument("--iosa-threshold", type=float)
+    sub.add_argument("--min-area-ratio", type=float)
     sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=cmd_solvability)
+    sub.set_defaults(func=cmd_solvability, **asdict(WitnessConfig()))
 
     sub = commands.add_parser("synthesize", help="compose multi-view questions from pairs")
     sub.add_argument("--scenes", required=True)
@@ -303,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--instructions", help="instruction JSONL (required for extend mode)")
     sub.add_argument("--out", required=True, help="triplet JSONL output path")
     sub.add_argument("--report", help="summary JSON path (default: <out>.report.json)")
-    sub.add_argument("--stride", type=int, default=20, help="view sampling stride (default 20)")
-    sub.add_argument("--num-captions", type=int, default=3)
-    sub.add_argument("--threshold", type=float, default=0.5, help="caption keep threshold")
-    sub.add_argument("--tau", type=float, default=0.5, help="visibility threshold")
+    sub.add_argument("--stride", type=int, help="view sampling stride (default %(default)s)")
+    sub.add_argument("--num-captions", type=int)
+    sub.add_argument("--threshold", type=float, help="caption keep threshold")
+    sub.add_argument("--tau", type=float, help="visibility threshold")
     sub.add_argument("--seed", type=int, default=0)
     _add_service_args(sub)
-    sub.set_defaults(func=cmd_build_corpus)
+    sub.set_defaults(func=cmd_build_corpus, **asdict(CaptionBuildConfig()))
 
     sub = commands.add_parser("eval", help="exact-match evaluation of predictions")
     sub.add_argument("--gold", required=True, help="gold answer JSONL")

@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 
 from .errors import DuplicateId, InvalidPose, NoneVisible, SchemaError, UnknownScene
 from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, pose_arrays
-from .selection import AlignmentConfig, image_ref, select_view_for_dc, select_view_for_qa, visibility_table
-from .solvability import SceneObject, View
+from .selection import alignment, image_ref, select_view_for_dc, select_view_for_qa
+from .solvability import SceneObject, View, WitnessTable
 
 logger = logging.getLogger(__name__)
 
@@ -131,13 +131,6 @@ class CaptionBuildConfig:
             raise ValueError("num_captions must be >= 1")
 
 
-@dataclass(frozen=True)
-class ExtendConfig:
-    """Extension-strategy knobs: visibility threshold for the aligned object set."""
-
-    tau: float = 0.5
-
-
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing")
@@ -150,6 +143,14 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"must be an integer, got {value!r}")
     return value
+
+
+def _text(value, path: str, optional: bool = False) -> str | None:
+    """`value` if it is a JSON string, or null when `optional`; other types
+    raise SchemaError naming `path`."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise SchemaError(path, f"must be a string{' or null' if optional else ''}, got {value!r}")
 
 
 def _integers(values, path: str) -> frozenset[int]:
@@ -197,10 +198,10 @@ def _parse_view(entry: dict, where: str) -> tuple:
     """(view_id, intrinsics, rotation, translation, image_path) of one view."""
     try:
         return (
-            str(_require(entry, "view_id", where)),
+            _text(_require(entry, "view_id", where), f"{where}.view_id"),
             _parse_intrinsics(_require(entry, "intrinsics", where), f"{where}.intrinsics"),
             *_parse_pose(_require(entry, "pose", where), f"{where}.pose"),
-            entry.get("image_path"),
+            _text(entry.get("image_path"), f"{where}.image_path", optional=True),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(where, str(exc)) from exc
@@ -216,7 +217,7 @@ def load_scene(path: str | Path) -> Scene:
     if not isinstance(data, dict):
         raise SchemaError(str(path), "scene file must hold a JSON object")
 
-    scene_id = _require(data, "scene_id", "scene")
+    scene_id = _text(_require(data, "scene_id", "scene"), "scene.scene_id")
     split = _require(data, "split", "scene")
     if split not in SPLITS:
         raise SchemaError("scene.split", f"must be one of {SPLITS}, got {split!r}")
@@ -228,7 +229,7 @@ def load_scene(path: str | Path) -> Scene:
             objects.append(
                 SceneObject(
                     object_id=_integer(_require(entry, "object_id", where), f"{where}.object_id"),
-                    label=str(_require(entry, "label", where)),
+                    label=_text(_require(entry, "label", where), f"{where}.label"),
                     box=_parse_box(_require(entry, "box", where), f"{where}.box"),
                 )
             )
@@ -254,11 +255,11 @@ def load_scene(path: str | Path) -> Scene:
     ]
 
     return Scene(
-        scene_id=str(scene_id),
+        scene_id=scene_id,
         objects=objects,
         views=views,
-        split=str(split),
-        points_path=data.get("points_path"),
+        split=split,
+        points_path=_text(data.get("points_path"), "scene.points_path", optional=True),
     )
 
 
@@ -283,11 +284,13 @@ def read_instructions(path: str | Path) -> list[Instruction]:
         try:
             records.append(
                 Instruction(
-                    instruction_id=str(_require(data, "instruction_id", where)),
-                    scene_id=str(_require(data, "scene_id", where)),
-                    task=str(_require(data, "task", where)),
-                    text=str(_require(data, "text", where)),
-                    answer=data.get("answer"),
+                    instruction_id=_text(
+                        _require(data, "instruction_id", where), f"{where}.instruction_id"
+                    ),
+                    scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
+                    task=_text(_require(data, "task", where), f"{where}.task"),
+                    text=_text(_require(data, "text", where), f"{where}.text"),
+                    answer=_text(data.get("answer"), f"{where}.answer", optional=True),
                     related_object_ids=_integers(
                         data.get("related_object_ids", []), f"{where}.related_object_ids"
                     ),
@@ -332,7 +335,7 @@ def _iter_jsonl(path: str | Path):
 def _register_sidecar(clients, views: Sequence[View], objects, tau: float) -> dict[str, set[int]]:
     """Compute visible-object sets for views and register label sidecars on
     any stub clients.  Returns visible ids keyed by view_id."""
-    table = visibility_table(views, objects, AlignmentConfig(tau=tau))
+    table = WitnessTable.build(objects, views, alignment(tau)).matrix
     visible: dict[str, set[int]] = {}
     for view, row in zip(views, table):
         objs = list(compress(objects, row))
@@ -396,7 +399,7 @@ def extend_dataset_triplets(
     instructions: Sequence[Instruction],
     scenes_by_id: Mapping[str, Scene],
     scorer_client,
-    cfg: ExtendConfig = ExtendConfig(),
+    tau: float = 0.5,
     config_hash: str = "",
 ) -> list[TripletRecord]:
     """Extension-strategy corpus: bind each instruction to its most informative view.
@@ -413,7 +416,7 @@ def extend_dataset_triplets(
             raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
         if ins.scene_id not in visible_cache:
             visible_cache[ins.scene_id] = _register_sidecar(
-                [scorer_client], scene.views, scene.objects, cfg.tau
+                [scorer_client], scene.views, scene.objects, tau
             )
         visible = visible_cache[ins.scene_id]
 
@@ -486,16 +489,20 @@ def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
     prov = data.get("provenance", {})
     try:
         return TripletRecord(
-            triplet_id=str(_require(data, "triplet_id", where)),
-            scene_id=str(_require(data, "scene_id", where)),
-            view_id=str(_require(data, "view_id", where)),
+            triplet_id=_text(_require(data, "triplet_id", where), f"{where}.triplet_id"),
+            scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
+            view_id=_text(_require(data, "view_id", where), f"{where}.view_id"),
             object_ids=_integers(_require(data, "object_ids", where), f"{where}.object_ids"),
-            text=str(_require(data, "text", where)),
-            source=str(_require(data, "source", where)),
+            text=_text(_require(data, "text", where), f"{where}.text"),
+            source=_text(_require(data, "source", where), f"{where}.source"),
             provenance=TripletProvenance(
-                config_hash=str(prov.get("config_hash", "")),
+                config_hash=_text(prov.get("config_hash", ""), f"{where}.provenance.config_hash"),
                 retrieval_score=prov.get("retrieval_score"),
-                parent_instruction_id=prov.get("parent_instruction_id"),
+                parent_instruction_id=_text(
+                    prov.get("parent_instruction_id"),
+                    f"{where}.provenance.parent_instruction_id",
+                    optional=True,
+                ),
             ),
         )
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._util import percent
-from .corpus import _integer, _iter_jsonl, _require
+from .corpus import _integer, _iter_jsonl, _require, _text
 from .errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
 from .solvability import BUCKETS, RequirementHistogram, ViewRequirement, WitnessConfig
 
@@ -167,13 +167,12 @@ def read_predictions(path) -> list[Prediction]:
     seen: set[str] = set()
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
-        question_id = str(_require(data, "question_id", where))
+        question_id = _text(_require(data, "question_id", where), f"{where}.question_id")
         if question_id in seen:
             raise DuplicatePrediction(f"{where}: duplicate prediction for {question_id!r}")
         seen.add(question_id)
-        records.append(
-            Prediction(question_id=question_id, prediction=str(_require(data, "prediction", where)))
-        )
+        prediction = _text(_require(data, "prediction", where), f"{where}.prediction")
+        records.append(Prediction(question_id=question_id, prediction=prediction))
     return records
 
 
@@ -186,8 +185,8 @@ def read_gold(path) -> list[GoldAnswer]:
         try:
             records.append(
                 GoldAnswer(
-                    question_id=str(_require(data, "question_id", where)),
-                    answer=str(_require(data, "answer", where)),
+                    question_id=_text(_require(data, "question_id", where), f"{where}.question_id"),
+                    answer=_text(_require(data, "answer", where), f"{where}.answer"),
                     min_views=(
                         None if min_views is None else _integer(min_views, f"{where}.min_views")
                     ),

@@ -12,22 +12,15 @@ import numpy as np
 
 from . import geometry
 from .errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
-from .solvability import SceneObject, View
+from .solvability import SceneObject, View, WitnessConfig, WitnessTable
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Visibility threshold for keeping objects aligned with a selected view.
-
-    Unlike the witness predicate there is no minimum-area rule here: the
-    filter is a bare overlap test against the image rectangle.
-    """
-
-    tau: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must be in (0, 1)")
+def alignment(tau: float) -> WitnessConfig:
+    """The alignment filter: the witness predicate at IoSA > tau with no
+    minimum-area rule, a bare overlap test against the image rectangle."""
+    if not (0.0 < tau < 1.0):
+        raise ValueError("tau must be in (0, 1)")
+    return WitnessConfig(iosa_threshold=tau, min_area_ratio=0.0)
 
 
 @dataclass(frozen=True)
@@ -74,23 +67,9 @@ def image_ref(view: View) -> str:
     return view.image_path or view.view_id
 
 
-def visibility_table(
-    views: Sequence[View],
-    objects: Sequence[SceneObject],
-    cfg: AlignmentConfig = AlignmentConfig(),
-) -> np.ndarray:
-    """Boolean (n_views, n_objects) table: entry (i, j) is whether objects[j]
-    is in visible_objects(views[i], objects, cfg)."""
-    return geometry.image_visibility(geometry.box_corners([o.box for o in objects]), views, cfg.tau)
-
-
-def visible_objects(
-    view: View,
-    objects: Sequence[SceneObject],
-    cfg: AlignmentConfig = AlignmentConfig(),
-) -> set[int]:
+def visible_objects(view: View, objects: Sequence[SceneObject], tau: float = 0.5) -> set[int]:
     """Ids of objects whose projected box overlaps the image with IoSA > tau."""
-    row = visibility_table([view], objects, cfg)[0]
+    row = WitnessTable.build(objects, [view], alignment(tau)).matrix[0]
     return {obj.object_id for obj, seen in zip(objects, row) if seen}
 
 

@@ -55,12 +55,6 @@ class ServiceEndpointConfig:
 
     base_url: str = ""
     timeout: float = 30.0
-    mode: str = "stub"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("stub", "remote"):
-            raise ValueError("mode must be 'stub' or 'remote'")
 
 
 @dataclass(frozen=True)
@@ -274,10 +268,3 @@ class RemoteModelService:
         if not isinstance(text, str):
             raise ServiceUnavailable("generate reply missing 'text'")
         return text
-
-
-def make_client(config: ServiceEndpointConfig):
-    """Build the client matching config.mode."""
-    if config.mode == "stub":
-        return StubModelService(seed=config.seed)
-    return RemoteModelService(config)

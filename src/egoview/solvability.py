@@ -202,14 +202,13 @@ def _exact_cover_size(masks: Sequence[int], universe: int, upper_bound: int) -> 
 def min_cover(
     sets_by_id: Sequence[tuple[str, frozenset]],
     universe: frozenset,
-    exact_limit: int = EXACT_SEARCH_LIMIT,
 ) -> ViewRequirement:
     """Minimum number of sets needed to cover the universe.
 
     Dominated sets (subsets of another candidate) are pruned first; that
-    never changes the optimum.  When at most `exact_limit` candidates remain
-    the optimum is found by branch and bound, otherwise greedy max-coverage
-    provides an upper bound and the result is tagged 'greedy'.
+    never changes the optimum.  When at most EXACT_SEARCH_LIMIT candidates
+    remain the optimum is found by branch and bound, otherwise greedy
+    max-coverage provides an upper bound and the result is tagged 'greedy'.
 
     Returns an unsolvable requirement when some element is in no set.
     """
@@ -234,7 +233,7 @@ def min_cover(
         kept.append((set_id, frozenset(members)))
 
     greedy_ids = greedy_cover(kept, universe)
-    if len(kept) > exact_limit:
+    if len(kept) > EXACT_SEARCH_LIMIT:
         return ViewRequirement(len(greedy_ids), "greedy")
 
     elements = sorted(universe)
@@ -295,7 +294,6 @@ class RequirementHistogram:
     total: int
     solver_counts: dict[str, int]
     stride: int
-    config: WitnessConfig
     min_counts: list[int | None] = field(default_factory=list)
 
     def percentages(self) -> dict[str, float]:
@@ -338,6 +336,5 @@ def view_requirement_stats(
         total=len(min_counts),
         solver_counts=solver_counts,
         stride=stride,
-        config=cfg,
         min_counts=min_counts,
     )

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Scene, _claim_id, _integers, _iter_jsonl, _require
+from .corpus import Scene, _claim_id, _integers, _iter_jsonl, _require, _text
 from .errors import SchemaError, UnknownScene
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable
@@ -20,6 +20,8 @@ logger = logging.getLogger(__name__)
 PROMPT_VERSION = "compose-qa-v1"
 ANSWER_TOKEN_LIMIT = 10
 MAX_GENERATION_ATTEMPTS = 3
+MAX_TOKENS = 256
+TEMPERATURE = 0.0
 
 _JSON_BLOCK_RE = re.compile(r"\{.*\}", re.DOTALL)
 
@@ -73,15 +75,6 @@ class Dropped:
     reason: str
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
-    max_attempts: int = MAX_GENERATION_ATTEMPTS
-    answer_token_limit: int = ANSWER_TOKEN_LIMIT
-    max_tokens: int = 256
-    temperature: float = 0.0
-    prompt_version: str = PROMPT_VERSION
-
-
 @dataclass
 class SynthesisReport:
     """Pipeline accounting: what went in, what survived, what was dropped and why."""
@@ -90,7 +83,6 @@ class SynthesisReport:
     composed: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
     exact_duplicate_questions: int = 0
-    prompt_version: str = PROMPT_VERSION
     config_hash: str = ""
 
     def note_drop(self, reason: str) -> None:
@@ -102,7 +94,7 @@ class SynthesisReport:
             "composed": self.composed,
             "dropped": {k: self.dropped[k] for k in sorted(self.dropped)},
             "exact_duplicate_questions": self.exact_duplicate_questions,
-            "prompt_version": self.prompt_version,
+            "prompt_version": PROMPT_VERSION,
             "config_hash": self.config_hash,
         }
 
@@ -176,7 +168,6 @@ def _parse_generation(text: str) -> tuple[str, str] | None:
 def compose_question(
     pair: CandidatePair,
     generator,
-    cfg: SynthesisConfig = SynthesisConfig(),
     anchor_labels: Sequence[str] = (),
 ) -> ComposedQA | Dropped:
     """Generate one composed question from a pair, retrying on parse failure.
@@ -186,10 +177,8 @@ def compose_question(
     """
     parent_ids = (pair.first.question_id, pair.second.question_id)
     prompt = build_compose_prompt(pair, anchor_labels)
-    for attempt in range(cfg.max_attempts):
-        reply = generator.generate_text(
-            prompt, max_tokens=cfg.max_tokens, temperature=cfg.temperature
-        )
+    for attempt in range(MAX_GENERATION_ATTEMPTS):
+        reply = generator.generate_text(prompt, max_tokens=MAX_TOKENS, temperature=TEMPERATURE)
         parsed = _parse_generation(reply)
         if parsed is None:
             logger.debug("unparseable generation for %s (attempt %d)", parent_ids, attempt + 1)
@@ -235,8 +224,6 @@ def synthesize_dataset(
     questions: Sequence[QuestionRecord],
     generator,
     scenes_by_id: Mapping[str, Scene],
-    witness_cfg: WitnessConfig = WitnessConfig(),
-    cfg: SynthesisConfig = SynthesisConfig(),
     config_hash: str = "",
 ) -> tuple[list[ComposedQA], SynthesisReport]:
     """Run pairing -> composition -> verification -> view-count annotation.
@@ -246,7 +233,7 @@ def synthesize_dataset(
     the sorted pair order, so identical inputs give identical bytes.
     """
     parents_by_id = {q.question_id: q for q in questions}
-    report = SynthesisReport(prompt_version=cfg.prompt_version, config_hash=config_hash)
+    report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
     tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
@@ -260,7 +247,7 @@ def synthesize_dataset(
         anchor_labels = sorted(
             {by_id[oid].label for oid in pair.shared_anchor_ids if oid in by_id}
         )
-        result = compose_question(pair, generator, cfg, anchor_labels)
+        result = compose_question(pair, generator, anchor_labels)
         if isinstance(result, Dropped):
             report.note_drop(result.reason)
             logger.info("dropped pair %s: %s", result.parent_question_ids, result.reason)
@@ -271,7 +258,7 @@ def synthesize_dataset(
             logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
             continue
         if scene.scene_id not in tables:
-            tables[scene.scene_id] = WitnessTable.build(scene.objects, scene.views, witness_cfg)
+            tables[scene.scene_id] = WitnessTable.build(scene.objects, scene.views, WitnessConfig())
         result.min_view_count = tables[scene.scene_id].min_view_count(result.related_object_ids)
         records.append(result)
 
@@ -310,10 +297,10 @@ def read_questions(path) -> list[QuestionRecord]:
         try:
             records.append(
                 QuestionRecord(
-                    question_id=str(_require(data, "question_id", where)),
-                    scene_id=str(_require(data, "scene_id", where)),
-                    text=str(_require(data, "text", where)),
-                    answer=str(_require(data, "answer", where)),
+                    question_id=_text(_require(data, "question_id", where), f"{where}.question_id"),
+                    scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
+                    text=_text(_require(data, "text", where), f"{where}.text"),
+                    answer=_text(_require(data, "answer", where), f"{where}.answer"),
                     related_object_ids=_integers(
                         _require(data, "related_object_ids", where), f"{where}.related_object_ids"
                     ),

@@ -132,6 +132,24 @@ class TestSolvabilityCommand:
         assert f"{field}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_string_instruction_text_exits_2(self, tmp_path, data_dir, capsys):
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text(
+            '{"instruction_id": "i1", "scene_id": "scene-a", "task": "qa", '
+            '"text": ["what"], "answer": "chair", "related_object_ids": [1]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "r.json"
+        code = run(
+            "solvability",
+            "--scenes", str(data_dir / "scenes"),
+            "--instructions", str(instructions),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"{instructions}:1.text: must be a string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [instructions]
+
     def test_unknown_scene_exits_3(self, tmp_path, data_dir):
         instructions = tmp_path / "ins.jsonl"
         instructions.write_text(
@@ -317,6 +335,21 @@ class TestBuildCorpusCommand:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["captions", "extend"])
+    def test_tau_out_of_range_exits_2(self, tmp_path, data_dir, capsys, mode):
+        code = run(
+            "build-corpus",
+            "--scenes", str(data_dir / "scenes"),
+            "--mode", mode,
+            "--instructions", str(data_dir / "instructions_extend.jsonl"),
+            "--tau", "1.5",
+            "--out", str(tmp_path / "t.jsonl"),
+            "--stub",
+        )
+        assert code == 2
+        assert "error: tau must be in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_extend_requires_instructions(self, tmp_path, data_dir):
         code = run(
             "build-corpus",
@@ -363,6 +396,16 @@ class TestEvalCommand:
         )
         assert code == 0
         assert out.read_bytes() == (golden_dir / "eval.report.json").read_bytes()
+
+    def test_null_gold_answer_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"question_id": "g1", "answer": null}\n', encoding="utf-8")
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text('{"question_id": "g1", "prediction": "None"}\n', encoding="utf-8")
+        code = run("eval", "--gold", str(gold), "--pred", str(preds), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"{gold}:1.answer: must be a string, got None" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [gold, preds]
 
     def test_duplicate_prediction_exits_3(self, tmp_path, data_dir):
         preds = tmp_path / "pred.jsonl"

@@ -23,7 +23,7 @@ from egoview.corpus import (
     write_jsonl,
 )
 from egoview.errors import DuplicateId, SchemaError, UnknownObjectId, UnknownScene
-from egoview.evaluate import read_gold
+from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View
@@ -261,6 +261,120 @@ class TestStrictIntegers:
         with pytest.raises(SchemaError) as excinfo:
             reader(path)
         assert excinfo.value.field == f"{path}:1.{field}"
+
+
+class TestStrictText:
+    """Ids, labels and texts accept JSON strings only; optional ones also null."""
+
+    @pytest.mark.parametrize(
+        "reader,record,field,reason",
+        [
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "qa", "text": ["what"],
+                 "answer": "a"},
+                "text",
+                "must be a string, got ['what']",
+            ),
+            (
+                read_instructions,
+                {"instruction_id": 7, "scene_id": "s", "task": "qa", "text": "?", "answer": "a"},
+                "instruction_id",
+                "must be a string, got 7",
+            ),
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "qa", "text": "?", "answer": 3},
+                "answer",
+                "must be a string or null, got 3",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": 4, "object_ids": [1],
+                 "text": "x", "source": "extended_qa"},
+                "view_id",
+                "must be a string, got 4",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                 "text": "x", "source": "extended_qa",
+                 "provenance": {"parent_instruction_id": ["i"]}},
+                "provenance.parent_instruction_id",
+                "must be a string or null, got ['i']",
+            ),
+            (
+                read_questions,
+                {"question_id": "q", "scene_id": "s", "text": "?", "answer": 2,
+                 "related_object_ids": [3]},
+                "answer",
+                "must be a string, got 2",
+            ),
+            (read_gold, {"question_id": "q", "answer": None}, "answer", "must be a string, got None"),
+            (
+                read_predictions,
+                {"question_id": "q", "prediction": None},
+                "prediction",
+                "must be a string, got None",
+            ),
+        ],
+    )
+    def test_record_fields(self, tmp_path, reader, record, field, reason):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            reader(path)
+        assert excinfo.value.field == f"{path}:1.{field}"
+        assert excinfo.value.reason == reason
+
+    def test_optional_fields_accept_null(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            json.dumps({"instruction_id": "i", "scene_id": "s", "task": "caption", "text": "x",
+                        "answer": None}) + "\n",
+            encoding="utf-8",
+        )
+        assert read_instructions(path)[0].answer is None
+        path.write_text(
+            json.dumps({"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                        "text": "x", "source": "extended_qa",
+                        "provenance": {"parent_instruction_id": None}}) + "\n",
+            encoding="utf-8",
+        )
+        assert read_triplets(path)[0].provenance.parent_instruction_id is None
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            (("scene_id",), 12, "scene.scene_id"),
+            (("points_path",), ["a.ply"], "scene.points_path"),
+            (("objects", 1, "label"), None, "objects[1].label"),
+            (("views", 3, "view_id"), 3, "views[3].view_id"),
+            (("views", 5, "image_path"), 1.5, "views[5].image_path"),
+        ],
+    )
+    def test_scene_fields(self, tmp_path, data_dir, keys, value, field):
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        target = scene
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(path)
+        assert excinfo.value.field == field
+        assert excinfo.value.reason.startswith("must be a string")
+
+    def test_null_image_and_points_paths_load(self, tmp_path, data_dir):
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        scene["points_path"] = None
+        scene["views"][0]["image_path"] = None
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        loaded = load_scene(path)
+        assert loaded.points_path is None
+        assert loaded.views[0].image_path is None
 
 
 class TestInstructionIO:

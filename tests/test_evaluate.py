@@ -133,7 +133,6 @@ class TestSolvabilityReport:
             total=total,
             solver_counts={"exact": total, "greedy": 0},
             stride=1,
-            config=WitnessConfig(),
             min_counts=min_counts,
         )
 

@@ -9,8 +9,8 @@ import pytest
 from egoview.errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
 from egoview.selection import (
-    AlignmentConfig,
     DiversityConfig,
+    alignment,
     build_grid_manifest,
     filter_captions,
     image_ref,
@@ -18,11 +18,10 @@ from egoview.selection import (
     select_diverse_views,
     select_view_for_dc,
     select_view_for_qa,
-    visibility_table,
     visible_objects,
 )
 from egoview.services import StubModelService
-from egoview.solvability import SceneObject, View, WitnessConfig, witnesses
+from egoview.solvability import SceneObject, View, WitnessConfig, WitnessTable, witnesses
 
 from .oracles import brute_force_maximin_subset, scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene
@@ -56,7 +55,7 @@ class TestVisibleObjects:
         intr = CameraIntrinsics(500.0, 500.0, 0.0, 240.0, 640, 480)
         objects = [make_object(1, "desk", (0, 0, 2.5))]
         assert visible_objects(make_view(intr=intr), objects) == set()
-        assert visible_objects(make_view(intr=intr), objects, AlignmentConfig(tau=0.49)) == {1}
+        assert visible_objects(make_view(intr=intr), objects, tau=0.49) == {1}
 
     def test_no_min_area_rule_unlike_witnesses(self):
         # A far, tiny projection is fully contained: the alignment filter
@@ -71,8 +70,8 @@ class TestVisibleObjects:
         for _ in range(20):
             views, objects = random_line_scene(rng, 3, 4)
             for view in views:
-                lower = visible_objects(view, objects, AlignmentConfig(tau=0.3))
-                higher = visible_objects(view, objects, AlignmentConfig(tau=0.7))
+                lower = visible_objects(view, objects, tau=0.3)
+                higher = visible_objects(view, objects, tau=0.7)
                 assert higher <= lower
 
     def test_equals_witness_set_without_min_area(self):
@@ -81,12 +80,12 @@ class TestVisibleObjects:
         cfg = WitnessConfig(iosa_threshold=0.5, min_area_ratio=0.0)
         for view in views:
             witness_set = {o.object_id for o in objects if witnesses(view, o, cfg)}
-            assert visible_objects(view, objects, AlignmentConfig(tau=0.5)) == witness_set
+            assert visible_objects(view, objects, tau=0.5) == witness_set
 
     @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
     def test_table_and_set_equal_per_object_results(self, make_scene):
         views, objects = make_scene(np.random.default_rng(29), 12, 9)
-        table = visibility_table(views, objects)
+        table = WitnessTable.build(objects, views, alignment(0.5)).matrix
         assert table.any()
         no_min_area = WitnessConfig(iosa_threshold=0.5, min_area_ratio=0.0)
         for i, view in enumerate(views):

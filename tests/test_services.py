@@ -14,7 +14,6 @@ from egoview.services import (
     ScoreResult,
     ServiceEndpointConfig,
     StubModelService,
-    make_client,
 )
 from egoview.synthesis import build_compose_prompt
 
@@ -183,27 +182,27 @@ def model_server():
 
 class TestRemoteService:
     def test_caption_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         assert client.caption_image("img.jpg", 2) == ["caption 0", "caption 1"]
 
     def test_embed_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         vecs = client.embed_text(["a", "b"])
         assert vecs.shape == (2, 2)
 
     def test_scores_clamped_to_unit_interval(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         assert client.score_image_text("img.jpg", ["x"]).scores == (1.0,)
 
     def test_generate_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         assert client.generate_text("ping") == "echo:ping"
 
     def test_unreachable_url_raises_after_retries(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("egoview.services.time.sleep", sleeps.append)
         client = RemoteModelService(
-            ServiceEndpointConfig(mode="remote", base_url="http://127.0.0.1:9", timeout=0.5)
+            ServiceEndpointConfig(base_url="http://127.0.0.1:9", timeout=0.5)
         )
         with pytest.raises(ServiceUnavailable):
             client.generate_text("ping")
@@ -212,13 +211,13 @@ class TestRemoteService:
     def test_malformed_body_fails_without_retry(self, model_server, monkeypatch):
         sleeps = []
         monkeypatch.setattr("egoview.services.time.sleep", sleeps.append)
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         with pytest.raises(ServiceUnavailable):
             client._post("/v1/broken", {})
         assert sleeps == []
 
     def test_transient_transport_error_is_retried(self, model_server, monkeypatch):
-        client = RemoteModelService(ServiceEndpointConfig(mode="remote", base_url=model_server))
+        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         monkeypatch.setattr("egoview.services.time.sleep", lambda _: None)
         real_post = client._session.post
         calls = {"n": 0}
@@ -235,20 +234,9 @@ class TestRemoteService:
 
 
 class TestConfigAndFactory:
-    def test_make_client_stub(self):
-        assert isinstance(make_client(ServiceEndpointConfig(mode="stub", seed=3)), StubModelService)
-
-    def test_make_client_remote(self):
-        client = make_client(ServiceEndpointConfig(mode="remote", base_url="http://x"))
-        assert isinstance(client, RemoteModelService)
-
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):
-            RemoteModelService(ServiceEndpointConfig(mode="remote"))
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceEndpointConfig(mode="other")
+            RemoteModelService(ServiceEndpointConfig())
 
     def test_score_result_shape(self):
         assert ScoreResult(scores=(0.5,)).scores == (0.5,)
