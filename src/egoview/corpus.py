@@ -26,9 +26,9 @@ from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DuplicateId, InvalidPose, NoneVisible, SchemaError, UnknownScene
+from .errors import DuplicateId, InvalidPose, NoViews, SchemaError, UnknownObjectId, UnknownScene
 from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, pose_arrays
-from .selection import alignment, image_ref, select_view_for_dc, select_view_for_qa
+from .selection import alignment, image_ref, select_views_for_dc, select_views_for_qa
 from .solvability import SceneObject, View, WitnessTable
 
 logger = logging.getLogger(__name__)
@@ -153,6 +153,13 @@ def _text(value, path: str, optional: bool = False) -> str | None:
     raise SchemaError(path, f"must be a string{' or null' if optional else ''}, got {value!r}")
 
 
+def _list(value, path: str) -> list:
+    """`value` if it is a JSON array; other types raise SchemaError naming `path`."""
+    if not isinstance(value, list):
+        raise SchemaError(path, f"must be a list, got {value!r}")
+    return value
+
+
 def _integers(values, path: str) -> frozenset[int]:
     return frozenset(_integer(value, f"{path}[{i}]") for i, value in enumerate(values))
 
@@ -223,7 +230,7 @@ def load_scene(path: str | Path) -> Scene:
         raise SchemaError("scene.split", f"must be one of {SPLITS}, got {split!r}")
 
     objects = []
-    for i, entry in enumerate(_require(data, "objects", "scene")):
+    for i, entry in enumerate(_list(_require(data, "objects", "scene"), "scene.objects")):
         where = f"objects[{i}]"
         try:
             objects.append(
@@ -237,7 +244,7 @@ def load_scene(path: str | Path) -> Scene:
             raise SchemaError(where, str(exc)) from exc
 
     parsed, error = [], None
-    for i, entry in enumerate(_require(data, "views", "scene")):
+    for i, entry in enumerate(_list(_require(data, "views", "scene"), "scene.views")):
         try:
             parsed.append(_parse_view(entry, f"views[{i}]"))
         except SchemaError as exc:
@@ -395,6 +402,18 @@ def build_caption_triplets(
     return records
 
 
+def _extend_error(ins: Instruction, scene: Scene | None, object_ids) -> Exception | None:
+    """The error that binding `ins` to a view raises, or None when it can be bound."""
+    if scene is None:
+        return UnknownScene(f"scene {ins.scene_id!r} is not loaded")
+    if ins.task == "dc":
+        if ins.target_object_id not in object_ids:
+            return UnknownObjectId(f"unknown target object id {ins.target_object_id}")
+    elif not scene.views:
+        return NoViews("select_view_for_qa requires at least one view")
+    return None
+
+
 def extend_dataset_triplets(
     instructions: Sequence[Instruction],
     scenes_by_id: Mapping[str, Scene],
@@ -407,46 +426,56 @@ def extend_dataset_triplets(
     qa (and caption) instructions pick the view most similar to their text;
     dc instructions pick the view that best captures the target object.
     dc targets visible in no view are logged and skipped, never fatal.
+    Views are selected once per scene for all of its instructions; records
+    and warnings follow instruction order, and an instruction that cannot
+    be bound raises after those before it are emitted.
     """
-    visible_cache: dict[str, dict[str, set[int]]] = {}
-    records = []
-    for ins in instructions:
+    by_scene: dict[str, list[int]] = {}
+    object_ids: dict[str, set[int]] = {}
+    error = None
+    for i, ins in enumerate(instructions):
         scene = scenes_by_id.get(ins.scene_id)
-        if scene is None:
-            raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
-        if ins.scene_id not in visible_cache:
-            visible_cache[ins.scene_id] = _register_sidecar(
-                [scorer_client], scene.views, scene.objects, tau
+        if scene is not None and ins.scene_id not in object_ids:
+            object_ids[ins.scene_id] = {obj.object_id for obj in scene.objects}
+        error = _extend_error(ins, scene, object_ids.get(ins.scene_id))
+        if error is not None:
+            instructions = instructions[:i]
+            break
+        by_scene.setdefault(ins.scene_id, []).append(i)
+
+    picks: dict[int, tuple[str, float] | None] = {}
+    visible: dict[str, dict[str, set[int]]] = {}
+    for scene_id, indices in by_scene.items():
+        scene = scenes_by_id[scene_id]
+        visible[scene_id] = _register_sidecar([scorer_client], scene.views, scene.objects, tau)
+        qa = [i for i in indices if instructions[i].task != "dc"]
+        dc = [i for i in indices if instructions[i].task == "dc"]
+        texts = [instructions[i].text for i in qa]
+        targets = [instructions[i].target_object_id for i in dc]
+        picks.update(zip(qa, select_views_for_qa(texts, scene.views, scorer_client)))
+        picks.update(zip(dc, select_views_for_dc(targets, scene.views, scene.objects)))
+
+    records = []
+    for i, ins in enumerate(instructions):
+        pick = picks[i]
+        if pick is None:
+            logger.warning(
+                "skipping %s: target object %s visible in no view of %s",
+                ins.instruction_id,
+                ins.target_object_id,
+                ins.scene_id,
             )
-        visible = visible_cache[ins.scene_id]
-
-        if ins.task == "dc":
-            try:
-                view_id, score = select_view_for_dc(
-                    ins.target_object_id, scene.views, scene.objects
-                )
-            except NoneVisible:
-                logger.warning(
-                    "skipping %s: target object %s visible in no view of %s",
-                    ins.instruction_id,
-                    ins.target_object_id,
-                    ins.scene_id,
-                )
-                continue
-            source = "extended_dc"
-        else:
-            view_id, score = select_view_for_qa(ins.text, scene.views, scorer_client)
-            source = "extended_qa"
-
+            continue
+        view_id, score = pick
         text = f"{ins.text} {ins.answer}" if ins.answer else ins.text
         records.append(
             TripletRecord(
                 triplet_id=f"ext:{ins.instruction_id}",
                 scene_id=ins.scene_id,
                 view_id=view_id,
-                object_ids=frozenset(visible[view_id]),
+                object_ids=frozenset(visible[ins.scene_id][view_id]),
                 text=text,
-                source=source,
+                source="extended_dc" if ins.task == "dc" else "extended_qa",
                 provenance=TripletProvenance(
                     config_hash=config_hash,
                     retrieval_score=score,
@@ -454,6 +483,8 @@ def extend_dataset_triplets(
                 ),
             )
         )
+    if error is not None:
+        raise error
     return records
 
 
@@ -487,6 +518,8 @@ def triplet_to_dict(record: TripletRecord) -> dict:
 
 def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
     prov = data.get("provenance", {})
+    if not isinstance(prov, dict):
+        raise SchemaError(f"{where}.provenance", f"must be an object, got {prov!r}")
     try:
         return TripletRecord(
             triplet_id=_text(_require(data, "triplet_id", where), f"{where}.triplet_id"),

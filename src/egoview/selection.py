@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -73,24 +74,76 @@ def visible_objects(view: View, objects: Sequence[SceneObject], tau: float = 0.5
     return {obj.object_id for obj, seen in zip(objects, row) if seen}
 
 
+def select_views_for_qa(
+    texts: Sequence[str],
+    views: Sequence[View],
+    scorer,
+) -> list[tuple[str, float]]:
+    """The view most semantically similar to each text, via the scoring client.
+
+    Each view gets one `score_image_text` call carrying every distinct text,
+    so the client must score each text independently of the others in the
+    call.  Each text's column of scores is reduced canonically: highest
+    score wins, ties broken by smaller view_id.  Returns (view_id, score)
+    per text, in input order.
+    """
+    distinct = list(dict.fromkeys(texts))
+    if not distinct:
+        return []
+    if not views:
+        raise NoViews("select_view_for_qa requires at least one view")
+    view_ids = [view.view_id for view in views]
+    columns = zip(*(scorer.score_image_text(image_ref(view), distinct).scores for view in views))
+    best = {
+        text: min(zip(view_ids, column), key=lambda kv: (-kv[1], kv[0]))
+        for text, column in zip(distinct, columns)
+    }
+    return [best[text] for text in texts]
+
+
 def select_view_for_qa(
     question_text: str,
     views: Sequence[View],
     scorer,
 ) -> tuple[str, float]:
-    """View most semantically similar to the question text, via the scoring client.
+    """`select_views_for_qa` for one text: (view_id, score) of its best view."""
+    return select_views_for_qa([question_text], views, scorer)[0]
 
-    Scores are gathered for every view, then reduced canonically: highest
-    score wins, ties broken by smaller view_id.  Returns (view_id, score).
+
+def select_views_for_dc(
+    target_object_ids: Sequence[int],
+    views: Sequence[View],
+    objects: Sequence[SceneObject],
+) -> list[tuple[str, float] | None]:
+    """The view that best captures each target object, by overlap with the image.
+
+    One `project_boxes` call covers every distinct target.  Ties on overlap
+    break toward the larger projected rectangle (the closer view), then the
+    smaller view_id.  Returns (view_id, score) per target, in input order,
+    and None for a target that projects into no view.  The first unknown
+    target id raises UnknownObjectId.
     """
-    if not views:
-        raise NoViews("select_view_for_qa requires at least one view")
-    scored = [
-        (view.view_id, scorer.score_image_text(image_ref(view), [question_text]).scores[0])
-        for view in views
-    ]
-    best_id, best_score = min(scored, key=lambda kv: (-kv[1], kv[0]))
-    return best_id, best_score
+    by_id = {obj.object_id: obj for obj in objects}
+    distinct = list(dict.fromkeys(target_object_ids))
+    for target in distinct:
+        if target not in by_id:
+            raise UnknownObjectId(f"unknown target object id {target}")
+    if not distinct:
+        return []
+    corners = geometry.box_corners([by_id[target].box for target in distinct])
+    rects, visible = geometry.project_boxes(corners, views)
+    scores = geometry.iosa_rects(rects, geometry.image_rects(views)[:, None]).T.tolist()
+    areas = geometry.rect_area(rects).T.tolist()
+    view_ids = [view.view_id for view in views]
+    best = {}
+    for target, row_scores, row_areas, row_visible in zip(
+        distinct, scores, areas, visible.T.tolist()
+    ):
+        candidates = list(compress(zip(view_ids, row_scores, row_areas), row_visible))
+        best[target] = (
+            min(candidates, key=lambda c: (-c[1], -c[2], c[0]))[:2] if candidates else None
+        )
+    return [best[target] for target in target_object_ids]
 
 
 def select_view_for_dc(
@@ -98,25 +151,12 @@ def select_view_for_dc(
     views: Sequence[View],
     objects: Sequence[SceneObject],
 ) -> tuple[str, float]:
-    """View that best captures the target object, by overlap with the image.
-
-    Ties on overlap break toward the larger projected rectangle (the closer
-    view), then the smaller view_id.  Raises NoneVisible when the target
-    projects into no view.
-    """
-    by_id = {obj.object_id: obj for obj in objects}
-    if target_object_id not in by_id:
-        raise UnknownObjectId(f"unknown target object id {target_object_id}")
-    rects, visible = geometry.project_boxes(by_id[target_object_id].box.corners()[None], views)
-    scores = geometry.iosa_rects(rects[:, 0], geometry.image_rects(views)).tolist()
-    areas = geometry.rect_area(rects[:, 0]).tolist()
-    candidates = [
-        (view.view_id, scores[i], areas[i]) for i, view in enumerate(views) if visible[i, 0]
-    ]
-    if not candidates:
+    """`select_views_for_dc` for one target: (view_id, score) of its best
+    view.  Raises NoneVisible when the target projects into no view."""
+    (best,) = select_views_for_dc([target_object_id], views, objects)
+    if best is None:
         raise NoneVisible(f"object {target_object_id} projects into no view")
-    best = min(candidates, key=lambda c: (-c[1], -c[2], c[0]))
-    return best[0], best[1]
+    return best
 
 
 def filter_captions(

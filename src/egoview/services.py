@@ -11,6 +11,11 @@ captioner, retrieval scorer, or text generator can be adapted:
 The stub client answers the same calls in-process from a sidecar of visible
 object labels per image reference, making every pipeline reproducible offline
 byte for byte.  Stub outputs are pure functions of (inputs, seed).
+
+`score_image_text` scores each text independently of the other texts in
+the call: a text's score against an image is the same alone as in any
+batch.  View selection relies on this to score all of a scene's texts
+against a view in one call.
 """
 
 from __future__ import annotations

@@ -312,21 +312,33 @@ def view_requirement_stats(
     carry `views` and `objects`.  Candidate views are subsampled with
     `stride` (every stride-th view, first always included); the stride is
     recorded in the result rather than hidden.  Each scene's witness table
-    is computed once and shared by its instructions.
+    is computed once, over the objects its instructions reference, and
+    shared by its instructions.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    counts = {bucket: 0 for bucket in BUCKETS}
-    solver_counts = {"exact": 0, "greedy": 0}
-    min_counts: list[int | None] = []
-    tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
+    known: dict[str, dict[int, SceneObject]] = {}
+    referenced: dict[str, set[int]] = {}
     for ins in instructions:
         scene = scenes_by_id.get(ins.scene_id)
         if scene is None:
             raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
-        if ins.scene_id not in tables:
-            views = list(scene.views)[::stride]
-            tables[ins.scene_id] = WitnessTable.build(scene.objects, views, cfg)
+        if ins.scene_id not in known:
+            known[ins.scene_id] = _objects_by_id(scene.objects)
+            referenced[ins.scene_id] = set()
+        referenced[ins.scene_id] |= _check_known(ins.related_object_ids, known[ins.scene_id])
+    tables = {  # one per scene, for this call only
+        scene_id: WitnessTable.build(
+            [obj for obj in scenes_by_id[scene_id].objects if obj.object_id in ids],
+            list(scenes_by_id[scene_id].views)[::stride],
+            cfg,
+        )
+        for scene_id, ids in referenced.items()
+    }
+    counts = {bucket: 0 for bucket in BUCKETS}
+    solver_counts = {"exact": 0, "greedy": 0}
+    min_counts: list[int | None] = []
+    for ins in instructions:
         req = tables[ins.scene_id].min_view_count(ins.related_object_ids)
         counts[req.bucket] += 1
         solver_counts[req.solver] += 1

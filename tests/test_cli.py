@@ -132,6 +132,15 @@ class TestSolvabilityCommand:
         assert f"{field}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("objects", 5), ("views", {"view_id": "v01"}), ("objects", None)]
+    )
+    def test_non_list_scene_array_exits_2(self, tmp_path, data_dir, capsys, key, value):
+        code, out = self._run_on_edited_scene(tmp_path, data_dir, (key,), value)
+        assert code == 2
+        assert f"scene.{key}: must be a list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_string_instruction_text_exits_2(self, tmp_path, data_dir, capsys):
         instructions = tmp_path / "ins.jsonl"
         instructions.write_text(

@@ -22,9 +22,11 @@ from egoview.corpus import (
     triplet_to_dict,
     write_jsonl,
 )
-from egoview.errors import DuplicateId, SchemaError, UnknownObjectId, UnknownScene
+from egoview import geometry
+from egoview.errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from egoview.selection import image_ref
 from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View
 from egoview.synthesis import read_questions
@@ -310,6 +312,13 @@ class TestStrictText:
                 "answer",
                 "must be a string, got 2",
             ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                 "text": "x", "source": "extended_qa", "provenance": None},
+                "provenance",
+                "must be an object, got None",
+            ),
             (read_gold, {"question_id": "q", "answer": None}, "answer", "must be a string, got None"),
             (
                 read_predictions,
@@ -490,6 +499,119 @@ class TestExtendDatasetTriplets:
         records = extend_dataset_triplets([ins], scenes, StubModelService())
         assert records[0].source == "extended_qa"
         assert records[0].text == "a desk with a chair"  # no answer appended
+
+
+class _CountingStub(StubModelService):
+    def __init__(self):
+        super().__init__(seed=0)
+        self.score_calls: list[tuple[str, tuple[str, ...]]] = []
+
+    def score_image_text(self, image_ref, texts):
+        self.score_calls.append((image_ref, tuple(texts)))
+        return super().score_image_text(image_ref, texts)
+
+
+def _mini_scene(scene_id: str, label: str, views=("v1", "v2"), center=(0, 0, 2.5)) -> Scene:
+    """One object, by default straight ahead of view v1; v2 looks past it."""
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    return Scene(
+        scene_id=scene_id,
+        objects=[SceneObject(1, label, OrientedBox3D(center, (0.5, 0.5, 0.5)))],
+        views=[
+            View(view_id, intr, CameraPose(np.eye(3), (100.0 * i, 0, 0)))
+            for i, view_id in enumerate(views)
+        ],
+        split="train",
+    )
+
+
+class TestExtendBatching:
+    """extend selects views once per scene, and fails as per instruction."""
+
+    def test_one_score_call_per_view_and_one_projection_per_scene(
+        self, data_dir, scenes, monkeypatch
+    ):
+        fixture = read_instructions(data_dir / "instructions_extend.jsonl")
+        instructions = fixture + [
+            Instruction(f"{ins.instruction_id}-again", ins.scene_id, ins.task, ins.text,
+                        ins.answer, ins.related_object_ids, ins.target_object_id)
+            for ins in fixture
+        ]
+        projections = []
+        project_boxes = geometry.project_boxes
+
+        def counting_project_boxes(corners, views):
+            projections.append((len(corners), len(views)))
+            return project_boxes(corners, views)
+
+        monkeypatch.setattr(geometry, "project_boxes", counting_project_boxes)
+        stub = _CountingStub()
+        records = extend_dataset_triplets(instructions, scenes, stub)
+
+        assert [r.triplet_id for r in records] == [f"ext:{i.instruction_id}" for i in instructions]
+        texts = {
+            scene_id: tuple(dict.fromkeys(
+                i.text for i in fixture if i.scene_id == scene_id and i.task != "dc"
+            ))
+            for scene_id in ("scene-a", "scene-b")
+        }
+        assert stub.score_calls == [
+            (image_ref(view), texts[scene_id])
+            for scene_id in ("scene-a", "scene-b")
+            for view in scenes[scene_id].views
+        ]
+        # scene-a's three distinct dc targets in one call; scene-b has none.
+        assert projections == [(3, len(scenes["scene-a"].views))]
+        single = extend_dataset_triplets(fixture, scenes, StubModelService(seed=0))
+        assert [triplet_to_dict(r) for r in records[: len(fixture)]] == [
+            triplet_to_dict(r) for r in single
+        ]
+
+    @pytest.mark.parametrize(
+        "order,error,message",
+        [
+            (("unknown-target", "ghost-scene"), UnknownObjectId, "unknown target object id 77"),
+            (("ghost-scene", "unknown-target"), UnknownScene, "scene 'ghost' is not loaded"),
+            (("no-views", "unknown-target"), NoViews, "select_view_for_qa requires at least one view"),
+            (("ok", "unknown-target", "no-views"), UnknownObjectId, "unknown target object id 77"),
+        ],
+    )
+    def test_first_offending_instruction_raises(self, scenes, order, error, message):
+        scenes = {**scenes, "bare": _mini_scene("bare", "desk", views=())}
+        make = {
+            "ok": Instruction("a", "scene-a", "qa", "where is the desk", answer="here"),
+            "unknown-target": Instruction("b", "scene-a", "dc", "describe", target_object_id=77),
+            "ghost-scene": Instruction("c", "ghost", "qa", "where?", answer="here"),
+            "no-views": Instruction("d", "bare", "qa", "where is the desk", answer="here"),
+        }
+        with pytest.raises(error) as excinfo:
+            extend_dataset_triplets([make[name] for name in order], scenes, StubModelService())
+        assert str(excinfo.value) == message
+
+    def test_warnings_before_the_error_are_emitted(self, caplog):
+        scene = _mini_scene("mini", "lamp", center=(0, 0, -5))  # behind every view
+        instructions = [
+            Instruction("d1", "mini", "dc", "describe the lamp", target_object_id=1),
+            Instruction("d2", "mini", "dc", "describe the lamp", target_object_id=1),
+            Instruction("q1", "ghost", "qa", "where?", answer="here"),
+        ]
+        with caplog.at_level("WARNING"), pytest.raises(UnknownScene):
+            extend_dataset_triplets(instructions, {"mini": scene}, StubModelService())
+        assert [m.split(":")[0] for m in caplog.messages] == ["skipping d1", "skipping d2"]
+
+    def test_scenes_sharing_view_ids_score_against_their_own_labels(self):
+        # Both scenes name their views v1 and v2 with no image path, so their
+        # stub label sidecars share keys.
+        scenes = {"x": _mini_scene("x", "desk"), "y": _mini_scene("y", "bed")}
+        instructions = [
+            Instruction("x1", "x", "qa", "where is the desk", answer="here"),
+            Instruction("y1", "y", "qa", "where is the bed", answer="here"),
+            Instruction("x2", "x", "qa", "the desk", answer="here"),
+        ]
+        records = extend_dataset_triplets(instructions, scenes, StubModelService())
+        assert [(r.view_id, r.provenance.retrieval_score) for r in records] == [
+            ("v1", 0.25), ("v1", 0.25), ("v1", 0.5)
+        ]
 
 
 class TestSplitRecords:

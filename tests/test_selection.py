@@ -18,6 +18,8 @@ from egoview.selection import (
     select_diverse_views,
     select_view_for_dc,
     select_view_for_qa,
+    select_views_for_dc,
+    select_views_for_qa,
     visible_objects,
 )
 from egoview.services import StubModelService
@@ -169,6 +171,60 @@ class TestSelectViewForDC:
     def test_unknown_target(self, scene_a):
         with pytest.raises(UnknownObjectId):
             select_view_for_dc(99, scene_a.views, scene_a.objects)
+
+
+def _with_twins(views, count=3):
+    """`views` plus copies of the first `count` under smaller ids, so those
+    views tie exactly with their twins."""
+    return list(views) + [
+        View(f"u{i:02d}", view.intrinsics, view.pose) for i, view in enumerate(views[:count])
+    ]
+
+
+class TestBatchSelectors:
+    """The batch selectors equal their per-instruction wrappers."""
+
+    def test_qa_batch_equals_wrapper(self):
+        views, objects = random_posed_scene(np.random.default_rng(37), 12, 9)
+        views = _with_twins(views)
+        stub = StubModelService()
+        table = WitnessTable.build(objects, views, alignment(0.5)).matrix
+        for view, row in zip(views, table):
+            stub.register_view_labels(image_ref(view), [o.label for o, s in zip(objects, row) if s])
+        texts = [
+            "where is obj1",
+            "obj2 and obj5 and obj7",
+            "where is obj1",  # repeated
+            "nothing matches here",  # scores 0 everywhere: all views tie
+            "obj3",
+            "obj2 and obj5 and obj7",
+        ]
+        batch = select_views_for_qa(texts, views, stub)
+        assert batch == [select_view_for_qa(text, views, stub) for text in texts]
+        assert batch[3] == ("u00", 0.0)
+        assert select_views_for_qa([], [], stub) == []
+
+    @pytest.mark.parametrize("first,last", [(0, 14), (5, 7), (5, 6), (0, 0)])
+    def test_dc_batch_equals_wrapper(self, first, last):
+        views, objects = random_posed_scene(np.random.default_rng(41), 14, 10)
+        views = _with_twins(views[first:last])
+        targets = [obj.object_id for obj in objects] + [3, 0, 3]
+        batch = select_views_for_dc(targets, views, objects)
+        for target, best in zip(targets, batch):
+            if best is None:
+                with pytest.raises(NoneVisible):
+                    select_view_for_dc(target, views, objects)
+            else:
+                assert best == select_view_for_dc(target, views, objects)
+        if last - first <= 2:
+            assert None in batch  # some boxes lie behind the few cameras
+        if last - first == 14:
+            assert any(best[0].startswith("u") for best in batch if best is not None)
+
+    def test_dc_first_unknown_target_raises(self, scene_a):
+        with pytest.raises(UnknownObjectId, match="unknown target object id 98"):
+            select_views_for_dc([7, 98, 99], scene_a.views, scene_a.objects)
+        assert select_views_for_dc([], scene_a.views, scene_a.objects) == []
 
 
 class TestFilterCaptions:

@@ -92,6 +92,14 @@ class TestStubScores:
         stub.register_view_labels("r", ["waste basket"])
         assert stub.score_image_text("r", ["waste basket"]).scores == (1.0,)
 
+    def test_each_text_scored_alone_as_in_a_batch(self):
+        stub = StubModelService(seed=3)
+        stub.register_view_labels("v", ["office chair", "desk", "lamp"])
+        texts = ["the desk", "an office chair by the lamp", "", "nothing", "the desk", "LAMP"]
+        batch = stub.score_image_text("v", texts).scores
+        assert batch == tuple(stub.score_image_text("v", [t]).scores[0] for t in texts)
+        assert stub.score_image_text("v", texts[::-1]).scores == batch[::-1]
+
     def test_scores_in_unit_interval(self):
         stub = StubModelService()
         stub.register_view_labels("r", ["desk", "chair", "sofa"])

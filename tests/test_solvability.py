@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,6 +313,38 @@ class TestViewRequirementStats:
 
         with pytest.raises(UnknownScene):
             view_requirement_stats([FakeInstruction()], scenes)
+
+    def test_equals_per_instruction_min_view_count(self):
+        rng = np.random.default_rng(53)
+        views, objects = random_posed_scene(rng, 20, 30)
+        scene = SimpleNamespace(views=views, objects=objects)
+        instructions = [
+            SimpleNamespace(scene_id="s", related_object_ids=random_relevant_ids(rng, 30, 3))
+            for _ in range(12)
+        ]
+        hist = view_requirement_stats(instructions, {"s": scene})
+        assert len(set().union(*(i.related_object_ids for i in instructions))) < len(objects)
+        assert hist.min_counts == [
+            min_view_count(i.related_object_ids, views, objects).n for i in instructions
+        ]
+
+    @pytest.mark.parametrize(
+        "order,error",
+        [
+            (("unknown-object", "unknown-scene"), UnknownObjectId),
+            (("unknown-scene", "unknown-object"), UnknownScene),
+            (("ok", "empty", "unknown-scene"), EmptyInput),
+        ],
+    )
+    def test_first_offending_instruction_raises(self, scenes, order, error):
+        make = {
+            "ok": SimpleNamespace(scene_id="scene-a", related_object_ids=frozenset({1})),
+            "unknown-object": SimpleNamespace(scene_id="scene-a", related_object_ids={1, 99}),
+            "unknown-scene": SimpleNamespace(scene_id="missing", related_object_ids={1}),
+            "empty": SimpleNamespace(scene_id="scene-a", related_object_ids=frozenset()),
+        }
+        with pytest.raises(error):
+            view_requirement_stats([make[name] for name in order], scenes)
 
     def test_stride_subsamples_views(self, scenes, data_dir):
         from egoview.corpus import read_instructions
