@@ -312,19 +312,19 @@ class TestStrictText:
                 "answer",
                 "must be a string, got 2",
             ),
-            (
-                read_triplets,
-                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
-                 "text": "x", "source": "extended_qa", "provenance": None},
-                "provenance",
-                "must be an object, got None",
-            ),
             (read_gold, {"question_id": "q", "answer": None}, "answer", "must be a string, got None"),
             (
                 read_predictions,
                 {"question_id": "q", "prediction": None},
                 "prediction",
                 "must be a string, got None",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                 "text": "x", "source": "extended_qa", "provenance": None},
+                "provenance",
+                "must be an object, got None",
             ),
         ],
     )
