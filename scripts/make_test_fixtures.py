@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -295,9 +296,9 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
 def check_scene(path: Path, designed: dict) -> None:
     scene = load_scene(path)
     matrix = witness_matrix(scene.objects, scene.views, WitnessConfig())
-    for i, v in enumerate(scene.views):
-        got = {o.object_id for o, seen in zip(scene.objects, matrix[i]) if seen}
-        assert got == designed[v.view_id], (scene.scene_id, v.view_id, got, designed[v.view_id])
+    for view_id, row in zip(scene.views.ids, matrix.tolist()):
+        got = set(compress(scene.objects.ids, row))
+        assert got == designed[view_id], (scene.scene_id, view_id, got, designed[view_id])
 
 
 def main() -> None:
@@ -326,7 +327,8 @@ def main() -> None:
     assert select_view_for_dc(5, scene_a.views, scene_a.objects)[0] == "v08"
     assert select_view_for_dc(7, scene_a.views, scene_a.objects)[0] == "v04"
     assert select_view_for_dc(3, scene_a.views, scene_a.objects)[0] == "v03"
-    assert visible_objects(scene_a.views_by_id()["v08"], scene_a.objects) == {5, 6}
+    v08 = scene_a.views[scene_a.views.ids.index("v08")]
+    assert visible_objects(v08, scene_a.objects) == {5, 6}
 
     write_jsonl(DATA / "eval_gold.jsonl", EVAL_GOLD)
     write_jsonl(DATA / "eval_pred.jsonl", EVAL_PRED)

@@ -13,8 +13,10 @@ from .geometry import (
     project_point,
 )
 from .solvability import (
+    Objects,
     SceneObject,
     View,
+    Views,
     ViewRequirement,
     WitnessConfig,
     is_solvable,
@@ -33,8 +35,10 @@ __all__ = [
     "iosa",
     "project_box",
     "project_point",
+    "Objects",
     "SceneObject",
     "View",
+    "Views",
     "ViewRequirement",
     "WitnessConfig",
     "is_solvable",

@@ -9,6 +9,13 @@ Scene files are JSON, one scene per file:
                 "pose": {"rotation": [3][3], "translation": [3],
                          "convention": "camera_to_world"}}]}
 
+`load_scene` decodes a scene straight into two tables: `Objects` (ids,
+labels, box parameters and world corners (N, 8, 3)) and `Views` (ids, image
+paths, rotations (V, 3, 3), translations (V, 3), pinhole rows (V, 4) and
+image sizes (V, 2)).  Every check runs over whole columns; the first entry
+that fails one is parsed again as a record to name its first bad field.
+Float fields take JSON numbers only, integer fields JSON integers only.
+
 Record files (instructions, triplets, predictions, composed questions) are
 line-delimited JSON, UTF-8, with keys in a fixed order so identical inputs
 produce byte-identical outputs.
@@ -22,14 +29,23 @@ import logging
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DuplicateId, InvalidPose, NoViews, SchemaError, UnknownObjectId, UnknownScene
-from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, pose_arrays
-from .selection import alignment, image_ref, select_views_for_dc, select_views_for_qa
-from .solvability import SceneObject, View, WitnessTable
+import numpy as np
+
+from .errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
+from .geometry import (
+    CameraIntrinsics,
+    CameraPose,
+    OrientedBox3D,
+    box_corners,
+    first_bad_pose,
+    pose_arrays,
+)
+from .selection import alignment, image_refs, select_views_for_dc, select_views_for_qa
+from .solvability import Objects, SceneObject, View, Views, WitnessTable
 
 logger = logging.getLogger(__name__)
 
@@ -40,29 +56,34 @@ TRIPLET_SOURCES = ("generated_caption", "extended_qa", "extended_dc")
 
 @dataclass(eq=False)
 class Scene:
-    """A 3D scene: annotated objects, posed views, and a dataset split."""
+    """A 3D scene: annotated objects and posed views, as tables (lists of
+    records are converted), and a dataset split."""
 
     scene_id: str
-    objects: list[SceneObject]
-    views: list[View]
+    objects: Objects
+    views: Views
     split: str
     points_path: str | None = None
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}")
-        object_ids = [obj.object_id for obj in self.objects]
-        if len(set(object_ids)) != len(object_ids):
-            raise DuplicateId(f"scene {self.scene_id}: duplicate object ids")
-        view_ids = [view.view_id for view in self.views]
-        if len(set(view_ids)) != len(view_ids):
-            raise DuplicateId(f"scene {self.scene_id}: duplicate view ids")
+        self.objects = Objects.of(self.objects)
+        self.views = Views.of(self.views)
+        self._check_unique(self.objects.ids, "objects", "object_id")
+        self._check_unique(self.views.ids, "views", "view_id")
 
-    def objects_by_id(self) -> dict[int, SceneObject]:
-        return {obj.object_id: obj for obj in self.objects}
-
-    def views_by_id(self) -> dict[str, View]:
-        return {view.view_id: view for view in self.views}
+    def _check_unique(self, ids: tuple, table: str, key: str) -> None:
+        """Raise DuplicateId naming the first entry whose id repeats an earlier one."""
+        if len(set(ids)) == len(ids):
+            return
+        first: dict = {}
+        for i, value in enumerate(ids):
+            j = first.setdefault(value, i)
+            if j != i:
+                raise DuplicateId(
+                    f"scene {self.scene_id}: {table}[{i}].{key}: {value!r} repeats {table}[{j}]"
+                )
 
 
 @dataclass(eq=False)
@@ -164,58 +185,233 @@ def _integers(values, path: str) -> frozenset[int]:
     return frozenset(_integer(value, f"{path}[{i}]") for i, value in enumerate(values))
 
 
-def _parse_box(data: dict, path: str) -> OrientedBox3D:
+def _number(value, path: str, depth: int = 0):
+    """`value` if it is a JSON number or, for depth > 0, if the entries
+    `depth` lists deep in it are; the first that is not (a bool, a string,
+    ...) raises SchemaError naming its path.  Anything that is not a list
+    where one is expected is left to the shape checks."""
+    if depth == 0:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(path, f"must be a number, got {value!r}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _number(item, f"{path}[{k}]", depth - 1)
+    return value
+
+
+def _dimension(value, path: str) -> int:
+    """An image width or height: a JSON integer below 2**63."""
+    if _integer(value, path) >= 2**63:
+        raise SchemaError(path, f"must be below 2**63, got {value!r}")
+    return value
+
+
+# Scene entries are parsed as whole columns (`_object_table`, `_view_table`).
+# When a column check rejects an entry, the first rejected entry is parsed
+# again on its own by the record parsers below, whose checks run field by
+# field in file order, to raise that entry's first error.
+
+
+def _object_record(entry, where: str) -> SceneObject:
     try:
-        return OrientedBox3D(
-            center=_require(data, "center", path),
-            size=_require(data, "size", path),
-            heading=float(_require(data, "heading", path)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _parse_intrinsics(data: dict, path: str) -> CameraIntrinsics:
-    try:
-        return CameraIntrinsics(
-            fx=float(_require(data, "fx", path)),
-            fy=float(_require(data, "fy", path)),
-            cx=float(_require(data, "cx", path)),
-            cy=float(_require(data, "cy", path)),
-            width=_integer(_require(data, "width", path), f"{path}.width"),
-            height=_integer(_require(data, "height", path), f"{path}.height"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _parse_pose(data: dict, path: str) -> tuple:
-    """A pose's rotation and translation arrays, converted and shape-checked;
-    their numeric check runs once per scene in `load_scene`."""
-    convention = _require(data, "convention", path)
-    if convention != "camera_to_world":
-        raise SchemaError(f"{path}.convention", f"unsupported convention {convention!r}")
-    try:
-        return pose_arrays(_require(data, "rotation", path), _require(data, "translation", path))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _parse_view(entry: dict, where: str) -> tuple:
-    """(view_id, intrinsics, rotation, translation, image_path) of one view."""
-    try:
-        return (
-            _text(_require(entry, "view_id", where), f"{where}.view_id"),
-            _parse_intrinsics(_require(entry, "intrinsics", where), f"{where}.intrinsics"),
-            *_parse_pose(_require(entry, "pose", where), f"{where}.pose"),
-            _text(entry.get("image_path"), f"{where}.image_path", optional=True),
+        return SceneObject(
+            object_id=_integer(_require(entry, "object_id", where), f"{where}.object_id"),
+            label=_text(_require(entry, "label", where), f"{where}.label"),
+            box=_box_record(_require(entry, "box", where), f"{where}.box"),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(where, str(exc)) from exc
 
 
+def _box_record(data, path: str) -> OrientedBox3D:
+    try:
+        center, size = _require(data, "center", path), _require(data, "size", path)
+        heading = float(_number(_require(data, "heading", path), f"{path}.heading"))
+        return OrientedBox3D(
+            center=_number(center, f"{path}.center", depth=1),
+            size=_number(size, f"{path}.size", depth=1),
+            heading=heading,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _view_record(entry, where: str) -> View:
+    try:
+        view_id = _text(_require(entry, "view_id", where), f"{where}.view_id")
+        intrinsics = _intrinsics_record(_require(entry, "intrinsics", where), f"{where}.intrinsics")
+        rotation, translation = _pose_arrays(_require(entry, "pose", where), f"{where}.pose")
+        image_path = _text(entry.get("image_path"), f"{where}.image_path", optional=True)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(where, str(exc)) from exc
+    try:
+        pose = CameraPose(rotation, translation)
+    except ValueError as exc:
+        raise SchemaError(f"{where}.pose", str(exc)) from exc
+    return View(view_id, intrinsics, pose, image_path)
+
+
+def _intrinsics_record(data, path: str) -> CameraIntrinsics:
+    try:
+        fx, fy, cx, cy = (
+            float(_number(_require(data, key, path), f"{path}.{key}"))
+            for key in ("fx", "fy", "cx", "cy")
+        )
+        width = _dimension(_require(data, "width", path), f"{path}.width")
+        height = _dimension(_require(data, "height", path), f"{path}.height")
+        return CameraIntrinsics(fx, fy, cx, cy, width, height)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _pose_arrays(data, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A pose's rotation and translation arrays, converted and shape-checked;
+    `CameraPose` checks their values."""
+    convention = _require(data, "convention", path)
+    if convention != "camera_to_world":
+        raise SchemaError(f"{path}.convention", f"unsupported convention {convention!r}")
+    try:
+        rotation, translation = _require(data, "rotation", path), _require(data, "translation", path)
+        return pose_arrays(
+            _number(rotation, f"{path}.rotation", depth=2),
+            _number(translation, f"{path}.translation", depth=1),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _leading(entries: list, fields) -> tuple[list, int]:
+    """fields(entry) of the leading entries that hold every field in the
+    right container type, and how many those are."""
+    rows = []
+    try:
+        for entry in entries:
+            rows.append(fields(entry))
+    except (KeyError, TypeError, AttributeError):
+        pass
+    return rows, len(rows)
+
+
+def _cut(n: int, ok) -> int:
+    """The index of the first False among the first n flags of `ok`, else n."""
+    ok = np.asarray(ok[:n], dtype=bool)
+    return n if ok.all() else int(ok.argmin())
+
+
+def _array(rows: list, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, int]:
+    """The leading rows that hold JSON numbers (integers for an integer
+    dtype) in nested lists of `shape`, each fitting `dtype`, as an array
+    (n, *shape); and their count n."""
+    types = {int} if dtype is np.int64 else {int, float}
+    if rows:
+        try:
+            array = np.array(rows, dtype=dtype)
+            leaves = rows
+            for _ in shape:
+                leaves = chain.from_iterable(leaves)
+            if array.shape == (len(rows), *shape) and types.issuperset(map(type, leaves)):
+                return array, len(rows)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    n = next((i for i, row in enumerate(rows) if not _fits(row, shape, dtype, types)), len(rows))
+    return np.array(rows[:n], dtype=dtype).reshape(n, *shape), n
+
+
+def _fits(value, shape: tuple[int, ...], dtype, types) -> bool:
+    if shape:
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == shape[0]
+            and all(_fits(item, shape[1:], dtype, types) for item in value)
+        )
+    if type(value) not in types:
+        return False
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return False
+    return True
+
+
+def _object_fields(entry) -> tuple:
+    box = entry["box"]
+    return entry["object_id"], entry["label"], box["center"], box["size"], box["heading"]
+
+
+def _object_table(entries: list) -> Objects:
+    rows, n = _leading(entries, _object_fields)
+    ids, labels, centers, sizes, headings = map(list, zip(*rows)) if rows else [[]] * 5
+    n = _cut(n, [type(v) is int for v in ids])
+    n = _cut(n, [type(v) is str and v != "" for v in labels])
+    headings, n = _array(headings[:n], (), np.float64)
+    centers, n = _array(centers[:n], (3,), np.float64)
+    sizes, n = _array(sizes[:n], (3,), np.float64)
+    centers, sizes, headings = centers[:n], sizes[:n], headings[:n]
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(sizes).all(axis=1)
+    n = _cut(n, finite & np.isfinite(headings) & (sizes > 0).all(axis=1))
+    if n < len(entries):
+        _object_record(entries[n], f"objects[{n}]")
+        raise AssertionError(f"objects[{n}] fails a column check but not its record check")
+    return Objects(
+        ids=tuple(ids),
+        labels=tuple(labels),
+        centers=centers,
+        sizes=sizes,
+        headings=headings,
+        corners=box_corners(centers, sizes, headings.tolist()),
+    )
+
+
+def _view_fields(entry) -> tuple:
+    intrinsics, pose = entry["intrinsics"], entry["pose"]
+    return (
+        entry["view_id"],
+        entry.get("image_path"),
+        (intrinsics["fx"], intrinsics["fy"], intrinsics["cx"], intrinsics["cy"]),
+        (intrinsics["width"], intrinsics["height"]),
+        pose["convention"],
+        pose["rotation"],
+        pose["translation"],
+    )
+
+
+def _view_table(entries: list) -> Views:
+    rows, n = _leading(entries, _view_fields)
+    ids, paths, pinhole, sizes, conventions, rotations, translations = (
+        map(list, zip(*rows)) if rows else [[]] * 7
+    )
+    n = _cut(n, [type(v) is str for v in ids])
+    n = _cut(n, [v is None or type(v) is str for v in paths])
+    n = _cut(n, [v == "camera_to_world" for v in conventions])
+    pinhole, n = _array(pinhole[:n], (4,), np.float64)
+    sizes, n = _array(sizes[:n], (2,), np.int64)
+    rotations, n = _array(rotations[:n], (3, 3), np.float64)
+    translations, n = _array(translations[:n], (3,), np.float64)
+    pinhole, sizes, rotations, translations = pinhole[:n], sizes[:n], rotations[:n], translations[:n]
+    (fx, fy, cx, cy), (width, height) = pinhole.T, sizes.T
+    n = _cut(n, (
+        np.isfinite(pinhole).all(axis=1) & (fx > 0) & (fy > 0)
+        & (0 <= cx) & (cx <= width) & (0 <= cy) & (cy <= height) & (width > 0) & (height > 0)
+    ))
+    bad_pose = first_bad_pose(rotations[:n], translations[:n])
+    if bad_pose is not None:
+        n = bad_pose[0]
+    if n < len(entries):
+        _view_record(entries[n], f"views[{n}]")
+        raise AssertionError(f"views[{n}] fails a column check but not its record check")
+    return Views(
+        ids=tuple(ids),
+        image_paths=tuple(paths),
+        rotations=rotations,
+        translations=translations,
+        pinhole=pinhole,
+        sizes=sizes,
+    )
+
+
 def load_scene(path: str | Path) -> Scene:
-    """Parse and validate one scene file; raises SchemaError / DuplicateId."""
+    """Parse and validate one scene file into object and view tables; raises
+    SchemaError / DuplicateId naming the first bad entry in file order."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -228,39 +424,8 @@ def load_scene(path: str | Path) -> Scene:
     split = _require(data, "split", "scene")
     if split not in SPLITS:
         raise SchemaError("scene.split", f"must be one of {SPLITS}, got {split!r}")
-
-    objects = []
-    for i, entry in enumerate(_list(_require(data, "objects", "scene"), "scene.objects")):
-        where = f"objects[{i}]"
-        try:
-            objects.append(
-                SceneObject(
-                    object_id=_integer(_require(entry, "object_id", where), f"{where}.object_id"),
-                    label=_text(_require(entry, "label", where), f"{where}.label"),
-                    box=_parse_box(_require(entry, "box", where), f"{where}.box"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-
-    parsed, error = [], None
-    for i, entry in enumerate(_list(_require(data, "views", "scene"), "scene.views")):
-        try:
-            parsed.append(_parse_view(entry, f"views[{i}]"))
-        except SchemaError as exc:
-            error = exc  # raised below unless an earlier view has a bad pose
-            break
-    try:
-        poses = CameraPose.stacked([p[2] for p in parsed], [p[3] for p in parsed])
-    except InvalidPose as exc:
-        raise SchemaError(f"views[{exc.index}].pose", exc.reason) from exc
-    if error is not None:
-        raise error
-    views = [
-        View(view_id=view_id, intrinsics=intrinsics, pose=pose, image_path=image_path)
-        for (view_id, intrinsics, _, _, image_path), pose in zip(parsed, poses)
-    ]
-
+    objects = _object_table(_list(_require(data, "objects", "scene"), "scene.objects"))
+    views = _view_table(_list(_require(data, "views", "scene"), "scene.views"))
     return Scene(
         scene_id=scene_id,
         objects=objects,
@@ -339,19 +504,18 @@ def _iter_jsonl(path: str | Path):
             yield lineno, data
 
 
-def _register_sidecar(clients, views: Sequence[View], objects, tau: float) -> dict[str, set[int]]:
+def _register_sidecar(clients, views: Views, objects: Objects, tau: float) -> dict[str, set[int]]:
     """Compute visible-object sets for views and register label sidecars on
     any stub clients.  Returns visible ids keyed by view_id."""
     table = WitnessTable.build(objects, views, alignment(tau)).matrix
     visible: dict[str, set[int]] = {}
-    for view, row in zip(views, table):
-        objs = list(compress(objects, row))
-        visible[view.view_id] = {obj.object_id for obj in objs}
-        labels = sorted({obj.label for obj in objs})
+    for view_id, ref, row in zip(views.ids, image_refs(views), table.tolist()):
+        visible[view_id] = set(compress(objects.ids, row))
+        labels = sorted(set(compress(objects.labels, row)))
         for client in clients:
             register = getattr(client, "register_view_labels", None)
             if register is not None:
-                register(image_ref(view), labels)
+                register(ref, labels)
     return visible
 
 
@@ -378,19 +542,18 @@ def build_caption_triplets(
     visible = _register_sidecar(clients, sampled, scene.objects, cfg.tau)
 
     records = []
-    for view in sampled:
-        ref = image_ref(view)
+    for view_id, ref in zip(sampled.ids, image_refs(sampled)):
         captions = caption_client.caption_image(ref, cfg.num_captions)
         scores = scorer_client.score_image_text(ref, captions).scores
-        object_ids = frozenset(visible[view.view_id])
+        object_ids = frozenset(visible[view_id])
         for idx, (caption, score) in enumerate(zip(captions, scores)):
             if score < cfg.threshold:
                 continue
             records.append(
                 TripletRecord(
-                    triplet_id=f"cap:{scene.scene_id}:{view.view_id}:{idx}",
+                    triplet_id=f"cap:{scene.scene_id}:{view_id}:{idx}",
                     scene_id=scene.scene_id,
-                    view_id=view.view_id,
+                    view_id=view_id,
                     object_ids=object_ids,
                     text=caption,
                     source="generated_caption",
@@ -436,7 +599,7 @@ def extend_dataset_triplets(
     for i, ins in enumerate(instructions):
         scene = scenes_by_id.get(ins.scene_id)
         if scene is not None and ins.scene_id not in object_ids:
-            object_ids[ins.scene_id] = {obj.object_id for obj in scene.objects}
+            object_ids[ins.scene_id] = set(scene.objects.ids)
         error = _extend_error(ins, scene, object_ids.get(ins.scene_id))
         if error is not None:
             instructions = instructions[:i]

@@ -49,15 +49,6 @@ class SchemaError(EgoviewError):
         self.reason = reason
 
 
-class InvalidPose(EgoviewError, ValueError):
-    """A camera pose in a batch fails its checks; carries the pose's index."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(reason)
-        self.index = index
-        self.reason = reason
-
-
 class DuplicateId(EgoviewError):
     """An identifier that must be unique appears more than once."""
 

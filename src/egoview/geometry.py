@@ -19,12 +19,16 @@ plane are clipped at the plane so partially-behind boxes still yield a finite
 bounding rectangle.
 
 `project_boxes` is the one projector, and `project_box`, `project_point` and
-`iosa` are batch-of-one wrappers over it and `iosa_rects`.  It projects N
-boxes into V views a fixed block of views at a time, with no Python loop per
-box or view inside a block, and clips only the (view, box) pairs that
-straddle the near plane, as a masked intersection over the 12 cube edges.
-All operations are pure functions of value inputs and are safe to call
-concurrently.
+`iosa` are batch-of-one wrappers over it and `iosa_rects`.  It takes boxes as
+world corners (N, 8, 3), from `box_corners`, and cameras as columns: an
+object whose `rotations` (V, 3, 3), `translations` (V, 3) and `pinhole`
+(V, 4) rows of (fx, fy, cx, cy) hold one camera-to-world pose and pinhole
+each, plus `sizes` (V, 2) of (width, height) for `image_rects`;
+`solvability.Views` is that object for a scene.  It projects N boxes into V
+views a fixed block of views at a time, with no Python loop per box or view
+inside a block, and clips only the (view, box) pairs that straddle the near
+plane, as a masked intersection over the 12 cube edges.  All operations are
+pure functions of value inputs and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from types import SimpleNamespace
-from typing import Sequence
-
 import numpy as np
 
-from .errors import BehindCamera, InvalidPose, NotVisible
+from .errors import BehindCamera, NotVisible
 
 NEAR_PLANE = 0.01
 
@@ -127,26 +129,6 @@ class CameraPose:
         if bad is not None:
             raise ValueError(bad[1])
 
-    @classmethod
-    def stacked(cls, rotations, translations) -> list[CameraPose]:
-        """One pose per row of `rotations` (V, 3, 3) and `translations` (V, 3),
-        or of lists of per-view arrays from `pose_arrays`, checked in one batch.
-
-        The first bad pose raises InvalidPose with its index.  The poses are
-        built without checking each one again.
-        """
-        rotations = np.asarray(rotations, dtype=np.float64).reshape(-1, 3, 3)
-        translations = np.asarray(translations, dtype=np.float64).reshape(-1, 3)
-        bad = first_bad_pose(rotations, translations)
-        if bad is not None:
-            raise InvalidPose(*bad)
-        poses = []
-        for rotation, translation in zip(rotations, translations):
-            pose = object.__new__(cls)
-            pose.rotation, pose.translation = rotation, translation
-            poses.append(pose)
-        return poses
-
 
 @dataclass(eq=False)
 class OrientedBox3D:
@@ -172,14 +154,23 @@ class OrientedBox3D:
             raise ValueError("all size components must be positive")
 
     def corners(self) -> np.ndarray:
-        """World-frame corners, shape (8, 3), ordered by sign bits (x, y, z)."""
-        offsets = _CORNER_SIGNS * (self.size / 2.0)
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        rotated = np.empty_like(offsets)
-        rotated[:, 0] = c * offsets[:, 0] - s * offsets[:, 1]
-        rotated[:, 1] = s * offsets[:, 0] + c * offsets[:, 1]
-        rotated[:, 2] = offsets[:, 2]
-        return self.center + rotated
+        """World-frame corners, shape (8, 3), as `box_corners` orders them."""
+        return box_corners(self.center[None], self.size[None], [self.heading])[0]
+
+
+def box_corners(centers: np.ndarray, sizes: np.ndarray, headings) -> np.ndarray:
+    """World-frame corners of N boxes, shape (N, 8, 3), from centers (N, 3),
+    full extents (N, 3) and headings (N,): center +/- size/2 rotated by the
+    heading (radians) about world +z, corners ordered by sign bits (x, y, z)."""
+    offsets = _CORNER_SIGNS * (sizes / 2.0)[:, None, :]
+    # math.cos and math.sin, not numpy's: they fix the corners' last bits.
+    c = np.array([math.cos(h) for h in headings], dtype=np.float64).reshape(-1, 1)
+    s = np.array([math.sin(h) for h in headings], dtype=np.float64).reshape(-1, 1)
+    rotated = np.empty_like(offsets)
+    rotated[..., 0] = c * offsets[..., 0] - s * offsets[..., 1]
+    rotated[..., 1] = s * offsets[..., 0] + c * offsets[..., 1]
+    rotated[..., 2] = offsets[..., 2]
+    return centers[:, None, :] + rotated
 
 
 @dataclass(frozen=True)
@@ -200,26 +191,10 @@ class Rect2D:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-def box_corners(boxes: Sequence[OrientedBox3D]) -> np.ndarray:
-    """World-frame corners of each box, shape (len(boxes), 8, 3)."""
-    return np.array([box.corners() for box in boxes], dtype=np.float64).reshape(-1, 8, 3)
-
-
-def _camera_arrays(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotations (V, 3, 3), translations (V, 3) and (fx, fy, cx, cy) rows (V, 4)."""
-    intrinsics = [view.intrinsics for view in views]
-    return (
-        np.array([view.pose.rotation for view in views]).reshape(-1, 3, 3),
-        np.array([view.pose.translation for view in views]).reshape(-1, 3),
-        np.array([(i.fx, i.fy, i.cx, i.cy) for i in intrinsics], dtype=np.float64).reshape(-1, 4),
-    )
-
-
 def image_rects(views) -> np.ndarray:
     """Each view's image rectangle as (x_min, y_min, x_max, y_max), shape (V, 4)."""
-    return np.array(
-        [(0.0, 0.0, float(v.intrinsics.width), float(v.intrinsics.height)) for v in views]
-    ).reshape(-1, 4)
+    sizes = views.sizes.astype(np.float64)
+    return np.concatenate([np.zeros_like(sizes), sizes], axis=1)
 
 
 def _project_block(
@@ -262,21 +237,22 @@ def _project_block(
 def _blocks(corners: np.ndarray, views):
     """Yield (views slice, rects, visible) for consecutive blocks of views."""
     points = np.ascontiguousarray(np.asarray(corners, dtype=np.float64).transpose(2, 1, 0))
-    rotation, translation, pinhole = _camera_arrays(views)
-    for start in range(0, len(rotation), _VIEW_BLOCK):
+    for start in range(0, len(views.rotations), _VIEW_BLOCK):
         block = slice(start, start + _VIEW_BLOCK)
-        yield block, *_project_block(points, rotation[block], translation[block], pinhole[block])
+        yield block, *_project_block(
+            points, views.rotations[block], views.translations[block], views.pinhole[block]
+        )
 
 
 def project_boxes(corners: np.ndarray, views) -> tuple[np.ndarray, np.ndarray]:
-    """Project boxes, as world corners (N, 8, 3), into views carrying
-    `intrinsics` and `pose`: rects (V, N, 4) of (x_min, y_min, x_max, y_max)
-    and a visible mask (V, N).  A rect bounds the box's corners in front of
+    """Project boxes, as world corners (N, 8, 3), into camera columns (see the
+    module docstring): rects (V, N, 4) of (x_min, y_min, x_max, y_max) and a
+    visible mask (V, N).  A rect bounds the box's corners in front of
     the near plane and its crossing edges' near-plane intersections, and is
     not intersected with the image.  Boxes wholly behind are not visible and
     their rects are NaN."""
-    rects = np.empty((len(views), len(corners), 4))
-    visible = np.empty((len(views), len(corners)), dtype=bool)
+    rects = np.empty((len(views.rotations), len(corners), 4))
+    visible = np.empty((len(views.rotations), len(corners)), dtype=bool)
     for block, block_rects, block_visible in _blocks(corners, views):
         rects[block], visible[block] = block_rects, block_visible
     return rects, visible
@@ -307,7 +283,7 @@ def image_visibility(
     Views are projected a block at a time and only the booleans are kept.
     """
     images = image_rects(views)[:, None, :]
-    out = np.empty((len(views), len(corners)), dtype=bool)
+    out = np.empty((len(views.rotations), len(corners)), dtype=bool)
     for block, rects, visible in _blocks(corners, views):
         image = images[block]
         out[block] = (
@@ -318,6 +294,16 @@ def image_visibility(
     return out
 
 
+def _one_camera(intr: CameraIntrinsics, pose: CameraPose) -> SimpleNamespace:
+    """Camera columns holding one camera."""
+    return SimpleNamespace(
+        rotations=pose.rotation[None],
+        translations=pose.translation[None],
+        pinhole=np.array([[intr.fx, intr.fy, intr.cx, intr.cy]], dtype=np.float64),
+        sizes=np.array([[intr.width, intr.height]]),
+    )
+
+
 def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[float, float]:
     """Project a world point to image pixels (u, v).
 
@@ -325,8 +311,7 @@ def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[floa
     near plane (0.01 m).
     """
     corners = np.broadcast_to(np.asarray(point, dtype=np.float64), (1, 8, 3))
-    view = SimpleNamespace(intrinsics=intr, pose=pose)
-    rects, visible = project_boxes(corners, [view])
+    rects, visible = project_boxes(corners, _one_camera(intr, pose))
     if not visible[0, 0]:
         raise BehindCamera("point lies at or behind the near plane")
     return float(rects[0, 0, 0]), float(rects[0, 0, 1])
@@ -339,8 +324,7 @@ def project_box(box: OrientedBox3D, intr: CameraIntrinsics, pose: CameraPose) ->
 
     Raises NotVisible when every corner lies at or behind the near plane.
     """
-    view = SimpleNamespace(intrinsics=intr, pose=pose)
-    rects, visible = project_boxes(box.corners()[None], [view])
+    rects, visible = project_boxes(box.corners()[None], _one_camera(intr, pose))
     if not visible[0, 0]:
         raise NotVisible("box lies entirely behind the camera")
     return Rect2D(*rects[0, 0].tolist())

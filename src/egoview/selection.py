@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
-from .solvability import SceneObject, View, WitnessConfig, WitnessTable
+from .solvability import Objects, SceneObject, View, Views, WitnessConfig, WitnessTable
 
 
 def alignment(tau: float) -> WitnessConfig:
@@ -68,15 +68,22 @@ def image_ref(view: View) -> str:
     return view.image_path or view.view_id
 
 
-def visible_objects(view: View, objects: Sequence[SceneObject], tau: float = 0.5) -> set[int]:
+def image_refs(views: Views) -> list[str]:
+    """`image_ref` of each view in a table."""
+    return [path or view_id for view_id, path in zip(views.ids, views.image_paths)]
+
+
+def visible_objects(
+    view: View, objects: Objects | Sequence[SceneObject], tau: float = 0.5
+) -> set[int]:
     """Ids of objects whose projected box overlaps the image with IoSA > tau."""
-    row = WitnessTable.build(objects, [view], alignment(tau)).matrix[0]
-    return {obj.object_id for obj, seen in zip(objects, row) if seen}
+    table = WitnessTable.build(objects, [view], alignment(tau))
+    return set(compress(table.objects.ids, table.matrix[0].tolist()))
 
 
 def select_views_for_qa(
     texts: Sequence[str],
-    views: Sequence[View],
+    views: Views | Sequence[View],
     scorer,
 ) -> list[tuple[str, float]]:
     """The view most semantically similar to each text, via the scoring client.
@@ -90,12 +97,12 @@ def select_views_for_qa(
     distinct = list(dict.fromkeys(texts))
     if not distinct:
         return []
-    if not views:
+    if not len(views):
         raise NoViews("select_view_for_qa requires at least one view")
-    view_ids = [view.view_id for view in views]
-    columns = zip(*(scorer.score_image_text(image_ref(view), distinct).scores for view in views))
+    views = Views.of(views)
+    columns = zip(*(scorer.score_image_text(ref, distinct).scores for ref in image_refs(views)))
     best = {
-        text: min(zip(view_ids, column), key=lambda kv: (-kv[1], kv[0]))
+        text: min(zip(views.ids, column), key=lambda kv: (-kv[1], kv[0]))
         for text, column in zip(distinct, columns)
     }
     return [best[text] for text in texts]
@@ -103,7 +110,7 @@ def select_views_for_qa(
 
 def select_view_for_qa(
     question_text: str,
-    views: Sequence[View],
+    views: Views | Sequence[View],
     scorer,
 ) -> tuple[str, float]:
     """`select_views_for_qa` for one text: (view_id, score) of its best view."""
@@ -112,8 +119,8 @@ def select_view_for_qa(
 
 def select_views_for_dc(
     target_object_ids: Sequence[int],
-    views: Sequence[View],
-    objects: Sequence[SceneObject],
+    views: Views | Sequence[View],
+    objects: Objects | Sequence[SceneObject],
 ) -> list[tuple[str, float] | None]:
     """The view that best captures each target object, by overlap with the image.
 
@@ -123,23 +130,24 @@ def select_views_for_dc(
     and None for a target that projects into no view.  The first unknown
     target id raises UnknownObjectId.
     """
-    by_id = {obj.object_id: obj for obj in objects}
+    objects = Objects.of(objects)
+    row_of = {object_id: j for j, object_id in enumerate(objects.ids)}
     distinct = list(dict.fromkeys(target_object_ids))
     for target in distinct:
-        if target not in by_id:
+        if target not in row_of:
             raise UnknownObjectId(f"unknown target object id {target}")
     if not distinct:
         return []
-    corners = geometry.box_corners([by_id[target].box for target in distinct])
+    views = Views.of(views)
+    corners = objects.corners[[row_of[target] for target in distinct]]
     rects, visible = geometry.project_boxes(corners, views)
     scores = geometry.iosa_rects(rects, geometry.image_rects(views)[:, None]).T.tolist()
     areas = geometry.rect_area(rects).T.tolist()
-    view_ids = [view.view_id for view in views]
     best = {}
     for target, row_scores, row_areas, row_visible in zip(
         distinct, scores, areas, visible.T.tolist()
     ):
-        candidates = list(compress(zip(view_ids, row_scores, row_areas), row_visible))
+        candidates = list(compress(zip(views.ids, row_scores, row_areas), row_visible))
         best[target] = (
             min(candidates, key=lambda c: (-c[1], -c[2], c[0]))[:2] if candidates else None
         )
@@ -148,8 +156,8 @@ def select_views_for_dc(
 
 def select_view_for_dc(
     target_object_id: int,
-    views: Sequence[View],
-    objects: Sequence[SceneObject],
+    views: Views | Sequence[View],
+    objects: Objects | Sequence[SceneObject],
 ) -> tuple[str, float]:
     """`select_views_for_dc` for one target: (view_id, score) of its best
     view.  Raises NoneVisible when the target projects into no view."""

@@ -11,7 +11,7 @@ per-view witness sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from ._util import percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
-from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, box_corners
 
 BUCKETS = ("1", "2", "3", "4+", "unsolvable")
 
@@ -50,6 +50,108 @@ class View:
     intrinsics: CameraIntrinsics
     pose: CameraPose
     image_path: str | None = None
+
+
+class _Columns:
+    """Rows of a column table.  An int index gives one row as a record and
+    iteration yields every record; a slice, index array or boolean mask gives
+    the selected rows as a table of the same kind."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._record(range(len(self))[key])
+        index = np.arange(len(self))[key]
+        rows = index.tolist()
+        return type(self)(**{
+            f.name: tuple(map(value.__getitem__, rows)) if isinstance(value, tuple) else value[index]
+            for f in fields(self)
+            for value in [getattr(self, f.name)]
+        })
+
+
+@dataclass(frozen=True, eq=False)
+class Objects(_Columns):
+    """Scene objects as columns, one row per object: ids, labels, box centers
+    (N, 3), full extents (N, 3), headings (N,) and world corners (N, 8, 3)."""
+
+    ids: tuple[int, ...]
+    labels: tuple[str, ...]
+    centers: np.ndarray
+    sizes: np.ndarray
+    headings: np.ndarray
+    corners: np.ndarray
+
+    @classmethod
+    def of(cls, objects: Objects | Iterable[SceneObject]) -> Objects:
+        """`objects` itself if it is a table, else the table of the records."""
+        if isinstance(objects, Objects):
+            return objects
+        objects = list(objects)
+        centers = np.array([obj.box.center for obj in objects], dtype=np.float64).reshape(-1, 3)
+        sizes = np.array([obj.box.size for obj in objects], dtype=np.float64).reshape(-1, 3)
+        headings = np.array([obj.box.heading for obj in objects], dtype=np.float64)
+        return cls(
+            ids=tuple(obj.object_id for obj in objects),
+            labels=tuple(obj.label for obj in objects),
+            centers=centers,
+            sizes=sizes,
+            headings=headings,
+            corners=box_corners(centers, sizes, headings.tolist()),
+        )
+
+    def _record(self, i: int) -> SceneObject:
+        box = OrientedBox3D(self.centers[i], self.sizes[i], float(self.headings[i]))
+        return SceneObject(self.ids[i], self.labels[i], box)
+
+
+@dataclass(frozen=True, eq=False)
+class Views(_Columns):
+    """Posed cameras as columns, one row per view: ids, image paths (None
+    where a view has none), camera-to-world rotations (V, 3, 3) and
+    translations (V, 3), pinhole rows (V, 4) of (fx, fy, cx, cy), and image
+    sizes (V, 2) of (width, height) as integers.  These are the camera
+    columns the `geometry` projector reads."""
+
+    ids: tuple[str, ...]
+    image_paths: tuple[str | None, ...]
+    rotations: np.ndarray
+    translations: np.ndarray
+    pinhole: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, views: Views | Iterable[View]) -> Views:
+        """`views` itself if it is a table, else the table of the records."""
+        if isinstance(views, Views):
+            return views
+        views = list(views)
+        intrinsics = [view.intrinsics for view in views]
+        return cls(
+            ids=tuple(view.view_id for view in views),
+            image_paths=tuple(view.image_path for view in views),
+            rotations=np.array([view.pose.rotation for view in views]).reshape(-1, 3, 3),
+            translations=np.array([view.pose.translation for view in views]).reshape(-1, 3),
+            pinhole=np.array(
+                [(i.fx, i.fy, i.cx, i.cy) for i in intrinsics], dtype=np.float64
+            ).reshape(-1, 4),
+            sizes=np.array([(i.width, i.height) for i in intrinsics], dtype=np.int64).reshape(-1, 2),
+        )
+
+    def _record(self, i: int) -> View:
+        fx, fy, cx, cy = self.pinhole[i].tolist()
+        width, height = self.sizes[i].tolist()
+        return View(
+            view_id=self.ids[i],
+            intrinsics=CameraIntrinsics(fx, fy, cx, cy, width, height),
+            pose=CameraPose(self.rotations[i], self.translations[i]),
+            image_path=self.image_paths[i],
+        )
 
 
 @dataclass(frozen=True)
@@ -98,24 +200,21 @@ def witnesses(view: View, obj: SceneObject, cfg: WitnessConfig = WitnessConfig()
 
 
 def witness_matrix(
-    scene_objects: Sequence[SceneObject],
-    views: Sequence[View],
+    scene_objects: Objects | Sequence[SceneObject],
+    views: Views | Sequence[View],
     cfg: WitnessConfig = WitnessConfig(),
 ) -> np.ndarray:
     """Boolean matrix of shape (n_views, n_objects): entry (i, j) is witnesses(views[i], objects[j])."""
-    if not scene_objects or not views:
+    if not len(scene_objects) or not len(views):
         raise EmptyInput("witness_matrix requires at least one view and one object")
-    corners = geometry.box_corners([obj.box for obj in scene_objects])
-    return geometry.image_visibility(corners, views, cfg.iosa_threshold, cfg.min_area_ratio)
+    return geometry.image_visibility(
+        Objects.of(scene_objects).corners, Views.of(views), cfg.iosa_threshold, cfg.min_area_ratio
+    )
 
 
-def _objects_by_id(scene_objects: Sequence[SceneObject]) -> dict[int, SceneObject]:
-    return {obj.object_id: obj for obj in scene_objects}
-
-
-def _check_known(relevant_ids: Iterable[int], by_id: Mapping[int, SceneObject]) -> frozenset[int]:
+def _check_known(relevant_ids: Iterable[int], known_ids: Iterable[int]) -> frozenset[int]:
     ids = frozenset(relevant_ids)
-    missing = ids - by_id.keys()
+    missing = ids.difference(known_ids)
     if missing:
         raise UnknownObjectId(f"unknown object ids: {sorted(missing)}")
     if not ids:
@@ -130,10 +229,16 @@ def is_solvable(
     cfg: WitnessConfig = WitnessConfig(),
 ) -> bool:
     """True when every relevant object is witnessed by at least one view in the set."""
-    by_id = _objects_by_id(scene_objects)
-    ids = _check_known(relevant_object_ids, by_id)
-    table = WitnessTable.build([by_id[oid] for oid in ids], view_set, cfg)
+    objects = Objects.of(scene_objects)
+    ids = _check_known(relevant_object_ids, objects.ids)
+    table = WitnessTable.build(_among(objects, ids), view_set, cfg)
     return bool(table.matrix.any(axis=0).all())
+
+
+def _among(objects: Objects, ids: Iterable[int]) -> Objects:
+    """The rows of `objects` whose id is in `ids`, in table order."""
+    ids = set(ids)
+    return objects[np.array([oid in ids for oid in objects.ids], dtype=bool)]
 
 
 def greedy_cover(
@@ -251,39 +356,45 @@ class WitnessTable:
     """witness_matrix of views over objects, kept to answer the minimum view
     count of many sets of those objects without projecting again."""
 
-    views: list[View]
-    objects: list[SceneObject]
+    views: Views
+    objects: Objects
     matrix: np.ndarray
 
     @classmethod
-    def build(cls, objects: Sequence[SceneObject], views: Sequence[View], cfg: WitnessConfig):
+    def build(
+        cls,
+        objects: Objects | Sequence[SceneObject],
+        views: Views | Sequence[View],
+        cfg: WitnessConfig,
+    ):
         """The table of views x objects; all False when either is empty."""
-        if objects and views:
-            return cls(list(views), list(objects), witness_matrix(objects, views, cfg))
-        return cls(list(views), list(objects), np.zeros((len(views), len(objects)), bool))
+        objects, views = Objects.of(objects), Views.of(views)
+        if len(objects) and len(views):
+            return cls(views, objects, witness_matrix(objects, views, cfg))
+        return cls(views, objects, np.zeros((len(views), len(objects)), bool))
 
     def min_view_count(self, relevant_object_ids: Iterable[int]) -> ViewRequirement:
         """Smallest number of the views that jointly witness all relevant objects."""
-        ids = _check_known(relevant_object_ids, _objects_by_id(self.objects))
-        columns = [j for j, obj in enumerate(self.objects) if obj.object_id in ids]
-        column_ids = [self.objects[j].object_id for j in columns]
+        ids = _check_known(relevant_object_ids, self.objects.ids)
+        columns = [j for j, oid in enumerate(self.objects.ids) if oid in ids]
+        column_ids = [self.objects.ids[j] for j in columns]
         sets_by_id = [
-            (view.view_id, frozenset(compress(column_ids, row)))
-            for view, row in zip(self.views, self.matrix[:, columns].tolist())
+            (view_id, frozenset(compress(column_ids, row)))
+            for view_id, row in zip(self.views.ids, self.matrix[:, columns].tolist())
         ]
         return min_cover(sets_by_id, ids)
 
 
 def min_view_count(
     relevant_object_ids: Iterable[int],
-    views: Sequence[View],
-    scene_objects: Sequence[SceneObject],
+    views: Views | Sequence[View],
+    scene_objects: Objects | Sequence[SceneObject],
     cfg: WitnessConfig = WitnessConfig(),
 ) -> ViewRequirement:
     """Smallest number of views that jointly witness all relevant objects."""
-    by_id = _objects_by_id(scene_objects)
-    ids = _check_known(relevant_object_ids, by_id)
-    return WitnessTable.build([by_id[oid] for oid in ids], views, cfg).min_view_count(ids)
+    objects = Objects.of(scene_objects)
+    ids = _check_known(relevant_object_ids, objects.ids)
+    return WitnessTable.build(_among(objects, ids), views, cfg).min_view_count(ids)
 
 
 @dataclass
@@ -309,7 +420,7 @@ def view_requirement_stats(
     """Bucket instructions by their minimum view count: {1, 2, 3, 4+, unsolvable}.
 
     Instructions must carry `scene_id` and `related_object_ids`; scenes must
-    carry `views` and `objects`.  Candidate views are subsampled with
+    carry `views` and `objects`, as tables or lists of records.  Candidate views are subsampled with
     `stride` (every stride-th view, first always included); the stride is
     recorded in the result rather than hidden.  Each scene's witness table
     is computed once, over the objects its instructions reference, and
@@ -317,21 +428,21 @@ def view_requirement_stats(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    known: dict[str, dict[int, SceneObject]] = {}
+    objects: dict[str, Objects] = {}
+    known: dict[str, set[int]] = {}
     referenced: dict[str, set[int]] = {}
     for ins in instructions:
         scene = scenes_by_id.get(ins.scene_id)
         if scene is None:
             raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
         if ins.scene_id not in known:
-            known[ins.scene_id] = _objects_by_id(scene.objects)
+            objects[ins.scene_id] = Objects.of(scene.objects)
+            known[ins.scene_id] = set(objects[ins.scene_id].ids)
             referenced[ins.scene_id] = set()
         referenced[ins.scene_id] |= _check_known(ins.related_object_ids, known[ins.scene_id])
     tables = {  # one per scene, for this call only
         scene_id: WitnessTable.build(
-            [obj for obj in scenes_by_id[scene_id].objects if obj.object_id in ids],
-            list(scenes_by_id[scene_id].views)[::stride],
-            cfg,
+            _among(objects[scene_id], ids), Views.of(scenes_by_id[scene_id].views)[::stride], cfg
         )
         for scene_id, ids in referenced.items()
     }

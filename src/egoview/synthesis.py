@@ -243,9 +243,9 @@ def synthesize_dataset(
         scene = scenes_by_id.get(pair.first.scene_id)
         if scene is None:
             raise UnknownScene(f"scene {pair.first.scene_id!r} is not loaded")
-        by_id = scene.objects_by_id()
+        label_of = dict(zip(scene.objects.ids, scene.objects.labels))
         anchor_labels = sorted(
-            {by_id[oid].label for oid in pair.shared_anchor_ids if oid in by_id}
+            {label_of[oid] for oid in pair.shared_anchor_ids if oid in label_of}
         )
         result = compose_question(pair, generator, anchor_labels)
         if isinstance(result, Dropped):

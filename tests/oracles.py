@@ -95,6 +95,21 @@ def _polytope_vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(unique)
 
 
+def scalar_box_corners(box) -> np.ndarray:
+    """A box's eight world corners, one coordinate at a time in Python floats,
+    ordered by sign bits (x, y, z) as `geometry.box_corners` orders them."""
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    cx, cy, cz = box.center.tolist()
+    hx, hy, hz = (box.size / 2.0).tolist()
+    corners = []
+    for i in range(8):
+        ox = hx if i >> 2 & 1 else -hx
+        oy = hy if i >> 1 & 1 else -hy
+        oz = hz if i & 1 else -hz
+        corners.append((cx + (c * ox - s * oy), cy + (s * ox + c * oy), cz + oz))
+    return np.array(corners)
+
+
 def scalar_box_rect(box, intr, pose) -> Rect2D | None:
     """Projected bounding rect by a scalar loop over corners and edges.
 
@@ -104,7 +119,7 @@ def scalar_box_rect(box, intr, pose) -> Rect2D | None:
     so the batched projector must match it bit for bit.  None when no
     corner lies in front of the near plane.
     """
-    cam = [pose.rotation.T @ (corner - pose.translation) for corner in box.corners()]
+    cam = [pose.rotation.T @ (corner - pose.translation) for corner in scalar_box_corners(box)]
     points = [p for p in cam if p[2] > NEAR_PLANE]
     for i, j in itertools.combinations(range(8), 2):
         if (i ^ j).bit_count() == 1 and (cam[i][2] > NEAR_PLANE) != (cam[j][2] > NEAR_PLANE):

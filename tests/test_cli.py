@@ -132,6 +132,14 @@ class TestSolvabilityCommand:
         assert f"{field}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_huge_image_size_exits_2(self, tmp_path, data_dir, capsys, key):
+        keys = ("views", 4, "intrinsics", key)
+        code, out = self._run_on_edited_scene(tmp_path, data_dir, keys, 10**400)
+        assert code == 2
+        assert f"views[4].intrinsics.{key}: must be below 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key,value", [("objects", 5), ("views", {"view_id": "v01"}), ("objects", None)]
     )

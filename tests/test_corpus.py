@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from egoview.corpus import (
     triplet_to_dict,
     write_jsonl,
 )
-from egoview import geometry
+from egoview import corpus, geometry
 from egoview.errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
@@ -31,7 +34,9 @@ from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View
 from egoview.synthesis import read_questions
 
+from .oracles import scalar_box_rect
 from .scenegen import random_posed_scene, scene_to_dict
+from .test_scene_errors import VALUES, _paths
 
 
 def scene_payload(**overrides):
@@ -218,6 +223,107 @@ class TestBatchedPoseCheck:
             assert np.array_equal(view.pose.rotation, direct.rotation)
             assert np.array_equal(view.pose.translation, direct.translation)
             assert view.pose.rotation.dtype == view.pose.translation.dtype == np.float64
+
+
+def _write_scene(tmp_path, payload):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _edited(payload, keys, value):
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return payload
+
+
+class TestColumnLoad:
+    """load_scene parses columns; errors match a record-by-record parse."""
+
+    def test_loaded_rects_equal_scalar_oracle_bit_for_bit(self, tmp_path):
+        views, objects = random_posed_scene(np.random.default_rng(61), 12, 15)
+        scene = load_scene(_write_scene(tmp_path, scene_to_dict(views, objects)))
+        rects, visible = geometry.project_boxes(scene.objects.corners, scene.views)
+        for i, view in enumerate(views):
+            for j, obj in enumerate(objects):
+                reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
+                assert visible[i, j] == (reference is not None)
+                if reference is not None:
+                    assert tuple(rects[i, j]) == (
+                        reference.x_min, reference.y_min, reference.x_max, reference.y_max
+                    )
+
+    @pytest.mark.parametrize(
+        "keys,value,field,bad",
+        [
+            (("views", 0, "intrinsics", "fx"), "500", "views[0].intrinsics.fx", "500"),
+            (("views", 0, "intrinsics", "cy"), False, "views[0].intrinsics.cy", False),
+            (("objects", 0, "box", "heading"), True, "objects[0].box.heading", True),
+            (("objects", 0, "box", "center"), ["1", 2, True], "objects[0].box.center[0]", "1"),
+            (("objects", 0, "box", "size"), [0.5, 0.5, "0.5"], "objects[0].box.size[2]", "0.5"),
+            (("views", 0, "pose", "rotation", 1), [0, True, 0], "views[0].pose.rotation[1][1]", True),
+            (("views", 0, "pose", "translation", 2), "0", "views[0].pose.translation[2]", "0"),
+        ],
+    )
+    def test_float_fields_take_numbers_only(self, tmp_path, keys, value, field, bad):
+        path = _write_scene(tmp_path, _edited(scene_payload(), keys, value))
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(path)
+        assert excinfo.value.field == field
+        assert excinfo.value.reason == f"must be a number, got {bad!r}"
+
+    @pytest.mark.parametrize("table,key", [("objects", "object_id"), ("views", "view_id")])
+    def test_duplicate_id_names_the_repeated_entry(self, tmp_path, data_dir, table, key):
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        scene[table][5][key] = scene[table][2][key]
+        with pytest.raises(DuplicateId) as excinfo:
+            load_scene(_write_scene(tmp_path, scene))
+        value = scene[table][2][key]
+        assert str(excinfo.value) == (
+            f"scene scene-a: {table}[5].{key}: {value!r} repeats {table}[2]"
+        )
+
+    def test_column_checks_agree_with_record_parse(self, tmp_path):
+        """Scenes with two faults anywhere in their entries: load_scene names
+        the same error as parsing every object, then every view, as a record."""
+        rng = np.random.default_rng(71)
+        views, objects = random_posed_scene(rng, 6, 4)
+        base = scene_to_dict(views, objects)
+        paths = [keys for keys in _paths(base) if keys[0] in ("objects", "views") and len(keys) > 2]
+        edits = ["delete", *VALUES]
+        checked = 0
+        for _ in range(300):
+            payload = copy.deepcopy(base)
+            for k in rng.choice(len(paths), size=2, replace=False):
+                keys, edit = paths[k], edits[rng.integers(len(edits))]
+                try:  # the first edit may have replaced a container on this path
+                    target = functools.reduce(operator.getitem, keys[:-1], payload)
+                    if edit == "delete":
+                        del target[keys[-1]]
+                    else:
+                        target[keys[-1]] = copy.deepcopy(VALUES[edit])
+                except (KeyError, IndexError, TypeError):
+                    pass
+            try:
+                for i, entry in enumerate(payload["objects"]):
+                    corpus._object_record(entry, f"objects[{i}]")
+                for i, entry in enumerate(payload["views"]):
+                    corpus._view_record(entry, f"views[{i}]")
+                expected = None
+            except SchemaError as exc:
+                expected = (exc.field, exc.reason)
+            try:
+                load_scene(_write_scene(tmp_path, payload))
+                got = None
+            except SchemaError as exc:
+                got = (exc.field, exc.reason)
+            except DuplicateId:
+                got = None
+            assert got == expected
+            checked += expected is not None
+        assert checked > 200
 
 
 class TestStrictIntegers:
@@ -675,8 +781,8 @@ class TestTripletIO:
         for name in ("triplets_captions.jsonl", "triplets_extend.jsonl"):
             for record in read_triplets(golden_dir / name):
                 scene = scenes[record.scene_id]
-                assert record.view_id in scene.views_by_id()
-                assert record.object_ids <= set(scene.objects_by_id())
+                assert record.view_id in scene.views.ids
+                assert record.object_ids <= set(scene.objects.ids)
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ValueError):

@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview.errors import BehindCamera, InvalidPose, NotVisible
+from egoview.errors import BehindCamera, NotVisible
 from egoview.geometry import (
     NEAR_PLANE,
     CameraIntrinsics,
     CameraPose,
     OrientedBox3D,
     Rect2D,
-    box_corners,
     first_bad_pose,
     iosa,
     project_box,
     project_boxes,
     project_point,
 )
+from egoview.solvability import Objects, Views
 
 from .oracles import clipped_box_rect_oracle, grid_count_iosa, random_grid_rect, scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene
@@ -159,7 +159,7 @@ class TestProjectBoxes:
     def test_equals_batch_of_one_and_scalar_loop_bit_for_bit(self, make_scene, seed):
         # 20 views span several internal view blocks.
         views, objects = make_scene(np.random.default_rng(seed), 20, 30)
-        rects, visible = project_boxes(box_corners([o.box for o in objects]), views)
+        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
         assert rects.shape == (20, 30, 4) and visible.shape == (20, 30)
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
@@ -176,7 +176,7 @@ class TestProjectBoxes:
 
     def test_straddling_pairs_match_sampling_oracle(self):
         views, objects = random_posed_scene(np.random.default_rng(53), 8, 12)
-        rects, visible = project_boxes(box_corners([o.box for o in objects]), views)
+        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
         checked = 0
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
@@ -196,9 +196,9 @@ class TestProjectBoxes:
 
     def test_no_boxes_or_no_views(self):
         views, objects = random_posed_scene(np.random.default_rng(3), 3, 2)
-        rects, visible = project_boxes(np.empty((0, 8, 3)), views)
+        rects, visible = project_boxes(np.empty((0, 8, 3)), Views.of(views))
         assert rects.shape == (3, 0, 4) and visible.shape == (3, 0)
-        rects, visible = project_boxes(box_corners([o.box for o in objects]), [])
+        rects, visible = project_boxes(Objects.of(objects).corners, Views.of([]))
         assert rects.shape == (0, 2, 4) and visible.shape == (0, 2)
 
 
@@ -274,27 +274,19 @@ class TestValidation:
             CameraPose(rotation=rotation, translation=translation)
         assert str(excinfo.value) == reason
 
-    def test_stacked_names_first_bad_pose(self):
+    def test_first_bad_pose_names_lowest_index(self):
         rotations = np.stack([np.eye(3)] * 6)
         translations = np.zeros((6, 3))
         rotations[4] = np.diag([1.0, 1.0, -1.0])
         rotations[2, 0, 0] = math.nan
-        with pytest.raises(InvalidPose) as excinfo:
-            CameraPose.stacked(rotations, translations)
-        assert excinfo.value.index == 2
-        assert excinfo.value.reason == "rotation must be finite and orthonormal"
+        assert first_bad_pose(rotations, translations) == (
+            2, "rotation must be finite and orthonormal"
+        )
         assert first_bad_pose(rotations[3:], translations[3:]) == (
             1, "rotation determinant must be +1"
         )
         assert first_bad_pose(rotations[:2], translations[:2]) is None
-
-    def test_stacked_keeps_values(self):
-        rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        poses = CameraPose.stacked([rotation, np.eye(3)], [(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)])
-        assert np.array_equal(poses[0].rotation, rotation)
-        assert np.array_equal(poses[0].translation, (1.0, 2.0, 3.0))
-        assert np.array_equal(poses[1].rotation, np.eye(3))
-        assert CameraPose.stacked([], []) == []
+        assert first_bad_pose(rotations[:0], translations[:0]) is None
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,10 @@ import pytest
 from egoview.errors import EmptyInput, UnknownObjectId, UnknownScene
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.solvability import (
+    Objects,
     SceneObject,
     View,
+    Views,
     ViewRequirement,
     WitnessConfig,
     greedy_cover,
@@ -22,13 +24,59 @@ from egoview.solvability import (
     witnesses,
 )
 
-from .oracles import brute_force_min_cover
+from .oracles import brute_force_min_cover, scalar_box_corners
 from .scenegen import (
     random_abstract_instance,
     random_line_scene,
     random_posed_scene,
     random_relevant_ids,
 )
+
+
+class TestTables:
+    """Objects and Views hold a scene's records as columns."""
+
+    def test_view_records_round_trip(self):
+        views, _ = random_posed_scene(np.random.default_rng(21), 5, 1)
+        views[2] = View(views[2].view_id, views[2].intrinsics, views[2].pose, "frames/2.jpg")
+        table = Views.of(views)
+        assert Views.of(table) is table
+        assert len(table) == 5 and table.ids == tuple(v.view_id for v in views)
+        assert table.sizes.dtype == np.int64 and table.pinhole.shape == (5, 4)
+        for view, record in zip(views, table):
+            assert record.view_id == view.view_id and record.image_path == view.image_path
+            assert record.intrinsics == view.intrinsics
+            assert np.array_equal(record.pose.rotation, view.pose.rotation)
+            assert np.array_equal(record.pose.translation, view.pose.translation)
+        assert table[-1].view_id == views[-1].view_id
+        with pytest.raises(IndexError):
+            table[5]
+
+    def test_slices_and_masks_are_tables(self):
+        views, objects = random_posed_scene(np.random.default_rng(22), 7, 6)
+        table = Views.of(views)
+        strided = table[::3]
+        assert isinstance(strided, Views) and strided.ids == ("v00", "v03", "v06")
+        assert np.array_equal(strided.rotations, table.rotations[::3])
+        chosen = Objects.of(objects)[np.array([True, False, True, False, False, True])]
+        assert chosen.ids == (0, 2, 5) and chosen.labels == ("obj0", "obj2", "obj5")
+        assert np.array_equal(chosen.corners, Objects.of(objects).corners[[0, 2, 5]])
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_corners_equal_scalar_corners_bit_for_bit(self, seed):
+        _, objects = random_posed_scene(np.random.default_rng(seed), 1, 40)
+        corners = Objects.of(objects).corners
+        for obj, got in zip(objects, corners):
+            assert np.array_equal(got, scalar_box_corners(obj.box))
+            assert np.array_equal(got, obj.box.corners())
+
+    def test_object_records_round_trip(self):
+        _, objects = random_posed_scene(np.random.default_rng(23), 1, 4)
+        for obj, record in zip(objects, Objects.of(objects)):
+            assert (record.object_id, record.label) == (obj.object_id, obj.label)
+            assert np.array_equal(record.box.center, obj.box.center)
+            assert np.array_equal(record.box.size, obj.box.size)
+            assert record.box.heading == obj.box.heading
 
 
 def make_view(view_id="v", translation=(0, 0, 0), intr=None) -> View:
@@ -137,7 +185,7 @@ class TestIsSolvable:
         # Chair (2) only in v01/v12, lamp (7) only in v04: the full view set
         # solves it, v01 alone does not.
         assert is_solvable({2, 7}, scene_a.views, scene_a.objects) is True
-        v01 = [scene_a.views_by_id()["v01"]]
+        v01 = [scene_a.views[scene_a.views.ids.index("v01")]]
         assert is_solvable({2, 7}, v01, scene_a.objects) is False
 
     def test_unknown_object_id(self):
