@@ -299,38 +299,32 @@ def _cut(n: int, ok) -> int:
 
 
 def _array(rows: list, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, int]:
-    """The leading rows that hold JSON numbers (integers for an integer
-    dtype) in nested lists of `shape`, each fitting `dtype`, as an array
-    (n, *shape); and their count n."""
-    types = {int} if dtype is np.int64 else {int, float}
-    if rows:
-        try:
-            array = np.array(rows, dtype=dtype)
-            leaves = rows
-            for _ in shape:
-                leaves = chain.from_iterable(leaves)
-            if array.shape == (len(rows), *shape) and types.issuperset(map(type, leaves)):
-                return array, len(rows)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    n = next((i for i, row in enumerate(rows) if not _fits(row, shape, dtype, types)), len(rows))
-    return np.array(rows[:n], dtype=dtype).reshape(n, *shape), n
+    """The leading rows that `_converted` accepts one by one, as one array
+    (n, *shape), and their count n."""
+    array = _converted(rows, shape, dtype)
+    if array is not None:
+        return array, len(rows)
+    n = next(i for i, row in enumerate(rows) if _converted([row], shape, dtype) is None)
+    return _converted(rows[:n], shape, dtype), n
 
 
-def _fits(value, shape: tuple[int, ...], dtype, types) -> bool:
-    if shape:
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == shape[0]
-            and all(_fits(item, shape[1:], dtype, types) for item in value)
-        )
-    if type(value) not in types:
-        return False
+def _converted(rows: list, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    """`rows` as an array (len(rows), *shape) of `dtype`, or None unless each
+    row is nested lists of that shape holding JSON numbers (integers for an
+    integer dtype) that fit the dtype."""
+    if not rows:
+        return np.empty((0, *shape), dtype=dtype)
     try:
-        np.array(value, dtype=dtype)
-    except OverflowError:
-        return False
-    return True
+        array = np.array(rows, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    leaves = rows
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    types = {int} if dtype is np.int64 else {int, float}
+    if array.shape == (len(rows), *shape) and types.issuperset(map(type, leaves)):
+        return array
+    return None
 
 
 def _object_fields(entry) -> tuple:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import BehindCamera, NotVisible
@@ -163,7 +164,8 @@ def box_corners(centers: np.ndarray, sizes: np.ndarray, headings) -> np.ndarray:
     full extents (N, 3) and headings (N,): center +/- size/2 rotated by the
     heading (radians) about world +z, corners ordered by sign bits (x, y, z)."""
     offsets = _CORNER_SIGNS * (sizes / 2.0)[:, None, :]
-    # math.cos and math.sin, not numpy's: they fix the corners' last bits.
+    # math.cos and math.sin, as the per-box corners always used: numpy's
+    # vectorised ones may round the last bit differently.
     c = np.array([math.cos(h) for h in headings], dtype=np.float64).reshape(-1, 1)
     s = np.array([math.sin(h) for h in headings], dtype=np.float64).reshape(-1, 1)
     rotated = np.empty_like(offsets)
