@@ -430,13 +430,28 @@ def load_scene(path: str | Path) -> Scene:
 
 
 def load_scenes_dir(directory: str | Path) -> dict[str, Scene]:
-    """Load every *.json scene file in a directory, keyed by scene_id."""
+    """Load every *.json scene file in a directory, keyed by scene_id.
+
+    Errors name the file, as record errors do: `path:field: reason` for a
+    SchemaError and `path: message` for a DuplicateId; a scene_id repeated
+    across files names both files."""
     scenes: dict[str, Scene] = {}
+    files: dict[str, Path] = {}
     for path in sorted(Path(directory).glob("*.json")):
-        scene = load_scene(path)
+        try:
+            scene = load_scene(path)
+        except SchemaError as exc:
+            if exc.field == str(path):  # whole-file errors already name it
+                raise
+            raise SchemaError(f"{path}:{exc.field}", exc.reason) from exc
+        except DuplicateId as exc:
+            raise DuplicateId(f"{path}: {exc}") from exc
         if scene.scene_id in scenes:
-            raise DuplicateId(f"scene id {scene.scene_id!r} appears in multiple files")
+            raise DuplicateId(
+                f"{path}: scene id {scene.scene_id!r} already used in {files[scene.scene_id]}"
+            )
         scenes[scene.scene_id] = scene
+        files[scene.scene_id] = path
     return scenes
 
 

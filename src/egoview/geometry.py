@@ -18,17 +18,27 @@ Projection uses a fixed near plane at 0.01 m.  Box edges crossing the near
 plane are clipped at the plane so partially-behind boxes still yield a finite
 bounding rectangle.
 
-`project_boxes` is the one projector, and `project_box`, `project_point` and
-`iosa` are batch-of-one wrappers over it and `iosa_rects`.  It takes boxes as
-world corners (N, 8, 3), from `box_corners`, and cameras as columns: an
-object whose `rotations` (V, 3, 3), `translations` (V, 3) and `pinhole`
-(V, 4) rows of (fx, fy, cx, cy) hold one camera-to-world pose and pinhole
-each, plus `sizes` (V, 2) of (width, height) for `image_rects`;
-`solvability.Views` is that object for a scene.  It projects N boxes into V
-views a fixed block of views at a time, with no Python loop per box or view
-inside a block, and clips only the (view, box) pairs that straddle the near
-plane, as a masked intersection over the 12 cube edges.  All operations are
-pure functions of value inputs and are safe to call concurrently.
+`_project_pairs` is the one projection kernel.  It takes M (box, camera)
+pairs, each a box's world corners (8, 3), from `box_corners`, with one
+camera's rotation (3, 3), translation (3,) and pinhole row (fx, fy, cx, cy),
+and clips only the pairs that straddle the near plane, as a masked
+intersection over the 12 cube edges.  Cameras come as columns: an object
+whose `rotations` (V, 3, 3), `translations` (V, 3) and `pinhole` (V, 4) rows
+hold one camera each, plus `sizes` (V, 2) of (width, height);
+`solvability.Views` is that object for a scene.  Pairs reach the kernel a
+fixed chunk at a time, from two sources:
+
+  - `project_boxes` feeds it every (view, box) pair; `project_box`,
+    `project_point` and `iosa` are batch-of-one wrappers over it and
+    `iosa_rects`.
+  - `image_visibility` first drops the pairs whose box's bounding sphere
+    lies wholly outside one of the view's five frustum planes (near, left,
+    right, top, bottom) and feeds it the rest.  This changes no boolean as
+    long as the IoSA threshold is >= 0: such a box projects outside the
+    image (IoSA 0) or is wholly behind the near plane (not visible).
+
+All operations are pure functions of value inputs and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -45,9 +55,14 @@ NEAR_PLANE = 0.01
 
 _ORTHO_TOL = 1e-6
 
-# Views projected together: bounds the kernel's working memory (a block of
-# 8 views over 250 boxes needs about 1 MB of intermediates).
-_VIEW_BLOCK = 8
+# (view, box) pairs projected together: bounds the kernel's working memory
+# (512 pairs need about 0.3 MB of intermediates, less than a command's
+# scene loading peaks at, so projecting adds nothing to its peak memory).
+_PAIR_CHUNK = 512
+
+# Relative and absolute widening of a box's bounding sphere in the frustum
+# test, far above the rounding error of the test and of the projection.
+_SPHERE_SLACK = 1e-9
 
 # Cube corner i has sign bits (sx, sy, sz) = (i >> 2, (i >> 1) & 1, i & 1);
 # edges connect corners differing in exactly one bit.
@@ -81,6 +96,8 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
         if int(self.width) <= 0 or int(self.height) <= 0:
             raise ValueError("image dimensions must be positive")
+        if int(self.width) >= 2**63 or int(self.height) >= 2**63:
+            raise ValueError("image dimensions must be below 2**63")
 
 
 def pose_arrays(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
@@ -199,50 +216,55 @@ def image_rects(views) -> np.ndarray:
     return np.concatenate([np.zeros_like(sizes), sizes], axis=1)
 
 
-def _project_block(
-    points: np.ndarray, rotation: np.ndarray, translation: np.ndarray, pinhole: np.ndarray
+def _project_pairs(
+    corners: np.ndarray, rotations: np.ndarray, translations: np.ndarray, pinhole: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rects (B, N, 4) and visibility (B, N) of N boxes in a block of B views.
+    """Rects (M, 4) and visibility (M,) of M (box, camera) pairs: pair m is
+    the box with world corners corners[m] (8, 3) seen by the camera with
+    pose rotations[m], translations[m] and pinhole row pinhole[m].
 
-    points holds the box corners coordinate-major, shape (3, 8, N), so every
-    coordinate of every corner is a contiguous row.  Corners at or behind
-    the near plane project to NaN, which the fmin/fmax reductions skip.
+    Corners at or behind the near plane project to NaN, which the fmin/fmax
+    reductions skip.
     """
-    n_views, n_boxes = len(rotation), points.shape[2]
-    offset = (points[None] - translation[:, :, None, None]).reshape(n_views, 3, -1)
-    # p_cam = R^T (p - t)
-    x, y, z = (rotation.transpose(0, 2, 1) @ offset).reshape(n_views, 3, 8, n_boxes).swapaxes(0, 1)
-    fx, fy, cx, cy = pinhole.T[:, :, None, None]
+    # p_cam = R^T (p - t), then coordinate-major: (3, 8, M)
+    cam = rotations.transpose(0, 2, 1) @ (corners - translations[:, None, :]).transpose(0, 2, 1)
+    cam = np.ascontiguousarray(cam.transpose(1, 2, 0))
+    x, y, z = cam
+    fx, fy, cx, cy = pinhole.T
     front = z > NEAR_PLANE
     depth = np.where(front, z, np.nan)
-    uv = np.stack([cx + fx * x / depth, cy + fy * y / depth])
-    rects = np.concatenate([np.fmin.reduce(uv, axis=2), np.fmax.reduce(uv, axis=2)])
-    straddle = front.any(axis=1) & ~front.all(axis=1)
-    if straddle.any():
+    u = cx + fx * x / depth
+    v = cy + fy * y / depth
+    rects = np.stack([np.fmin.reduce(u), np.fmin.reduce(v), np.fmax.reduce(u), np.fmax.reduce(v)])
+    visible = front.any(axis=0)
+    straddle = np.flatnonzero(visible & ~front.all(axis=0))
+    if len(straddle):
         # Only straddling pairs are clipped: each crossing edge adds its
         # near-plane intersection; the other edges give NaN.
-        cam = np.stack([x, y, z], axis=3).swapaxes(1, 2)[straddle]
+        cam = cam[:, :, straddle]
         a, b = cam[:, _EDGE_FROM], cam[:, _EDGE_TO]
-        crosses = (a[..., 2] > NEAR_PLANE) != (b[..., 2] > NEAR_PLANE)
+        crosses = (a[2] > NEAR_PLANE) != (b[2] > NEAR_PLANE)
         f = np.divide(
-            NEAR_PLANE - a[..., 2], b[..., 2] - a[..., 2],
-            out=np.full(crosses.shape, np.nan), where=crosses,
+            NEAR_PLANE - a[2], b[2] - a[2], out=np.full(crosses.shape, np.nan), where=crosses
         )
-        hit = a[..., :2] + f[..., None] * (b[..., :2] - a[..., :2])
-        s_pinhole = pinhole[np.nonzero(straddle)[0], None, :]
-        hit_uv = s_pinhole[..., 2:] + s_pinhole[..., :2] * hit / NEAR_PLANE
-        rects[:2, straddle] = np.fmin(rects[:2, straddle], np.fmin.reduce(hit_uv, axis=1).T)
-        rects[2:, straddle] = np.fmax(rects[2:, straddle], np.fmax.reduce(hit_uv, axis=1).T)
-    return np.moveaxis(rects, 0, 2), front.any(axis=1)
+        hit = a[:2] + f * (b[:2] - a[:2])
+        s_pinhole = pinhole.T[:, None, straddle]
+        hit_uv = s_pinhole[2:] + s_pinhole[:2] * hit / NEAR_PLANE
+        rects[:, straddle] = np.concatenate([
+            np.fmin(rects[:2, straddle], np.fmin.reduce(hit_uv, axis=1)),
+            np.fmax(rects[2:, straddle], np.fmax.reduce(hit_uv, axis=1)),
+        ])
+    return rects.T, visible
 
 
-def _blocks(corners: np.ndarray, views):
-    """Yield (views slice, rects, visible) for consecutive blocks of views."""
-    points = np.ascontiguousarray(np.asarray(corners, dtype=np.float64).transpose(2, 1, 0))
-    for start in range(0, len(views.rotations), _VIEW_BLOCK):
-        block = slice(start, start + _VIEW_BLOCK)
-        yield block, *_project_block(
-            points, views.rotations[block], views.translations[block], views.pinhole[block]
+def _pair_chunks(corners: np.ndarray, views, pairs: np.ndarray):
+    """Yield (pair slice, view rows, rects, visible) for the (view, box)
+    pairs given as flat indices view * N + box, `_PAIR_CHUNK` at a time."""
+    for start in range(0, len(pairs), _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        view, box = np.divmod(pairs[chunk], len(corners))
+        yield chunk, view, *_project_pairs(
+            corners[box], views.rotations[view], views.translations[view], views.pinhole[view]
         )
 
 
@@ -253,11 +275,14 @@ def project_boxes(corners: np.ndarray, views) -> tuple[np.ndarray, np.ndarray]:
     the near plane and its crossing edges' near-plane intersections, and is
     not intersected with the image.  Boxes wholly behind are not visible and
     their rects are NaN."""
-    rects = np.empty((len(views.rotations), len(corners), 4))
-    visible = np.empty((len(views.rotations), len(corners)), dtype=bool)
-    for block, block_rects, block_visible in _blocks(corners, views):
-        rects[block], visible[block] = block_rects, block_visible
-    return rects, visible
+    corners = np.asarray(corners, dtype=np.float64)
+    n_views, n_boxes = len(views.rotations), len(corners)
+    rects = np.empty((n_views * n_boxes, 4))
+    visible = np.empty(n_views * n_boxes, dtype=bool)
+    pairs = np.arange(n_views * n_boxes)
+    for chunk, _, chunk_rects, chunk_visible in _pair_chunks(corners, views, pairs):
+        rects[chunk], visible[chunk] = chunk_rects, chunk_visible
+    return rects.reshape(n_views, n_boxes, 4), visible.reshape(n_views, n_boxes)
 
 
 def rect_area(rects: np.ndarray) -> np.ndarray:
@@ -275,6 +300,44 @@ def iosa_rects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, ratio)
 
 
+def _in_frustum(corners: np.ndarray, views) -> np.ndarray:
+    """Boolean (V, N) mask, False where box j's bounding sphere lies wholly
+    outside one of view i's five frustum planes: near, left, right, top or
+    bottom.  Built one plane at a time, so no (V, 5, N) array exists.
+
+    The sphere is centred on the mean of the corners, with the largest corner
+    distance as radius, widened by `_SPHERE_SLACK` relative to the radius
+    and to the largest coordinate of boxes and cameras, plus `_SPHERE_SLACK`
+    metres.
+    """
+    centres = corners.mean(axis=1)
+    radii = np.sqrt(((corners - centres[:, None, :]) ** 2).sum(axis=2).max(axis=1))
+    scale = max(np.abs(centres).max(), np.abs(views.translations).max())
+    radii += _SPHERE_SLACK * (radii + scale + 1.0)
+    # Camera axes in world coordinates; image u grows along right, v along down.
+    right, down, forward = np.moveaxis(views.rotations, 2, 0)
+    fx, fy, cx, cy = views.pinhole.T[:, :, None]
+    width, height = views.sizes.T[:, :, None].astype(np.float64)
+    # Inward plane normals, each with its offset along the normal: a camera
+    # point p with p_z > 0 projects inside [0, width] x [0, height] exactly
+    # when it lies on the inner side of the four side planes.
+    planes = (
+        (forward, NEAR_PLANE),
+        (fx * right + cx * forward, 0.0),
+        ((width - cx) * forward - fx * right, 0.0),
+        (fy * down + cy * forward, 0.0),
+        ((height - cy) * forward - fy * down, 0.0),
+    )
+    inside = np.ones((len(views.rotations), len(corners)), dtype=bool)
+    reach = np.empty(inside.shape)  # each sphere's farthest point along the normal
+    for normal, offset in planes:
+        normal = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+        np.matmul(normal, centres.T, out=reach)
+        reach += radii
+        inside &= reach > ((normal * views.translations).sum(axis=1) + offset)[:, None]
+    return inside
+
+
 def image_visibility(
     corners: np.ndarray, views, iosa_threshold: float, min_area_ratio: float = 0.0
 ) -> np.ndarray:
@@ -282,17 +345,31 @@ def image_visibility(
     image strictly above iosa_threshold and a projected area of at least
     min_area_ratio times the image area.
 
-    Views are projected a block at a time and only the booleans are kept.
+    Premise: iosa_threshold >= 0 (`WitnessConfig` keeps it in (0, 1)); a
+    negative one raises ValueError.  Only the pairs that pass the frustum
+    test (`_in_frustum`) are projected: a box whose bounding sphere lies
+    wholly outside a side plane projects outside the image, so its IoSA is
+    0 and fails `> iosa_threshold`, and one wholly behind the near plane is
+    not visible.  The other pairs are projected a chunk at a time and only
+    the booleans are kept.
     """
-    images = image_rects(views)[:, None, :]
-    out = np.empty((len(views.rotations), len(corners)), dtype=bool)
-    for block, rects, visible in _blocks(corners, views):
-        image = images[block]
-        out[block] = (
+    if not iosa_threshold >= 0.0:
+        raise ValueError("iosa_threshold must be >= 0")
+    corners = np.asarray(corners, dtype=np.float64)
+    out = np.zeros((len(views.rotations), len(corners)), dtype=bool)
+    if not out.size:
+        return out
+    pairs = np.flatnonzero(_in_frustum(corners, views))
+    keep = np.empty(len(pairs), dtype=bool)
+    images = image_rects(views)
+    for chunk, view, rects, visible in _pair_chunks(corners, views, pairs):
+        image = images[view]
+        keep[chunk] = (
             visible
             & (rect_area(rects) >= min_area_ratio * rect_area(image))
             & (iosa_rects(rects, image) > iosa_threshold)
         )
+    out.flat[pairs[keep]] = True
     return out
 
 

@@ -68,6 +68,62 @@ class TestSolvabilityCommand:
         )
         assert code == 2
 
+    def _run_on_scene_files(self, tmp_path, data_dir, files):
+        """Run solvability on a scenes directory holding `files` (name ->
+        scene dict); return (code, out)."""
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name, scene in files.items():
+            (scenes / name).write_text(json.dumps(scene), encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = run(
+            "solvability",
+            "--scenes", str(scenes),
+            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+            "--out", str(out),
+        )
+        return code, out
+
+    def test_scene_error_names_the_file(self, tmp_path, data_dir, capsys):
+        good = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        bad = json.loads((data_dir / "scenes" / "scene-b.json").read_text())
+        bad["views"][2]["intrinsics"]["fx"] = "500"
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"scene-a.json": good, "scene-b.json": bad}
+        )
+        assert code == 2
+        bad_path = tmp_path / "scenes" / "scene-b.json"
+        assert capsys.readouterr().err == (
+            f"error: {bad_path}:views[2].intrinsics.fx: must be a number, got '500'\n"
+        )
+        assert not out.exists()
+
+    def test_duplicate_entry_names_the_file(self, tmp_path, data_dir, capsys):
+        good = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        bad = json.loads((data_dir / "scenes" / "scene-b.json").read_text())
+        bad["views"].append(bad["views"][0])
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"scene-a.json": good, "scene-b.json": bad}
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'scenes' / 'scene-b.json'}: scene ")
+        assert f"views[{len(bad['views']) - 1}].view_id" in err
+        assert not out.exists()
+
+    def test_repeated_scene_id_names_both_files(self, tmp_path, data_dir, capsys):
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"one.json": scene, "two.json": scene}
+        )
+        assert code == 2
+        scenes = tmp_path / "scenes"
+        assert capsys.readouterr().err == (
+            f"error: {scenes / 'two.json'}: scene id {scene['scene_id']!r} "
+            f"already used in {scenes / 'one.json'}\n"
+        )
+        assert not out.exists()
+
     def _run_on_edited_scene(self, tmp_path, data_dir, keys, value):
         """Run solvability with one value of scene-a replaced; return (code, out)."""
         scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())

@@ -1,26 +1,33 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoview import geometry
 from egoview.errors import BehindCamera, NotVisible
 from egoview.geometry import (
+    _PAIR_CHUNK,
     NEAR_PLANE,
     CameraIntrinsics,
     CameraPose,
     OrientedBox3D,
     Rect2D,
     first_bad_pose,
+    image_rects,
+    image_visibility,
     iosa,
+    iosa_rects,
     project_box,
     project_boxes,
     project_point,
+    rect_area,
 )
-from egoview.solvability import Objects, Views
+from egoview.solvability import Objects, SceneObject, View, Views, witness_matrix
 
 from .oracles import clipped_box_rect_oracle, grid_count_iosa, random_grid_rect, scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene
@@ -157,10 +164,15 @@ class TestProjectBoxes:
     @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
     @pytest.mark.parametrize("seed", [47, 48])
     def test_equals_batch_of_one_and_scalar_loop_bit_for_bit(self, make_scene, seed):
-        # 20 views span several internal view blocks.
-        views, objects = make_scene(np.random.default_rng(seed), 20, 30)
+        # 20 views x 30 boxes = 600 pairs: more than one chunk, a pair count
+        # that is not a multiple of the chunk size, and a chunk edge (at
+        # pair 512) that splits one view's boxes.
+        n_views, n_boxes = 20, 30
+        assert n_views * n_boxes > _PAIR_CHUNK
+        assert n_views * n_boxes % _PAIR_CHUNK and _PAIR_CHUNK % n_boxes
+        views, objects = make_scene(np.random.default_rng(seed), n_views, n_boxes)
         rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
-        assert rects.shape == (20, 30, 4) and visible.shape == (20, 30)
+        assert rects.shape == (n_views, n_boxes, 4) and visible.shape == (n_views, n_boxes)
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
                 reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
@@ -173,6 +185,22 @@ class TestProjectBoxes:
                 single = project_box(obj.box, view.intrinsics, view.pose)
                 assert single == reference
                 assert tuple(rects[i, j]) == (single.x_min, single.y_min, single.x_max, single.y_max)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 12, 25])
+    def test_chunk_edges_bit_for_bit(self, monkeypatch, chunk):
+        # 5 views x 12 boxes = 60 pairs; chunks of 7 and 25 end inside a
+        # view's boxes and leave a short last chunk.
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        views, objects = random_posed_scene(np.random.default_rng(61), 5, 12)
+        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
+        for i, view in enumerate(views):
+            for j, obj in enumerate(objects):
+                reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
+                assert visible[i, j] == (reference is not None)
+                if reference is None:
+                    assert np.isnan(rects[i, j]).all()
+                else:
+                    assert tuple(rects[i, j]) == astuple(reference)
 
     def test_straddling_pairs_match_sampling_oracle(self):
         views, objects = random_posed_scene(np.random.default_rng(53), 8, 12)
@@ -200,6 +228,119 @@ class TestProjectBoxes:
         assert rects.shape == (3, 0, 4) and visible.shape == (3, 0)
         rects, visible = project_boxes(Objects.of(objects).corners, Views.of([]))
         assert rects.shape == (0, 2, 4) and visible.shape == (0, 2)
+
+
+_INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+# Each frustum plane of `_INTR` in the camera frame: inward normal (not unit)
+# and a point on the plane at 3 m depth (on the near plane for the first).
+_PLANES = {
+    "near": ((0.0, 0.0, 1.0), (0.0, 0.0, NEAR_PLANE)),
+    "left": ((500.0, 0.0, 320.0), (-320.0 * 3 / 500, 0.0, 3.0)),
+    "right": ((-500.0, 0.0, 320.0), (320.0 * 3 / 500, 0.0, 3.0)),
+    "top": ((0.0, 500.0, 240.0), (0.0, -240.0 * 3 / 500, 3.0)),
+    "bottom": ((0.0, -500.0, 240.0), (0.0, 240.0 * 3 / 500, 3.0)),
+}
+
+
+def _turning_to_world_x(normal: np.ndarray) -> np.ndarray:
+    """A camera-to-world rotation that maps the camera-frame unit `normal`
+    onto world +x, where a box of heading 0 has its first axis."""
+    side = np.cross(normal, (0.0, 1.0, 0.0) if abs(normal[1]) < 0.9 else (1.0, 0.0, 0.0))
+    side /= np.linalg.norm(side)
+    return np.stack([normal, side, np.cross(normal, side)])
+
+
+def plane_scene(shift: float) -> tuple[list[View], list[SceneObject]]:
+    """One view per frustum plane, turned so that the plane's normal is world
+    +x, and for each plane boxes placed across it, their inner face `depth`
+    metres inside the plane (from 1 mm outside to 1 mm inside): needles
+    0.2 m along the normal and 1e-9 m across, whose bounding sphere reaches
+    past them by far less than rounding error, and 0.3 m cubes.  All
+    coordinates are offset by `shift` metres.  A needle touching the near
+    plane is the case the sphere's slack exists for: rounding can put its
+    tip in front of the plane in the projection and behind it in the test."""
+    views, objects = [], []
+    for name, (normal, point) in _PLANES.items():
+        normal = np.array(normal) / np.linalg.norm(normal)
+        rotation = _turning_to_world_x(normal)
+        translation = np.full(3, shift)
+        views.append(View(f"{name}@{shift:g}", _INTR, CameraPose(rotation, translation)))
+        on_plane = rotation @ np.array(point) + translation
+        for depth in (-1e-3, -1e-6, -1e-9, -1e-12, -1e-16, 0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3):
+            for size in ((0.2, 1e-9, 1e-9), (0.3, 0.3, 0.3)):
+                center = on_plane + (depth - size[0] / 2) * np.array([1.0, 0.0, 0.0])
+                objects.append(SceneObject(len(objects), name, OrientedBox3D(center, size)))
+    return views, objects
+
+
+def dense_visibility(corners, views, tau: float, min_area_ratio: float) -> np.ndarray:
+    """`image_visibility` with every (view, box) pair projected: no frustum test."""
+    rects, visible = project_boxes(corners, views)
+    image = image_rects(views)[:, None, :]
+    return (
+        visible
+        & (rect_area(rects) >= min_area_ratio * rect_area(image))
+        & (iosa_rects(rects, image) > tau)
+    )
+
+
+class TestImageVisibility:
+    """The frustum test only skips pairs that the dense predicate rejects."""
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            *(pytest.param(seed, id=f"posed-{seed}") for seed in (71, 72, 73)),
+            *(pytest.param(shift, id=f"planes-{shift:g}") for shift in (0.0, 1.0, 1e5)),
+        ],
+    )
+    def test_equals_dense_reference(self, scene):
+        if isinstance(scene, int):
+            views, objects = random_posed_scene(np.random.default_rng(scene), 25, 40)
+        else:
+            views, objects = plane_scene(scene)
+        corners, views = Objects.of(objects).corners, Views.of(views)
+        culled = ~geometry._in_frustum(corners, views)
+        assert culled.any() and not culled.all()
+        for tau in (1e-9, 0.5, 0.99):
+            for min_area_ratio in (0.0, 0.005):
+                expected = dense_visibility(corners, views, tau, min_area_ratio)
+                got = image_visibility(corners, views, tau, min_area_ratio)
+                np.testing.assert_array_equal(got, expected, f"tau={tau} area={min_area_ratio}")
+        assert not expected[culled].any()
+
+    def test_negative_threshold_rejected(self):
+        views, objects = random_posed_scene(np.random.default_rng(3), 2, 2)
+        with pytest.raises(ValueError, match="iosa_threshold must be >= 0"):
+            image_visibility(Objects.of(objects).corners, Views.of(views), -0.1)
+
+    def test_witness_matrix_projects_only_pairs_in_frustum(self, monkeypatch):
+        # Cameras in a room of boxes see about a quarter of the (view, box)
+        # pairs' bounding spheres; only those reach the projector.
+        views, objects = random_posed_scene(np.random.default_rng(81), 30, 40)
+        project_pairs = geometry._project_pairs
+        projected = []
+
+        def counting_project_pairs(corners, *cameras):
+            projected.append(len(corners))
+            return project_pairs(corners, *cameras)
+
+        monkeypatch.setattr(geometry, "_project_pairs", counting_project_pairs)
+        matrix = witness_matrix(objects, views)
+        assert sum(projected) < len(views) * len(objects) / 2
+        monkeypatch.undo()
+        corners = Objects.of(objects).corners
+        np.testing.assert_array_equal(matrix, dense_visibility(corners, Views.of(views), 0.5, 0.005))
+
+    def test_plane_scene_covers_both_sides_of_every_plane(self):
+        views, objects = plane_scene(0.0)
+        corners, views = Objects.of(objects).corners, Views.of(views)
+        seen = dense_visibility(corners, views, 1e-9, 0.0)
+        culled = ~geometry._in_frustum(corners, views)
+        for i, plane in enumerate(_PLANES):
+            own = np.array([obj.label == plane for obj in objects])
+            assert seen[i, own].any() and culled[i, own].any(), plane
 
 
 class TestIosa:
@@ -295,6 +436,17 @@ class TestValidation:
     def test_principal_point_outside_rejected(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(500, 500, 700, 240, 640, 480)
+
+    @pytest.mark.parametrize(
+        "width,height", [(10**400, 480), (640, 10**400), (2**63, 480), (640, 2**63)]
+    )
+    def test_image_size_from_2_63_rejected(self, width, height):
+        with pytest.raises(ValueError, match=r"image dimensions must be below 2\*\*63"):
+            CameraIntrinsics(500, 500, 320, 240, width, height)
+
+    def test_image_size_below_2_63_accepted(self):
+        intr = CameraIntrinsics(500, 500, 320, 240, 2**63 - 1, 2**63 - 1)
+        assert Views.of([View("v", intr, CameraPose(np.eye(3), np.zeros(3)))]).sizes.max() == 2**63 - 1
 
     def test_unordered_rect_rejected(self):
         with pytest.raises(ValueError):
