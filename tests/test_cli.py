@@ -131,17 +131,7 @@ class TestSolvabilityCommand:
         for key in keys[:-1]:
             target = target[key]
         target[keys[-1]] = value
-        scenes = tmp_path / "scenes"
-        scenes.mkdir()
-        (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
-        out = tmp_path / "r.json"
-        code = run(
-            "solvability",
-            "--scenes", str(scenes),
-            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
-            "--out", str(out),
-        )
-        return code, out
+        return self._run_on_scene_files(tmp_path, data_dir, {"scene-a.json": scene})
 
     @pytest.mark.parametrize(
         "keys,value,field",

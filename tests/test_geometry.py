@@ -308,7 +308,6 @@ class TestImageVisibility:
                 expected = dense_visibility(corners, views, tau, min_area_ratio)
                 got = image_visibility(corners, views, tau, min_area_ratio)
                 np.testing.assert_array_equal(got, expected, f"tau={tau} area={min_area_ratio}")
-        assert not expected[culled].any()
 
     def test_negative_threshold_rejected(self):
         views, objects = random_posed_scene(np.random.default_rng(3), 2, 2)
