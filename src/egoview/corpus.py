@@ -26,6 +26,7 @@ from __future__ import annotations
 import errno
 import json
 import logging
+import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -182,7 +183,11 @@ def _list(value, path: str) -> list:
 
 
 def _integers(values, path: str) -> frozenset[int]:
-    return frozenset(_integer(value, f"{path}[{i}]") for i, value in enumerate(values))
+    """The JSON array `values` of integers as a set; a non-list or a
+    non-integer entry raises SchemaError naming its path."""
+    return frozenset(
+        _integer(value, f"{path}[{i}]") for i, value in enumerate(_list(values, path))
+    )
 
 
 def _number(value, path: str, depth: int = 0):
@@ -196,6 +201,21 @@ def _number(value, path: str, depth: int = 0):
     elif isinstance(value, list):
         for k, item in enumerate(value):
             _number(item, f"{path}[{k}]", depth - 1)
+    return value
+
+
+def _score(value, path: str) -> float | None:
+    """`value` if it is null or a finite JSON number; anything else (a
+    string, a bool, NaN, an integer too large for a float) raises
+    SchemaError naming `path`."""
+    if value is None:
+        return None
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise SchemaError(path, f"must be a finite number or null, got {value!r}")
     return value
 
 
@@ -660,17 +680,6 @@ def extend_dataset_triplets(
     return records
 
 
-def split_records(records: Sequence, scenes_by_id: Mapping[str, Scene]) -> dict[str, list]:
-    """Partition records into train/val/test by their scene's split."""
-    out: dict[str, list] = {split: [] for split in SPLITS}
-    for record in records:
-        scene = scenes_by_id.get(record.scene_id)
-        if scene is None:
-            raise UnknownScene(f"scene {record.scene_id!r} is not loaded")
-        out[scene.split].append(record)
-    return out
-
-
 def triplet_to_dict(record: TripletRecord) -> dict:
     """Serialize with fixed key order for byte-stable files."""
     return {
@@ -702,7 +711,9 @@ def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
             source=_text(_require(data, "source", where), f"{where}.source"),
             provenance=TripletProvenance(
                 config_hash=_text(prov.get("config_hash", ""), f"{where}.provenance.config_hash"),
-                retrieval_score=prov.get("retrieval_score"),
+                retrieval_score=_score(
+                    prov.get("retrieval_score"), f"{where}.provenance.retrieval_score"
+                ),
                 parent_instruction_id=_text(
                     prov.get("parent_instruction_id"),
                     f"{where}.provenance.parent_instruction_id",

@@ -30,11 +30,7 @@ class NoViews(EgoviewError):
 
 
 class NoneVisible(EgoviewError):
-    """The target object projects into no candidate view."""
-
-
-class TooManyViews(EgoviewError):
-    """More views supplied than the grid can hold."""
+    """The target object overlaps the image of no candidate view."""
 
 
 class SchemaError(EgoviewError):

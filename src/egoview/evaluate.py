@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._util import percent
-from .corpus import _integer, _iter_jsonl, _require, _text
+from .corpus import _claim_id, _integer, _iter_jsonl, _require, _text
 from .errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
 from .solvability import BUCKETS, RequirementHistogram, ViewRequirement, WitnessConfig
 
@@ -177,8 +177,10 @@ def read_predictions(path) -> list[Prediction]:
 
 
 def read_gold(path) -> list[GoldAnswer]:
-    """Read gold answers; composed-question files work directly as gold."""
+    """Read gold answers; composed-question files work directly as gold.  A
+    repeated question_id raises DuplicateId naming both lines."""
     records = []
+    seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
         min_views = data.get("min_views")
@@ -194,4 +196,5 @@ def read_gold(path) -> list[GoldAnswer]:
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(where, str(exc)) from exc
+        _claim_id(seen, records[-1].question_id, where)
     return records

@@ -1,10 +1,9 @@
 """Model-service clients: one wire protocol, remote and deterministic stub modes.
 
-Four capabilities sit behind a single request/response protocol so any
+Three capabilities sit behind a single request/response protocol so any
 captioner, retrieval scorer, or text generator can be adapted:
 
     POST <base>/v1/caption            {image_path|image_b64, num_captions} -> {captions: [...]}
-    POST <base>/v1/embed_text         {texts: [...]}                       -> {embeddings: [[...]]}
     POST <base>/v1/score_image_text   {image_path|image_b64, texts: [...]} -> {scores: [...]}
     POST <base>/v1/generate           {prompt, max_tokens, temperature}    -> {text: ...}
 
@@ -28,14 +27,11 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ._util import tokenize
 from .errors import EmptyInput, InvalidImageReference, ServiceUnavailable
 
 logger = logging.getLogger(__name__)
 
-STUB_EMBED_DIM = 64
 COMPOSE_MARKER = "[task:compose-qa]"
 
 # Transport retry schedule: sleeps between attempts, transport errors only.
@@ -78,7 +74,7 @@ def _join_labels(labels: Sequence[str]) -> str:
 
 
 class StubModelService:
-    """Deterministic in-process stand-in for all four model capabilities.
+    """Deterministic in-process stand-in for all three model capabilities.
 
     Image understanding comes from a sidecar mapping image reference to the
     labels of objects visible in that view (registered by the corpus builder
@@ -117,30 +113,6 @@ class StubModelService:
             else:
                 captions.append(f"a view containing {base} (variant {i})")
         return captions
-
-    def _token_vector(self, token: str) -> np.ndarray:
-        h = hashlib.blake2b(
-            f"{self.seed}|{token}".encode("utf-8"), digest_size=STUB_EMBED_DIM
-        )
-        raw = np.frombuffer(h.digest(), dtype=np.uint8).astype(np.float64)
-        return (raw - 127.5) / 127.5
-
-    def embed_text(self, texts: Sequence[str]) -> np.ndarray:
-        """Unit-norm vectors from the token multiset of each text (order-free)."""
-        if not texts:
-            raise EmptyInput("embed_text requires at least one text")
-        out = np.zeros((len(texts), STUB_EMBED_DIM))
-        for i, text in enumerate(texts):
-            tokens = sorted(tokenize(text)) or [""]
-            vec = np.zeros(STUB_EMBED_DIM)
-            for token in tokens:
-                vec += self._token_vector(token)
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                vec = self._token_vector("")
-                norm = np.linalg.norm(vec)
-            out[i] = vec / norm
-        return out
 
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
         """Jaccard overlap between text tokens and the view's label tokens."""
@@ -185,7 +157,7 @@ class StubModelService:
 
 
 class RemoteModelService:
-    """HTTP client for the four-route protocol.
+    """HTTP client for the three-route protocol.
 
     Transport failures (connection errors, timeouts) are retried twice with
     backoff, then raised as ServiceUnavailable.  Well-formed replies are
@@ -239,15 +211,6 @@ class RemoteModelService:
         if not isinstance(captions, list):
             raise ServiceUnavailable("caption reply missing 'captions' list")
         return [str(c) for c in captions]
-
-    def embed_text(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            raise EmptyInput("embed_text requires at least one text")
-        body = self._post("/v1/embed_text", {"texts": list(texts)})
-        embeddings = body.get("embeddings")
-        if not isinstance(embeddings, list) or len(embeddings) != len(texts):
-            raise ServiceUnavailable("embed reply shape does not match inputs")
-        return np.asarray(embeddings, dtype=np.float64)
 
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
         if not texts:

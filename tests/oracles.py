@@ -184,14 +184,3 @@ def brute_force_eligible_pairs(questions) -> set[tuple[str, str]]:
                 continue
             out.add((a.question_id, b.question_id))
     return out
-
-
-def brute_force_maximin_subset(views, k: int, distance) -> float:
-    """Best achievable minimum pairwise distance over all k-subsets."""
-    best = -math.inf
-    for combo in itertools.combinations(views, k):
-        worst = min(
-            distance(x, y) for x, y in itertools.combinations(combo, 2)
-        )
-        best = max(best, worst)
-    return best

@@ -470,6 +470,21 @@ class TestEvalCommand:
         assert f"{gold}:1.answer: must be a string, got None" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [gold, preds]
 
+    def test_duplicate_gold_id_names_both_lines(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"question_id": "g1", "answer": "a"}\n'
+            '{"question_id": "g2", "answer": "b"}\n'
+            '{"question_id": "g1", "answer": "c"}\n',
+            encoding="utf-8",
+        )
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text('{"question_id": "g1", "prediction": "a"}\n', encoding="utf-8")
+        code = run("eval", "--gold", str(gold), "--pred", str(preds), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"{gold}:3: id 'g1' already used at {gold}:1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [gold, preds]
+
     def test_duplicate_prediction_exits_3(self, tmp_path, data_dir):
         preds = tmp_path / "pred.jsonl"
         preds.write_text(

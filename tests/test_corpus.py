@@ -21,7 +21,6 @@ from egoview.corpus import (
     load_scenes_dir,
     read_instructions,
     read_triplets,
-    split_records,
     triplet_to_dict,
     write_jsonl,
 )
@@ -29,7 +28,7 @@ from egoview import corpus, geometry
 from egoview.errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
-from egoview.selection import image_ref
+from egoview.selection import image_refs
 from egoview.services import StubModelService
 from egoview.solvability import SceneObject, View
 from egoview.synthesis import read_questions
@@ -80,6 +79,11 @@ class TestLoadScene:
         assert len(scene_a.views) == 12
         assert scene_a.split == "train"
         assert scene_a.points_path == "points/scene-a.ply"
+
+    def test_split_is_read_from_the_scene_file(self, scenes):
+        assert {scene_id: scene.split for scene_id, scene in scenes.items()} == {
+            "scene-a": "train", "scene-b": "val"
+        }
 
     def test_missing_intrinsics_field(self, tmp_path):
         payload = scene_payload()
@@ -361,6 +365,33 @@ class TestStrictIntegers:
                 {"question_id": "q", "answer": "a", "min_views": 2.5},
                 "min_views",
             ),
+            *(
+                (
+                    read_instructions,
+                    {"instruction_id": "i", "scene_id": "s", "task": "qa", "text": "?",
+                     "answer": "a", "related_object_ids": ids},
+                    "related_object_ids",
+                )
+                for ids in (5, "12", {"a": 1})
+            ),
+            *(
+                (
+                    read_questions,
+                    {"question_id": "q", "scene_id": "s", "text": "?", "answer": "a",
+                     "related_object_ids": ids},
+                    "related_object_ids",
+                )
+                for ids in (5, "12", {"a": 1})
+            ),
+            *(
+                (
+                    read_triplets,
+                    {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": ids,
+                     "text": "x", "source": "extended_qa"},
+                    "object_ids",
+                )
+                for ids in (5, "12", {"a": 1})
+            ),
         ],
     )
     def test_record_fields(self, tmp_path, reader, record, field):
@@ -432,6 +463,17 @@ class TestStrictText:
                 "provenance",
                 "must be an object, got None",
             ),
+            *(
+                (
+                    read_triplets,
+                    {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                     "text": "x", "source": "extended_qa",
+                     "provenance": {"retrieval_score": score}},
+                    "provenance.retrieval_score",
+                    f"must be a finite number or null, got {score!r}",
+                )
+                for score in ("high", True, [1], math.nan, 10**400)
+            ),
         ],
     )
     def test_record_fields(self, tmp_path, reader, record, field, reason):
@@ -457,6 +499,14 @@ class TestStrictText:
             encoding="utf-8",
         )
         assert read_triplets(path)[0].provenance.parent_instruction_id is None
+        for score in (None, 0, 0.25):
+            path.write_text(
+                json.dumps({"triplet_id": "t", "scene_id": "s", "view_id": "v",
+                            "object_ids": [1], "text": "x", "source": "extended_qa",
+                            "provenance": {"retrieval_score": score}}) + "\n",
+                encoding="utf-8",
+            )
+            assert read_triplets(path)[0].provenance.retrieval_score == score
 
     @pytest.mark.parametrize(
         "keys,value,field",
@@ -662,9 +712,9 @@ class TestExtendBatching:
             for scene_id in ("scene-a", "scene-b")
         }
         assert stub.score_calls == [
-            (image_ref(view), texts[scene_id])
+            (ref, texts[scene_id])
             for scene_id in ("scene-a", "scene-b")
-            for view in scenes[scene_id].views
+            for ref in image_refs(scenes[scene_id].views)
         ]
         # scene-a's three distinct dc targets in one call; scene-b has none.
         assert projections == [(3, len(scenes["scene-a"].views))]
@@ -718,35 +768,6 @@ class TestExtendBatching:
         assert [(r.view_id, r.provenance.retrieval_score) for r in records] == [
             ("v1", 0.25), ("v1", 0.25), ("v1", 0.5)
         ]
-
-
-class TestSplitRecords:
-    def _record(self, scene_id, n):
-        return TripletRecord(
-            triplet_id=f"t{n}",
-            scene_id=scene_id,
-            view_id="v",
-            object_ids=frozenset({1}),
-            text="x",
-            source="generated_caption",
-            provenance=TripletProvenance(),
-        )
-
-    def test_partition_by_scene_split(self, scenes):
-        records = [self._record("scene-a", 1), self._record("scene-b", 2), self._record("scene-a", 3)]
-        parts = split_records(records, scenes)
-        assert [r.triplet_id for r in parts["train"]] == ["t1", "t3"]
-        assert [r.triplet_id for r in parts["val"]] == ["t2"]
-        assert parts["test"] == []
-
-    def test_disjoint_and_exhaustive(self, scenes):
-        records = [self._record("scene-a", i) for i in range(5)]
-        parts = split_records(records, scenes)
-        assert sum(len(v) for v in parts.values()) == len(records)
-
-    def test_unknown_scene(self, scenes):
-        with pytest.raises(UnknownScene):
-            split_records([self._record("nope", 1)], scenes)
 
 
 class TestTripletIO:

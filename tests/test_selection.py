@@ -1,21 +1,13 @@
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
-from egoview.errors import NoneVisible, NoViews, TooManyViews, UnknownObjectId
+from egoview.errors import NoneVisible, NoViews, UnknownObjectId
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
 from egoview.selection import (
-    DiversityConfig,
     alignment,
-    build_grid_manifest,
-    filter_captions,
-    image_ref,
-    pose_distance,
-    select_diverse_views,
+    image_refs,
     select_view_for_dc,
     select_view_for_qa,
     select_views_for_dc,
@@ -23,9 +15,9 @@ from egoview.selection import (
     visible_objects,
 )
 from egoview.services import StubModelService
-from egoview.solvability import SceneObject, View, WitnessConfig, WitnessTable, witnesses
+from egoview.solvability import SceneObject, View, Views, WitnessConfig, WitnessTable, witnesses
 
-from .oracles import brute_force_maximin_subset, scalar_box_rect
+from .oracles import scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene
 
 INTR = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -100,8 +92,9 @@ class TestVisibleObjects:
 class TestSelectViewForQA:
     def _stub_for(self, views_labels):
         stub = StubModelService()
-        for view, labels in views_labels:
-            stub.register_view_labels(image_ref(view), labels)
+        views = Views.of([view for view, _ in views_labels])
+        for ref, (_, labels) in zip(image_refs(views), views_labels):
+            stub.register_view_labels(ref, labels)
         return stub
 
     def test_single_view_wins_regardless(self):
@@ -155,7 +148,8 @@ class TestSelectViewForDC:
                 if rect is not None:
                     image = Rect2D(0.0, 0.0, view.intrinsics.width, view.intrinsics.height)
                     score = iosa(rect, image)
-                    ranked.append((-score, -rect.area, view.view_id))
+                    if score > 0.0:
+                        ranked.append((-score, -rect.area, view.view_id))
             if not ranked:
                 with pytest.raises(NoneVisible):
                     select_view_for_dc(obj.object_id, views, objects)
@@ -167,6 +161,14 @@ class TestSelectViewForDC:
         objects = [make_object(1, "desk", (0, 0, -5))]
         with pytest.raises(NoneVisible):
             select_view_for_dc(1, [make_view()], objects)
+
+    def test_in_front_but_outside_every_image_is_none_visible(self):
+        # In front of the camera, far off to the side: its rect misses the
+        # image, so the view's IoSA is 0 and it is no candidate.
+        objects = [make_object(1, "desk", (50, 0, 5)), make_object(2, "chair", (0, 0, 2.5))]
+        assert select_views_for_dc([1, 2], [make_view("v0")], objects) == [None, ("v0", 1.0)]
+        with pytest.raises(NoneVisible):
+            select_view_for_dc(1, [make_view("v0")], objects)
 
     def test_unknown_target(self, scene_a):
         with pytest.raises(UnknownObjectId):
@@ -189,8 +191,8 @@ class TestBatchSelectors:
         views = _with_twins(views)
         stub = StubModelService()
         table = WitnessTable.build(objects, views, alignment(0.5)).matrix
-        for view, row in zip(views, table):
-            stub.register_view_labels(image_ref(view), [o.label for o, s in zip(objects, row) if s])
+        for ref, row in zip(image_refs(Views.of(views)), table):
+            stub.register_view_labels(ref, [o.label for o, s in zip(objects, row) if s])
         texts = [
             "where is obj1",
             "obj2 and obj5 and obj7",
@@ -227,120 +229,11 @@ class TestBatchSelectors:
         assert select_views_for_dc([], scene_a.views, scene_a.objects) == []
 
 
-class TestFilterCaptions:
-    def test_threshold_and_order(self):
-        view = make_view("v")
-        stub = StubModelService()
-        stub.register_view_labels("v", ["sofa", "table"])
-        captions = ["a sofa next to a table", "an empty corridor", "the table"]
-        kept = filter_captions(view, captions, stub, threshold=0.3)
-        assert [c for c, _ in kept] == ["a sofa next to a table", "the table"]
-        scores = [s for _, s in kept]
-        # token sets: {a,sofa,next,to,table} and {the,table} vs {sofa,table}
-        assert scores[0] == pytest.approx(2 / 5)
-        assert scores[1] == pytest.approx(1 / 3)
-
-    def test_semantic_fixture_ordering(self):
-        view = make_view("v")
-        stub = StubModelService()
-        stub.register_view_labels("v", ["sofa", "table"])
-        scores = stub.score_image_text("v", ["a sofa next to a table", "an empty corridor"]).scores
-        assert scores[0] > scores[1]
-
-    def test_empty_caption_list(self):
-        assert filter_captions(make_view(), [], StubModelService(), 0.5) == []
-
-    def test_keeps_all_at_zero_threshold(self):
-        view = make_view("v")
-        stub = StubModelService()
-        stub.register_view_labels("v", ["desk"])
-        captions = ["x", "y"]
-        assert len(filter_captions(view, captions, stub, threshold=0.0)) == 2
-
-
-class TestSelectDiverseViews:
-    def _line_views(self, n=10):
-        return [make_view(f"p{i}", (float(i), 0, 0)) for i in range(n)]
-
-    def test_farthest_point_on_a_line(self):
-        result = select_diverse_views(self._line_views(), DiversityConfig(k=4))
-        assert result.view_ids[:3] == ("p0", "p9", "p4")
-        assert result.short_selection is False
-        # Greedy dispersion is a 2-approximation of the brute-force maximin.
-        chosen = [v for v in self._line_views() if v.view_id in result.view_ids]
-        greedy_maximin = min(
-            pose_distance(a, b) for a, b in itertools.combinations(chosen, 2)
-        )
-        best = brute_force_maximin_subset(self._line_views(), 4, pose_distance)
-        assert greedy_maximin >= best / 2
-
-    def test_identical_poses_collapse_to_one(self):
-        views = [make_view(f"p{i}", (0, 0, 0)) for i in range(5)]
-        result = select_diverse_views(views, DiversityConfig(k=4))
-        assert result.view_ids == ("p0",)
-        assert result.short_selection is True
-
-    def test_k_equals_one_returns_seed(self):
-        result = select_diverse_views(self._line_views(), DiversityConfig(k=1))
-        assert result.view_ids == ("p0",)
-
-    def test_pairwise_separation_invariant(self):
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            views = [
-                make_view(f"p{i}", tuple(rng.uniform(-2, 2, size=3))) for i in range(8)
-            ]
-            cfg = DiversityConfig(k=4, min_separation=1.0)
-            result = select_diverse_views(views, cfg)
-            chosen = [v for v in views if v.view_id in result.view_ids]
-            for a, b in itertools.combinations(chosen, 2):
-                assert pose_distance(a, b) >= cfg.min_separation
-
-    def test_rotation_contributes_to_distance(self):
-        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        a = make_view("a")
-        b = View("b", INTR, CameraPose(quarter, np.zeros(3)))
-        assert pose_distance(a, b) == pytest.approx(math.pi / 2)
-        assert pose_distance(a, b, lambda_rot=2.0) == pytest.approx(math.pi)
-
-    def test_no_views(self):
-        with pytest.raises(NoViews):
-            select_diverse_views([], DiversityConfig())
-
-
-class TestGridManifest:
-    def test_four_views_row_major(self):
-        views = [make_view(x, image_path=f"frames/{x}.jpg") for x in "abcd"]
-        manifest = build_grid_manifest(views)
-        assert manifest.view_ids == ("a", "b", "c", "d")
-        assert (manifest.rows, manifest.cols) == (2, 2)
-        assert manifest.cells[0][0].view_id == "a"
-        assert manifest.cells[0][1].view_id == "b"
-        assert manifest.cells[1][0].view_id == "c"
-        assert manifest.cells[1][1].image_path == "frames/d.jpg"
-
-    def test_two_views_leave_empty_cells(self):
-        manifest = build_grid_manifest([make_view("a"), make_view("b")])
-        assert manifest.cells[0][0].view_id == "a"
-        assert manifest.cells[0][1].view_id == "b"
-        assert manifest.cells[1] == (None, None)
-
-    def test_too_many_views(self):
-        with pytest.raises(TooManyViews):
-            build_grid_manifest([make_view(str(i)) for i in range(5)])
-
-    def test_empty(self):
-        with pytest.raises(NoViews):
-            build_grid_manifest([])
-
-    def test_duplicate_views_rejected(self):
-        with pytest.raises(ValueError):
-            build_grid_manifest([make_view("a"), make_view("a")])
-
-
 class TestImageRef:
     def test_prefers_image_path(self):
-        assert image_ref(make_view("v", image_path="frames/v.jpg")) == "frames/v.jpg"
+        views = Views.of([make_view("v", image_path="frames/v.jpg")])
+        assert image_refs(views) == ["frames/v.jpg"]
 
     def test_falls_back_to_view_id(self):
-        assert image_ref(make_view("v")) == "v"
+        views = Views.of([make_view("v"), make_view("w", image_path="frames/w.jpg")])
+        assert image_refs(views) == ["v", "frames/w.jpg"]

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import inspect
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
-import numpy as np
 import pytest
 import requests
 
+from egoview import services
 from egoview.errors import EmptyInput, InvalidImageReference, ServiceUnavailable
 from egoview.services import (
     RemoteModelService,
@@ -41,34 +44,6 @@ class TestStubCaptions:
         assert stub.caption_image("blank", 1) == ["a view containing no distinct objects"]
 
 
-class TestStubEmbeddings:
-    def test_identical_texts_identical_vectors(self):
-        stub = StubModelService(seed=1)
-        vecs = stub.embed_text(["a red chair", "a red chair"])
-        assert np.array_equal(vecs[0], vecs[1])
-        assert float(vecs[0] @ vecs[1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_token_multiset_is_order_free(self):
-        stub = StubModelService(seed=1)
-        vecs = stub.embed_text(["red chair", "chair red"])
-        assert np.array_equal(vecs[0], vecs[1])
-
-    def test_unit_norm(self):
-        stub = StubModelService(seed=2)
-        vecs = stub.embed_text(["desk", "a very long caption about many objects", ""])
-        norms = np.linalg.norm(vecs, axis=1)
-        assert np.all(np.abs(norms - 1.0) <= 1e-9)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(EmptyInput):
-            StubModelService().embed_text([])
-
-    def test_seed_changes_vectors(self):
-        a = StubModelService(seed=1).embed_text(["desk"])
-        b = StubModelService(seed=2).embed_text(["desk"])
-        assert not np.array_equal(a, b)
-
-
 class TestStubScores:
     def test_exact_label_match(self):
         stub = StubModelService()
@@ -99,6 +74,20 @@ class TestStubScores:
         batch = stub.score_image_text("v", texts).scores
         assert batch == tuple(stub.score_image_text("v", [t]).scores[0] for t in texts)
         assert stub.score_image_text("v", texts[::-1]).scores == batch[::-1]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(EmptyInput):
+            StubModelService().score_image_text("r", [])
+
+    def test_semantic_fixture_ordering(self):
+        stub = StubModelService()
+        stub.register_view_labels("v", ["sofa", "table"])
+        texts = ["a sofa next to a table", "an empty corridor", "the table"]
+        scores = stub.score_image_text("v", texts).scores
+        # token sets: {a,sofa,next,to,table}, {an,empty,corridor} and
+        # {the,table} against the labels' {sofa,table}
+        assert scores == pytest.approx((2 / 5, 0.0, 1 / 3))
+        assert scores[0] > scores[1]
 
     def test_scores_in_unit_interval(self):
         stub = StubModelService()
@@ -156,8 +145,6 @@ class _Handler(BaseHTTPRequestHandler):
         route = self.path
         if route == "/v1/caption":
             body = {"captions": [f"caption {i}" for i in range(payload["num_captions"])]}
-        elif route == "/v1/embed_text":
-            body = {"embeddings": [[1.0, 0.0] for _ in payload["texts"]]}
         elif route == "/v1/score_image_text":
             body = {"scores": [2.5 for _ in payload["texts"]]}  # out of range on purpose
         elif route == "/v1/generate":
@@ -192,11 +179,6 @@ class TestRemoteService:
     def test_caption_round_trip(self, model_server):
         client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
         assert client.caption_image("img.jpg", 2) == ["caption 0", "caption 1"]
-
-    def test_embed_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
-        vecs = client.embed_text(["a", "b"])
-        assert vecs.shape == (2, 2)
 
     def test_scores_clamped_to_unit_interval(self, model_server):
         client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
@@ -248,3 +230,13 @@ class TestConfigAndFactory:
 
     def test_score_result_shape(self):
         assert ScoreResult(scores=(0.5,)).scores == (0.5,)
+
+
+class TestRouteDrift:
+    def test_readme_docstring_and_client_name_the_same_routes(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = re.findall(r"^POST <base>(/v1/\w+) ", readme, re.MULTILINE)
+        in_docstring = re.findall(r"^ *POST <base>(/v1/\w+) ", services.__doc__, re.MULTILINE)
+        posted = re.findall(r'"(/v1/\w+)"', inspect.getsource(RemoteModelService))
+        assert documented and len(set(documented)) == len(documented)
+        assert sorted(documented) == sorted(in_docstring) == sorted(posted)
