@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egoview.corpus import CaptionBuildConfig, build_caption_triplets
 from egoview.errors import NoneVisible, NoViews, UnknownObjectId
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
 from egoview.selection import (
@@ -227,6 +228,59 @@ class TestBatchSelectors:
         with pytest.raises(UnknownObjectId, match="unknown target object id 98"):
             select_views_for_dc([7, 98, 99], scene_a.views, scene_a.objects)
         assert select_views_for_dc([], scene_a.views, scene_a.objects) == []
+
+
+class _FixedCaptions:
+    """Caption client that returns the same captions for every view."""
+
+    def __init__(self, captions):
+        self._captions = list(captions)
+
+    def caption_image(self, image_ref, n):
+        return self._captions[:n]
+
+
+class _FixedLabels:
+    """Stub scorer that scores every view against one fixed label set."""
+
+    def __init__(self, labels):
+        self._stub = StubModelService()
+        self._labels = list(labels)
+
+    def score_image_text(self, image_ref, texts):
+        self._stub.register_view_labels(image_ref, self._labels)
+        return self._stub.score_image_text(image_ref, texts)
+
+
+class TestFilterCaptions:
+    """The caption keep rule `build_caption_triplets` applies per view."""
+
+    CAPTIONS = ["a sofa next to a table", "an empty corridor", "the table"]
+
+    def test_threshold_and_order(self, scene_a):
+        cfg = CaptionBuildConfig(stride=len(scene_a.views), num_captions=3, threshold=0.3)
+        records = build_caption_triplets(
+            scene_a, _FixedCaptions(self.CAPTIONS), _FixedLabels(["sofa", "table"]), cfg
+        )
+        assert [r.text for r in records] == ["a sofa next to a table", "the table"]
+        view_id = scene_a.views.ids[0]
+        assert [r.triplet_id for r in records] == [
+            f"cap:{scene_a.scene_id}:{view_id}:0",
+            f"cap:{scene_a.scene_id}:{view_id}:2",
+        ]
+        scores = [r.provenance.retrieval_score for r in records]
+        # token sets: {a,sofa,next,to,table} and {the,table} vs {sofa,table}
+        assert scores[0] == pytest.approx(2 / 5)
+        assert scores[1] == pytest.approx(1 / 3)
+
+    def test_semantic_fixture_ordering(self):
+        stub = StubModelService()
+        stub.register_view_labels("v", ["sofa", "table"])
+        scores = stub.score_image_text("v", self.CAPTIONS).scores
+        # token sets: {a,sofa,next,to,table}, {an,empty,corridor} and
+        # {the,table} against the labels' {sofa,table}
+        assert scores == pytest.approx((2 / 5, 0.0, 1 / 3))
+        assert scores[0] > scores[1]
 
 
 class TestImageRef:
