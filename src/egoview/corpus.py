@@ -776,7 +776,12 @@ def write_jsonl(
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:
-    return [
-        triplet_from_dict(data, where=f"{path}:{lineno}")
-        for lineno, data in _iter_jsonl(path)
-    ]
+    """Read triplet records from a JSONL file (provenance lines skipped); a
+    repeated triplet_id raises DuplicateId naming both lines."""
+    records = []
+    seen: dict[str, str] = {}
+    for lineno, data in _iter_jsonl(path):
+        where = f"{path}:{lineno}"
+        records.append(triplet_from_dict(data, where=where))
+        _claim_id(seen, records[-1].triplet_id, where)
+    return records

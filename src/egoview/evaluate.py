@@ -176,6 +176,15 @@ def read_predictions(path) -> list[Prediction]:
     return records
 
 
+def _min_views(value, path: str) -> int | None:
+    """`value` if it is null (unbucketed) or an integer of at least 1; other
+    values raise SchemaError naming `path`, since a count below 1 falls in
+    no bucket."""
+    if value is None or _integer(value, path) >= 1:
+        return value
+    raise SchemaError(path, f"must be at least 1, got {value!r}")
+
+
 def read_gold(path) -> list[GoldAnswer]:
     """Read gold answers; composed-question files work directly as gold.  A
     repeated question_id raises DuplicateId naming both lines."""
@@ -183,15 +192,12 @@ def read_gold(path) -> list[GoldAnswer]:
     seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
-        min_views = data.get("min_views")
         try:
             records.append(
                 GoldAnswer(
                     question_id=_text(_require(data, "question_id", where), f"{where}.question_id"),
                     answer=_text(_require(data, "answer", where), f"{where}.answer"),
-                    min_views=(
-                        None if min_views is None else _integer(min_views, f"{where}.min_views")
-                    ),
+                    min_views=_min_views(data.get("min_views"), f"{where}.min_views"),
                 )
             )
         except (TypeError, ValueError) as exc:

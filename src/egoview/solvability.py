@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -373,16 +374,32 @@ class WitnessTable:
             return cls(views, objects, witness_matrix(objects, views, cfg))
         return cls(views, objects, np.zeros((len(views), len(objects)), bool))
 
+    @cached_property
+    def _columns_of(self) -> dict[int, list[int]]:
+        """The matrix columns of each object id; a repeated id has several."""
+        columns_of: dict[int, list[int]] = {}
+        for j, oid in enumerate(self.objects.ids):
+            columns_of.setdefault(oid, []).append(j)
+        return columns_of
+
     def min_view_count(self, relevant_object_ids: Iterable[int]) -> ViewRequirement:
-        """Smallest number of the views that jointly witness all relevant objects."""
-        ids = _check_known(relevant_object_ids, self.objects.ids)
-        columns = [j for j, oid in enumerate(self.objects.ids) if oid in ids]
+        """Smallest number of the views that jointly witness all relevant objects.
+
+        min_cover gets one set per distinct non-empty witness row, named by
+        the smallest id of the views that share it.  Its dominance pruning
+        drops empty sets and keeps only that id among equal sets, so this
+        answers as one set per view would."""
+        ids = _check_known(relevant_object_ids, self._columns_of)
+        columns = [j for oid in ids for j in self._columns_of[oid]]
         column_ids = [self.objects.ids[j] for j in columns]
-        sets_by_id = [
-            (view_id, frozenset(compress(column_ids, row)))
-            for view_id, row in zip(self.views.ids, self.matrix[:, columns].tolist())
-        ]
-        return min_cover(sets_by_id, ids)
+        witness = self.matrix[:, columns]
+        rows = np.flatnonzero(witness.any(axis=1))
+        named: dict[frozenset, str] = {}
+        for i, row in zip(rows.tolist(), witness[rows].tolist()):
+            members, view_id = frozenset(compress(column_ids, row)), self.views.ids[i]
+            if members not in named or view_id < named[members]:
+                named[members] = view_id
+        return min_cover([(view_id, members) for members, view_id in named.items()], ids)
 
 
 def min_view_count(

@@ -237,13 +237,16 @@ def synthesize_dataset(
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
     tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
+    labels: dict[str, dict[int, str]] = {}  # likewise
 
     records: list[ComposedQA] = []
     for pair in pairs:
         scene = scenes_by_id.get(pair.first.scene_id)
         if scene is None:
             raise UnknownScene(f"scene {pair.first.scene_id!r} is not loaded")
-        label_of = dict(zip(scene.objects.ids, scene.objects.labels))
+        if pair.first.scene_id not in labels:
+            labels[pair.first.scene_id] = dict(zip(scene.objects.ids, scene.objects.labels))
+        label_of = labels[pair.first.scene_id]
         anchor_labels = sorted(
             {label_of[oid] for oid in pair.shared_anchor_ids if oid in label_of}
         )

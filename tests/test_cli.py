@@ -485,6 +485,20 @@ class TestEvalCommand:
         assert f"{gold}:3: id 'g1' already used at {gold}:1" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [gold, preds]
 
+    def test_min_views_below_one_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"question_id": "g1", "answer": "a", "min_views": -2}\n'
+            '{"question_id": "g2", "answer": "b", "min_views": 0}\n',
+            encoding="utf-8",
+        )
+        preds = tmp_path / "pred.jsonl"
+        preds.write_text('{"question_id": "g1", "prediction": "a"}\n', encoding="utf-8")
+        code = run("eval", "--gold", str(gold), "--pred", str(preds), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"{gold}:1.min_views: must be at least 1, got -2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [gold, preds]
+
     def test_duplicate_prediction_exits_3(self, tmp_path, data_dir):
         preds = tmp_path / "pred.jsonl"
         preds.write_text(

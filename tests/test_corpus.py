@@ -798,6 +798,25 @@ class TestTripletIO:
         assert len(loaded) == 1
         assert loaded[0].object_ids == {1, 2}
 
+    def test_repeated_triplet_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [
+            TripletRecord(
+                triplet_id=triplet_id,
+                scene_id="s",
+                view_id=view_id,
+                object_ids=frozenset({1}),
+                text="x",
+                source="extended_qa",
+                provenance=TripletProvenance(config_hash="h"),
+            )
+            for triplet_id, view_id in [("t", "v1"), ("u", "v1"), ("t", "v2")]
+        ]
+        write_jsonl(path, [triplet_to_dict(r) for r in records], provenance={"seed": 7})
+        with pytest.raises(DuplicateId) as excinfo:
+            read_triplets(path)
+        assert str(excinfo.value) == f"{path}:4: id 't' already used at {path}:2"
+
     def test_triplets_reference_only_scene_views_and_objects(self, scenes, golden_dir):
         for name in ("triplets_captions.jsonl", "triplets_extend.jsonl"):
             for record in read_triplets(golden_dir / name):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview.errors import DuplicateId, DuplicatePrediction, MissingGold
+from egoview.errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
 from egoview.evaluate import (
     GoldAnswer,
     Prediction,
@@ -193,3 +193,25 @@ class TestEvalIO:
         gold = read_gold(path)
         assert gold[0].bucket == "2"
         assert gold[0].answer == "waste basket"
+
+    @pytest.mark.parametrize("min_views", [0, -2])
+    def test_min_views_below_one_rejected(self, tmp_path, min_views):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(
+            '{"question_id": "g1", "answer": "a", "min_views": 1}\n'
+            f'{{"question_id": "g2", "answer": "b", "min_views": {min_views}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError) as excinfo:
+            read_gold(path)
+        assert excinfo.value.field == f"{path}:2.min_views"
+        assert excinfo.value.reason == f"must be at least 1, got {min_views}"
+
+    def test_null_min_views_is_unbucketed(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(
+            '{"question_id": "g1", "answer": "a", "min_views": null}\n'
+            '{"question_id": "g2", "answer": "b"}\n',
+            encoding="utf-8",
+        )
+        assert [g.bucket for g in read_gold(path)] == ["unbucketed", "unbucketed"]

@@ -6,15 +6,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from egoview import solvability
 from egoview.errors import EmptyInput, UnknownObjectId, UnknownScene
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.solvability import (
+    EXACT_SEARCH_LIMIT,
     Objects,
     SceneObject,
     View,
     Views,
     ViewRequirement,
     WitnessConfig,
+    WitnessTable,
     greedy_cover,
     is_solvable,
     min_cover,
@@ -320,6 +323,114 @@ class TestMinViewCount:
             req = min_view_count(ids, views, objects)
             single = any(is_solvable(ids, [v], objects) for v in views)
             assert (req.n == 1) == single
+
+
+def one_set_per_view(table: WitnessTable, ids) -> list[tuple[str, frozenset]]:
+    """Every view's witness set over `ids`, one per view in table order; the
+    columns of a repeated object id are OR-ed under that id."""
+    return [
+        (view_id, frozenset(oid for oid, hit in zip(table.objects.ids, row) if hit and oid in ids))
+        for view_id, row in zip(table.views.ids, table.matrix.tolist())
+    ]
+
+
+def hand_table(rows: list[tuple[str, set[int]]], object_ids: list[int]) -> WitnessTable:
+    """A table over the given view and object ids whose matrix is `rows`, one
+    (view id, witnessed object ids) pair per view; the geometry is unused."""
+    views, objects = random_posed_scene(np.random.default_rng(0), len(rows), len(object_ids))
+    return WitnessTable(
+        Views.of([View(view_id, v.intrinsics, v.pose) for (view_id, _), v in zip(rows, views)]),
+        Objects.of([SceneObject(oid, o.label, o.box) for oid, o in zip(object_ids, objects)]),
+        np.array([[oid in hits for oid in object_ids] for _, hits in rows], dtype=bool),
+    )
+
+
+class TestDistinctWitnessRows:
+    """WitnessTable.min_view_count hands min_cover one set per distinct
+    non-empty witness row; it must answer as one set per view does."""
+
+    @pytest.fixture
+    def min_cover_calls(self, monkeypatch):
+        """Every argument list min_cover gets, after checking that it holds
+        no empty set and no two equal sets."""
+        calls = []
+
+        def spy(sets_by_id, universe):
+            sets = [members for _, members in sets_by_id]
+            assert all(sets) and len(set(sets)) == len(sets), sets_by_id
+            calls.append(list(sets_by_id))
+            return min_cover(sets_by_id, universe)
+
+        monkeypatch.setattr(solvability, "min_cover", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_matches_one_set_per_view_on_posed_scenes(self, seed, min_cover_calls):
+        rng = np.random.default_rng(seed)
+        views, objects = random_posed_scene(rng, 16, 20)
+        # Unpadded ids in shuffled order: table order is not id order ("v10" < "v2").
+        order = rng.permutation(len(views))
+        views = [View(f"v{k}", views[k].intrinsics, views[k].pose) for k in order]
+        table = WitnessTable.build(objects, views, WitnessConfig())
+        id_sets = [random_relevant_ids(rng, len(objects)) for _ in range(40)]
+        solved = 0
+        for ids in id_sets:
+            reference = one_set_per_view(table, ids)
+            req = table.min_view_count(ids)
+            assert req == min_cover(reference, ids), ids
+            if req.solver == "exact":
+                distinct = list({members for _, members in reference if members})
+                assert req.n == brute_force_min_cover(distinct, ids), ids
+            solved += req.n is not None
+        assert len(min_cover_calls) == len(id_sets)
+        assert 0 < solved < len(id_sets)  # both outcomes occur
+
+    def test_equal_rows_are_named_by_smallest_view_id(self, min_cover_calls):
+        table = hand_table(
+            [("v9", {1, 2}), ("v2", {1, 2, 5}), ("v10", {1, 2}), ("v3", set()), ("v1", {3})],
+            [1, 2, 3, 5],
+        )
+        assert table.min_view_count({1, 2, 3}) == ViewRequirement(2, "exact")
+        assert sorted(min_cover_calls[0]) == [("v1", {3}), ("v10", {1, 2})]
+
+    def test_greedy_tie_break_sees_the_smallest_id(self, min_cover_calls):
+        # {1, 2} (views v5 and v1), {2, 3} (v3) and {3, 4} (v4) tie at gain 2
+        # with 30 chain links {i, i + 1}, so 33 sets survive pruning and greedy
+        # decides.  Taking {1, 2} first costs 2 + 16 sets; were it named v5,
+        # v3 would come first and cost 3 + 16.
+        chain = [(f"z{i:02d}", {100 + i, 101 + i}) for i in range(30)]
+        rows = [("v5", {1, 2}), ("v3", {2, 3}), ("v1", {1, 2}), ("v4", {3, 4}), *chain]
+        object_ids = [1, 2, 3, 4, *range(100, 131)]
+        table = hand_table(rows, object_ids)
+        ids = frozenset(object_ids)
+        assert len(rows) - 1 > EXACT_SEARCH_LIMIT
+        req = table.min_view_count(ids)
+        assert req == min_cover(one_set_per_view(table, ids), ids) == ViewRequirement(18, "greedy")
+        misnamed = [(view_id, frozenset(m)) for view_id, m in rows if view_id != "v1"]
+        assert min_cover(misnamed, ids) == ViewRequirement(19, "greedy")
+
+    def test_unsolvable_set_still_reaches_min_cover(self, min_cover_calls):
+        table = hand_table([("v1", {1}), ("v2", {1}), ("v3", set())], [1, 2])
+        assert table.min_view_count({1, 2}) == ViewRequirement(None, "exact")
+        assert table.min_view_count({2}) == ViewRequirement(None, "exact")
+        assert min_cover_calls == [[("v1", {1})], []]
+
+    def test_repeated_object_id_ors_its_columns(self, min_cover_calls):
+        # Object id 7 names two columns; v00 and v01 each see one of them, so
+        # both witness 7 and their rows collapse to one set.
+        views, objects = random_posed_scene(np.random.default_rng(74), 3, 3)
+        boxes = [o.box for o in objects]
+        records = [SceneObject(7, "a", boxes[0]), SceneObject(8, "b", boxes[1]),
+                   SceneObject(7, "c", boxes[2])]
+        matrix = np.array([[True, False, False], [False, False, True], [False, True, False]])
+        table = WitnessTable(Views.of(views), Objects.of(records), matrix)
+        for ids in (frozenset({7}), frozenset({7, 8}), frozenset({8})):
+            assert table.min_view_count(ids) == min_cover(one_set_per_view(table, ids), ids)
+        assert min_cover_calls[0] == [("v00", {7})]
+        built = WitnessTable.build(records, views, WitnessConfig())
+        assert built.min_view_count({7, 8}) == min_cover(
+            one_set_per_view(built, {7, 8}), frozenset({7, 8})
+        )
 
 
 class TestViewRequirementBuckets:
