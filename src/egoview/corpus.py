@@ -12,25 +12,34 @@ Scene files are JSON, one scene per file:
 `load_scene` decodes a scene straight into two tables: `Objects` (ids,
 labels, box parameters and world corners (N, 8, 3)) and `Views` (ids, image
 paths, rotations (V, 3, 3), translations (V, 3), pinhole rows (V, 4) and
-image sizes (V, 2)).  Every check runs over whole columns; the first entry
-that fails one is parsed again as a record to name its first bad field.
-Float fields take JSON numbers only, integer fields JSON integers only.
+image sizes (V, 2)).  Each entry becomes one flat numeric row, gathered at C
+level: 7 floats per object, 16 floats and 2 integers per view, one float64
+array and one int64 array per table from a single `np.array` call each,
+sliced into the columns.  Every check runs over whole columns; the first
+entry that fails one is parsed again as a record to name its first bad
+field.  Float fields take JSON numbers only, integer fields JSON integers
+only.  The cyclic GC is paused for one `load_scene`: the decoded tree has
+many fresh containers and no cycles.
 
-Record files (instructions, triplets, predictions, composed questions) are
-line-delimited JSON, UTF-8, with keys in a fixed order so identical inputs
-produce byte-identical outputs.
+Scene and record files must be UTF-8, and no text field may hold a lone
+surrogate; either is a SchemaError naming the file, line or field.  Record
+files (instructions, triplets, predictions, composed questions) are
+line-delimited JSON with keys in a fixed order so identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import logging
 import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -168,11 +177,26 @@ def _integer(value, path: str) -> int:
 
 
 def _text(value, path: str, optional: bool = False) -> str | None:
-    """`value` if it is a JSON string, or null when `optional`; other types
-    raise SchemaError naming `path`."""
-    if isinstance(value, str) or (optional and value is None):
+    """`value` if it is a JSON string without a lone surrogate (which no
+    output could encode), or null when `optional`; anything else raises
+    SchemaError naming `path`."""
+    if isinstance(value, str):
+        if not (value.isascii() or _encodable(value)):
+            raise SchemaError(path, f"must not hold a lone surrogate, got {value!r}")
+        return value
+    if optional and value is None:
         return value
     raise SchemaError(path, f"must be a string{' or null' if optional else ''}, got {value!r}")
+
+
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode `text`, i.e. it holds no lone surrogate; a
+    non-string raises TypeError."""
+    try:
+        str.encode(text, "utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _list(value, path: str) -> list:
@@ -300,16 +324,79 @@ def _pose_arrays(data, path: str) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _leading(entries: list, fields) -> tuple[list, int]:
-    """fields(entry) of the leading entries that hold every field in the
-    right container type, and how many those are."""
-    rows = []
+# The column parsers gather each table's fields with C-level getters into
+# flat lists for one np.array call each.  Vector and rotation-row lengths are
+# checked on their own: a 3-character string or a 3-key object unpacks like
+# a 3-vector (and its leaves then fail the one type scan per list).
+_REJECTED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _fields(getter, entries, count: int) -> tuple:
+    """getter(entry) of every entry, as `count` columns."""
+    return tuple(zip(*map(getter, entries))) or ((),) * count
+
+
+def _expect(ok: bool) -> None:
+    if not ok:
+        raise ValueError("rejected")
+
+
+def _strings(values: Sequence) -> bool:
+    """Whether every value is a string UTF-8 can encode; some non-strings
+    raise TypeError instead."""
+    return all(map(str.isascii, values)) or all(map(_encodable, values))
+
+
+def _object_rows(entries: list) -> tuple:
+    """Ids, labels and the float rows (N, 7) of center, size and heading; an
+    entry of the wrong shape or type raises one of _REJECTED."""
+    ids, labels, boxes = _fields(itemgetter("object_id", "label", "box"), entries, 3)
+    centers, sizes, headings = _fields(itemgetter("center", "size", "heading"), boxes, 3)
+    _expect(
+        {int}.issuperset(map(type, ids)) and _strings(labels) and all(labels)
+        and {3}.issuperset(map(len, chain(centers, sizes)))
+    )
+    floats = list(chain.from_iterable(map(chain, centers, sizes, zip(headings))))
+    _expect({int, float}.issuperset(map(type, floats)))
+    return ids, labels, np.array(floats, dtype=np.float64).reshape(-1, 7)
+
+
+def _view_rows(entries: list) -> tuple:
+    """Ids, image paths, the float rows (V, 16) of fx, fy, cx, cy, rotation
+    and translation, and the integer rows (V, 2) of width and height; an
+    entry of the wrong shape or type raises one of _REJECTED."""
+    ids, intrinsics, poses = _fields(itemgetter("view_id", "intrinsics", "pose"), entries, 3)
+    paths = tuple(map(dict.get, entries, repeat("image_path")))
+    conventions, rotations, translations = _fields(
+        itemgetter("convention", "rotation", "translation"), poses, 3
+    )
+    _expect(
+        _strings(ids) and _strings([path for path in paths if path is not None])
+        and conventions.count("camera_to_world") == len(conventions)
+        and {3}.issuperset(map(len, chain(rotations, translations, chain.from_iterable(rotations))))
+    )
+    pinholes = map(itemgetter("fx", "fy", "cx", "cy"), intrinsics)
+    floats = list(chain.from_iterable(chain.from_iterable(
+        zip(pinholes, *zip(*rotations), translations)
+    )))
+    ints = list(chain.from_iterable(map(itemgetter("width", "height"), intrinsics)))
+    _expect({int, float}.issuperset(map(type, floats)) and {int}.issuperset(map(type, ints)))
+    floats, ints = np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)
+    return ids, paths, floats.reshape(-1, 16), ints.reshape(-1, 2)
+
+
+def _leading(rows, entries: list) -> tuple[tuple, int]:
+    """rows(entries) and their count, or, when `rows` rejects them, rows of
+    the entries before the first it rejects on its own and their count."""
     try:
-        for entry in entries:
-            rows.append(fields(entry))
-    except (KeyError, TypeError, AttributeError):
-        pass
-    return rows, len(rows)
+        return rows(entries), len(entries)
+    except _REJECTED:
+        for n, entry in enumerate(entries):
+            try:
+                rows([entry])
+            except _REJECTED:
+                return rows(entries[:n]), n
+        raise
 
 
 def _cut(n: int, ok) -> int:
@@ -318,90 +405,21 @@ def _cut(n: int, ok) -> int:
     return n if ok.all() else int(ok.argmin())
 
 
-def _array(rows: list, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, int]:
-    """The leading rows that `_converted` accepts one by one, as one array
-    (n, *shape), and their count n."""
-    array = _converted(rows, shape, dtype)
-    if array is not None:
-        return array, len(rows)
-    n = next(i for i, row in enumerate(rows) if _converted([row], shape, dtype) is None)
-    return _converted(rows[:n], shape, dtype), n
-
-
-def _converted(rows: list, shape: tuple[int, ...], dtype) -> np.ndarray | None:
-    """`rows` as an array (len(rows), *shape) of `dtype`, or None unless each
-    row is nested lists of that shape holding JSON numbers (integers for an
-    integer dtype) that fit the dtype."""
-    if not rows:
-        return np.empty((0, *shape), dtype=dtype)
-    try:
-        array = np.array(rows, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    leaves = rows
-    for _ in shape:
-        leaves = chain.from_iterable(leaves)
-    types = {int} if dtype is np.int64 else {int, float}
-    if array.shape == (len(rows), *shape) and types.issuperset(map(type, leaves)):
-        return array
-    return None
-
-
-def _object_fields(entry) -> tuple:
-    box = entry["box"]
-    return entry["object_id"], entry["label"], box["center"], box["size"], box["heading"]
-
-
 def _object_table(entries: list) -> Objects:
-    rows, n = _leading(entries, _object_fields)
-    ids, labels, centers, sizes, headings = map(list, zip(*rows)) if rows else [[]] * 5
-    n = _cut(n, [type(v) is int for v in ids])
-    n = _cut(n, [type(v) is str and v != "" for v in labels])
-    headings, n = _array(headings[:n], (), np.float64)
-    centers, n = _array(centers[:n], (3,), np.float64)
-    sizes, n = _array(sizes[:n], (3,), np.float64)
-    centers, sizes, headings = centers[:n], sizes[:n], headings[:n]
-    finite = np.isfinite(centers).all(axis=1) & np.isfinite(sizes).all(axis=1)
-    n = _cut(n, finite & np.isfinite(headings) & (sizes > 0).all(axis=1))
+    (ids, labels, rows), n = _leading(_object_rows, entries)
+    centers, sizes, headings = rows[:, 0:3].copy(), rows[:, 3:6].copy(), rows[:, 6].copy()
+    n = _cut(n, np.isfinite(rows).all(axis=1) & (sizes > 0).all(axis=1))
     if n < len(entries):
         _object_record(entries[n], f"objects[{n}]")
         raise AssertionError(f"objects[{n}] fails a column check but not its record check")
-    return Objects(
-        ids=tuple(ids),
-        labels=tuple(labels),
-        centers=centers,
-        sizes=sizes,
-        headings=headings,
-        corners=box_corners(centers, sizes, headings.tolist()),
-    )
-
-
-def _view_fields(entry) -> tuple:
-    intrinsics, pose = entry["intrinsics"], entry["pose"]
-    return (
-        entry["view_id"],
-        entry.get("image_path"),
-        (intrinsics["fx"], intrinsics["fy"], intrinsics["cx"], intrinsics["cy"]),
-        (intrinsics["width"], intrinsics["height"]),
-        pose["convention"],
-        pose["rotation"],
-        pose["translation"],
-    )
+    corners = box_corners(centers, sizes, headings.tolist())
+    return Objects(ids, labels, centers, sizes, headings, corners)
 
 
 def _view_table(entries: list) -> Views:
-    rows, n = _leading(entries, _view_fields)
-    ids, paths, pinhole, sizes, conventions, rotations, translations = (
-        map(list, zip(*rows)) if rows else [[]] * 7
-    )
-    n = _cut(n, [type(v) is str for v in ids])
-    n = _cut(n, [v is None or type(v) is str for v in paths])
-    n = _cut(n, [v == "camera_to_world" for v in conventions])
-    pinhole, n = _array(pinhole[:n], (4,), np.float64)
-    sizes, n = _array(sizes[:n], (2,), np.int64)
-    rotations, n = _array(rotations[:n], (3, 3), np.float64)
-    translations, n = _array(translations[:n], (3,), np.float64)
-    pinhole, sizes, rotations, translations = pinhole[:n], sizes[:n], rotations[:n], translations[:n]
+    (ids, paths, rows, sizes), n = _leading(_view_rows, entries)
+    pinhole, translations = rows[:, 0:4].copy(), rows[:, 13:16].copy()
+    rotations = rows[:, 4:13].reshape(-1, 3, 3).copy()
     (fx, fy, cx, cy), (width, height) = pinhole.T, sizes.T
     n = _cut(n, (
         np.isfinite(pinhole).all(axis=1) & (fx > 0) & (fy > 0)
@@ -413,22 +431,27 @@ def _view_table(entries: list) -> Views:
     if n < len(entries):
         _view_record(entries[n], f"views[{n}]")
         raise AssertionError(f"views[{n}] fails a column check but not its record check")
-    return Views(
-        ids=tuple(ids),
-        image_paths=tuple(paths),
-        rotations=rotations,
-        translations=translations,
-        pinhole=pinhole,
-        sizes=sizes,
-    )
+    return Views(ids, paths, rotations, translations, pinhole, sizes)
 
 
 def load_scene(path: str | Path) -> Scene:
     """Parse and validate one scene file into object and view tables; raises
-    SchemaError / DuplicateId naming the first bad entry in file order."""
-    path = Path(path)
+    SchemaError / DuplicateId naming the first bad entry in file order.  The
+    cyclic GC is paused until the decoded tree, which holds no cycles, is freed."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _scene(Path(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _scene(path: Path) -> Scene:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"invalid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -517,9 +540,12 @@ def _claim_id(seen: dict[str, str], record_id: str, where: str) -> None:
 
 def _iter_jsonl(path: str | Path):
     """Yield (lineno, record) for each data line; skips provenance headers."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}", f"invalid UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -68,18 +68,22 @@ class TestSolvabilityCommand:
         )
         assert code == 2
 
-    def _run_on_scene_files(self, tmp_path, data_dir, files):
+    def _run_on_scene_files(self, tmp_path, data_dir, files, instructions=None):
         """Run solvability on a scenes directory holding `files` (name ->
-        scene dict); return (code, out)."""
+        scene dict, or the file's bytes) with the fixture instructions or
+        `instructions`; return (code, out)."""
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         for name, scene in files.items():
-            (scenes / name).write_text(json.dumps(scene), encoding="utf-8")
+            if isinstance(scene, bytes):
+                (scenes / name).write_bytes(scene)
+            else:
+                (scenes / name).write_text(json.dumps(scene), encoding="utf-8")
         out = tmp_path / "r.json"
         code = run(
             "solvability",
             "--scenes", str(scenes),
-            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+            "--instructions", str(instructions or data_dir / "instructions_solvability.jsonl"),
             "--out", str(out),
         )
         return code, out
@@ -121,6 +125,53 @@ class TestSolvabilityCommand:
         assert capsys.readouterr().err == (
             f"error: {scenes / 'two.json'}: scene id {scene['scene_id']!r} "
             f"already used in {scenes / 'one.json'}\n"
+        )
+        assert not out.exists()
+
+    def test_undecodable_scene_file_names_the_file(self, tmp_path, data_dir, capsys):
+        good = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"scene-a.json": good, "scene-b.json": b"\xff\xfe{}"}
+        )
+        assert code == 2
+        bad_path = tmp_path / "scenes" / "scene-b.json"
+        assert capsys.readouterr().err == (
+            f"error: {bad_path}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+        assert not out.exists()
+
+    def test_undecodable_instruction_line_names_the_line(self, tmp_path, data_dir, capsys):
+        lines = (data_dir / "instructions_solvability.jsonl").read_bytes().splitlines(True)
+        lines[1] = lines[1].replace(b"waste basket", b"waste\xffbasket")
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_bytes(b"".join(lines))
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"scene-a.json": scene}, instructions
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {instructions}:2: invalid UTF-8: 'utf-8' codec ")
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys,field",
+        [
+            (("scene_id",), "scene.scene_id"),
+            (("objects", 4, "label"), "objects[4].label"),
+            (("views", 3, "view_id"), "views[3].view_id"),
+            (("views", 7, "image_path"), "views[7].image_path"),
+        ],
+    )
+    def test_lone_surrogate_in_scene_text_exits_2(
+        self, tmp_path, data_dir, capsys, keys, field
+    ):
+        code, out = self._run_on_edited_scene(tmp_path, data_dir, keys, "desk\ud800")
+        assert code == 2
+        assert f"{field}: must not hold a lone surrogate, got 'desk\\ud800'" in (
+            capsys.readouterr().err
         )
         assert not out.exists()
 
@@ -367,6 +418,42 @@ class TestBuildCorpusCommand:
         )
         assert code == 0
         assert out.read_bytes() == (golden_dir / "triplets_extend.jsonl").read_bytes()
+
+    def test_lone_surrogate_label_exits_2_before_captioning(self, tmp_path, data_dir, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        scene["objects"][0]["label"] = "desk\ud800"
+        (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
+        out = tmp_path / "triplets.jsonl"
+        code = run(
+            "build-corpus", "--scenes", str(scenes), "--mode", "captions",
+            "--threshold", "0", "--out", str(out), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {scenes / 'scene-a.json'}:objects[0].label: "
+            "must not hold a lone surrogate, got 'desk\\ud800'\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scenes"]
+
+    def test_lone_surrogate_instruction_text_exits_2(self, tmp_path, data_dir, capsys):
+        lines = (data_dir / "instructions_extend.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["text"] += "\ud800"
+        lines[2] = json.dumps(record)
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "triplets.jsonl"
+        code = run(
+            "build-corpus", "--scenes", str(data_dir / "scenes"), "--mode", "extend",
+            "--instructions", str(instructions), "--out", str(out), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {instructions}:3.text: must not hold a lone surrogate, got "
+        )
+        assert list(tmp_path.iterdir()) == [instructions]
 
     def test_duplicate_instruction_id_exits_2(self, tmp_path, data_dir, capsys):
         instructions = with_repeated_first_record(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import gc
 import json
 import math
 import operator
@@ -133,6 +134,20 @@ class TestLoadScene:
     def test_load_scenes_dir(self, data_dir):
         scenes = load_scenes_dir(data_dir / "scenes")
         assert set(scenes) == {"scene-a", "scene-b"}
+
+    def test_gc_state_is_restored_after_load_and_error(self, tmp_path, data_dir):
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(scene_payload(split="dev")), encoding="utf-8")
+        try:
+            for enabled in (False, True):
+                gc.enable() if enabled else gc.disable()
+                load_scene(data_dir / "scenes" / "scene-a.json")
+                assert gc.isenabled() is enabled
+                with pytest.raises(SchemaError):
+                    load_scene(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 def _bad_rotation_scale(pose):
@@ -328,6 +343,66 @@ class TestColumnLoad:
             assert got == expected
             checked += expected is not None
         assert checked > 200
+
+    def test_shape_traps_agree_with_record_parse(self, tmp_path):
+        """Values that unpack like a 3-vector or a rotation, or hold too many
+        or no leaves, at every path inside the entries of a small scene, one
+        at a time: load_scene names the same error as a record-by-record parse."""
+        traps = ["abc", {"a": 1, "b": 2, "c": 3}, [1.5, 2.5, 3.5], [1.5] * 4, [[1.5] * 3] * 3, []]
+        views, objects = random_posed_scene(np.random.default_rng(83), 3, 3)
+        base = scene_to_dict(views, objects)
+        paths = [keys for keys in _paths(base) if keys[0] in ("objects", "views") and len(keys) > 1]
+        rejected = 0
+        for keys in paths:
+            for trap in traps:
+                payload = _edited(copy.deepcopy(base), keys, copy.deepcopy(trap))
+                try:
+                    for i, entry in enumerate(payload["objects"]):
+                        corpus._object_record(entry, f"objects[{i}]")
+                    for i, entry in enumerate(payload["views"]):
+                        corpus._view_record(entry, f"views[{i}]")
+                    expected = "loads"
+                except SchemaError as exc:
+                    expected = (exc.field, exc.reason)
+                try:
+                    load_scene(_write_scene(tmp_path, payload))
+                    got = "loads"
+                except SchemaError as exc:
+                    got = (exc.field, exc.reason)
+                assert got == expected, (keys, trap)
+                rejected += expected != "loads"
+        assert rejected > 0.9 * len(paths) * len(traps)
+
+    def test_empty_label_is_rejected(self, tmp_path):
+        payload = scene_payload()
+        payload["objects"][0]["label"] = ""
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(_write_scene(tmp_path, payload))
+        assert (excinfo.value.field, excinfo.value.reason) == (
+            "objects[0]", "label must be non-empty"
+        )
+
+    @pytest.mark.parametrize(
+        "table,edits",
+        [
+            ("views", {("pose", "rotation"): [[1, 0, 0, 0], [1, 0], [0, 0, 1]]}),
+            ("objects", {("box", "center"): [0, 0, 2.5, 0.5], ("box", "size"): [0.5, 0.5]}),
+        ],
+    )
+    def test_lengths_that_add_up_are_still_checked(self, tmp_path, table, edits):
+        """A long row beside a short one leaves an entry the right number of
+        leaves; load_scene still names the error a record parse names."""
+        payload = scene_payload()
+        for keys, value in edits.items():
+            _edited(payload, (table, 0, *keys), value)
+        parse = corpus._view_record if table == "views" else corpus._object_record
+        with pytest.raises(SchemaError) as expected:
+            parse(payload[table][0], f"{table}[0]")
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(_write_scene(tmp_path, payload))
+        assert (excinfo.value.field, excinfo.value.reason) == (
+            expected.value.field, expected.value.reason
+        )
 
 
 class TestStrictIntegers:

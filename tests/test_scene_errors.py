@@ -4,6 +4,9 @@ generated scene, loaded with `load_scene`, and its outcome pinned.
 The outcome of a case is the error type with its field and reason (or its
 message, for DuplicateId), or "loads".  `tests/golden/scene_errors.jsonl`
 holds one line per case; nothing but SchemaError and DuplicateId may escape.
+A property test runs sampled cases through the `solvability` command: each
+exits 0 or 2, an error names the file and the mutated entry, and no output
+or temp file is left behind a failure.
 
 Regenerate the golden from the repository root with
 `PYTHONPATH=src python3 -m tests.test_scene_errors`.
@@ -11,13 +14,19 @@ Regenerate the golden from the repository root with
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egoview.cli import main
 from egoview.corpus import load_scene
 from egoview.errors import DuplicateId, SchemaError
 
@@ -62,33 +71,42 @@ def _path_name(keys) -> str:
     return name
 
 
+def mutation_names(scene: dict, keys) -> list[str]:
+    """The mutations that apply at the key path `keys` of `scene`."""
+    parent = scene
+    for key in keys[:-1]:
+        parent = parent[key]
+    names = ["delete", *VALUES]
+    if isinstance(parent[keys[-1]], list):
+        names.append("empty")
+    if isinstance(parent, list):
+        names.append("duplicate")
+    return names
+
+
+def mutated(scene: dict, keys, mutation: str) -> dict:
+    """A copy of `scene` with `mutation` applied at the key path `keys`."""
+    scene = copy.deepcopy(scene)
+    target = scene
+    for key in keys[:-1]:
+        target = target[key]
+    last = keys[-1]
+    if mutation == "delete":
+        del target[last]
+    elif mutation == "empty":
+        target[last] = []
+    elif mutation == "duplicate":
+        target.insert(last + 1, copy.deepcopy(target[last]))
+    else:
+        target[last] = copy.deepcopy(VALUES[mutation])
+    return scene
+
+
 def _mutations(scene: dict):
     """(path name, mutation name, mutated scene) for every case."""
     for keys in _paths(scene):
-        parent = scene
-        for key in keys[:-1]:
-            parent = parent[key]
-        value = parent[keys[-1]]
-        edits = {"delete": None, **{name: name for name in VALUES}}
-        if isinstance(value, list):
-            edits["empty"] = "empty"
-        if isinstance(parent, list):
-            edits["duplicate"] = "duplicate"
-        for mutation in edits:
-            mutated = copy.deepcopy(scene)
-            target = mutated
-            for key in keys[:-1]:
-                target = target[key]
-            last = keys[-1]
-            if mutation == "delete":
-                del target[last]
-            elif mutation == "empty":
-                target[last] = []
-            elif mutation == "duplicate":
-                target.insert(last + 1, copy.deepcopy(target[last]))
-            else:
-                target[last] = copy.deepcopy(VALUES[mutation])
-            yield _path_name(keys), mutation, mutated
+        for mutation in mutation_names(scene, keys):
+            yield _path_name(keys), mutation, mutated(scene, keys, mutation)
 
 
 def _outcome(path: Path):
@@ -119,6 +137,62 @@ def test_every_mutation_matches_golden(tmp_path):
     cases = scene_error_cases(tmp_path)
     assert len(cases) > 1000
     assert _lines(cases) == GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+BASE = base_scene()
+
+
+@st.composite
+def _scene_mutations(draw):
+    keys = draw(st.sampled_from(list(_paths(BASE))))
+    return keys, draw(st.sampled_from(mutation_names(BASE, keys)))
+
+
+def _entry_name(keys) -> str:
+    """What an error about a mutation at `keys` must name: the objects or
+    views entry it lies in, else the top-level key."""
+    return _path_name(keys[:2]) if keys[0] in ("objects", "views") and len(keys) > 1 else keys[0]
+
+
+def _instructions(scene: dict) -> str:
+    """One instruction line per integer object id left in `scene`, naming its
+    scene id: a mutated scene that loads holds everything they reference."""
+    objects = scene.get("objects") if isinstance(scene.get("objects"), list) else []
+    ids = [o["object_id"] for o in objects if isinstance(o, dict) and type(o.get("object_id")) is int]
+    record = {"scene_id": scene.get("scene_id"), "task": "qa", "text": "where?", "answer": "here"}
+    return "".join(
+        json.dumps({"instruction_id": f"i{k}", **record, "related_object_ids": [object_id]}) + "\n"
+        for k, object_id in enumerate(ids)
+    )
+
+
+@given(_scene_mutations())
+@settings(max_examples=120, deadline=None)
+def test_solvability_names_the_file_and_entry_of_a_mutation(case):
+    keys, mutation = case
+    scene = mutated(BASE, keys, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "scenes").mkdir()
+        path = workdir / "scenes" / "mutated.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        instructions = workdir / "instructions.jsonl"
+        instructions.write_text(_instructions(scene), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([
+                "solvability", "--scenes", str(workdir / "scenes"),
+                "--instructions", str(instructions), "--out", str(workdir / "report.json"),
+            ])
+        left = sorted(child.name for child in workdir.iterdir())
+        assert sorted(child.name for child in (workdir / "scenes").iterdir()) == ["mutated.json"]
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(f"error: {path}:"), err.getvalue()
+        assert _entry_name(keys) in err.getvalue(), err.getvalue()
+        assert left == ["instructions.jsonl", "scenes"]
+    else:
+        assert left == ["instructions.jsonl", "report.json", "scenes"]
 
 
 def test_unmutated_scene_loads(tmp_path):
