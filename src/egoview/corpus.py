@@ -12,14 +12,15 @@ Scene files are JSON, one scene per file:
 `load_scene` decodes a scene straight into two tables: `Objects` (ids,
 labels, box parameters and world corners (N, 8, 3)) and `Views` (ids, image
 paths, rotations (V, 3, 3), translations (V, 3), pinhole rows (V, 4) and
-image sizes (V, 2)).  Each entry becomes one flat numeric row, gathered at C
-level: 7 floats per object, 16 floats and 2 integers per view, one float64
-array and one int64 array per table from a single `np.array` call each,
-sliced into the columns.  Every check runs over whole columns; the first
-entry that fails one is parsed again as a record to name its first bad
-field.  Float fields take JSON numbers only, integer fields JSON integers
-only.  The cyclic GC is paused for one `load_scene`: the decoded tree has
-many fresh containers and no cycles.
+image sizes (V, 2)).  One table of fields per entry kind (`_OBJECT_FIELDS`,
+`_VIEW_FIELDS`) states each leaf's key path, kind and shape.  `_gather`
+reads each field of every entry as one column, one `np.array` call per
+numeric field, and the `geometry.first_bad_*` value checks run over whole
+columns.  If either rejects a table, `_walk` reads its entries in file
+order against the same table and raises the first error.  Float fields take
+JSON numbers only, integer fields JSON integers only.  The cyclic GC is
+paused for one `load_scene`: the decoded tree has many fresh containers and
+no cycles.
 
 Scene and record files must be UTF-8, and no text field may hold a lone
 surrogate; either is a SchemaError naming the file, line or field.  Record
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -51,8 +52,9 @@ from .geometry import (
     CameraPose,
     OrientedBox3D,
     box_corners,
+    first_bad_box,
+    first_bad_intrinsics,
     first_bad_pose,
-    pose_arrays,
 )
 from .selection import alignment, image_refs, select_views_for_dc, select_views_for_qa
 from .solvability import Objects, SceneObject, View, Views, WitnessTable
@@ -214,20 +216,6 @@ def _integers(values, path: str) -> frozenset[int]:
     )
 
 
-def _number(value, path: str, depth: int = 0):
-    """`value` if it is a JSON number or, for depth > 0, if the entries
-    `depth` lists deep in it are; the first that is not (a bool, a string,
-    ...) raises SchemaError naming its path.  Anything that is not a list
-    where one is expected is left to the shape checks."""
-    if depth == 0:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(path, f"must be a number, got {value!r}")
-    elif isinstance(value, list):
-        for k, item in enumerate(value):
-            _number(item, f"{path}[{k}]", depth - 1)
-    return value
-
-
 def _score(value, path: str) -> float | None:
     """`value` if it is null or a finite JSON number; anything else (a
     string, a bool, NaN, an integer too large for a float) raises
@@ -243,97 +231,46 @@ def _score(value, path: str) -> float | None:
     return value
 
 
-def _dimension(value, path: str) -> int:
-    """An image width or height: a JSON integer below 2**63."""
-    if _integer(value, path) >= 2**63:
-        raise SchemaError(path, f"must be below 2**63, got {value!r}")
+def _number(value, path: str, depth: int = 0):
+    """`value` if it is a JSON number or, for depth > 0, if the entries
+    `depth` lists deep in it are; the first that is not raises SchemaError
+    naming its path.  A non-list where one is expected is left alone."""
+    if depth:
+        for k, item in enumerate(value if isinstance(value, list) else ()):
+            _number(item, f"{path}[{k}]", depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, f"must be a number, got {value!r}")
     return value
 
 
-# Scene entries are parsed as whole columns (`_object_table`, `_view_table`).
-# When a column check rejects an entry, the first rejected entry is parsed
-# again on its own by the record parsers below, whose checks run field by
-# field in file order, to raise that entry's first error.
-
-
-def _object_record(entry, where: str) -> SceneObject:
-    try:
-        return SceneObject(
-            object_id=_integer(_require(entry, "object_id", where), f"{where}.object_id"),
-            label=_text(_require(entry, "label", where), f"{where}.label"),
-            box=_box_record(_require(entry, "box", where), f"{where}.box"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(where, str(exc)) from exc
-
-
-def _box_record(data, path: str) -> OrientedBox3D:
-    try:
-        center, size = _require(data, "center", path), _require(data, "size", path)
-        heading = float(_number(_require(data, "heading", path), f"{path}.heading"))
-        return OrientedBox3D(
-            center=_number(center, f"{path}.center", depth=1),
-            size=_number(size, f"{path}.size", depth=1),
-            heading=heading,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _view_record(entry, where: str) -> View:
-    try:
-        view_id = _text(_require(entry, "view_id", where), f"{where}.view_id")
-        intrinsics = _intrinsics_record(_require(entry, "intrinsics", where), f"{where}.intrinsics")
-        rotation, translation = _pose_arrays(_require(entry, "pose", where), f"{where}.pose")
-        image_path = _text(entry.get("image_path"), f"{where}.image_path", optional=True)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(where, str(exc)) from exc
-    try:
-        pose = CameraPose(rotation, translation)
-    except ValueError as exc:
-        raise SchemaError(f"{where}.pose", str(exc)) from exc
-    return View(view_id, intrinsics, pose, image_path)
-
-
-def _intrinsics_record(data, path: str) -> CameraIntrinsics:
-    try:
-        fx, fy, cx, cy = (
-            float(_number(_require(data, key, path), f"{path}.{key}"))
-            for key in ("fx", "fy", "cx", "cy")
-        )
-        width = _dimension(_require(data, "width", path), f"{path}.width")
-        height = _dimension(_require(data, "height", path), f"{path}.height")
-        return CameraIntrinsics(fx, fy, cx, cy, width, height)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _pose_arrays(data, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A pose's rotation and translation arrays, converted and shape-checked;
-    `CameraPose` checks their values."""
-    convention = _require(data, "convention", path)
-    if convention != "camera_to_world":
-        raise SchemaError(f"{path}.convention", f"unsupported convention {convention!r}")
-    try:
-        rotation, translation = _require(data, "rotation", path), _require(data, "translation", path)
-        return pose_arrays(
-            _number(rotation, f"{path}.rotation", depth=2),
-            _number(translation, f"{path}.translation", depth=1),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-# The column parsers gather each table's fields with C-level getters into
-# flat lists for one np.array call each.  Vector and rotation-row lengths are
-# checked on their own: a 3-character string or a 3-key object unpacks like
-# a 3-vector (and its leaves then fail the one type scan per list).
+# One row per field of a scene entry, in the order `_walk` reports errors:
+# key path, kind and, for a vector or matrix, its shape error.  Kinds:
+# "integer", "text", "label" (non-empty text), "path" (text or null, may be
+# absent), "convention" ("camera_to_world"), "size" (an integer below 2**63)
+# and "number", "vector", "matrix" (a JSON number, 3 numbers, 3 rows of 3).
+# Value rules are `geometry.first_bad_*`.
+_OBJECT_FIELDS = (
+    (("object_id",), "integer", None),
+    (("label",), "label", None),
+    (("box", "center"), "vector", "center and size must be 3-vectors"),
+    (("box", "size"), "vector", "center and size must be 3-vectors"),
+    (("box", "heading"), "number", None),
+)
+_VIEW_FIELDS = (
+    (("view_id",), "text", None),
+    (("intrinsics", "fx"), "number", None),
+    (("intrinsics", "fy"), "number", None),
+    (("intrinsics", "cx"), "number", None),
+    (("intrinsics", "cy"), "number", None),
+    (("intrinsics", "width"), "size", None),
+    (("intrinsics", "height"), "size", None),
+    (("pose", "convention"), "convention", None),
+    (("pose", "rotation"), "matrix", "rotation must be 3x3"),
+    (("pose", "translation"), "vector", "translation must be a 3-vector"),
+    (("image_path",), "path", None),
+)
+_DEPTH = {"number": 0, "vector": 1, "matrix": 2}
 _REJECTED = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _fields(getter, entries, count: int) -> tuple:
-    """getter(entry) of every entry, as `count` columns."""
-    return tuple(zip(*map(getter, entries))) or ((),) * count
 
 
 def _expect(ok: bool) -> None:
@@ -342,96 +279,143 @@ def _expect(ok: bool) -> None:
 
 
 def _strings(values: Sequence) -> bool:
-    """Whether every value is a string UTF-8 can encode; some non-strings
-    raise TypeError instead."""
+    """Whether every value is a string UTF-8 can encode; some non-strings raise TypeError."""
     return all(map(str.isascii, values)) or all(map(_encodable, values))
 
 
-def _object_rows(entries: list) -> tuple:
-    """Ids, labels and the float rows (N, 7) of center, size and heading; an
-    entry of the wrong shape or type raises one of _REJECTED."""
-    ids, labels, boxes = _fields(itemgetter("object_id", "label", "box"), entries, 3)
-    centers, sizes, headings = _fields(itemgetter("center", "size", "heading"), boxes, 3)
-    _expect(
-        {int}.issuperset(map(type, ids)) and _strings(labels) and all(labels)
-        and {3}.issuperset(map(len, chain(centers, sizes)))
-    )
-    floats = list(chain.from_iterable(map(chain, centers, sizes, zip(headings))))
-    _expect({int, float}.issuperset(map(type, floats)))
-    return ids, labels, np.array(floats, dtype=np.float64).reshape(-1, 7)
+def _gather(fields, entries: list) -> list:
+    """Each field of every entry as a column, in table order: a tuple, None
+    (convention) or an array (N, *shape); a field of the wrong kind or shape
+    raises one of _REJECTED.  Rows are measured before their leaves are
+    flattened: a 3-character string or a 3-key object unpacks like 3 numbers."""
+    nodes = {(): entries}
+    columns = []
+    for keys, kind, _ in fields:
+        if kind == "path":
+            values = list(map(dict.get, _node(nodes, keys[:-1]), repeat(keys[-1])))
+        else:
+            values = _node(nodes, keys)
+        if kind in _DEPTH:
+            for _ in range(_DEPTH[kind]):
+                _expect({3}.issuperset(map(len, values)))
+                values = list(chain.from_iterable(values))
+            _expect({int, float}.issuperset(map(type, values)))
+            columns.append(np.array(values, dtype=np.float64).reshape(-1, *(3,) * _DEPTH[kind]))
+        elif kind in ("integer", "size"):
+            _expect({int}.issuperset(map(type, values)))
+            columns.append(np.array(values, dtype=np.int64) if kind == "size" else tuple(values))
+        elif kind == "convention":
+            _expect(values.count("camera_to_world") == len(values))
+            columns.append(None)
+        else:
+            present = [value for value in values if value is not None] if kind == "path" else values
+            _expect(_strings(present) and (kind != "label" or all(values)))
+            columns.append(tuple(values))
+    return columns
 
 
-def _view_rows(entries: list) -> tuple:
-    """Ids, image paths, the float rows (V, 16) of fx, fy, cx, cy, rotation
-    and translation, and the integer rows (V, 2) of width and height; an
-    entry of the wrong shape or type raises one of _REJECTED."""
-    ids, intrinsics, poses = _fields(itemgetter("view_id", "intrinsics", "pose"), entries, 3)
-    paths = tuple(map(dict.get, entries, repeat("image_path")))
-    conventions, rotations, translations = _fields(
-        itemgetter("convention", "rotation", "translation"), poses, 3
-    )
-    _expect(
-        _strings(ids) and _strings([path for path in paths if path is not None])
-        and conventions.count("camera_to_world") == len(conventions)
-        and {3}.issuperset(map(len, chain(rotations, translations, chain.from_iterable(rotations))))
-    )
-    pinholes = map(itemgetter("fx", "fy", "cx", "cy"), intrinsics)
-    floats = list(chain.from_iterable(chain.from_iterable(
-        zip(pinholes, *zip(*rotations), translations)
-    )))
-    ints = list(chain.from_iterable(map(itemgetter("width", "height"), intrinsics)))
-    _expect({int, float}.issuperset(map(type, floats)) and {int}.issuperset(map(type, ints)))
-    floats, ints = np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)
-    return ids, paths, floats.reshape(-1, 16), ints.reshape(-1, 2)
+def _node(nodes: dict, keys: tuple) -> list:
+    """Every entry's value at `keys`, cached in `nodes` ({(): entries}).  Not a
+    closure: one calling itself is a reference cycle, which would keep the
+    decoded tree alive while the cyclic GC is paused."""
+    if keys not in nodes:
+        nodes[keys] = list(map(itemgetter(keys[-1]), _node(nodes, keys[:-1])))
+    return nodes[keys]
 
 
-def _leading(rows, entries: list) -> tuple[tuple, int]:
-    """rows(entries) and their count, or, when `rows` rejects them, rows of
-    the entries before the first it rejects on its own and their count."""
-    try:
-        return rows(entries), len(entries)
-    except _REJECTED:
-        for n, entry in enumerate(entries):
+def _walk(fields, entry, where: str) -> list:
+    """Each field of the entry at `where`, converted, in table order; the
+    first that is missing or of the wrong kind or shape raises SchemaError
+    naming it, or, for a failed conversion, the object holding it."""
+    values = []
+    for keys, kind, shape in fields:
+        value, path = entry, where
+        for key in keys:
+            parent = path
             try:
-                rows([entry])
-            except _REJECTED:
-                return rows(entries[:n]), n
-        raise
+                if key not in value and kind != "path":
+                    raise SchemaError(f"{path}.{key}", "missing")
+                value = value.get(key) if kind == "path" else value[key]
+            except TypeError as exc:  # a non-object is named; inside a pose, by its entry
+                raise SchemaError(where if keys[0] == "pose" else path, str(exc)) from exc
+            path = f"{path}.{key}"
+        if kind in _DEPTH:
+            try:
+                value = _number(value, path, _DEPTH[kind])
+                value = float(value) if kind == "number" else np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(parent, str(exc)) from exc
+            if np.shape(value) != (3,) * _DEPTH[kind]:
+                raise SchemaError(parent, shape)
+        elif kind in ("integer", "size"):
+            _integer(value, path)
+            if kind == "size" and value >= 2**63:
+                raise SchemaError(path, f"must be below 2**63, got {value!r}")
+        elif kind == "convention":
+            if value != "camera_to_world":
+                raise SchemaError(path, f"unsupported convention {value!r}")
+        else:
+            _text(value, path, optional=kind == "path")
+            if kind == "label" and not value:
+                raise SchemaError(where, "label must be non-empty")
+        values.append(value)
+    return values
 
 
-def _cut(n: int, ok) -> int:
-    """The index of the first False among the first n flags of `ok`, else n."""
-    ok = np.asarray(ok[:n], dtype=bool)
-    return n if ok.all() else int(ok.argmin())
+def _checked(path: str, record, *args):
+    """record(*args), with its ValueError raised as SchemaError naming `path`."""
+    try:
+        return record(*args)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _object_record(entry, where: str) -> SceneObject:
+    """The objects entry at `where` as a record; raises its first error."""
+    object_id, label, center, size, heading = _walk(_OBJECT_FIELDS, entry, where)
+    box = _checked(f"{where}.box", OrientedBox3D, center, size, heading)
+    return SceneObject(object_id, label, box)
+
+
+def _view_record(entry, where: str) -> View:
+    """The views entry at `where` as a record; raises its first error."""
+    view_id, *pinhole, width, height, _, rotation, translation, path = _walk(
+        _VIEW_FIELDS, entry, where
+    )
+    intrinsics = _checked(f"{where}.intrinsics", CameraIntrinsics, *pinhole, width, height)
+    pose = _checked(f"{where}.pose", CameraPose, rotation, translation)
+    return View(view_id, intrinsics, pose, path)
+
+
+def _first_error(record, table: str, entries: list) -> NoReturn:
+    """Raise the first error of the first entry of `table` that has one."""
+    for i, entry in enumerate(entries):
+        record(entry, f"{table}[{i}]")
+    raise AssertionError(f"{table} fail a column check, but no entry fails its walk")
 
 
 def _object_table(entries: list) -> Objects:
-    (ids, labels, rows), n = _leading(_object_rows, entries)
-    centers, sizes, headings = rows[:, 0:3].copy(), rows[:, 3:6].copy(), rows[:, 6].copy()
-    n = _cut(n, np.isfinite(rows).all(axis=1) & (sizes > 0).all(axis=1))
-    if n < len(entries):
-        _object_record(entries[n], f"objects[{n}]")
-        raise AssertionError(f"objects[{n}] fails a column check but not its record check")
-    corners = box_corners(centers, sizes, headings.tolist())
-    return Objects(ids, labels, centers, sizes, headings, corners)
+    try:
+        ids, labels, centers, sizes, headings = _gather(_OBJECT_FIELDS, entries)
+        if first_bad_box(centers, sizes, headings) is None:
+            corners = box_corners(centers, sizes, headings.tolist())
+            return Objects(ids, labels, centers, sizes, headings, corners)
+    except _REJECTED:  # walked below, outside the handler: no chained internal error
+        pass
+    _first_error(_object_record, "objects", entries)
 
 
 def _view_table(entries: list) -> Views:
-    (ids, paths, rows, sizes), n = _leading(_view_rows, entries)
-    pinhole, translations = rows[:, 0:4].copy(), rows[:, 13:16].copy()
-    rotations = rows[:, 4:13].reshape(-1, 3, 3).copy()
-    (fx, fy, cx, cy), (width, height) = pinhole.T, sizes.T
-    n = _cut(n, (
-        np.isfinite(pinhole).all(axis=1) & (fx > 0) & (fy > 0)
-        & (0 <= cx) & (cx <= width) & (0 <= cy) & (cy <= height) & (width > 0) & (height > 0)
-    ))
-    bad_pose = first_bad_pose(rotations[:n], translations[:n])
-    if bad_pose is not None:
-        n = bad_pose[0]
-    if n < len(entries):
-        _view_record(entries[n], f"views[{n}]")
-        raise AssertionError(f"views[{n}] fails a column check but not its record check")
-    return Views(ids, paths, rotations, translations, pinhole, sizes)
+    try:
+        ids, *pinhole, width, height, _, rotations, translations, paths = _gather(
+            _VIEW_FIELDS, entries
+        )
+        pinhole, sizes = np.stack(pinhole, axis=1), np.stack([width, height], axis=1)
+        if not (first_bad_intrinsics(pinhole, sizes) or first_bad_pose(rotations, translations)):
+            return Views(ids, paths, rotations, translations, pinhole, sizes)
+    except _REJECTED:
+        pass
+    _first_error(_view_record, "views", entries)
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -452,7 +436,7 @@ def _scene(path: Path) -> Scene:
         data = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(str(path), f"invalid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(str(path), "scene file must hold a JSON object")
@@ -550,7 +534,7 @@ def _iter_jsonl(path: str | Path):
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"{path}:{lineno}", f"invalid JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise SchemaError(f"{path}:{lineno}", "record must be a JSON object")

@@ -37,6 +37,10 @@ fixed chunk at a time, from two sources:
     long as the IoSA threshold is >= 0: such a box projects outside the
     image (IoSA 0) or is wholly behind the near plane (not visible).
 
+The value rules are `first_bad_box`, `first_bad_intrinsics` and
+`first_bad_pose`, which name the first failing row of columns and its reason;
+the dataclasses check their one row with them, `corpus.load_scene` whole tables.
+
 All operations are pure functions of value inputs and are safe to call
 concurrently.
 """
@@ -72,9 +76,42 @@ _EDGE_FROM, _EDGE_TO = np.array(
 ).T
 
 
-def _require_finite(name: str, values) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite")
+def _first_failed(checks) -> tuple[int, str] | None:
+    """The first row failing one of `checks`, (reason, passes) pairs with a
+    bool per row, and the first reason it fails; None when all rows pass."""
+    failed = ~np.stack([np.asarray(passes, dtype=bool) for _, passes in checks], axis=1)
+    bad = failed.any(axis=1)
+    if not bad.any():
+        return None
+    index = int(bad.argmax())
+    return index, checks[int(failed[index].argmax())][0]
+
+
+def first_bad_box(centers: np.ndarray, sizes: np.ndarray, headings: np.ndarray):
+    """Index and reason of the first box failing a value check, or None:
+    centers (N, 3), extents (N, 3) and headings (N,) finite, extents > 0."""
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(sizes).all(axis=1)
+    return _first_failed((
+        ("center, size and heading must be finite", finite & np.isfinite(headings)),
+        ("all size components must be positive", (sizes > 0).all(axis=1)),
+    ))
+
+
+def first_bad_intrinsics(pinhole: np.ndarray, sizes: np.ndarray):
+    """Index and reason of the first camera failing a value check, or None:
+    pinhole rows (V, 4) of (fx, fy, cx, cy) finite, focal lengths > 0, the
+    principal point inside the image, and image sizes (V, 2) of (width,
+    height) in [1, 2**63), as int64 or, beyond it, Python ints in an object array."""
+    (fx, fy, cx, cy), (width, height) = pinhole.T, sizes.T
+    with np.errstate(invalid="ignore"):  # NaN entries fail the checks below
+        principal = (0 <= cx) & (cx <= width) & (0 <= cy) & (cy <= height)
+    return _first_failed((
+        ("focal lengths and principal point must be finite", np.isfinite(pinhole).all(axis=1)),
+        ("focal lengths must be positive", (fx > 0) & (fy > 0)),
+        ("principal point must lie inside the image", principal),
+        ("image dimensions must be positive", (width > 0) & (height > 0)),
+        ("image dimensions must be below 2**63", (width < 2**63) & (height < 2**63)),
+    ))
 
 
 @dataclass(frozen=True)
@@ -89,49 +126,24 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        _require_finite("focal lengths and principal point", (self.fx, self.fy, self.cx, self.cy))
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not (0 <= self.cx <= self.width) or not (0 <= self.cy <= self.height):
-            raise ValueError("principal point must lie inside the image")
-        if int(self.width) <= 0 or int(self.height) <= 0:
-            raise ValueError("image dimensions must be positive")
-        if int(self.width) >= 2**63 or int(self.height) >= 2**63:
-            raise ValueError("image dimensions must be below 2**63")
-
-
-def pose_arrays(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
-    """One pose's rotation and translation as float64 arrays of shape (3, 3) and (3,)."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
-    if rotation.shape != (3, 3):
-        raise ValueError("rotation must be 3x3")
-    if translation.shape != (3,):
-        raise ValueError("translation must be a 3-vector")
-    return rotation, translation
+        pinhole = np.array([[self.fx, self.fy, self.cx, self.cy]], dtype=np.float64)
+        sizes = np.array([[self.width, self.height]])  # int64 as in `Views`, else objects
+        if bad := first_bad_intrinsics(pinhole, sizes):
+            raise ValueError(bad[1])
 
 
 def first_bad_pose(rotations: np.ndarray, translations: np.ndarray) -> tuple[int, str] | None:
-    """Index and reason of the first pose failing the numeric checks, or None.
-
-    `rotations` (V, 3, 3) and `translations` (V, 3) are checked together: a
-    pose needs a finite translation and a finite, orthonormal rotation with
-    determinant +1.  A pose failing several checks reports the first of them.
-    """
+    """Index and reason of the first pose failing a value check, or None:
+    translations (V, 3) finite, rotations (V, 3, 3) finite and orthonormal
+    with determinant +1."""
     with np.errstate(invalid="ignore"):  # NaN and inf entries fail the checks below
         residual = np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).max(axis=(1, 2))
         det_error = np.abs(np.linalg.det(rotations) - 1.0)
-        checks = (
-            ("translation must be finite", ~np.isfinite(translations).all(axis=1)),
-            ("rotation must be finite and orthonormal", ~(residual <= _ORTHO_TOL)),
-            ("rotation determinant must be +1", det_error > _ORTHO_TOL),
-        )
-    failed = np.stack([mask for _, mask in checks], axis=1)
-    bad = failed.any(axis=1)
-    if not bad.any():
-        return None
-    index = int(bad.argmax())
-    return index, checks[int(failed[index].argmax())][0]
+    return _first_failed((
+        ("translation must be finite", np.isfinite(translations).all(axis=1)),
+        ("rotation must be finite and orthonormal", residual <= _ORTHO_TOL),
+        ("rotation determinant must be +1", det_error <= _ORTHO_TOL),
+    ))
 
 
 @dataclass(eq=False)
@@ -142,9 +154,13 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation, self.translation = pose_arrays(self.rotation, self.translation)
-        bad = first_bad_pose(self.rotation[None], self.translation[None])
-        if bad is not None:
+        self.rotation = np.asarray(self.rotation, dtype=np.float64)
+        self.translation = np.asarray(self.translation, dtype=np.float64)
+        if self.rotation.shape != (3, 3):
+            raise ValueError("rotation must be 3x3")
+        if self.translation.shape != (3,):
+            raise ValueError("translation must be a 3-vector")
+        if bad := first_bad_pose(self.rotation[None], self.translation[None]):
             raise ValueError(bad[1])
 
 
@@ -165,11 +181,9 @@ class OrientedBox3D:
         self.size = np.asarray(self.size, dtype=np.float64)
         if self.center.shape != (3,) or self.size.shape != (3,):
             raise ValueError("center and size must be 3-vectors")
-        _require_finite(
-            "center, size and heading", [*self.center.tolist(), *self.size.tolist(), self.heading]
-        )
-        if np.any(self.size <= 0):
-            raise ValueError("all size components must be positive")
+        heading = np.array([self.heading], dtype=np.float64)
+        if bad := first_bad_box(self.center[None], self.size[None], heading):
+            raise ValueError(bad[1])
 
     def corners(self) -> np.ndarray:
         """World-frame corners, shape (8, 3), as `box_corners` orders them."""

@@ -156,6 +156,32 @@ class TestSolvabilityCommand:
         assert "can't decode byte 0xff" in err
         assert not out.exists()
 
+    def test_deeply_nested_scene_file_names_the_file(self, tmp_path, data_dir, capsys):
+        code, out = self._run_on_scene_files(tmp_path, data_dir, {"scene-a.json": b"[" * 100_000})
+        assert code == 2
+        bad_path = tmp_path / "scenes" / "scene-a.json"
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad_path}: invalid JSON: maximum recursion depth exceeded"
+        )
+        assert sorted(child.name for child in tmp_path.iterdir()) == ["scenes"]
+        assert not out.exists()
+
+    def test_deeply_nested_instruction_line_names_the_line(self, tmp_path, data_dir, capsys):
+        lines = (data_dir / "instructions_solvability.jsonl").read_bytes().splitlines(True)
+        lines[1] = b'{"a": ' + b"[" * 100_000 + b"\n"
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_bytes(b"".join(lines))
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        code, out = self._run_on_scene_files(
+            tmp_path, data_dir, {"scene-a.json": scene}, instructions
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {instructions}:2: invalid JSON: maximum recursion depth exceeded"
+        )
+        assert sorted(child.name for child in tmp_path.iterdir()) == ["ins.jsonl", "scenes"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "keys,field",
         [
@@ -200,6 +226,10 @@ class TestSolvabilityCommand:
             pytest.param(
                 ("objects", 2, "box", "heading"), -(10**400), "objects[2].box",
                 id="keys7-minus1e400-objects[2].box",
+            ),
+            pytest.param(
+                ("views", 4, "intrinsics", "width"), -(10**400), "views[4].intrinsics",
+                id="keys8-minus1e400-views[4].intrinsics",
             ),
         ],
     )

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from egoview.synthesis import read_questions
 
 from .oracles import scalar_box_rect
 from .scenegen import random_posed_scene, scene_to_dict
-from .test_scene_errors import VALUES, _paths
+from .test_scene_errors import VALUES, _paths, base_scene
 
 
 def scene_payload(**overrides):
@@ -85,6 +86,14 @@ class TestLoadScene:
         assert {scene_id: scene.split for scene_id, scene in scenes.items()} == {
             "scene-a": "train", "scene-b": "val"
         }
+
+    def test_view_record_of_a_loaded_scene_builds(self, tmp_path):
+        """A principal point that rounds onto a huge image width passes the
+        column check, and the view's record accepts it too."""
+        payload = scene_payload()
+        payload["views"][0]["intrinsics"].update(width=2**60 - 1, cx=float(2**60))
+        scene = load_scene(_write_scene(tmp_path, payload))
+        assert scene.views[0].intrinsics.width == 2**60 - 1
 
     def test_missing_intrinsics_field(self, tmp_path):
         payload = scene_payload()
@@ -146,6 +155,17 @@ class TestLoadScene:
                 with pytest.raises(SchemaError):
                     load_scene(bad)
                 assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_load_leaves_no_cyclic_garbage(self, data_dir):
+        """The GC is paused during a load because the decoded tree holds no
+        cycles; nothing of it may be left for the collector afterwards."""
+        gc.collect()
+        try:
+            gc.disable()
+            load_scene(data_dir / "scenes" / "scene-a.json")
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -403,6 +423,33 @@ class TestColumnLoad:
         assert (excinfo.value.field, excinfo.value.reason) == (
             expected.value.field, expected.value.reason
         )
+
+
+def _leaf_keys(node: dict, prefix=()):
+    """Key paths of the values below `node` that are not objects."""
+    for key, child in node.items():
+        if isinstance(child, dict):
+            yield from _leaf_keys(child, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+class TestSchemaDrift:
+    """The field tables, a generated scene and the module docstring's schema
+    name the same keys."""
+
+    @pytest.mark.parametrize(
+        "table,fields,index",
+        [("objects", corpus._OBJECT_FIELDS, 0), ("views", corpus._VIEW_FIELDS, 1)],
+    )
+    def test_field_table_matches_scene_and_docstring(self, table, fields, index):
+        rows = [keys for keys, _, _ in fields]
+        assert len(set(rows)) == len(rows)
+        assert sorted(rows) == sorted(_leaf_keys(base_scene()[table][index]))
+        schema = corpus.__doc__.split("\n\n")[2]
+        documented = schema.split(f'"{table}": ')[1].split('"views": ')[0]
+        named = set(re.findall(r'(?<!: )"(\w+)"', documented))  # ': "..."' is a value
+        assert named == {key for keys in rows for key in keys}
 
 
 class TestStrictIntegers:

@@ -17,6 +17,8 @@ from egoview.geometry import (
     CameraPose,
     OrientedBox3D,
     Rect2D,
+    first_bad_box,
+    first_bad_intrinsics,
     first_bad_pose,
     image_rects,
     image_visibility,
@@ -388,6 +390,33 @@ class TestIosa:
             assert iosa(a, b) == pytest.approx(grid_count_iosa(a, b), abs=1e-3)
 
 
+def _bad_pose_rows():
+    rotations, translations = np.stack([np.eye(3)] * 6), np.zeros((6, 3))
+    rotations[2, 0, 0] = math.nan  # neither orthonormal nor of determinant +1
+    rotations[4] = np.diag([1.0, 1.0, -1.0])
+    return rotations, translations
+
+
+def _bad_box_rows():
+    centers, sizes, headings = np.zeros((6, 3)), np.ones((6, 3)), np.zeros(6)
+    sizes[2, 0] = -math.inf  # neither finite nor positive
+    sizes[4, 1] = 0.0
+    return centers, sizes, headings
+
+
+def _bad_intrinsics_rows(size_type):
+    """int64 sizes: row 2 has an infinite, negative focal length and row 4
+    its principal point outside.  Python-int sizes: row 2 has width 0, left
+    of its principal point, and row 4 height 2**63."""
+    pinhole = np.array([[500.0, 500.0, 320.0, 240.0]] * 6)
+    sizes = np.array([[640, 480]] * 6, dtype=size_type)
+    if size_type is object:
+        sizes[2, 0], sizes[4, 1] = 0, 2**63
+    else:
+        pinhole[2, 0], pinhole[4, 2] = -math.inf, 700.0
+    return pinhole, sizes
+
+
 class TestValidation:
     def test_bad_rotation_rejected(self):
         with pytest.raises(ValueError):
@@ -414,19 +443,43 @@ class TestValidation:
             CameraPose(rotation=rotation, translation=translation)
         assert str(excinfo.value) == reason
 
-    def test_first_bad_pose_names_lowest_index(self):
-        rotations = np.stack([np.eye(3)] * 6)
-        translations = np.zeros((6, 3))
-        rotations[4] = np.diag([1.0, 1.0, -1.0])
-        rotations[2, 0, 0] = math.nan
-        assert first_bad_pose(rotations, translations) == (
-            2, "rotation must be finite and orthonormal"
-        )
-        assert first_bad_pose(rotations[3:], translations[3:]) == (
-            1, "rotation determinant must be +1"
-        )
-        assert first_bad_pose(rotations[:2], translations[:2]) is None
-        assert first_bad_pose(rotations[:0], translations[:0]) is None
+    @pytest.mark.parametrize(
+        "first_bad,columns,reasons",
+        [
+            pytest.param(
+                first_bad_pose, _bad_pose_rows(),
+                ("rotation must be finite and orthonormal", "rotation determinant must be +1"),
+                id="pose",
+            ),
+            pytest.param(
+                first_bad_box, _bad_box_rows(),
+                ("center, size and heading must be finite", "all size components must be positive"),
+                id="box",
+            ),
+            pytest.param(
+                first_bad_intrinsics, _bad_intrinsics_rows(np.int64),
+                (
+                    "focal lengths and principal point must be finite",
+                    "principal point must lie inside the image",
+                ),
+                id="intrinsics",
+            ),
+            pytest.param(
+                first_bad_intrinsics, _bad_intrinsics_rows(object),
+                (
+                    "principal point must lie inside the image",
+                    "image dimensions must be below 2**63",
+                ),
+                id="intrinsics-python-ints",
+            ),
+        ],
+    )
+    def test_first_bad_pose_names_lowest_index(self, first_bad, columns, reasons):
+        """Six rows, of which rows 2 and 4 fail; row 2 fails two checks."""
+        assert first_bad(*columns) == (2, reasons[0])
+        assert first_bad(*(column[3:] for column in columns)) == (1, reasons[1])
+        assert first_bad(*(column[:2] for column in columns)) is None
+        assert first_bad(*(column[:0] for column in columns)) is None
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
