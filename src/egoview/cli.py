@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage, 2 schema/data error or unreadable input or
 unwritable output, 3 unknown reference, 4 service failure.  A command's
 outputs appear together or not at all: a failure leaves no partial file.
 All randomness flows from --seed; stub-mode runs write byte-identical
-outputs for identical configurations.
+outputs for identical configurations.  Each command imports the modules it
+runs when it runs, so eval starts without numpy.
 """
 
 from __future__ import annotations
@@ -20,16 +21,6 @@ from pathlib import Path
 
 from . import __version__
 from ._util import config_hash
-from .corpus import (
-    CaptionBuildConfig,
-    OutputFiles,
-    build_caption_triplets,
-    extend_dataset_triplets,
-    load_scenes_dir,
-    read_instructions,
-    triplet_to_dict,
-    write_jsonl,
-)
 from .errors import (
     DuplicateId,
     DuplicatePrediction,
@@ -41,26 +32,7 @@ from .errors import (
     UnknownObjectId,
     UnknownScene,
 )
-from .evaluate import (
-    ARTICLES_POLICY,
-    NORMALIZATION_VERSION,
-    em_score,
-    format_solvability_report,
-    read_gold,
-    read_predictions,
-    solvability_report,
-)
-from .services import RemoteModelService, ServiceEndpointConfig, StubModelService
-from .solvability import WitnessConfig, view_requirement_stats
-from .synthesis import (
-    ANSWER_TOKEN_LIMIT,
-    MAX_GENERATION_ATTEMPTS,
-    PROMPT_VERSION,
-    TEMPERATURE,
-    composed_to_dict,
-    read_questions,
-    synthesize_dataset,
-)
+from .records import OutputFiles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,12 +81,40 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises _UsageError instead of exiting.  A
+    command's parser may take `config`, a function returning its config;
+    the config's fields become defaults when that command is parsed, so
+    building the parser imports no command's modules."""
+
+    def __init__(self, *args, config=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config = config
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.config is not None:
+            self.set_defaults(**asdict(self.config()))
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(message)
 
 
+def _witness_config():
+    from .solvability import WitnessConfig
+
+    return WitnessConfig()
+
+
+def _caption_config():
+    from .corpus import CaptionBuildConfig
+
+    return CaptionBuildConfig()
+
+
 def _service_client(args, seed: int):
     """Build the model-service client; env var overrides the --service URL."""
+    from .services import RemoteModelService, ServiceEndpointConfig, StubModelService
+
     if args.stub:
         return StubModelService(seed)
     base_url = os.environ.get(MODEL_SERVICE_ENV) or args.service
@@ -130,6 +130,14 @@ def _default_report_path(out: str) -> str:
 
 
 def cmd_solvability(args) -> int:
+    from .corpus import load_scenes_dir, read_instructions
+    from .solvability import (
+        WitnessConfig,
+        format_solvability_report,
+        solvability_report,
+        view_requirement_stats,
+    )
+
     cfg = WitnessConfig(
         iosa_threshold=args.iosa_threshold, min_area_ratio=args.min_area_ratio
     )
@@ -156,6 +164,18 @@ def cmd_solvability(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .corpus import load_scenes_dir, write_jsonl
+    from .solvability import WitnessConfig
+    from .synthesis import (
+        ANSWER_TOKEN_LIMIT,
+        MAX_GENERATION_ATTEMPTS,
+        PROMPT_VERSION,
+        TEMPERATURE,
+        composed_to_dict,
+        read_questions,
+        synthesize_dataset,
+    )
+
     run = RunConfig(
         command="synthesize",
         seed=args.seed,
@@ -191,6 +211,16 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_build_corpus(args) -> int:
+    from .corpus import (
+        CaptionBuildConfig,
+        build_caption_triplets,
+        extend_dataset_triplets,
+        load_scenes_dir,
+        read_instructions,
+        triplet_to_dict,
+        write_jsonl,
+    )
+
     if args.mode == "extend" and not args.instructions:
         raise _UsageError("--mode extend requires --instructions")
     scenes = load_scenes_dir(args.scenes)
@@ -243,6 +273,14 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import (
+        ARTICLES_POLICY,
+        NORMALIZATION_VERSION,
+        em_score,
+        read_gold,
+        read_predictions,
+    )
+
     gold = read_gold(args.gold)
     predictions = read_predictions(args.pred)
     report = em_score(predictions, gold)
@@ -273,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"egoview {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("solvability", help="view-requirement analysis over instructions")
+    sub = commands.add_parser(
+        "solvability", help="view-requirement analysis over instructions", config=_witness_config
+    )
     sub.add_argument("--scenes", required=True, help="directory of scene JSON files")
     sub.add_argument("--instructions", required=True, help="instruction JSONL file")
     sub.add_argument("--out", required=True, help="report JSON output path")
@@ -281,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--iosa-threshold", type=float)
     sub.add_argument("--min-area-ratio", type=float)
     sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=cmd_solvability, **asdict(WitnessConfig()))
+    sub.set_defaults(func=cmd_solvability)
 
     sub = commands.add_parser("synthesize", help="compose multi-view questions from pairs")
     sub.add_argument("--scenes", required=True)
@@ -292,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_args(sub)
     sub.set_defaults(func=cmd_synthesize)
 
-    sub = commands.add_parser("build-corpus", help="build view/object/text triplets")
+    sub = commands.add_parser(
+        "build-corpus", help="build view/object/text triplets", config=_caption_config
+    )
     sub.add_argument("--scenes", required=True)
     sub.add_argument("--mode", required=True, choices=["captions", "extend"])
     sub.add_argument("--instructions", help="instruction JSONL (required for extend mode)")
@@ -304,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tau", type=float, help="visibility threshold")
     sub.add_argument("--seed", type=int, default=0)
     _add_service_args(sub)
-    sub.set_defaults(func=cmd_build_corpus, **asdict(CaptionBuildConfig()))
+    sub.set_defaults(func=cmd_build_corpus)
 
     sub = commands.add_parser("eval", help="exact-match evaluation of predictions")
     sub.add_argument("--gold", required=True, help="gold answer JSONL")

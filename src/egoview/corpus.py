@@ -17,7 +17,9 @@ image sizes (V, 2)).  One table of fields per entry kind (`_OBJECT_FIELDS`,
 reads each field of every entry as one column, one `np.array` call per
 numeric field, and the `geometry.first_bad_*` value checks run over whole
 columns.  If either rejects a table, `_walk` reads its entries in file
-order against the same table and raises the first error.  Float fields take
+order against the same table and raises the first error.  When only a
+value check rejects it, the walk starts at the first entry that check
+names: every earlier entry passed every rule.  Float fields take
 JSON numbers only, integer fields JSON integers only.  The cyclic GC is
 paused for one `load_scene`: the decoded tree has many fresh containers and
 no cycles.
@@ -26,17 +28,18 @@ Scene and record files must be UTF-8, and no text field may hold a lone
 surrogate; either is a SchemaError naming the file, line or field.  Record
 files (instructions, triplets, predictions, composed questions) are
 line-delimited JSON with keys in a fixed order so identical inputs produce
-byte-identical outputs.
+byte-identical outputs.  Their line reader, field rules and `OutputFiles`
+live in `records`, which needs no numpy; this module reads instructions
+and triplets with them and writes JSONL through them.  The triplet
+builders import `selection` when they run; loading scenes needs none of it.
 """
 
 from __future__ import annotations
 
-import errno
 import gc
 import json
 import logging
 import math
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -56,7 +59,17 @@ from .geometry import (
     first_bad_intrinsics,
     first_bad_pose,
 )
-from .selection import alignment, image_refs, select_views_for_dc, select_views_for_qa
+from .records import (
+    OutputFiles,
+    _claim_id,
+    _encodable,
+    _integer,
+    _integers,
+    _iter_jsonl,
+    _list,
+    _require,
+    _text,
+)
 from .solvability import Objects, SceneObject, View, Views, WitnessTable
 
 logger = logging.getLogger(__name__)
@@ -162,58 +175,6 @@ class CaptionBuildConfig:
             raise ValueError("stride must be >= 1")
         if self.num_captions < 1:
             raise ValueError("num_captions must be >= 1")
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing")
-    return obj[key]
-
-
-def _integer(value, path: str) -> int:
-    """`value` if it is a JSON integer; bools, fractions and other types raise
-    SchemaError naming `path`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"must be an integer, got {value!r}")
-    return value
-
-
-def _text(value, path: str, optional: bool = False) -> str | None:
-    """`value` if it is a JSON string without a lone surrogate (which no
-    output could encode), or null when `optional`; anything else raises
-    SchemaError naming `path`."""
-    if isinstance(value, str):
-        if not (value.isascii() or _encodable(value)):
-            raise SchemaError(path, f"must not hold a lone surrogate, got {value!r}")
-        return value
-    if optional and value is None:
-        return value
-    raise SchemaError(path, f"must be a string{' or null' if optional else ''}, got {value!r}")
-
-
-def _encodable(text: str) -> bool:
-    """Whether UTF-8 can encode `text`, i.e. it holds no lone surrogate; a
-    non-string raises TypeError."""
-    try:
-        str.encode(text, "utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _list(value, path: str) -> list:
-    """`value` if it is a JSON array; other types raise SchemaError naming `path`."""
-    if not isinstance(value, list):
-        raise SchemaError(path, f"must be a list, got {value!r}")
-    return value
-
-
-def _integers(values, path: str) -> frozenset[int]:
-    """The JSON array `values` of integers as a set; a non-list or a
-    non-integer entry raises SchemaError naming its path."""
-    return frozenset(
-        _integer(value, f"{path}[{i}]") for i, value in enumerate(_list(values, path))
-    )
 
 
 def _score(value, path: str) -> float | None:
@@ -387,35 +348,43 @@ def _view_record(entry, where: str) -> View:
     return View(view_id, intrinsics, pose, path)
 
 
-def _first_error(record, table: str, entries: list) -> NoReturn:
-    """Raise the first error of the first entry of `table` that has one."""
-    for i, entry in enumerate(entries):
-        record(entry, f"{table}[{i}]")
+def _first_error(record, table: str, entries: list, start: int) -> NoReturn:
+    """Raise the first error of the first entry of `table`, from `start` on,
+    that has one."""
+    for i in range(start, len(entries)):
+        record(entries[i], f"{table}[{i}]")
     raise AssertionError(f"{table} fail a column check, but no entry fails its walk")
 
 
 def _object_table(entries: list) -> Objects:
+    start = 0
     try:
         ids, labels, centers, sizes, headings = _gather(_OBJECT_FIELDS, entries)
-        if first_bad_box(centers, sizes, headings) is None:
+        bad = first_bad_box(centers, sizes, headings)
+        if bad is None:
             corners = box_corners(centers, sizes, headings.tolist())
             return Objects(ids, labels, centers, sizes, headings, corners)
+        start = bad[0]  # every earlier entry passed every rule
     except _REJECTED:  # walked below, outside the handler: no chained internal error
         pass
-    _first_error(_object_record, "objects", entries)
+    _first_error(_object_record, "objects", entries, start)
 
 
 def _view_table(entries: list) -> Views:
+    start = 0
     try:
         ids, *pinhole, width, height, _, rotations, translations, paths = _gather(
             _VIEW_FIELDS, entries
         )
         pinhole, sizes = np.stack(pinhole, axis=1), np.stack([width, height], axis=1)
-        if not (first_bad_intrinsics(pinhole, sizes) or first_bad_pose(rotations, translations)):
+        found = (first_bad_intrinsics(pinhole, sizes), first_bad_pose(rotations, translations))
+        bad = [index for index, _ in filter(None, found)]
+        if not bad:
             return Views(ids, paths, rotations, translations, pinhole, sizes)
+        start = min(bad)  # every earlier entry passed every rule
     except _REJECTED:
         pass
-    _first_error(_view_record, "views", entries)
+    _first_error(_view_record, "views", entries, start)
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -515,37 +484,11 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     return records
 
 
-def _claim_id(seen: dict[str, str], record_id: str, where: str) -> None:
-    """Note where an id first appears; raise DuplicateId when it repeats."""
-    if record_id in seen:
-        raise DuplicateId(f"{where}: id {record_id!r} already used at {seen[record_id]}")
-    seen[record_id] = where
-
-
-def _iter_jsonl(path: str | Path):
-    """Yield (lineno, record) for each data line; skips provenance headers."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}", f"invalid UTF-8: {exc}") from exc
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise SchemaError(f"{path}:{lineno}", f"invalid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise SchemaError(f"{path}:{lineno}", "record must be a JSON object")
-            if data.get("record") == "provenance":
-                continue
-            yield lineno, data
-
-
 def _register_sidecar(clients, views: Views, objects: Objects, tau: float) -> dict[str, set[int]]:
     """Compute visible-object sets for views and register label sidecars on
     any stub clients.  Returns visible ids keyed by view_id."""
+    from .selection import alignment, image_refs
+
     table = WitnessTable.build(objects, views, alignment(tau)).matrix
     visible: dict[str, set[int]] = {}
     for view_id, ref, row in zip(views.ids, image_refs(views), table.tolist()):
@@ -572,6 +515,8 @@ def build_caption_triplets(
     becoming one triplet whose object set is the view's visible objects.
     Output order is canonical: view order, then caption index.
     """
+    from .selection import image_refs
+
     if not scene.views:
         raise ValueError(f"scene {scene.scene_id} has no views")
     sampled = scene.views[:: cfg.stride]
@@ -632,6 +577,8 @@ def extend_dataset_triplets(
     and warnings follow instruction order, and an instruction that cannot
     be bound raises after those before it are emitted.
     """
+    from .selection import select_views_for_dc, select_views_for_qa
+
     by_scene: dict[str, list[int]] = {}
     object_ids: dict[str, set[int]] = {}
     error = None
@@ -733,39 +680,6 @@ def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(where, str(exc)) from exc
-
-
-class OutputFiles:
-    """Output files that appear together or not at all.
-
-    Inside `with OutputFiles() as outputs:`, each `outputs.write(path, text)`
-    goes to a temp file beside `path`.  On a clean exit every temp file is
-    moved into place with `os.replace`; if anything raised, none is.  No temp
-    file outlives the block.
-    """
-
-    def __init__(self):
-        self._staged: list[tuple[Path, Path]] = []
-
-    def __enter__(self) -> OutputFiles:
-        return self
-
-    def write(self, path: str | Path, text: str) -> None:
-        path = Path(path)
-        if path.is_dir():  # os.replace would fail only after earlier outputs moved
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        temp = path.with_name(f".{path.name}.{os.getpid()}.{len(self._staged)}.tmp")
-        self._staged.append((temp, path))
-        temp.write_text(text, encoding="utf-8", newline="\n")
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                for temp, path in self._staged:
-                    os.replace(temp, path)
-        finally:
-            for temp, _ in self._staged:
-                temp.unlink(missing_ok=True)
 
 
 def write_jsonl(

@@ -1,4 +1,4 @@
-"""Exact-match QA evaluation with answer normalization, plus report assembly.
+"""Exact-match QA evaluation with answer normalization.
 
 Normalization: Unicode NFKC, lowercase, trim, collapse internal whitespace,
 then strip trailing '.', '?' and '!' characters (repeatedly, so the function
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._util import percent
-from .corpus import _claim_id, _integer, _iter_jsonl, _require, _text
 from .errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
-from .solvability import BUCKETS, RequirementHistogram, ViewRequirement, WitnessConfig
+from .records import BUCKETS, _claim_id, _integer, _iter_jsonl, _require, _text, view_bucket
 
 NORMALIZATION_VERSION = "nfkc-lower-ws-trailpunct-v1"
 ARTICLES_POLICY = "preserved"
@@ -41,7 +40,7 @@ class GoldAnswer:
     def bucket(self) -> str:
         if self.min_views is None:
             return "unbucketed"
-        return ViewRequirement(self.min_views, "exact").bucket
+        return view_bucket(self.min_views)
 
 
 @dataclass
@@ -126,40 +125,6 @@ def em_score(
         total=len(gold),
         missing_predictions=missing,
     )
-
-
-def solvability_report(hist: RequirementHistogram, cfg: WitnessConfig) -> dict:
-    """Structured view-requirement report: counts, percentages, solver mix, config."""
-    return {
-        "record": "solvability_report",
-        "total": hist.total,
-        "counts": dict(hist.counts),
-        "percentages": hist.percentages(),
-        "solver_mix": dict(hist.solver_counts),
-        "stride": hist.stride,
-        "config": {
-            "iosa_threshold": cfg.iosa_threshold,
-            "min_area_ratio": cfg.min_area_ratio,
-        },
-        "total_zero": hist.total == 0,
-    }
-
-
-def format_solvability_report(report: Mapping) -> str:
-    """Human-readable table for terminal output."""
-    lines = [
-        f"instructions: {report['total']}"
-        + ("  (empty input)" if report.get("total_zero") else ""),
-        "views needed   count   share",
-    ]
-    for bucket in BUCKETS:
-        lines.append(
-            f"{bucket:>11}   {report['counts'][bucket]:>5}   {report['percentages'][bucket]:>5.1f}%"
-        )
-    mix = report["solver_mix"]
-    lines.append(f"solved exactly: {mix.get('exact', 0)}, greedily: {mix.get('greedy', 0)}")
-    lines.append(f"view stride: {report['stride']}")
-    return "\n".join(lines)
 
 
 def read_predictions(path) -> list[Prediction]:

@@ -1,4 +1,5 @@
-"""Witness predicates and minimum-view analysis for egocentric view sets.
+"""Witness predicates, minimum-view analysis and the view-requirement report
+for egocentric view sets.
 
 An object is "witnessed" by a view when its projected 3D box overlaps the
 image rectangle with intersection-over-smaller-area above a threshold and the
@@ -22,8 +23,7 @@ from . import geometry
 from ._util import percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
 from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, box_corners
-
-BUCKETS = ("1", "2", "3", "4+", "unsolvable")
+from .records import BUCKETS, view_bucket
 
 # Above this many candidate views (after dominance pruning) the exact
 # branch-and-bound search is abandoned in favour of greedy max-coverage.
@@ -183,11 +183,7 @@ class ViewRequirement:
 
     @property
     def bucket(self) -> str:
-        if self.n is None:
-            return "unsolvable"
-        if self.n >= 4:
-            return "4+"
-        return str(self.n)
+        return view_bucket(self.n)
 
 
 def witnesses(view: View, obj: SceneObject, cfg: WitnessConfig = WitnessConfig()) -> bool:
@@ -426,6 +422,40 @@ class RequirementHistogram:
 
     def percentages(self) -> dict[str, float]:
         return {bucket: percent(self.counts[bucket], self.total) for bucket in BUCKETS}
+
+
+def solvability_report(hist: RequirementHistogram, cfg: WitnessConfig) -> dict:
+    """Structured view-requirement report: counts, percentages, solver mix, config."""
+    return {
+        "record": "solvability_report",
+        "total": hist.total,
+        "counts": dict(hist.counts),
+        "percentages": hist.percentages(),
+        "solver_mix": dict(hist.solver_counts),
+        "stride": hist.stride,
+        "config": {
+            "iosa_threshold": cfg.iosa_threshold,
+            "min_area_ratio": cfg.min_area_ratio,
+        },
+        "total_zero": hist.total == 0,
+    }
+
+
+def format_solvability_report(report: Mapping) -> str:
+    """Human-readable table for terminal output."""
+    lines = [
+        f"instructions: {report['total']}"
+        + ("  (empty input)" if report.get("total_zero") else ""),
+        "views needed   count   share",
+    ]
+    for bucket in BUCKETS:
+        lines.append(
+            f"{bucket:>11}   {report['counts'][bucket]:>5}   {report['percentages'][bucket]:>5.1f}%"
+        )
+    mix = report["solver_mix"]
+    lines.append(f"solved exactly: {mix.get('exact', 0)}, greedily: {mix.get('greedy', 0)}")
+    lines.append(f"view stride: {report['stride']}")
+    return "\n".join(lines)
 
 
 def view_requirement_stats(

@@ -10,8 +10,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Scene, _claim_id, _integers, _iter_jsonl, _require, _text
+from .corpus import Scene
 from .errors import SchemaError, UnknownScene
+from .records import _claim_id, _integers, _iter_jsonl, _require, _text
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable
 

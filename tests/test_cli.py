@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from egoview.cli import main
+from egoview.cli import build_parser, main
 
 DATA = "tests/data"
 
@@ -697,3 +698,100 @@ class TestUsageAndConfig:
         assert header["record"] == "provenance"
         assert header["seed"] == 123
         assert header["config_hash"]
+
+
+# `egoview <command> --help` at 80 columns.  Building the parser imports no
+# command's modules, yet each command's options and defaults read as before.
+HELP = {
+    "solvability": """\
+usage: egoview solvability [-h] --scenes SCENES --instructions INSTRUCTIONS
+                           --out OUT [--stride STRIDE]
+                           [--iosa-threshold IOSA_THRESHOLD]
+                           [--min-area-ratio MIN_AREA_RATIO] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --scenes SCENES       directory of scene JSON files
+  --instructions INSTRUCTIONS
+                        instruction JSONL file
+  --out OUT             report JSON output path
+  --stride STRIDE       candidate view stride (default 1)
+  --iosa-threshold IOSA_THRESHOLD
+  --min-area-ratio MIN_AREA_RATIO
+  --seed SEED
+""",
+    "synthesize": """\
+usage: egoview synthesize [-h] --scenes SCENES --questions QUESTIONS --out OUT
+                          [--report REPORT] [--seed SEED]
+                          (--stub | --service URL)
+
+options:
+  -h, --help            show this help message and exit
+  --scenes SCENES
+  --questions QUESTIONS
+                        question JSONL file
+  --out OUT             composed-question JSONL output path
+  --report REPORT       report JSON path (default: <out>.report.json)
+  --seed SEED
+  --stub                use deterministic in-process stubs
+  --service URL         model service base URL
+""",
+    "build-corpus": """\
+usage: egoview build-corpus [-h] --scenes SCENES --mode {captions,extend}
+                            [--instructions INSTRUCTIONS] --out OUT
+                            [--report REPORT] [--stride STRIDE]
+                            [--num-captions NUM_CAPTIONS]
+                            [--threshold THRESHOLD] [--tau TAU] [--seed SEED]
+                            (--stub | --service URL)
+
+options:
+  -h, --help            show this help message and exit
+  --scenes SCENES
+  --mode {captions,extend}
+  --instructions INSTRUCTIONS
+                        instruction JSONL (required for extend mode)
+  --out OUT             triplet JSONL output path
+  --report REPORT       summary JSON path (default: <out>.report.json)
+  --stride STRIDE       view sampling stride (default 20)
+  --num-captions NUM_CAPTIONS
+  --threshold THRESHOLD
+                        caption keep threshold
+  --tau TAU             visibility threshold
+  --seed SEED
+  --stub                use deterministic in-process stubs
+  --service URL         model service base URL
+""",
+    "eval": """\
+usage: egoview eval [-h] --gold GOLD --pred PRED --out OUT [--seed SEED]
+
+options:
+  -h, --help   show this help message and exit
+  --gold GOLD  gold answer JSONL
+  --pred PRED  prediction JSONL
+  --out OUT    report JSON output path
+  --seed SEED
+""",
+}
+
+
+class TestParser:
+    def test_defaults_come_from_the_config_classes(self):
+        from egoview.corpus import CaptionBuildConfig
+        from egoview.solvability import WitnessConfig
+
+        for argv, config in [
+            (["solvability", "--scenes", "s", "--instructions", "i", "--out", "o"],
+             WitnessConfig()),
+            (["build-corpus", "--scenes", "s", "--mode", "captions", "--out", "o", "--stub"],
+             CaptionBuildConfig()),
+        ]:
+            args = vars(build_parser().parse_args(argv))
+            assert {key: args[key] for key in asdict(config)} == asdict(config)
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == HELP[command]

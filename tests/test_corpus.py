@@ -425,6 +425,51 @@ class TestColumnLoad:
         )
 
 
+_SKEWED = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+class TestFirstErrorWalk:
+    """When the columns load and only a value rule rejects a table, the walk
+    builds the first entry that rule names, not every entry before it."""
+
+    @pytest.fixture(scope="class")
+    def big_scene(self):
+        views, objects = random_posed_scene(np.random.default_rng(97), 1000, 1000)
+        return scene_to_dict(views, objects)
+
+    @pytest.mark.parametrize(
+        "table,edits,walked,error",
+        [
+            ("views", {(999, "intrinsics", "fx"): -500.0},
+             "views[999]", ("views[999].intrinsics", "focal lengths must be positive")),
+            ("objects", {(999, "box", "size", 0): -0.5},
+             "objects[999]", ("objects[999].box", "all size components must be positive")),
+            ("views", {(999, "intrinsics", "fx"): -500.0, (500, "pose", "rotation"): _SKEWED},
+             "views[500]", ("views[500].pose", "rotation must be finite and orthonormal")),
+            ("views", {(500, "intrinsics", "fx"): -500.0, (999, "pose", "rotation"): _SKEWED},
+             "views[500]", ("views[500].intrinsics", "focal lengths must be positive")),
+        ],
+    )
+    def test_walk_builds_one_entry(
+        self, tmp_path, monkeypatch, big_scene, table, edits, walked, error
+    ):
+        payload = copy.deepcopy(big_scene)
+        for keys, value in edits.items():
+            _edited(payload, (table, *keys), copy.deepcopy(value))
+        name = "_view_record" if table == "views" else "_object_record"
+        record, walks = getattr(corpus, name), []
+
+        def counted(entry, where):
+            walks.append(where)
+            return record(entry, where)
+
+        monkeypatch.setattr(corpus, name, counted)
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(_write_scene(tmp_path, payload))
+        assert (excinfo.value.field, excinfo.value.reason) == error
+        assert walks == [walked]
+
+
 def _leaf_keys(node: dict, prefix=()):
     """Key paths of the values below `node` that are not objects."""
     for key, child in node.items():

@@ -9,13 +9,10 @@ from egoview.evaluate import (
     GoldAnswer,
     Prediction,
     em_score,
-    format_solvability_report,
     normalize_answer,
     read_gold,
     read_predictions,
-    solvability_report,
 )
-from egoview.solvability import RequirementHistogram, WitnessConfig
 
 
 class TestNormalizeAnswer:
@@ -124,46 +121,6 @@ class TestEmScore:
         payload = em_score(self._preds(), self._gold()).to_dict()
         assert payload["articles"] == "preserved"
         assert payload["normalization"]
-
-
-class TestSolvabilityReport:
-    def _hist(self, counts, total, min_counts):
-        return RequirementHistogram(
-            counts=counts,
-            total=total,
-            solver_counts={"exact": total, "greedy": 0},
-            stride=1,
-            min_counts=min_counts,
-        )
-
-    def test_percentages(self):
-        hist = self._hist(
-            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
-        )
-        report = solvability_report(hist, WitnessConfig())
-        assert report["percentages"] == {
-            "1": 40.0,
-            "2": 20.0,
-            "3": 20.0,
-            "4+": 20.0,
-            "unsolvable": 0.0,
-        }
-        assert report["config"]["iosa_threshold"] == 0.5
-        assert report["total_zero"] is False
-
-    def test_zero_histogram_flagged(self):
-        hist = self._hist({b: 0 for b in ("1", "2", "3", "4+", "unsolvable")}, 0, [])
-        report = solvability_report(hist, WitnessConfig())
-        assert report["total_zero"] is True
-        assert all(v == 0.0 for v in report["percentages"].values())
-
-    def test_format_is_printable(self):
-        hist = self._hist(
-            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
-        )
-        text = format_solvability_report(solvability_report(hist, WitnessConfig()))
-        assert "40.0%" in text
-        assert "view stride: 1" in text
 
 
 class TestEvalIO:

@@ -1,0 +1,89 @@
+"""Each command imports only what it runs.  These tests start fresh
+interpreters, since this test process has long since imported everything."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(script: str, *args: str) -> None:
+    """Run `script` in a fresh interpreter with egoview importable; it
+    signals a broken contract by failing an assert."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_imports_no_command_module():
+    _run(
+        "import sys\n"
+        "import egoview.cli\n"
+        "loaded = {'egoview.evaluate', 'egoview.services', 'egoview.synthesis'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+
+
+def test_eval_runs_without_numpy(tmp_path, data_dir):
+    _run(
+        "import sys\n"
+        "import egoview.cli\n"
+        "code = egoview.cli.main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "unwanted = {'numpy', 'egoview.corpus', 'egoview.geometry', 'egoview.solvability'}\n"
+        "loaded = unwanted & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n",
+        "eval",
+        "--gold", str(data_dir / "eval_gold.jsonl"),
+        "--pred", str(data_dir / "eval_pred.jsonl"),
+        "--out", str(tmp_path / "eval.report.json"),
+    )
+    assert (tmp_path / "eval.report.json").is_file()
+
+
+def test_solvability_imports_what_the_benchmark_probe_imports(tmp_path, data_dir):
+    """The probe behind `setup_s` imports egoview.cli and egoview.corpus;
+    the solvability command needs no module beyond those."""
+    _run(
+        "import sys\n"
+        "import egoview.cli\n"
+        "code = egoview.cli.main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'egoview'}\n"
+        "expected = {'egoview', 'egoview._util', 'egoview.cli', 'egoview.corpus',\n"
+        "            'egoview.errors', 'egoview.geometry', 'egoview.records',\n"
+        "            'egoview.solvability'}\n"
+        "assert loaded == expected, sorted(loaded ^ expected)\n",
+        "solvability",
+        "--scenes", str(data_dir / "scenes"),
+        "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+        "--out", str(tmp_path / "report.json"),
+    )
+
+
+def test_package_exports_resolve_lazily():
+    _run(
+        "import importlib, sys\n"
+        "import egoview\n"
+        "assert 'numpy' not in sys.modules\n"
+        "names = dir(egoview)\n"
+        "for name in egoview.__all__:\n"
+        "    assert name in names, name\n"
+        "    if name != '__version__':\n"
+        "        value = getattr(egoview, name)\n"
+        "        home = importlib.import_module(value.__module__)\n"
+        "        assert value is getattr(home, name), name\n"
+        "try:\n"
+        "    egoview.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name resolved')\n"
+    )

@@ -12,16 +12,19 @@ from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.solvability import (
     EXACT_SEARCH_LIMIT,
     Objects,
+    RequirementHistogram,
     SceneObject,
     View,
     Views,
     ViewRequirement,
     WitnessConfig,
     WitnessTable,
+    format_solvability_report,
     greedy_cover,
     is_solvable,
     min_cover,
     min_view_count,
+    solvability_report,
     view_requirement_stats,
     witness_matrix,
     witnesses,
@@ -516,3 +519,43 @@ class TestViewRequirementStats:
         assert hist.counts["1"] == 1
         assert hist.counts["unsolvable"] == 4
         assert hist.total == 5
+
+
+class TestSolvabilityReport:
+    def _hist(self, counts, total, min_counts):
+        return RequirementHistogram(
+            counts=counts,
+            total=total,
+            solver_counts={"exact": total, "greedy": 0},
+            stride=1,
+            min_counts=min_counts,
+        )
+
+    def test_percentages(self):
+        hist = self._hist(
+            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
+        )
+        report = solvability_report(hist, WitnessConfig())
+        assert report["percentages"] == {
+            "1": 40.0,
+            "2": 20.0,
+            "3": 20.0,
+            "4+": 20.0,
+            "unsolvable": 0.0,
+        }
+        assert report["config"]["iosa_threshold"] == 0.5
+        assert report["total_zero"] is False
+
+    def test_zero_histogram_flagged(self):
+        hist = self._hist({b: 0 for b in ("1", "2", "3", "4+", "unsolvable")}, 0, [])
+        report = solvability_report(hist, WitnessConfig())
+        assert report["total_zero"] is True
+        assert all(v == 0.0 for v in report["percentages"].values())
+
+    def test_format_is_printable(self):
+        hist = self._hist(
+            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
+        )
+        text = format_solvability_report(solvability_report(hist, WitnessConfig()))
+        assert "40.0%" in text
+        assert "view stride: 1" in text
