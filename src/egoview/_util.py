@@ -1,9 +1,11 @@
-"""Small shared helpers: half-up rounding, config hashing, token splitting."""
+"""Small shared helpers: half-up rounding, config hashing, token splitting,
+the finite-number test for decoded JSON."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping
@@ -23,6 +25,15 @@ def percent(count: int, total: int) -> float:
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric tokens, stopwords kept."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def finite_number(value) -> bool:
+    """True when `value` is a finite JSON number: not a bool, a string, null,
+    a container, NaN, an infinity or an integer too large for a float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def config_hash(payload: Mapping) -> str:

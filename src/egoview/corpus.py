@@ -39,7 +39,6 @@ from __future__ import annotations
 import gc
 import json
 import logging
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -49,6 +48,7 @@ from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from ._util import finite_number
 from .errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
 from .geometry import (
     CameraIntrinsics,
@@ -175,6 +175,8 @@ class CaptionBuildConfig:
             raise ValueError("stride must be >= 1")
         if self.num_captions < 1:
             raise ValueError("num_captions must be >= 1")
+        if not finite_number(self.threshold):  # NaN would keep every caption
+            raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
 
 
 def _score(value, path: str) -> float | None:
@@ -183,11 +185,7 @@ def _score(value, path: str) -> float | None:
     SchemaError naming `path`."""
     if value is None:
         return None
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
+    if not finite_number(value):
         raise SchemaError(path, f"must be a finite number or null, got {value!r}")
     return value
 

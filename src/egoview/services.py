@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._util import tokenize
+from ._util import finite_number, tokenize
 from .errors import EmptyInput, InvalidImageReference, ServiceUnavailable
 
 logger = logging.getLogger(__name__)
@@ -162,6 +162,8 @@ class RemoteModelService:
     Transport failures (connection errors, timeouts) are retried twice with
     backoff, then raised as ServiceUnavailable.  Well-formed replies are
     never retried; malformed bodies and non-2xx statuses fail immediately.
+    A reply must hold a string per caption and a finite JSON number (not a
+    bool) per score; anything else is a ServiceUnavailable naming the route.
     `requests` is imported here, not at module level, so stub runs never
     load it.
     """
@@ -204,25 +206,26 @@ class RemoteModelService:
             raise ValueError("num_captions must be >= 1")
         if not image_ref:
             raise InvalidImageReference("empty image reference")
-        body = self._post(
-            "/v1/caption", {"image_path": image_ref, "num_captions": num_captions}
-        )
+        route = "/v1/caption"
+        body = self._post(route, {"image_path": image_ref, "num_captions": num_captions})
         captions = body.get("captions")
-        if not isinstance(captions, list):
-            raise ServiceUnavailable("caption reply missing 'captions' list")
-        return [str(c) for c in captions]
+        if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+            raise ServiceUnavailable(f"{route} reply: 'captions' must be a list of strings")
+        return captions
 
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
         if not texts:
             raise EmptyInput("score_image_text requires at least one text")
         if not image_ref:
             raise InvalidImageReference("empty image reference")
-        body = self._post(
-            "/v1/score_image_text", {"image_path": image_ref, "texts": list(texts)}
-        )
+        route = "/v1/score_image_text"
+        body = self._post(route, {"image_path": image_ref, "texts": list(texts)})
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(texts):
-            raise ServiceUnavailable("score reply shape does not match inputs")
+            raise ServiceUnavailable(f"{route} reply: 'scores' must be a list, one per text")
+        for score in scores:
+            if not finite_number(score):
+                raise ServiceUnavailable(f"{route} reply: a score must be a finite number, got {score!r}")
         return ScoreResult(scores=tuple(min(1.0, max(0.0, float(s))) for s in scores))
 
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:

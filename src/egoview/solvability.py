@@ -6,7 +6,9 @@ image rectangle with intersection-over-smaller-area above a threshold and the
 projection is not impractically small.  An instruction is "solvable" under a
 view set when every referenced object is witnessed by at least one view in
 the set; the minimum number of views needed is a set-cover optimum over the
-per-view witness sets.
+per-view witness sets.  A witness table packs its rows once into Python-int
+bitmasks, one bit per object id, and every count stays on those ints down
+through the solver's pruning, greedy and exact search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .records import BUCKETS, view_bucket
 # Above this many candidate views (after dominance pruning) the exact
 # branch-and-bound search is abandoned in favour of greedy max-coverage.
 EXACT_SEARCH_LIMIT = 24
+_Sets = Sequence[tuple[str, "frozenset | int"]]  # (id, members) pairs
 
 
 @dataclass(eq=False)
@@ -238,29 +240,38 @@ def _among(objects: Objects, ids: Iterable[int]) -> Objects:
     return objects[np.array([oid in ids for oid in objects.ids], dtype=bool)]
 
 
-def greedy_cover(
-    sets_by_id: Sequence[tuple[str, frozenset]],
-    universe: frozenset,
-) -> list[str]:
-    """Greedy max-coverage: repeatedly take the set covering the most uncovered
-    elements, breaking ties by lexicographically smallest id.
+def _as_masks(sets_by_id: _Sets, universe: frozenset | int) -> tuple[_Sets, int]:
+    """The sets and universe as int bitmasks: as given when `universe` is an
+    int, else one bit per universe element, dropping members outside it."""
+    if isinstance(universe, int):
+        return sets_by_id, universe
+    bit_of = {element: 1 << i for i, element in enumerate(universe)}
+    masks = [(set_id, sum(bit_of.get(e, 0) for e in members)) for set_id, members in sets_by_id]
+    return masks, (1 << len(bit_of)) - 1
 
-    The union of the sets must cover the universe.
-    """
-    covered: set = set()
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, each as an int of that one bit."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def greedy_cover(sets_by_id: _Sets, universe: frozenset | int) -> list[str]:
+    """Greedy max-coverage: repeatedly take the set covering the most uncovered
+    elements, breaking ties by lexicographically smallest id.  Sets and
+    universe are frozensets or int bitmasks; the sets must cover the universe."""
+    sets_by_id, remaining = _as_masks(sets_by_id, universe)
     chosen: list[str] = []
     ordered = sorted(sets_by_id, key=lambda kv: kv[0])
-    members_of = dict(ordered)
-    while covered != universe:
-        best_id, best_gain = None, 0
-        for set_id, members in ordered:
-            gain = len(members - covered)
-            if gain > best_gain:
-                best_id, best_gain = set_id, gain
-        if best_id is None:
+    while remaining:
+        # The first of the largest gains: ties go to the smallest id.
+        best_id, best = max(ordered, key=lambda kv: (kv[1] & remaining).bit_count(), default=("", 0))
+        if not best & remaining:
             raise ValueError("sets do not cover the universe")
         chosen.append(best_id)
-        covered |= members_of[best_id]
+        remaining &= ~best
     return chosen
 
 
@@ -270,10 +281,8 @@ def _exact_cover_size(masks: Sequence[int], universe: int, upper_bound: int) -> 
     The masks must jointly cover the universe; upper_bound is a known
     feasible size used as the initial pruning bound.
     """
-    element_bits = [1 << b for b in range(universe.bit_length()) if universe >> b & 1]
-    masks_for = {
-        bit: [m for m in masks if m & bit] for bit in element_bits
-    }
+    element_bits = list(_bits(universe))
+    masks_for = {bit: [m for m in masks if m & bit] for bit in element_bits}
     best = upper_bound
 
     def dfs(covered: int, used: int) -> None:
@@ -287,64 +296,45 @@ def _exact_cover_size(masks: Sequence[int], universe: int, upper_bound: int) -> 
         if lower >= best:
             return
         # Branch on the rarest uncovered element: smallest fan-out first.
-        bit = min(
-            (b for b in element_bits if remaining & b),
-            key=lambda b: len(masks_for[b]),
-        )
-        candidates = sorted(
-            masks_for[bit], key=lambda m: (m & remaining).bit_count(), reverse=True
-        )
-        for m in candidates:
+        bit = min((b for b in element_bits if remaining & b), key=lambda b: len(masks_for[b]))
+        for m in sorted(masks_for[bit], key=lambda m: (m & remaining).bit_count(), reverse=True):
             dfs(covered | m, used + 1)
 
     dfs(0, 0)
     return best
 
 
-def min_cover(
-    sets_by_id: Sequence[tuple[str, frozenset]],
-    universe: frozenset,
-) -> ViewRequirement:
+def min_cover(sets_by_id: _Sets, universe: frozenset | int) -> ViewRequirement:
     """Minimum number of sets needed to cover the universe.
 
-    Dominated sets (subsets of another candidate) are pruned first; that
-    never changes the optimum.  When at most EXACT_SEARCH_LIMIT candidates
-    remain the optimum is found by branch and bound, otherwise greedy
-    max-coverage provides an upper bound and the result is tagged 'greedy'.
+    Sets and universe are frozensets, turned into int bitmasks first, or
+    int bitmasks.  Dominated sets (subsets of another candidate) are pruned
+    first; that never changes the optimum.  When at most EXACT_SEARCH_LIMIT
+    candidates remain the optimum is found by branch and bound, otherwise
+    greedy max-coverage gives an upper bound tagged 'greedy'.
 
     Returns an unsolvable requirement when some element is in no set.
     """
     if not universe:
         raise EmptyInput("universe is empty")
-    union: set = set()
-    for _, members in sets_by_id:
-        union |= members
-    if not universe <= union:
-        return ViewRequirement(None, "exact")
-
+    sets_by_id, universe = _as_masks(sets_by_id, universe)
     # Dominance pruning: keep a set only if no kept set is a strict superset
-    # (equal sets keep the lexicographically smallest id).
-    trimmed = [(set_id, members & universe) for set_id, members in sets_by_id]
-    trimmed.sort(key=lambda kv: (-len(kv[1]), kv[0]))
-    kept: list[tuple[str, frozenset]] = []
-    for set_id, members in trimmed:
-        if not members:
-            continue
-        if any(members <= other for _, other in kept):
-            continue
-        kept.append((set_id, frozenset(members)))
-
-    greedy_ids = greedy_cover(kept, universe)
+    # (equal sets keep the lexicographically smallest id).  What is pruned
+    # lies inside what is kept, so the kept sets have the union of all.
+    trimmed = [(set_id, mask & universe) for set_id, mask in sets_by_id]
+    trimmed.sort(key=lambda kv: (-kv[1].bit_count(), kv[0]))
+    kept: list[tuple[str, int]] = []
+    union = 0
+    for set_id, mask in trimmed:
+        if mask and all(mask & ~other for _, other in kept):
+            kept.append((set_id, mask))
+            union |= mask
+    if union != universe:
+        return ViewRequirement(None, "exact")
+    greedy_n = len(greedy_cover(kept, universe))
     if len(kept) > EXACT_SEARCH_LIMIT:
-        return ViewRequirement(len(greedy_ids), "greedy")
-
-    elements = sorted(universe)
-    bit_of = {el: 1 << i for i, el in enumerate(elements)}
-    universe_mask = (1 << len(elements)) - 1
-    masks = [
-        sum(bit_of[el] for el in members) for _, members in kept
-    ]
-    n = _exact_cover_size(masks, universe_mask, upper_bound=len(greedy_ids))
+        return ViewRequirement(greedy_n, "greedy")
+    n = _exact_cover_size([mask for _, mask in kept], universe, upper_bound=greedy_n)
     return ViewRequirement(n, "exact")
 
 
@@ -371,31 +361,47 @@ class WitnessTable:
         return cls(views, objects, np.zeros((len(views), len(objects)), bool))
 
     @cached_property
-    def _columns_of(self) -> dict[int, list[int]]:
-        """The matrix columns of each object id; a repeated id has several."""
+    def _masks(self) -> tuple[dict[int, int], list[tuple[str, int]], dict[int, int]]:
+        """The bit of each object id (a repeated id ORs its columns into one);
+        the distinct non-empty rows as masks, each named by the smallest view
+        id that has it, in order of that name; and per object id, the mask
+        over those rows of the ones that see it."""
         columns_of: dict[int, list[int]] = {}
         for j, oid in enumerate(self.objects.ids):
             columns_of.setdefault(oid, []).append(j)
-        return columns_of
+        order = [j for columns in columns_of.values() for j in columns]
+        starts = np.cumsum([0, *map(len, columns_of.values())])[:-1]
+        by_id = np.logical_or.reduceat(self.matrix[:, order], starts, axis=1)
+        packed = np.packbits(by_id, axis=1, bitorder="little")
+        width, data = packed.shape[1], packed.tobytes()
+        first: dict[int, int] = {}  # row mask -> index of its smallest-named view
+        for i in sorted(np.flatnonzero(by_id.any(axis=1)).tolist(), key=self.views.ids.__getitem__):
+            first.setdefault(int.from_bytes(data[i * width:(i + 1) * width], "little"), i)
+        seen_by = np.packbits(by_id[list(first.values())].T, axis=1, bitorder="little")
+        return (
+            {oid: 1 << k for k, oid in enumerate(columns_of)},
+            [(self.views.ids[i], row) for row, i in first.items()],
+            {oid: int.from_bytes(rows.tobytes(), "little") for oid, rows in zip(columns_of, seen_by)},
+        )
 
     def min_view_count(self, relevant_object_ids: Iterable[int]) -> ViewRequirement:
         """Smallest number of the views that jointly witness all relevant objects.
 
-        min_cover gets one set per distinct non-empty witness row, named by
-        the smallest id of the views that share it.  Its dominance pruning
-        drops empty sets and keeps only that id among equal sets, so this
-        answers as one set per view would."""
-        ids = _check_known(relevant_object_ids, self._columns_of)
-        columns = [j for oid in ids for j in self._columns_of[oid]]
-        column_ids = [self.objects.ids[j] for j in columns]
-        witness = self.matrix[:, columns]
-        rows = np.flatnonzero(witness.any(axis=1))
-        named: dict[frozenset, str] = {}
-        for i, row in zip(rows.tolist(), witness[rows].tolist()):
-            members, view_id = frozenset(compress(column_ids, row)), self.views.ids[i]
-            if members not in named or view_id < named[members]:
-                named[members] = view_id
-        return min_cover([(view_id, members) for members, view_id in named.items()], ids)
+        min_cover gets one mask per distinct non-empty row over the ids, named
+        by the smallest id of the views that share it.  Its dominance pruning
+        keeps only that id among equal sets, so this answers as one set per
+        view would."""
+        bit_of, rows, rows_of = self._masks
+        ids = _check_known(relevant_object_ids, bit_of)
+        universe = candidates = 0
+        for oid in ids:
+            universe |= bit_of[oid]
+            candidates |= rows_of[oid]
+        named: dict[int, str] = {}
+        for low in _bits(candidates):  # rows in order of their names
+            view_id, row = rows[low.bit_length() - 1]
+            named.setdefault(row & universe, view_id)
+        return min_cover([(view_id, mask) for mask, view_id in named.items()], universe)
 
 
 def min_view_count(
@@ -501,10 +507,4 @@ def view_requirement_stats(
         counts[req.bucket] += 1
         solver_counts[req.solver] += 1
         min_counts.append(req.n)
-    return RequirementHistogram(
-        counts=counts,
-        total=len(min_counts),
-        solver_counts=solver_counts,
-        stride=stride,
-        min_counts=min_counts,
-    )
+    return RequirementHistogram(counts, len(min_counts), solver_counts, stride, min_counts)

@@ -531,6 +531,23 @@ class TestBuildCorpusCommand:
         assert "error: tau must be in (0, 1)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2(self, tmp_path, data_dir, capsys, value):
+        # NaN would keep every caption: no score is below it.
+        code = run(
+            "build-corpus",
+            "--scenes", str(data_dir / "scenes"),
+            "--mode", "captions",
+            f"--threshold={value}",
+            "--out", str(tmp_path / "t.jsonl"),
+            "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: threshold must be a finite number, got {float(value)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_extend_requires_instructions(self, tmp_path, data_dir):
         code = run(
             "build-corpus",

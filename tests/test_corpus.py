@@ -747,6 +747,11 @@ class TestBuildCaptionTriplets:
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=1.1)
         assert build_caption_triplets(scene_a, stub, stub, cfg) == []
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, "0.5", None, True])
+    def test_threshold_must_be_a_finite_number(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be a finite number, got "):
+            CaptionBuildConfig(threshold=threshold)
+
     def test_stride_beyond_view_count_keeps_first_view(self, scene_a):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=99, num_captions=1, threshold=0.0)

@@ -213,6 +213,80 @@ class TestRemoteService:
         assert calls["n"] == 2
 
 
+class _Reply:
+    """A 200 reply whose body is decoded from raw JSON text as requests does,
+    so NaN and Infinity literals decode to floats."""
+
+    status_code = 200
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def _serve(monkeypatch, route: str, item: str) -> None:
+    """Answer every requests session in-process: `route` replies with the raw
+    JSON `item` in place of each caption or score, the other routes with
+    well-formed lists."""
+
+    def post(session, url, **kwargs):
+        payload = kwargs["json"]
+        if url.endswith("/v1/caption"):
+            key, items = "captions", ['"a chair"'] * payload["num_captions"]
+        else:
+            key, items = "scores", ["0.5"] * len(payload["texts"])
+        if url.endswith(route):
+            items = [item] * len(items)
+        return _Reply(f'{{"{key}": [{", ".join(items)}]}}')
+
+    monkeypatch.setattr(requests.Session, "post", post)
+
+
+BAD_SCORES = ["null", "[0.5]", '"abc"', '"0.5"', "true", "NaN", "Infinity", "-Infinity", "1e400", "9" * 400]
+BAD_CAPTIONS = ["null", "1", "true", '["a chair"]', '{"text": "a chair"}']
+
+
+class TestRemoteReplies:
+    @pytest.mark.parametrize("item", BAD_SCORES, ids=lambda item: item[:12])
+    def test_score_must_be_a_finite_number(self, monkeypatch, item):
+        _serve(monkeypatch, "/v1/score_image_text", item)
+        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        with pytest.raises(ServiceUnavailable, match="^/v1/score_image_text reply: a score must be"):
+            client.score_image_text("img.jpg", ["x", "y"])
+
+    @pytest.mark.parametrize("item", BAD_CAPTIONS)
+    def test_caption_must_be_a_string(self, monkeypatch, item):
+        _serve(monkeypatch, "/v1/caption", item)
+        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        with pytest.raises(ServiceUnavailable, match="^/v1/caption reply: 'captions' must be"):
+            client.caption_image("img.jpg", 2)
+
+    @pytest.mark.parametrize("item,expected", [("0", 0.0), ("1", 1.0), ("-3", 0.0), ("0.25", 0.25)])
+    def test_integer_and_float_scores_are_clamped_floats(self, monkeypatch, item, expected):
+        _serve(monkeypatch, "/v1/score_image_text", item)
+        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        scores = client.score_image_text("img.jpg", ["x"]).scores
+        assert scores == (expected,) and type(scores[0]) is float
+
+    @pytest.mark.parametrize(
+        "route,item", [*(("/v1/score_image_text", i) for i in BAD_SCORES[:3]), ("/v1/caption", "null")]
+    )
+    def test_cli_exits_4_naming_the_route(self, monkeypatch, tmp_path, capsys, route, item):
+        from egoview.cli import main
+
+        _serve(monkeypatch, route, item)
+        scenes = Path(__file__).resolve().parent / "data" / "scenes"
+        code = main([
+            "build-corpus", "--scenes", str(scenes), "--mode", "captions", "--threshold", "0",
+            "--out", str(tmp_path / "t.jsonl"), "--service", "http://model",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"service error: {route} reply: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigAndFactory:
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):

@@ -348,20 +348,44 @@ def hand_table(rows: list[tuple[str, set[int]]], object_ids: list[int]) -> Witne
     )
 
 
+def random_table(rng: np.random.Generator, n_views: int, object_ids: list[int]) -> WitnessTable:
+    """A random table over the given object ids and shuffled, unpadded view
+    ids (table order is not id order, and "v10" < "v9"); about a quarter of
+    its rows are all empty."""
+    matrix = rng.random((n_views, len(object_ids))) < rng.uniform(0.1, 0.6)
+    matrix[rng.random(n_views) < 0.25] = False
+    table = hand_table([(f"v{k}", set()) for k in rng.permutation(n_views)], object_ids)
+    return WitnessTable(table.views, table.objects, matrix)
+
+
+def decode(table: WitnessTable, call) -> tuple[list[tuple[str, set[int]]], set[int]]:
+    """A (sets_by_id, universe) pair of int masks handed to min_cover, as
+    object id sets read through the table's bit of each object id."""
+    bit_of = table._masks[0]
+
+    def ids_of(mask: int) -> set[int]:
+        return {oid for oid, bit in bit_of.items() if mask & bit}
+
+    sets_by_id, universe = call
+    return [(view_id, ids_of(mask)) for view_id, mask in sets_by_id], ids_of(universe)
+
+
 class TestDistinctWitnessRows:
-    """WitnessTable.min_view_count hands min_cover one set per distinct
+    """WitnessTable.min_view_count hands min_cover one mask per distinct
     non-empty witness row; it must answer as one set per view does."""
 
     @pytest.fixture
     def min_cover_calls(self, monkeypatch):
-        """Every argument list min_cover gets, after checking that it holds
-        no empty set and no two equal sets."""
+        """Every (sets_by_id, universe) pair min_cover gets through its
+        module name, after checking that the sets are int masks with no zero
+        mask and no two equal masks."""
         calls = []
 
         def spy(sets_by_id, universe):
-            sets = [members for _, members in sets_by_id]
-            assert all(sets) and len(set(sets)) == len(sets), sets_by_id
-            calls.append(list(sets_by_id))
+            masks = [mask for _, mask in sets_by_id]
+            assert all(isinstance(mask, int) for mask in [*masks, universe]), sets_by_id
+            assert all(masks) and len(set(masks)) == len(masks), sets_by_id
+            calls.append((list(sets_by_id), universe))
             return min_cover(sets_by_id, universe)
 
         monkeypatch.setattr(solvability, "min_cover", spy)
@@ -386,6 +410,14 @@ class TestDistinctWitnessRows:
                 assert req.n == brute_force_min_cover(distinct, ids), ids
             solved += req.n is not None
         assert len(min_cover_calls) == len(id_sets)
+        for ids, call in zip(id_sets, min_cover_calls):
+            named: dict[frozenset, str] = {}
+            for view_id, members in one_set_per_view(table, ids):
+                if members and (members not in named or view_id < named[members]):
+                    named[members] = view_id
+            sets, universe = decode(table, call)
+            assert universe == ids
+            assert sorted(sets) == sorted((view_id, set(m)) for m, view_id in named.items())
         assert 0 < solved < len(id_sets)  # both outcomes occur
 
     def test_equal_rows_are_named_by_smallest_view_id(self, min_cover_calls):
@@ -394,7 +426,9 @@ class TestDistinctWitnessRows:
             [1, 2, 3, 5],
         )
         assert table.min_view_count({1, 2, 3}) == ViewRequirement(2, "exact")
-        assert sorted(min_cover_calls[0]) == [("v1", {3}), ("v10", {1, 2})]
+        sets, universe = decode(table, min_cover_calls[0])
+        assert sorted(sets) == [("v1", {3}), ("v10", {1, 2})]
+        assert universe == {1, 2, 3}
 
     def test_greedy_tie_break_sees_the_smallest_id(self, min_cover_calls):
         # {1, 2} (views v5 and v1), {2, 3} (v3) and {3, 4} (v4) tie at gain 2
@@ -409,6 +443,8 @@ class TestDistinctWitnessRows:
         assert len(rows) - 1 > EXACT_SEARCH_LIMIT
         req = table.min_view_count(ids)
         assert req == min_cover(one_set_per_view(table, ids), ids) == ViewRequirement(18, "greedy")
+        sets, _ = decode(table, min_cover_calls[0])
+        assert len(sets) == len(rows) - 1 and ("v1", {1, 2}) in sets
         misnamed = [(view_id, frozenset(m)) for view_id, m in rows if view_id != "v1"]
         assert min_cover(misnamed, ids) == ViewRequirement(19, "greedy")
 
@@ -416,7 +452,10 @@ class TestDistinctWitnessRows:
         table = hand_table([("v1", {1}), ("v2", {1}), ("v3", set())], [1, 2])
         assert table.min_view_count({1, 2}) == ViewRequirement(None, "exact")
         assert table.min_view_count({2}) == ViewRequirement(None, "exact")
-        assert min_cover_calls == [[("v1", {1})], []]
+        assert [decode(table, call) for call in min_cover_calls] == [
+            ([("v1", {1})], {1, 2}),
+            ([], {2}),
+        ]
 
     def test_repeated_object_id_ors_its_columns(self, min_cover_calls):
         # Object id 7 names two columns; v00 and v01 each see one of them, so
@@ -429,11 +468,52 @@ class TestDistinctWitnessRows:
         table = WitnessTable(Views.of(views), Objects.of(records), matrix)
         for ids in (frozenset({7}), frozenset({7, 8}), frozenset({8})):
             assert table.min_view_count(ids) == min_cover(one_set_per_view(table, ids), ids)
-        assert min_cover_calls[0] == [("v00", {7})]
+        assert decode(table, min_cover_calls[0]) == ([("v00", {7})], {7})
+        assert table._masks[0] == {7: 1, 8: 2}  # one bit per distinct id
         built = WitnessTable.build(records, views, WitnessConfig())
         assert built.min_view_count({7, 8}) == min_cover(
             one_set_per_view(built, {7, 8}), frozenset({7, 8})
         )
+
+
+class TestBitLayout:
+    """Each table is packed once into int masks, one bit per distinct object
+    id; the counts must not depend on where the bits fall: across the byte
+    padding of packbits, across 64 bits, over repeated ids and empty rows."""
+
+    @pytest.mark.parametrize("n_ids", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_matches_one_set_per_view(self, n_ids):
+        rng = np.random.default_rng(900 + n_ids)
+        distinct = [int(x) for x in rng.choice(10 * n_ids, size=n_ids, replace=False)]
+        repeated = [int(x) for x in rng.choice(distinct, size=n_ids // 4)]
+        object_ids = [int(x) for x in rng.permutation(distinct + repeated)]
+        table = random_table(rng, int(rng.integers(8, 17)), object_ids)
+        table.matrix[:, np.array(object_ids) == distinct[0]] = False  # no view sees it
+        assert sorted(table._masks[0].values()) == [1 << k for k in range(n_ids)]
+        id_sets = [frozenset(distinct)] + [
+            frozenset(distinct[i] for i in random_relevant_ids(rng, n_ids)) for _ in range(12)
+        ]
+        outcomes = set()
+        for ids in id_sets:
+            reference = one_set_per_view(table, ids)
+            req = table.min_view_count(ids)
+            assert req == min_cover(reference, ids), ids
+            if req.solver == "exact":
+                distinct_sets = list({members for _, members in reference if members})
+                assert req.n == brute_force_min_cover(distinct_sets, ids), ids
+            outcomes.add(req.n is None)
+        assert outcomes == ({True} if n_ids == 1 else {True, False})
+
+    def test_more_kept_rows_than_the_exact_limit(self):
+        # Rows {2i, 2i + 1, 2i + 2} over ids 0..64 are pairwise incomparable,
+        # so all 32 are kept and greedy decides; each odd id is in one row only.
+        rows = [(f"v{i}", {2 * i, 2 * i + 1, 2 * i + 2}) for i in range(32)]
+        order = np.random.default_rng(77).permutation(len(rows))
+        table = hand_table([rows[k] for k in order], list(range(65)))
+        ids = frozenset(range(65))
+        assert len(rows) > EXACT_SEARCH_LIMIT
+        req = table.min_view_count(ids)
+        assert req == min_cover(one_set_per_view(table, ids), ids) == ViewRequirement(32, "greedy")
 
 
 class TestViewRequirementBuckets:

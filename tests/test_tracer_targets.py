@@ -48,3 +48,39 @@ def test_target_resolves(target):
     for suffix, source, _ in target.counters:
         if source != "return":
             assert source in params, f"counter {suffix!r} reads missing parameter {source!r}"
+
+
+def test_patched_min_cover_sees_every_count(monkeypatch):
+    """The tracer counts `solvability.min_cover.calls` and its exact share by
+    patching that module attribute.  Every minimum view count must reach the
+    solver through it, or those metrics read 0 without notice."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from egoview import solvability
+
+    from .scenegen import random_posed_scene
+
+    answers = []
+    real = solvability.min_cover
+
+    def traced(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(solvability, "min_cover", traced)
+    views, objects = random_posed_scene(np.random.default_rng(5), 8, 6)
+    id_sets = [frozenset({0}), frozenset({1, 2}), frozenset({3, 4, 5}), frozenset(range(6))]
+    table = solvability.WitnessTable.build(objects, views, solvability.WitnessConfig())
+    counts = [
+        *(table.min_view_count(ids) for ids in id_sets),
+        *(solvability.min_view_count(ids, views, objects) for ids in id_sets),
+    ]
+    assert answers == counts
+    answers.clear()
+    scene = SimpleNamespace(views=views, objects=objects)
+    instructions = [SimpleNamespace(scene_id="s", related_object_ids=ids) for ids in id_sets]
+    hist = solvability.view_requirement_stats(instructions, {"s": scene})
+    assert [req.n for req in answers] == hist.min_counts
+    assert {req.n is None for req in answers} == {True, False}
