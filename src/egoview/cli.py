@@ -125,8 +125,13 @@ def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
     outputs.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
-def _default_report_path(out: str) -> str:
-    return str(out) + ".report.json"
+def _report_path(args) -> str:
+    """`--report`, else `<out>.report.json`.  A report that resolves to the
+    `--out` file would replace the records, so that is a usage error."""
+    path = args.report or str(args.out) + ".report.json"
+    if os.path.realpath(path) == os.path.realpath(args.out):
+        raise _UsageError(f"--report {path} names the --out file")
+    return path
 
 
 def cmd_solvability(args) -> int:
@@ -176,6 +181,7 @@ def cmd_synthesize(args) -> int:
         synthesize_dataset,
     )
 
+    report_path = _report_path(args)
     run = RunConfig(
         command="synthesize",
         seed=args.seed,
@@ -196,7 +202,6 @@ def cmd_synthesize(args) -> int:
         questions, client, scenes, config_hash=config_hash(run.hash_payload())
     )
     provenance = {**run.provenance(), "prompt_version": PROMPT_VERSION}
-    report_path = args.report or _default_report_path(args.out)
     with OutputFiles() as outputs:
         rows = [composed_to_dict(r) for r in records]
         write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
@@ -221,8 +226,14 @@ def cmd_build_corpus(args) -> int:
         write_jsonl,
     )
 
-    if args.mode == "extend" and not args.instructions:
-        raise _UsageError("--mode extend requires --instructions")
+    report_path = _report_path(args)
+    if args.mode == "extend":
+        if not args.instructions:
+            raise _UsageError("--mode extend requires --instructions")
+        # Extend reads none of these, so only their defaults may enter its hash.
+        for name in ("stride", "num_captions", "threshold"):
+            if getattr(args, name) != getattr(CaptionBuildConfig, name):
+                raise _UsageError(f"--{name.replace('_', '-')} is read only by --mode captions")
     scenes = load_scenes_dir(args.scenes)
     knobs = {
         "mode": args.mode,
@@ -263,7 +274,6 @@ def cmd_build_corpus(args) -> int:
         "per_source": {k: sources[k] for k in sorted(sources)},
         "provenance": provenance,
     }
-    report_path = args.report or _default_report_path(args.out)
     with OutputFiles() as outputs:
         rows = [triplet_to_dict(r) for r in records]
         write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)

@@ -9,7 +9,10 @@ captioner, retrieval scorer, or text generator can be adapted:
 
 The stub client answers the same calls in-process from a sidecar of visible
 object labels per image reference, making every pipeline reproducible offline
-byte for byte.  Stub outputs are pure functions of (inputs, seed).
+byte for byte.  Stub outputs are pure functions of (inputs, seed).  The stub
+tokenizes each view's labels once, when the view is registered, and keeps
+the token sets of the last `texts` batch it scored, so scoring one batch
+against many views tokenizes each text once.
 
 `score_image_text` scores each text independently of the other texts in
 the call: a text's score against an image is the same alone as in any
@@ -78,21 +81,32 @@ class StubModelService:
 
     Image understanding comes from a sidecar mapping image reference to the
     labels of objects visible in that view (registered by the corpus builder
-    before any scoring call); no pixels are ever read.  Reentrant and
-    lock-free: all methods are pure given the registered sidecar.
+    before any scoring call); no pixels are ever read.  Registering a view
+    also builds its label token set.  `score_image_text` keeps the token
+    sets of the last batch of texts it scored and reuses them while the
+    same batch is scored against further views; only that one batch is
+    kept, so memory does not grow with the number of calls.  Reentrant and
+    lock-free: each call reads the kept batch once and replaces it whole,
+    so concurrent callers never mix batches, and every output is a pure
+    function of the inputs and the registered sidecar.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._labels: dict[str, tuple[str, ...]] = {}
+        # image reference -> (sorted distinct labels, their token set)
+        self._views: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
+        # the last scored batch of texts and the token set of each
+        self._batch: tuple[tuple[str, ...], list[frozenset[str]]] = ((), [])
 
     def register_view_labels(self, image_ref: str, labels: Sequence[str]) -> None:
-        self._labels[image_ref] = tuple(sorted(set(labels)))
+        labels = tuple(sorted(set(labels)))
+        tokens = frozenset(token for label in labels for token in tokenize(label))
+        self._views[image_ref] = (labels, tokens)
 
-    def _labels_for(self, image_ref: str) -> tuple[str, ...]:
-        if image_ref not in self._labels:
+    def _view(self, image_ref: str) -> tuple[tuple[str, ...], frozenset[str]]:
+        if image_ref not in self._views:
             raise InvalidImageReference(f"no sidecar labels registered for {image_ref!r}")
-        return self._labels[image_ref]
+        return self._views[image_ref]
 
     def _digest(self, *parts: str) -> str:
         h = hashlib.blake2b(digest_size=8)
@@ -105,7 +119,7 @@ class StubModelService:
     def caption_image(self, image_ref: str, num_captions: int = 1) -> list[str]:
         if num_captions < 1:
             raise ValueError("num_captions must be >= 1")
-        base = _join_labels(self._labels_for(image_ref))
+        base = _join_labels(self._view(image_ref)[0])
         captions = []
         for i in range(num_captions):
             if i < len(_CAPTION_TEMPLATES):
@@ -114,21 +128,26 @@ class StubModelService:
                 captions.append(f"a view containing {base} (variant {i})")
         return captions
 
+    def _text_tokens(self, texts: Sequence[str]) -> list[frozenset[str]]:
+        """The token set of each text, reused from the last batch when
+        `texts` is that batch."""
+        key = tuple(texts)
+        batch, tokens = self._batch
+        if key != batch:
+            tokens = [frozenset(tokenize(text)) for text in key]
+            self._batch = (key, tokens)
+        return tokens
+
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
         """Jaccard overlap between text tokens and the view's label tokens."""
         if not texts:
             raise EmptyInput("score_image_text requires at least one text")
-        label_tokens: set[str] = set()
-        for label in self._labels_for(image_ref):
-            label_tokens.update(tokenize(label))
+        label_tokens = self._view(image_ref)[1]
         scores = []
-        for text in texts:
-            text_tokens = set(tokenize(text))
-            union = text_tokens | label_tokens
-            if not union:
-                scores.append(0.0)
-            else:
-                scores.append(len(text_tokens & label_tokens) / len(union))
+        for text_tokens in self._text_tokens(texts):
+            shared = len(text_tokens & label_tokens)
+            union = len(text_tokens) + len(label_tokens) - shared
+            scores.append(shared / union if union else 0.0)
         return ScoreResult(scores=tuple(scores))
 
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:

@@ -3,14 +3,16 @@
 Each oracle takes a deliberately different route from the production code:
 counting grid cells instead of interval arithmetic, polytope vertex
 enumeration plus surface sampling instead of edge clipping, a scalar loop
-over points instead of batched arrays, and exhaustive subset enumeration
-instead of branch and bound.
+over points instead of batched arrays, exhaustive subset enumeration
+instead of branch and bound, and a from-scratch set Jaccard per text instead
+of token sets kept across calls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -184,3 +186,11 @@ def brute_force_eligible_pairs(questions) -> set[tuple[str, str]]:
                 continue
             out.add((a.question_id, b.question_id))
     return out
+
+
+def jaccard_score(text: str, labels) -> float:
+    """Set Jaccard of the text's lowercased alphanumeric words and the
+    labels' words, built from scratch; 0.0 when both sets are empty."""
+    a = set(re.findall(r"[a-z0-9]+", text.lower()))
+    b = {word for label in labels for word in re.findall(r"[a-z0-9]+", label.lower())}
+    return len(a & b) / len(a | b) if a | b else 0.0

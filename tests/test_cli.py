@@ -568,6 +568,69 @@ class TestBuildCorpusCommand:
         assert all(t.startswith("ext:") for t in extend_ids)
 
 
+_COMMAND_ARGS = {
+    "synthesize": ("synthesize", "--questions", f"{DATA}/questions.jsonl"),
+    "build-corpus": (
+        "build-corpus", "--mode", "extend", "--instructions", f"{DATA}/instructions_extend.jsonl",
+    ),
+}
+
+
+class TestReportIsNotOut:
+    """A report that resolves to the --out file would replace the records."""
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+    @pytest.mark.parametrize("spelling", ["identical", "dotdot"])
+    def test_exits_1_naming_the_path_and_writes_nothing(self, tmp_path, capsys, command, spelling):
+        out = tmp_path / "y.jsonl"
+        report = out if spelling == "identical" else tmp_path / ".." / tmp_path.name / "y.jsonl"
+        code = run(
+            *_COMMAND_ARGS[command],
+            "--scenes", f"{DATA}/scenes",
+            "--out", str(out),
+            "--report", str(report),
+            "--stub",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: --report {report} names the --out file\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestExtendCaptionOnlyFlags:
+    """Extend reads none of the caption-only flags, so they may not change
+    its provenance."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--stride", "0"), ("--stride", "4"), ("--num-captions", "2"),
+         ("--threshold", "nan"), ("--threshold", "0.3")],
+    )
+    def test_a_value_other_than_the_default_exits_1(self, tmp_path, capsys, flag, value):
+        code = run(
+            *_COMMAND_ARGS["build-corpus"],
+            "--scenes", f"{DATA}/scenes",
+            f"{flag}={value}",
+            "--out", str(tmp_path / "t.jsonl"),
+            "--stub",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {flag} is read only by --mode captions\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_defaults_given_keep_the_golden(self, tmp_path, data_dir, golden_dir):
+        out = tmp_path / "triplets.jsonl"
+        code = run(
+            *_COMMAND_ARGS["build-corpus"],
+            "--scenes", str(data_dir / "scenes"),
+            "--stride", "20", "--num-captions", "3", "--threshold", "0.50",
+            "--out", str(out),
+            "--stub",
+            "--seed", "0",
+        )
+        assert code == 0
+        assert out.read_bytes() == (golden_dir / "triplets_extend.jsonl").read_bytes()
+
+
 class TestEvalCommand:
     def test_perfect_predictions(self, tmp_path, data_dir):
         preds = tmp_path / "pred.jsonl"

@@ -895,6 +895,37 @@ class TestExtendBatching:
             triplet_to_dict(r) for r in single
         ]
 
+    def test_score_calls_have_the_shape_the_tracer_counts(self, data_dir, scenes, monkeypatch):
+        # The benchmark's tracer counts calls of and texts passed to this
+        # binding: one call per view per scene, carrying that scene's
+        # distinct qa and caption texts.
+        instructions = read_instructions(data_dir / "instructions_extend.jsonl") + [
+            Instruction("c1", "scene-a", "caption", "a desk by the window"),
+            Instruction("q1", "scene-a", "qa", "where is the desk and the chair", answer="here"),
+            Instruction("c2", "scene-b", "caption", "a desk by the window"),
+        ]
+        calls = []
+        score_image_text = StubModelService.score_image_text
+
+        def counting_score_image_text(self, image_ref, texts):
+            calls.append((image_ref, tuple(texts)))
+            return score_image_text(self, image_ref, texts)
+
+        monkeypatch.setattr(StubModelService, "score_image_text", counting_score_image_text)
+        extend_dataset_triplets(instructions, scenes, StubModelService())
+        texts = {
+            "scene-a": ("where is the desk and the chair", "a desk by the window"),
+            "scene-b": ("is there a plant by the mirror", "a desk by the window"),
+        }
+        assert calls == [
+            (ref, texts[scene_id])
+            for scene_id in ("scene-a", "scene-b")
+            for ref in image_refs(scenes[scene_id].views)
+        ]
+        views = sum(len(scenes[scene_id].views) for scene_id in texts)
+        assert len(calls) == views
+        assert sum(len(call_texts) for _, call_texts in calls) == 2 * views
+
     @pytest.mark.parametrize(
         "order,error,message",
         [

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from egoview import services
 from egoview.corpus import CaptionBuildConfig, build_caption_triplets
 from egoview.errors import NoneVisible, NoViews, UnknownObjectId
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
@@ -120,6 +121,25 @@ class TestSelectViewForQA:
     def test_no_views(self):
         with pytest.raises(NoViews):
             select_view_for_qa("q", [], StubModelService())
+
+    def test_each_distinct_text_is_tokenized_once(self, monkeypatch):
+        views, objects = random_posed_scene(np.random.default_rng(43), 12, 9)
+        table = WitnessTable.build(objects, views, alignment(0.5)).matrix
+        labels = [[o.label for o, s in zip(objects, row) if s] for row in table]
+        stub = self._stub_for(list(zip(views, labels)))
+        texts = ["where is obj1", "obj2 and obj5", "where is obj1", "", "obj3", ""]
+        expected = select_views_for_qa(texts, views, self._stub_for(list(zip(views, labels))))
+        calls = []
+        tokenize = services.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(services, "tokenize", counting_tokenize)
+        assert select_views_for_qa(texts, views, stub) == expected
+        # One token set per distinct text, not one per (view, text).
+        assert len(calls) <= len(set(texts)) < len(views) * len(set(texts))
 
 
 class TestSelectViewForDC:

@@ -4,11 +4,14 @@ import inspect
 import json
 import re
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoview import services
 from egoview.errors import EmptyInput, InvalidImageReference, ServiceUnavailable
@@ -19,6 +22,8 @@ from egoview.services import (
     StubModelService,
 )
 from egoview.synthesis import build_compose_prompt
+
+from .oracles import jaccard_score
 
 
 class TestStubCaptions:
@@ -84,6 +89,90 @@ class TestStubScores:
         stub.register_view_labels("r", ["desk", "chair", "sofa"])
         texts = ["", "desk", "desk chair sofa", "something unrelated entirely"]
         assert all(0.0 <= s <= 1.0 for s in stub.score_image_text("r", texts).scores)
+
+
+_WORDS = ("desk", "Desk", "office chair", "waste basket", "TV-stand", "lamp!", "the", "A", "2nd")
+# Phrases of a few known words, so texts and labels share tokens, or short
+# runs of letters, digits, spaces and punctuation (often no token at all).
+_PHRASES = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join) | st.text(
+    alphabet="abDE 09,.-'!", max_size=10
+)
+_LABELS = st.lists(_PHRASES, max_size=5)
+# Drawn from a few phrases, so a batch often repeats a text.
+_TEXTS = st.lists(_PHRASES, min_size=1, max_size=4).flatmap(
+    lambda phrases: st.lists(st.sampled_from(phrases), min_size=1, max_size=6)
+)
+
+
+def _assert_oracle(stub, ref, texts, labels):
+    assert stub.score_image_text(ref, texts).scores == tuple(
+        jaccard_score(text, labels) for text in texts
+    )
+
+
+class TestStubScoreOracle:
+    """Every stub score equals a from-scratch Jaccard, whatever the client
+    scored before."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, texts=_TEXTS)
+    def test_cold_client(self, labels, texts):
+        stub = StubModelService()
+        stub.register_view_labels("v", labels)
+        _assert_oracle(stub, "v", texts, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, others=st.lists(_LABELS, min_size=1, max_size=3), texts=_TEXTS)
+    def test_warmed_on_the_same_batch_against_other_views(self, labels, others, texts):
+        stub = StubModelService()
+        refs = [f"o{i}" for i in range(len(others))]
+        for ref, other in zip(refs, others):
+            stub.register_view_labels(ref, other)
+        stub.register_view_labels("v", labels)
+        for ref, other in zip(refs, others):
+            _assert_oracle(stub, ref, texts, other)
+        _assert_oracle(stub, "v", list(texts), labels)  # an equal batch, not the same object
+        _assert_oracle(stub, refs[0], texts, others[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, other=_LABELS, texts=_TEXTS, between=st.lists(_TEXTS, max_size=3))
+    def test_calls_interleaving_other_batches(self, labels, other, texts, between):
+        stub = StubModelService()
+        stub.register_view_labels("v", labels)
+        stub.register_view_labels("w", other)
+        for batch in between:
+            _assert_oracle(stub, "v", texts, labels)
+            _assert_oracle(stub, "w", batch, other)
+            _assert_oracle(stub, "v", batch, labels)
+        _assert_oracle(stub, "w", texts, other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, relabelled=_LABELS, texts=_TEXTS)
+    def test_after_the_view_is_registered_again(self, labels, relabelled, texts):
+        stub = StubModelService()
+        stub.register_view_labels("v", labels)
+        _assert_oracle(stub, "v", texts, labels)
+        stub.register_view_labels("v", relabelled)
+        _assert_oracle(stub, "v", texts, relabelled)
+
+
+class TestStubTokenState:
+    def test_kept_token_state_does_not_grow_with_calls(self):
+        stub = StubModelService()
+        stub.register_view_labels("v", ["desk", "office chair"])
+        texts = [f"text {i} names the desk and chair {i * 7919}" for i in range(1000)]
+        stub.score_image_text("v", ["warm up the client"])
+        tracemalloc.start()
+        try:
+            stub.score_image_text("v", [texts[0]])
+            before, _ = tracemalloc.get_traced_memory()
+            for text in texts[1:]:
+                stub.score_image_text("v", [text])
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A token set kept per text would hold ~1000 frozensets, over 200 kB.
+        assert after - before < 16_000
 
 
 class _FakePair:
