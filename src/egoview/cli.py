@@ -82,15 +82,21 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises _UsageError instead of exiting.  A
-    command's parser may take `config`, a function returning its config;
-    the config's fields become defaults when that command is parsed, so
-    building the parser imports no command's modules."""
+    command's parser may take `arguments`, a function that adds its
+    arguments, and `config`, a function returning its config, whose fields
+    become defaults.  Both run only when that command is parsed, so
+    building the parser adds no command's arguments and imports no
+    command's modules."""
 
-    def __init__(self, *args, config=None, **kwargs):
+    def __init__(self, *args, arguments=None, config=None, **kwargs):
         super().__init__(*args, **kwargs)
+        self.arguments = arguments
         self.config = config
 
     def parse_known_args(self, args=None, namespace=None):
+        if self.arguments is not None:
+            self.arguments(self)
+            self.arguments = None  # added once, however often it is parsed
         if self.config is not None:
             self.set_defaults(**asdict(self.config()))
         return super().parse_known_args(args, namespace)
@@ -316,14 +322,7 @@ def _add_service_args(sub) -> None:
     group.add_argument("--service", metavar="URL", help="model service base URL")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="egoview", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"egoview {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser(
-        "solvability", help="view-requirement analysis over instructions", config=_witness_config
-    )
+def _solvability_arguments(sub) -> None:
     sub.add_argument("--scenes", required=True, help="directory of scene JSON files")
     sub.add_argument("--instructions", required=True, help="instruction JSONL file")
     sub.add_argument("--out", required=True, help="report JSON output path")
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_solvability)
 
-    sub = commands.add_parser("synthesize", help="compose multi-view questions from pairs")
+
+def _synthesize_arguments(sub) -> None:
     sub.add_argument("--scenes", required=True)
     sub.add_argument("--questions", required=True, help="question JSONL file")
     sub.add_argument("--out", required=True, help="composed-question JSONL output path")
@@ -342,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_args(sub)
     sub.set_defaults(func=cmd_synthesize)
 
-    sub = commands.add_parser(
-        "build-corpus", help="build view/object/text triplets", config=_caption_config
-    )
+
+def _build_corpus_arguments(sub) -> None:
     sub.add_argument("--scenes", required=True)
     sub.add_argument("--mode", required=True, choices=["captions", "extend"])
     sub.add_argument("--instructions", help="instruction JSONL (required for extend mode)")
@@ -358,13 +357,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_args(sub)
     sub.set_defaults(func=cmd_build_corpus)
 
-    sub = commands.add_parser("eval", help="exact-match evaluation of predictions")
+
+def _eval_arguments(sub) -> None:
     sub.add_argument("--gold", required=True, help="gold answer JSONL")
     sub.add_argument("--pred", required=True, help="prediction JSONL")
     sub.add_argument("--out", required=True, help="report JSON output path")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_eval)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="egoview", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"egoview {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser(
+        "solvability",
+        help="view-requirement analysis over instructions",
+        arguments=_solvability_arguments,
+        config=_witness_config,
+    )
+    commands.add_parser(
+        "synthesize",
+        help="compose multi-view questions from pairs",
+        arguments=_synthesize_arguments,
+    )
+    commands.add_parser(
+        "build-corpus",
+        help="build view/object/text triplets",
+        arguments=_build_corpus_arguments,
+        config=_caption_config,
+    )
+    commands.add_parser(
+        "eval", help="exact-match evaluation of predictions", arguments=_eval_arguments
+    )
     return parser
 
 

@@ -211,11 +211,13 @@ def witness_matrix(
     )
 
 
-def _check_known(relevant_ids: Iterable[int], known_ids: Iterable[int]) -> frozenset[int]:
+def _check_known(
+    relevant_ids: Iterable[int], known_ids: Iterable[int], where: str = ""
+) -> frozenset[int]:
     ids = frozenset(relevant_ids)
     missing = ids.difference(known_ids)
     if missing:
-        raise UnknownObjectId(f"unknown object ids: {sorted(missing)}")
+        raise UnknownObjectId(f"{where}unknown object ids: {sorted(missing)}")
     if not ids:
         raise EmptyInput("relevant object set is empty")
     return ids
@@ -238,6 +240,34 @@ def _among(objects: Objects, ids: Iterable[int]) -> Objects:
     """The rows of `objects` whose id is in `ids`, in table order."""
     ids = set(ids)
     return objects[np.array([oid in ids for oid in objects.ids], dtype=bool)]
+
+
+def referenced_objects(
+    records: Iterable, scenes_by_id: Mapping[str, object], kind: str | None = None
+) -> dict[str, Objects]:
+    """Per scene id, the rows of that scene's objects that `records`
+    reference, in table order.  Records carry `scene_id` and
+    `related_object_ids`; scenes carry `objects`, as a table or a list of
+    records.  The first record whose scene is not loaded raises
+    UnknownScene, whose ids are not all in its scene UnknownObjectId, and
+    whose ids are empty EmptyInput; when `kind` is given, the error names
+    the record by its `<kind>_id`."""
+    objects: dict[str, Objects] = {}
+    known: dict[str, set[int]] = {}
+    referenced: dict[str, set[int]] = {}
+    for record in records:
+        where = f"{kind} {getattr(record, f'{kind}_id')!r}: " if kind else ""
+        scene = scenes_by_id.get(record.scene_id)
+        if scene is None:
+            raise UnknownScene(f"{where}scene {record.scene_id!r} is not loaded")
+        if record.scene_id not in known:
+            objects[record.scene_id] = Objects.of(scene.objects)
+            known[record.scene_id] = set(objects[record.scene_id].ids)
+            referenced[record.scene_id] = set()
+        referenced[record.scene_id] |= _check_known(
+            record.related_object_ids, known[record.scene_id], where
+        )
+    return {scene_id: _among(objects[scene_id], ids) for scene_id, ids in referenced.items()}
 
 
 def _as_masks(sets_by_id: _Sets, universe: frozenset | int) -> tuple[_Sets, int]:
@@ -308,29 +338,35 @@ def min_cover(sets_by_id: _Sets, universe: frozenset | int) -> ViewRequirement:
     """Minimum number of sets needed to cover the universe.
 
     Sets and universe are frozensets, turned into int bitmasks first, or
-    int bitmasks.  Dominated sets (subsets of another candidate) are pruned
-    first; that never changes the optimum.  When at most EXACT_SEARCH_LIMIT
-    candidates remain the optimum is found by branch and bound, otherwise
-    greedy max-coverage gives an upper bound tagged 'greedy'.
-
-    Returns an unsolvable requirement when some element is in no set.
+    int bitmasks.  One pass over the sets settles the easy counts: a set
+    that covers the universe alone answers 1, and a union that falls short
+    of the universe answers unsolvable (n None), both tagged 'exact'.  Only
+    the counts left go on: dominated sets (subsets of another candidate)
+    are pruned, which never changes the optimum; when at most
+    EXACT_SEARCH_LIMIT candidates remain the optimum is found by branch and
+    bound, otherwise greedy max-coverage gives an upper bound tagged
+    'greedy'.
     """
     if not universe:
         raise EmptyInput("universe is empty")
     sets_by_id, universe = _as_masks(sets_by_id, universe)
+    union = 0
+    for _, mask in sets_by_id:
+        if not universe & ~mask:
+            return ViewRequirement(1, "exact")
+        union |= mask
+    if universe & ~union:
+        return ViewRequirement(None, "exact")
     # Dominance pruning: keep a set only if no kept set is a strict superset
     # (equal sets keep the lexicographically smallest id).  What is pruned
-    # lies inside what is kept, so the kept sets have the union of all.
+    # lies inside what is kept, so the kept sets still cover the universe;
+    # an empty set sorts last and lies inside the first kept one.
     trimmed = [(set_id, mask & universe) for set_id, mask in sets_by_id]
     trimmed.sort(key=lambda kv: (-kv[1].bit_count(), kv[0]))
     kept: list[tuple[str, int]] = []
-    union = 0
     for set_id, mask in trimmed:
-        if mask and all(mask & ~other for _, other in kept):
+        if all(mask & ~other for _, other in kept):
             kept.append((set_id, mask))
-            union |= mask
-    if union != universe:
-        return ViewRequirement(None, "exact")
     greedy_n = len(greedy_cover(kept, universe))
     if len(kept) > EXACT_SEARCH_LIMIT:
         return ViewRequirement(greedy_n, "greedy")
@@ -481,23 +517,9 @@ def view_requirement_stats(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    objects: dict[str, Objects] = {}
-    known: dict[str, set[int]] = {}
-    referenced: dict[str, set[int]] = {}
-    for ins in instructions:
-        scene = scenes_by_id.get(ins.scene_id)
-        if scene is None:
-            raise UnknownScene(f"scene {ins.scene_id!r} is not loaded")
-        if ins.scene_id not in known:
-            objects[ins.scene_id] = Objects.of(scene.objects)
-            known[ins.scene_id] = set(objects[ins.scene_id].ids)
-            referenced[ins.scene_id] = set()
-        referenced[ins.scene_id] |= _check_known(ins.related_object_ids, known[ins.scene_id])
     tables = {  # one per scene, for this call only
-        scene_id: WitnessTable.build(
-            _among(objects[scene_id], ids), Views.of(scenes_by_id[scene_id].views)[::stride], cfg
-        )
-        for scene_id, ids in referenced.items()
+        scene_id: WitnessTable.build(objects, Views.of(scenes_by_id[scene_id].views)[::stride], cfg)
+        for scene_id, objects in referenced_objects(instructions, scenes_by_id).items()
     }
     counts = {bucket: 0 for bucket in BUCKETS}
     solver_counts = {"exact": 0, "greedy": 0}

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import Scene
-from .errors import SchemaError, UnknownScene
+from .errors import SchemaError
 from .records import _claim_id, _integers, _iter_jsonl, _require, _text
 from .services import COMPOSE_MARKER
-from .solvability import ViewRequirement, WitnessConfig, WitnessTable
+from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
 
 logger = logging.getLogger(__name__)
 
@@ -230,27 +230,25 @@ def synthesize_dataset(
     """Run pairing -> composition -> verification -> view-count annotation.
 
     Surviving records are annotated with the minimum number of views needed
-    to witness the union of both parents' object sets.  Output order follows
-    the sorted pair order, so identical inputs give identical bytes.
+    to witness the union of both parents' object sets, counted on one
+    witness table per scene over the objects its questions reference.  A
+    question whose scene is not loaded or whose ids are not in that scene
+    raises UnknownScene or UnknownObjectId naming it, before any generation.
+    Output order follows the sorted pair order, so identical inputs give
+    identical bytes.
     """
+    objects = referenced_objects(questions, scenes_by_id, "question")
+    labels = {scene_id: dict(zip(among.ids, among.labels)) for scene_id, among in objects.items()}
     parents_by_id = {q.question_id: q for q in questions}
     report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
     tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
-    labels: dict[str, dict[int, str]] = {}  # likewise
 
     records: list[ComposedQA] = []
     for pair in pairs:
-        scene = scenes_by_id.get(pair.first.scene_id)
-        if scene is None:
-            raise UnknownScene(f"scene {pair.first.scene_id!r} is not loaded")
-        if pair.first.scene_id not in labels:
-            labels[pair.first.scene_id] = dict(zip(scene.objects.ids, scene.objects.labels))
-        label_of = labels[pair.first.scene_id]
-        anchor_labels = sorted(
-            {label_of[oid] for oid in pair.shared_anchor_ids if oid in label_of}
-        )
+        scene_id = pair.first.scene_id
+        anchor_labels = sorted({labels[scene_id][oid] for oid in pair.shared_anchor_ids})
         result = compose_question(pair, generator, anchor_labels)
         if isinstance(result, Dropped):
             report.note_drop(result.reason)
@@ -261,9 +259,11 @@ def synthesize_dataset(
             report.note_drop(reason)
             logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
             continue
-        if scene.scene_id not in tables:
-            tables[scene.scene_id] = WitnessTable.build(scene.objects, scene.views, WitnessConfig())
-        result.min_view_count = tables[scene.scene_id].min_view_count(result.related_object_ids)
+        if scene_id not in tables:
+            tables[scene_id] = WitnessTable.build(
+                objects[scene_id], scenes_by_id[scene_id].views, WitnessConfig()
+            )
+        result.min_view_count = tables[scene_id].min_view_count(result.related_object_ids)
         records.append(result)
 
     report.composed = len(records)

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoview.cli import build_parser, main
+
+from .conftest import DATA_DIR
+from .test_scene_errors import _paths, mutated, mutation_names
 
 DATA = "tests/data"
 
@@ -394,6 +403,41 @@ class TestSynthesizeCommand:
         assert "'q01' already used" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "question_id,reference",
+        [
+            ("q02", {"related_object_ids": [1, 999]}),  # paired with q01
+            ("q06", {"related_object_ids": [999]}),  # in no pair
+            ("q06", {"scene_id": "ghost"}),  # in no pair
+        ],
+    )
+    def test_unknown_reference_exits_3_before_any_generation(
+        self, tmp_path, data_dir, capsys, monkeypatch, question_id, reference
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "egoview.services.StubModelService.generate_text", lambda *args, **kw: calls.append(args)
+        )
+        lines = []
+        for line in (data_dir / "questions.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["question_id"] == question_id:
+                record.update(reference)
+            lines.append(json.dumps(record) + "\n")
+        questions = tmp_path / "q.jsonl"
+        questions.write_text("".join(lines), encoding="utf-8")
+        code = run(
+            "synthesize",
+            "--scenes", str(data_dir / "scenes"),
+            "--questions", str(questions),
+            "--out", str(tmp_path / "composed.jsonl"),
+            "--stub",
+        )
+        assert code == 3
+        assert f"question {question_id!r}: " in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["q.jsonl"]
+
     def test_no_eligible_pairs(self, tmp_path, data_dir):
         questions = tmp_path / "q.jsonl"
         questions.write_text(
@@ -414,6 +458,54 @@ class TestSynthesizeCommand:
         assert len(lines) == 1  # provenance only
         report = json.loads((tmp_path / "composed.jsonl.report.json").read_text())
         assert report["pairs_considered"] == 0
+
+
+QUESTIONS = [
+    json.loads(line)
+    for line in (DATA_DIR / "questions.jsonl").read_text(encoding="utf-8").splitlines()
+]
+
+
+@st.composite
+def _question_mutations(draw):
+    """(line index, key path, mutation) of one mutation of one question line."""
+    index = draw(st.integers(0, len(QUESTIONS) - 1))
+    keys = draw(st.sampled_from(list(_paths(QUESTIONS[index]))))
+    return index, keys, draw(st.sampled_from(mutation_names(QUESTIONS[index], keys)))
+
+
+@given(_question_mutations())
+@settings(max_examples=80, deadline=None)
+def test_synthesize_names_the_line_and_field_of_a_question_mutation(case):
+    """A mutated question line exits 0, 2 or 3 with no traceback: exit 2
+    names the file, the line and the field, exit 3 the question, and a
+    failure leaves no output or temp file behind."""
+    index, keys, mutation = case
+    record = mutated(QUESTIONS[index], keys, mutation)
+    lines = [json.dumps(q) for q in QUESTIONS]
+    lines[index] = json.dumps(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        questions = workdir / "questions.jsonl"
+        questions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([
+                "synthesize", "--scenes", str(DATA_DIR / "scenes"), "--questions", str(questions),
+                "--out", str(workdir / "composed.jsonl"), "--stub",
+            ])
+        left = sorted(child.name for child in workdir.iterdir())
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    if code == 2:
+        assert re.match(rf"error: {re.escape(str(questions))}:{index + 1}[.:]", message), message
+        assert keys[0] in message, message
+    if code == 3:
+        assert message.startswith(f"error: question {record['question_id']!r}: "), message
+    if code:
+        assert left == ["questions.jsonl"]
+    else:
+        assert left == ["composed.jsonl", "composed.jsonl.report.json", "questions.jsonl"]
 
 
 class TestBuildCorpusCommand:

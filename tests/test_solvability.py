@@ -257,6 +257,43 @@ class TestMinCover:
         assert req.solver == "greedy"
         assert req.n >= 16  # optimum: every other chain link
 
+    @staticmethod
+    def _given_as(sets_by_id, universe, kind):
+        """The instance as frozensets, or as int masks with bit e for element e."""
+        if kind == "frozenset":
+            return sets_by_id, universe
+        return [(set_id, sum(1 << e for e in s)) for set_id, s in sets_by_id], sum(
+            1 << e for e in universe
+        )
+
+    @pytest.mark.parametrize("kind", ["frozenset", "mask"])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_covering_set_among_more_than_the_exact_limit(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        universe = frozenset(range(int(rng.integers(6, 40))))
+        sets_by_id = [
+            (f"s{i:02d}", frozenset(int(e) for e in universe if rng.random() < 0.3))
+            for i in range(int(rng.integers(EXACT_SEARCH_LIMIT + 1, 40)))
+        ]
+        cover = universe | {100, 101}  # members outside the universe do not count
+        sets_by_id.insert(int(rng.integers(len(sets_by_id) + 1)), ("s99", cover))
+        assert brute_force_min_cover([s for _, s in sets_by_id], universe) == 1
+        req = min_cover(*self._given_as(sets_by_id, universe, kind))
+        assert req == ViewRequirement(1, "exact")
+
+    @pytest.mark.parametrize("kind", ["frozenset", "mask"])
+    @pytest.mark.parametrize("seed", [64, 65, 66])
+    def test_uncoverable_universe_with_more_than_the_exact_limit(self, seed, kind):
+        # Pairwise-incomparable chain links {i, i + 1} would all survive
+        # pruning; the last element of the universe is in no set.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(EXACT_SEARCH_LIMIT + 1, 40))
+        sets_by_id = [(f"s{i:02d}", frozenset({i, i + 1})) for i in rng.permutation(n).tolist()]
+        universe = frozenset(range(n + 2))
+        assert brute_force_min_cover([s for _, s in sets_by_id], universe) is None
+        req = min_cover(*self._given_as(sets_by_id, universe, kind))
+        assert req == ViewRequirement(None, "exact")
+
     def test_dominance_pruning_preserves_optimum(self):
         rng = np.random.default_rng(37)
         for _ in range(80):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview.errors import SchemaError, ServiceUnavailable, UnknownScene
+from egoview import synthesis
+from egoview.errors import SchemaError, ServiceUnavailable, UnknownObjectId, UnknownScene
 from egoview.services import StubModelService
+from egoview.solvability import WitnessConfig, WitnessTable
 from egoview.synthesis import (
     ComposedQA,
     Dropped,
@@ -19,6 +24,7 @@ from egoview.synthesis import (
 )
 
 from .oracles import brute_force_eligible_pairs
+from .scenegen import random_posed_scene, random_relevant_ids
 
 
 def question(qid, anchors, scene_id="s1", text=None, answer="yes"):
@@ -240,6 +246,53 @@ class TestSynthesizeDataset:
         questions = [question("q1", {1, 2}, scene_id="ghost"), question("q2", {2, 3}, scene_id="ghost")]
         with pytest.raises(UnknownScene):
             synthesize_dataset(questions, StubModelService(), {})
+
+    @pytest.mark.parametrize(
+        "anchors,scene_id,error",
+        [({2, 99}, "scene-a", UnknownObjectId), ({99}, "scene-a", UnknownObjectId),
+         ({2}, "ghost", UnknownScene)],
+    )
+    def test_unknown_reference_raises_before_any_generation(self, scenes, anchors, scene_id, error):
+        class Recorder:
+            prompts = []
+
+            def generate_text(self, prompt, max_tokens=256, temperature=0.0):
+                self.prompts.append(prompt)
+                return '{"question": "Both?", "answer": "yes"}'
+
+        questions = [question("q1", {1, 2}, scene_id="scene-a"), question("q2", {2, 3}, scene_id="scene-a"),
+                     question("q3", anchors, scene_id=scene_id)]
+        generator = Recorder()
+        with pytest.raises(error, match="question 'q3': "):
+            synthesize_dataset(questions, generator, scenes)
+        assert generator.prompts == []
+
+    def test_tables_are_over_the_referenced_objects(self, monkeypatch):
+        """Each scene's table has a column per object its questions reference
+        and no other, and counts every record as an all-objects table does."""
+        rng = np.random.default_rng(83)
+        views, objects = random_posed_scene(rng, 16, 24)
+        questions = [
+            question(f"q{i:02d}", random_relevant_ids(rng, 16, 2), scene_id="s") for i in range(14)
+        ]
+        referenced = set().union(*(q.related_object_ids for q in questions))
+        all_objects = WitnessTable.build(objects, views, WitnessConfig())
+        built, real_build = [], WitnessTable.build
+
+        def spy(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(synthesis.WitnessTable, "build", spy)
+        scene = SimpleNamespace(views=views, objects=objects)
+        records, report = synthesize_dataset(questions, StubModelService(seed=7), {"s": scene})
+        assert len(built) == 1
+        assert built[0].objects.ids == tuple(sorted(referenced))
+        assert len(referenced) < len(objects)
+        assert report.composed == len(records) > 0
+        for record in records:
+            assert record.min_view_count == all_objects.min_view_count(record.related_object_ids)
+        assert {record.min_view_count.n for record in records} >= {None, 1, 2}
 
     def test_unparseable_generator_reports_drops(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
