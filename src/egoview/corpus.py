@@ -28,10 +28,10 @@ Scene and record files must be UTF-8, and no text field may hold a lone
 surrogate; either is a SchemaError naming the file, line or field.  Record
 files (instructions, triplets, predictions, composed questions) are
 line-delimited JSON with keys in a fixed order so identical inputs produce
-byte-identical outputs.  Their line reader, field rules and `OutputFiles`
-live in `records`, which needs no numpy; this module reads instructions
-and triplets with them and writes JSONL through them.  The triplet
-builders import `selection` when they run; loading scenes needs none of it.
+byte-identical outputs.  Their field tables, their one reader and
+`OutputFiles` live in `records`, which needs no numpy; this module reads
+instructions and triplets with them and writes JSONL through them.  The
+triplet builders import `selection` when they run; loading scenes needs none.
 """
 
 from __future__ import annotations
@@ -60,23 +60,22 @@ from .geometry import (
     first_bad_pose,
 )
 from .records import (
+    INSTRUCTIONS,
+    TRIPLETS,
     OutputFiles,
-    _claim_id,
     _encodable,
     _integer,
-    _integers,
-    _iter_jsonl,
     _list,
     _require,
     _text,
+    check_rules,
+    read_records,
 )
 from .solvability import Objects, SceneObject, View, Views, WitnessTable
 
 logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
-TASKS = ("qa", "dc", "caption")
-TRIPLET_SOURCES = ("generated_caption", "extended_qa", "extended_dc")
 
 
 @dataclass(eq=False)
@@ -125,12 +124,7 @@ class Instruction:
 
     def __post_init__(self):
         self.related_object_ids = frozenset(self.related_object_ids)
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
-        if self.task == "dc" and self.target_object_id is None:
-            raise ValueError("dc instructions require target_object_id")
-        if self.task == "qa" and not self.answer:
-            raise ValueError("qa instructions require an answer")
+        check_rules(INSTRUCTIONS, self)
 
 
 @dataclass(frozen=True)
@@ -154,10 +148,7 @@ class TripletRecord:
 
     def __post_init__(self):
         self.object_ids = frozenset(self.object_ids)
-        if not self.text:
-            raise ValueError("triplet text must be non-empty")
-        if self.source not in TRIPLET_SOURCES:
-            raise ValueError(f"source must be one of {TRIPLET_SOURCES}")
+        check_rules(TRIPLETS, self)
 
 
 @dataclass(frozen=True)
@@ -177,17 +168,6 @@ class CaptionBuildConfig:
             raise ValueError("num_captions must be >= 1")
         if not finite_number(self.threshold):  # NaN would keep every caption
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
-
-
-def _score(value, path: str) -> float | None:
-    """`value` if it is null or a finite JSON number; anything else (a
-    string, a bool, NaN, an integer too large for a float) raises
-    SchemaError naming `path`."""
-    if value is None:
-        return None
-    if not finite_number(value):
-        raise SchemaError(path, f"must be a finite number or null, got {value!r}")
-    return value
 
 
 def _number(value, path: str, depth: int = 0):
@@ -450,36 +430,8 @@ def load_scenes_dir(directory: str | Path) -> dict[str, Scene]:
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:
-    """Read instruction records from a JSONL file (provenance lines skipped);
-    a repeated instruction_id raises DuplicateId."""
-    records = []
-    seen: dict[str, str] = {}
-    for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            records.append(
-                Instruction(
-                    instruction_id=_text(
-                        _require(data, "instruction_id", where), f"{where}.instruction_id"
-                    ),
-                    scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
-                    task=_text(_require(data, "task", where), f"{where}.task"),
-                    text=_text(_require(data, "text", where), f"{where}.text"),
-                    answer=_text(data.get("answer"), f"{where}.answer", optional=True),
-                    related_object_ids=_integers(
-                        data.get("related_object_ids", []), f"{where}.related_object_ids"
-                    ),
-                    target_object_id=(
-                        _integer(data["target_object_id"], f"{where}.target_object_id")
-                        if data.get("target_object_id") is not None
-                        else None
-                    ),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-        _claim_id(seen, records[-1].instruction_id, where)
-    return records
+    """Read the instruction lines of a JSONL file (see `records.read_records`)."""
+    return read_records(path, INSTRUCTIONS, Instruction)
 
 
 def _register_sidecar(clients, views: Views, objects: Objects, tau: float) -> dict[str, set[int]]:
@@ -547,18 +499,6 @@ def build_caption_triplets(
     return records
 
 
-def _extend_error(ins: Instruction, scene: Scene | None, object_ids) -> Exception | None:
-    """The error that binding `ins` to a view raises, or None when it can be bound."""
-    if scene is None:
-        return UnknownScene(f"scene {ins.scene_id!r} is not loaded")
-    if ins.task == "dc":
-        if ins.target_object_id not in object_ids:
-            return UnknownObjectId(f"unknown target object id {ins.target_object_id}")
-    elif not scene.views:
-        return NoViews("select_view_for_qa requires at least one view")
-    return None
-
-
 def extend_dataset_triplets(
     instructions: Sequence[Instruction],
     scenes_by_id: Mapping[str, Scene],
@@ -571,23 +511,24 @@ def extend_dataset_triplets(
     qa (and caption) instructions pick the view most similar to their text;
     dc instructions pick the view that best captures the target object.
     dc targets visible in no view are logged and skipped, never fatal.
-    Views are selected once per scene for all of its instructions; records
-    and warnings follow instruction order, and an instruction that cannot
-    be bound raises after those before it are emitted.
+    Before any projection or service call, the first instruction naming an
+    unknown scene or dc target, or a qa text in a scene with no views,
+    raises naming it.  Views are then selected once per scene for all of
+    its instructions; records and warnings follow instruction order.
     """
     from .selection import select_views_for_dc, select_views_for_qa
 
     by_scene: dict[str, list[int]] = {}
-    object_ids: dict[str, set[int]] = {}
-    error = None
     for i, ins in enumerate(instructions):
+        where = f"instruction {ins.instruction_id!r}: "
         scene = scenes_by_id.get(ins.scene_id)
-        if scene is not None and ins.scene_id not in object_ids:
-            object_ids[ins.scene_id] = set(scene.objects.ids)
-        error = _extend_error(ins, scene, object_ids.get(ins.scene_id))
-        if error is not None:
-            instructions = instructions[:i]
-            break
+        if scene is None:
+            raise UnknownScene(f"{where}scene {ins.scene_id!r} is not loaded")
+        if ins.task == "dc":
+            if ins.target_object_id not in scene.objects.ids:
+                raise UnknownObjectId(f"{where}unknown target object id {ins.target_object_id}")
+        elif not scene.views:
+            raise NoViews(f"{where}select_view_for_qa requires at least one view")
         by_scene.setdefault(ins.scene_id, []).append(i)
 
     picks: dict[int, tuple[str, float] | None] = {}
@@ -630,8 +571,6 @@ def extend_dataset_triplets(
                 ),
             )
         )
-    if error is not None:
-        raise error
     return records
 
 
@@ -652,34 +591,6 @@ def triplet_to_dict(record: TripletRecord) -> dict:
     }
 
 
-def triplet_from_dict(data: dict, where: str = "triplet") -> TripletRecord:
-    prov = data.get("provenance", {})
-    if not isinstance(prov, dict):
-        raise SchemaError(f"{where}.provenance", f"must be an object, got {prov!r}")
-    try:
-        return TripletRecord(
-            triplet_id=_text(_require(data, "triplet_id", where), f"{where}.triplet_id"),
-            scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
-            view_id=_text(_require(data, "view_id", where), f"{where}.view_id"),
-            object_ids=_integers(_require(data, "object_ids", where), f"{where}.object_ids"),
-            text=_text(_require(data, "text", where), f"{where}.text"),
-            source=_text(_require(data, "source", where), f"{where}.source"),
-            provenance=TripletProvenance(
-                config_hash=_text(prov.get("config_hash", ""), f"{where}.provenance.config_hash"),
-                retrieval_score=_score(
-                    prov.get("retrieval_score"), f"{where}.provenance.retrieval_score"
-                ),
-                parent_instruction_id=_text(
-                    prov.get("parent_instruction_id"),
-                    f"{where}.provenance.parent_instruction_id",
-                    optional=True,
-                ),
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(where, str(exc)) from exc
-
-
 def write_jsonl(
     path: str | Path,
     rows: Sequence[dict],
@@ -698,12 +609,5 @@ def write_jsonl(
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:
-    """Read triplet records from a JSONL file (provenance lines skipped); a
-    repeated triplet_id raises DuplicateId naming both lines."""
-    records = []
-    seen: dict[str, str] = {}
-    for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        records.append(triplet_from_dict(data, where=where))
-        _claim_id(seen, records[-1].triplet_id, where)
-    return records
+    """Read triplet lines (see `records.read_records`); TRIPLETS ends with the provenance."""
+    return read_records(path, TRIPLETS, lambda *v: TripletRecord(*v[:6], TripletProvenance(*v[6:])))

@@ -45,6 +45,10 @@ class SchemaError(EgoviewError):
         self.reason = reason
 
 
+class RuleError(SchemaError, ValueError):
+    """A record breaks a rule of its field table: a bad constructor argument."""
+
+
 class DuplicateId(EgoviewError):
     """An identifier that must be unique appears more than once."""
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._util import percent
-from .errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
-from .records import BUCKETS, _claim_id, _integer, _iter_jsonl, _require, _text, view_bucket
+from .errors import DuplicateId, DuplicatePrediction, MissingGold
+from .records import BUCKETS, GOLD, PREDICTIONS, check_rules, read_records, view_bucket
 
 NORMALIZATION_VERSION = "nfkc-lower-ws-trailpunct-v1"
 ARTICLES_POLICY = "preserved"
@@ -35,6 +35,9 @@ class GoldAnswer:
     question_id: str
     answer: str
     min_views: int | None = None
+
+    def __post_init__(self):
+        check_rules(GOLD, self)
 
     @property
     def bucket(self) -> str:
@@ -128,44 +131,10 @@ def em_score(
 
 
 def read_predictions(path) -> list[Prediction]:
-    records = []
-    seen: set[str] = set()
-    for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        question_id = _text(_require(data, "question_id", where), f"{where}.question_id")
-        if question_id in seen:
-            raise DuplicatePrediction(f"{where}: duplicate prediction for {question_id!r}")
-        seen.add(question_id)
-        prediction = _text(_require(data, "prediction", where), f"{where}.prediction")
-        records.append(Prediction(question_id=question_id, prediction=prediction))
-    return records
-
-
-def _min_views(value, path: str) -> int | None:
-    """`value` if it is null (unbucketed) or an integer of at least 1; other
-    values raise SchemaError naming `path`, since a count below 1 falls in
-    no bucket."""
-    if value is None or _integer(value, path) >= 1:
-        return value
-    raise SchemaError(path, f"must be at least 1, got {value!r}")
+    """Read the prediction lines of a JSONL file (see `records.read_records`)."""
+    return read_records(path, PREDICTIONS, Prediction)
 
 
 def read_gold(path) -> list[GoldAnswer]:
-    """Read gold answers; composed-question files work directly as gold.  A
-    repeated question_id raises DuplicateId naming both lines."""
-    records = []
-    seen: dict[str, str] = {}
-    for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            records.append(
-                GoldAnswer(
-                    question_id=_text(_require(data, "question_id", where), f"{where}.question_id"),
-                    answer=_text(_require(data, "answer", where), f"{where}.answer"),
-                    min_views=_min_views(data.get("min_views"), f"{where}.min_views"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-        _claim_id(seen, records[-1].question_id, where)
-    return records
+    """Read gold answers (see `records.read_records`); composed questions are gold."""
+    return read_records(path, GOLD, GoldAnswer)

@@ -243,23 +243,24 @@ def _among(objects: Objects, ids: Iterable[int]) -> Objects:
 
 
 def referenced_objects(
-    records: Iterable, scenes_by_id: Mapping[str, object], kind: str | None = None
+    records: Iterable, scenes_by_id: Mapping[str, object], kind: str
 ) -> dict[str, Objects]:
     """Per scene id, the rows of that scene's objects that `records`
-    reference, in table order.  Records carry `scene_id` and
+    reference, in table order.  Records carry `<kind>_id`, `scene_id` and
     `related_object_ids`; scenes carry `objects`, as a table or a list of
     records.  The first record whose scene is not loaded raises
-    UnknownScene, whose ids are not all in its scene UnknownObjectId, and
-    whose ids are empty EmptyInput; when `kind` is given, the error names
-    the record by its `<kind>_id`."""
+    UnknownScene, and whose ids are empty or not all in its scene
+    UnknownObjectId, naming the record by its `<kind>_id`."""
     objects: dict[str, Objects] = {}
     known: dict[str, set[int]] = {}
     referenced: dict[str, set[int]] = {}
     for record in records:
-        where = f"{kind} {getattr(record, f'{kind}_id')!r}: " if kind else ""
+        where = f"{kind} {getattr(record, f'{kind}_id')!r}: "
         scene = scenes_by_id.get(record.scene_id)
         if scene is None:
             raise UnknownScene(f"{where}scene {record.scene_id!r} is not loaded")
+        if not record.related_object_ids:
+            raise UnknownObjectId(f"{where}references no object")
         if record.scene_id not in known:
             objects[record.scene_id] = Objects.of(scene.objects)
             known[record.scene_id] = set(objects[record.scene_id].ids)
@@ -508,18 +509,19 @@ def view_requirement_stats(
 ) -> RequirementHistogram:
     """Bucket instructions by their minimum view count: {1, 2, 3, 4+, unsolvable}.
 
-    Instructions must carry `scene_id` and `related_object_ids`; scenes must
-    carry `views` and `objects`, as tables or lists of records.  Candidate views are subsampled with
-    `stride` (every stride-th view, first always included); the stride is
-    recorded in the result rather than hidden.  Each scene's witness table
-    is computed once, over the objects its instructions reference, and
-    shared by its instructions.
+    Instructions must carry `instruction_id`, `scene_id` and
+    `related_object_ids`; scenes must carry `views` and `objects`, as tables
+    or lists of records.  Candidate views are subsampled with `stride`
+    (every stride-th view, first always included); the stride is recorded
+    in the result rather than hidden.  Each scene's witness table is
+    computed once, over the objects its instructions reference, and shared
+    by its instructions.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     tables = {  # one per scene, for this call only
         scene_id: WitnessTable.build(objects, Views.of(scenes_by_id[scene_id].views)[::stride], cfg)
-        for scene_id, objects in referenced_objects(instructions, scenes_by_id).items()
+        for scene_id, objects in referenced_objects(instructions, scenes_by_id, "instruction").items()
     }
     counts = {bucket: 0 for bucket in BUCKETS}
     solver_counts = {"exact": 0, "greedy": 0}

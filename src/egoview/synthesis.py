@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import Scene
-from .errors import SchemaError
-from .records import _claim_id, _integers, _iter_jsonl, _require, _text
+from .records import QUESTIONS, check_rules, read_records
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
 
@@ -39,10 +38,7 @@ class QuestionRecord:
 
     def __post_init__(self):
         self.related_object_ids = frozenset(self.related_object_ids)
-        if not self.related_object_ids:
-            raise ValueError("related_object_ids must be non-empty")
-        if not self.answer:
-            raise ValueError("answer must be non-empty")
+        check_rules(QUESTIONS, self)
 
 
 @dataclass(eq=False)
@@ -292,25 +288,5 @@ def composed_to_dict(record: ComposedQA) -> dict:
 
 
 def read_questions(path) -> list[QuestionRecord]:
-    """Read question records from a JSONL file (provenance lines skipped);
-    a repeated question_id raises DuplicateId."""
-    records = []
-    seen: dict[str, str] = {}
-    for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            records.append(
-                QuestionRecord(
-                    question_id=_text(_require(data, "question_id", where), f"{where}.question_id"),
-                    scene_id=_text(_require(data, "scene_id", where), f"{where}.scene_id"),
-                    text=_text(_require(data, "text", where), f"{where}.text"),
-                    answer=_text(_require(data, "answer", where), f"{where}.answer"),
-                    related_object_ids=_integers(
-                        _require(data, "related_object_ids", where), f"{where}.related_object_ids"
-                    ),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-        _claim_id(seen, records[-1].question_id, where)
-    return records
+    """Read the question lines of a JSONL file (see `records.read_records`)."""
+    return read_records(path, QUESTIONS, QuestionRecord)

@@ -304,7 +304,7 @@ class TestSolvabilityCommand:
         assert f"{instructions}:1.text: must be a string" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [instructions]
 
-    def test_unknown_scene_exits_3(self, tmp_path, data_dir):
+    def test_unknown_scene_exits_3(self, tmp_path, data_dir, capsys):
         instructions = tmp_path / "ins.jsonl"
         instructions.write_text(
             '{"instruction_id": "z", "scene_id": "ghost", "task": "qa", '
@@ -318,6 +318,25 @@ class TestSolvabilityCommand:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 3
+        assert capsys.readouterr().err == "error: instruction 'z': scene 'ghost' is not loaded\n"
+
+    @pytest.mark.parametrize(
+        "ids,reason", [([1, 999], "unknown object ids: [999]"), ([], "references no object")]
+    )
+    def test_unknown_or_no_object_exits_3_naming_the_instruction(
+        self, tmp_path, data_dir, capsys, ids, reason
+    ):
+        lines = (data_dir / "instructions_solvability.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[1]), "instruction_id": "i9", "related_object_ids": ids}
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text("\n".join([*lines, json.dumps(record)]) + "\n", encoding="utf-8")
+        code = run(
+            "solvability", "--scenes", str(data_dir / "scenes"),
+            "--instructions", str(instructions), "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: instruction 'i9': {reason}\n"
+        assert list(tmp_path.iterdir()) == [instructions]
 
 
 class TestSynthesizeCommand:
@@ -578,6 +597,28 @@ class TestBuildCorpusCommand:
         )
         assert list(tmp_path.iterdir()) == [instructions]
 
+    def test_unknown_scene_exits_3_before_any_service_call(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "egoview.services.StubModelService.score_image_text",
+            lambda *args, **kw: calls.append(args),
+        )
+        lines = (data_dir / "instructions_extend.jsonl").read_text().splitlines()
+        ghost = {"instruction_id": "g1", "scene_id": "ghost", "task": "qa", "text": "where?",
+                 "answer": "here", "related_object_ids": [1]}
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text("\n".join([*lines, json.dumps(ghost)]) + "\n", encoding="utf-8")
+        code = run(
+            "build-corpus", "--scenes", str(data_dir / "scenes"), "--mode", "extend",
+            "--instructions", str(instructions), "--out", str(tmp_path / "t.jsonl"), "--stub",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: instruction 'g1': scene 'ghost' is not loaded\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [instructions]
+
     def test_duplicate_instruction_id_exits_2(self, tmp_path, data_dir, capsys):
         instructions = with_repeated_first_record(
             data_dir / "instructions_extend.jsonl", tmp_path / "ins.jsonl"
@@ -789,7 +830,7 @@ class TestEvalCommand:
         assert f"{gold}:1.min_views: must be at least 1, got -2" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [gold, preds]
 
-    def test_duplicate_prediction_exits_3(self, tmp_path, data_dir):
+    def test_duplicate_prediction_exits_3(self, tmp_path, data_dir, capsys):
         preds = tmp_path / "pred.jsonl"
         preds.write_text(
             '{"question_id": "g1", "prediction": "a"}\n'
@@ -801,6 +842,7 @@ class TestEvalCommand:
             "--pred", str(preds), "--out", str(tmp_path / "r.json"),
         )
         assert code == 3
+        assert capsys.readouterr().err == f"error: {preds}:2: id 'g1' already used at {preds}:1\n"
 
     def test_unknown_question_exits_3(self, tmp_path, data_dir):
         preds = tmp_path / "pred.jsonl"

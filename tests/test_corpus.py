@@ -559,6 +559,17 @@ class TestStrictIntegers:
                 )
                 for ids in (5, "12", {"a": 1})
             ),
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "dc", "text": "describe"},
+                "target_object_id",
+            ),
+            (
+                read_questions,
+                {"question_id": "q", "scene_id": "s", "text": "?", "answer": "a",
+                 "related_object_ids": []},
+                "related_object_ids",
+            ),
         ],
     )
     def test_record_fields(self, tmp_path, reader, record, field):
@@ -640,6 +651,43 @@ class TestStrictText:
                     f"must be a finite number or null, got {score!r}",
                 )
                 for score in ("high", True, [1], math.nan, 10**400)
+            ),
+            (
+                read_instructions,
+                {"instruction_id": "i", "scene_id": "s", "task": "retrieval", "text": "x"},
+                "task",
+                "must be one of ('qa', 'dc', 'caption'), got 'retrieval'",
+            ),
+            *(
+                (
+                    read_instructions,
+                    {"instruction_id": "i", "scene_id": "s", "task": "qa", "text": "?", **answer},
+                    "answer",
+                    f"must be a non-empty string for a qa instruction, got {value!r}",
+                )
+                for answer, value in (({}, None), ({"answer": ""}, ""))
+            ),
+            (
+                read_questions,
+                {"question_id": "q", "scene_id": "s", "text": "?", "answer": "",
+                 "related_object_ids": [3]},
+                "answer",
+                "must be non-empty",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                 "text": "", "source": "extended_qa"},
+                "text",
+                "must be non-empty",
+            ),
+            (
+                read_triplets,
+                {"triplet_id": "t", "scene_id": "s", "view_id": "v", "object_ids": [1],
+                 "text": "x", "source": "imagined"},
+                "source",
+                "must be one of ('generated_caption', 'extended_qa', 'extended_dc'), "
+                "got 'imagined'",
             ),
         ],
     )
@@ -854,7 +902,7 @@ def _mini_scene(scene_id: str, label: str, views=("v1", "v2"), center=(0, 0, 2.5
 
 
 class TestExtendBatching:
-    """extend selects views once per scene, and fails as per instruction."""
+    """extend selects views once per scene, and checks every instruction first."""
 
     def test_one_score_call_per_view_and_one_projection_per_scene(
         self, data_dir, scenes, monkeypatch
@@ -943,11 +991,14 @@ class TestExtendBatching:
             "ghost-scene": Instruction("c", "ghost", "qa", "where?", answer="here"),
             "no-views": Instruction("d", "bare", "qa", "where is the desk", answer="here"),
         }
+        stub = _CountingStub()
         with pytest.raises(error) as excinfo:
-            extend_dataset_triplets([make[name] for name in order], scenes, StubModelService())
-        assert str(excinfo.value) == message
+            extend_dataset_triplets([make[name] for name in order], scenes, stub)
+        first = next(make[name] for name in order if name != "ok")
+        assert str(excinfo.value) == f"instruction {first.instruction_id!r}: {message}"
+        assert stub.score_calls == []
 
-    def test_warnings_before_the_error_are_emitted(self, caplog):
+    def test_the_error_comes_before_any_warning(self, caplog):
         scene = _mini_scene("mini", "lamp", center=(0, 0, -5))  # behind every view
         instructions = [
             Instruction("d1", "mini", "dc", "describe the lamp", target_object_id=1),
@@ -956,7 +1007,7 @@ class TestExtendBatching:
         ]
         with caplog.at_level("WARNING"), pytest.raises(UnknownScene):
             extend_dataset_triplets(instructions, {"mini": scene}, StubModelService())
-        assert [m.split(":")[0] for m in caplog.messages] == ["skipping d1", "skipping d2"]
+        assert caplog.messages == []
 
     def test_scenes_sharing_view_ids_score_against_their_own_labels(self):
         # Both scenes name their views v1 and v2 with no image path, so their

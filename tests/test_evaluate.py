@@ -137,8 +137,9 @@ class TestEvalIO:
             '{"question_id": "g1", "prediction": "b"}\n',
             encoding="utf-8",
         )
-        with pytest.raises(DuplicatePrediction):
+        with pytest.raises(DuplicatePrediction) as excinfo:
             read_predictions(path)
+        assert str(excinfo.value) == f"{path}:2: id 'g1' already used at {path}:1"
 
     def test_composed_output_works_as_gold(self, tmp_path):
         path = tmp_path / "gold.jsonl"

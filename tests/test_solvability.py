@@ -587,6 +587,7 @@ class TestViewRequirementStats:
 
     def test_unknown_scene(self, scenes):
         class FakeInstruction:
+            instruction_id = "i1"
             scene_id = "missing"
             related_object_ids = frozenset({1})
 
@@ -598,8 +599,12 @@ class TestViewRequirementStats:
         views, objects = random_posed_scene(rng, 20, 30)
         scene = SimpleNamespace(views=views, objects=objects)
         instructions = [
-            SimpleNamespace(scene_id="s", related_object_ids=random_relevant_ids(rng, 30, 3))
-            for _ in range(12)
+            SimpleNamespace(
+                instruction_id=f"i{k}",
+                scene_id="s",
+                related_object_ids=random_relevant_ids(rng, 30, 3),
+            )
+            for k in range(12)
         ]
         hist = view_requirement_stats(instructions, {"s": scene})
         assert len(set().union(*(i.related_object_ids for i in instructions))) < len(objects)
@@ -612,17 +617,21 @@ class TestViewRequirementStats:
         [
             (("unknown-object", "unknown-scene"), UnknownObjectId),
             (("unknown-scene", "unknown-object"), UnknownScene),
-            (("ok", "empty", "unknown-scene"), EmptyInput),
+            (("ok", "empty", "unknown-scene"), UnknownObjectId),
         ],
     )
     def test_first_offending_instruction_raises(self, scenes, order, error):
         make = {
-            "ok": SimpleNamespace(scene_id="scene-a", related_object_ids=frozenset({1})),
-            "unknown-object": SimpleNamespace(scene_id="scene-a", related_object_ids={1, 99}),
-            "unknown-scene": SimpleNamespace(scene_id="missing", related_object_ids={1}),
-            "empty": SimpleNamespace(scene_id="scene-a", related_object_ids=frozenset()),
+            name: SimpleNamespace(instruction_id=name, scene_id=scene_id, related_object_ids=ids)
+            for name, scene_id, ids in [
+                ("ok", "scene-a", frozenset({1})),
+                ("unknown-object", "scene-a", {1, 99}),
+                ("unknown-scene", "missing", {1}),
+                ("empty", "scene-a", frozenset()),
+            ]
         }
-        with pytest.raises(error):
+        first = next(name for name in order if name != "ok")
+        with pytest.raises(error, match=f"^instruction {first!r}: "):
             view_requirement_stats([make[name] for name in order], scenes)
 
     def test_stride_subsamples_views(self, scenes, data_dir):
