@@ -48,8 +48,9 @@ from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from . import geometry
 from ._util import finite_number
-from .errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
+from .errors import DuplicateId, NoViews, RuleError, SchemaError, UnknownObjectId, UnknownScene
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -71,11 +72,18 @@ from .records import (
     check_rules,
     read_records,
 )
-from .solvability import Objects, SceneObject, View, Views, WitnessTable
+from .solvability import Objects, SceneObject, View, Views
 
 logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
+
+
+def _check_split(split) -> str:
+    """`split` if it is one of SPLITS, else RuleError naming `scene.split`."""
+    if split not in SPLITS:
+        raise RuleError("scene.split", f"must be one of {SPLITS}, got {split!r}")
+    return split
 
 
 @dataclass(eq=False)
@@ -90,8 +98,7 @@ class Scene:
     points_path: str | None = None
 
     def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}")
+        _check_split(self.split)
         self.objects = Objects.of(self.objects)
         self.views = Views.of(self.views)
         self._check_unique(self.objects.ids, "objects", "object_id")
@@ -389,9 +396,7 @@ def _scene(path: Path) -> Scene:
         raise SchemaError(str(path), "scene file must hold a JSON object")
 
     scene_id = _text(_require(data, "scene_id", "scene"), "scene.scene_id")
-    split = _require(data, "split", "scene")
-    if split not in SPLITS:
-        raise SchemaError("scene.split", f"must be one of {SPLITS}, got {split!r}")
+    split = _check_split(_require(data, "split", "scene"))
     objects = _object_table(_list(_require(data, "objects", "scene"), "scene.objects"))
     views = _view_table(_list(_require(data, "views", "scene"), "scene.views"))
     return Scene(
@@ -434,20 +439,23 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     return read_records(path, INSTRUCTIONS, Instruction)
 
 
-def _register_sidecar(clients, views: Views, objects: Objects, tau: float) -> dict[str, set[int]]:
-    """Compute visible-object sets for views and register label sidecars on
-    any stub clients.  Returns visible ids keyed by view_id."""
+def _register_sidecar(clients, views: Views, objects: Objects, overlap, tau: float) -> dict:
+    """Ids of the objects each view shows with IoSA > tau, keyed by view_id,
+    read from `overlap`, `geometry.image_overlap` of `objects` in `views`;
+    registers each view's labels on any client that takes them (the stub)."""
     from .selection import alignment, image_refs
 
-    table = WitnessTable.build(objects, views, alignment(tau)).matrix
+    tau = alignment(tau).iosa_threshold
+    pairs, scores, _ = overlap
+    table = np.zeros((len(views), len(objects)), dtype=bool)
+    table.flat[pairs[scores > tau]] = True
+    registers = [c.register_view_labels for c in clients if hasattr(c, "register_view_labels")]
     visible: dict[str, set[int]] = {}
     for view_id, ref, row in zip(views.ids, image_refs(views), table.tolist()):
         visible[view_id] = set(compress(objects.ids, row))
         labels = sorted(set(compress(objects.labels, row)))
-        for client in clients:
-            register = getattr(client, "register_view_labels", None)
-            if register is not None:
-                register(ref, labels)
+        for register in registers:
+            register(ref, labels)
     return visible
 
 
@@ -473,7 +481,8 @@ def build_caption_triplets(
     clients = [caption_client]
     if scorer_client is not caption_client:
         clients.append(scorer_client)
-    visible = _register_sidecar(clients, sampled, scene.objects, cfg.tau)
+    overlap = geometry.image_overlap(scene.objects.corners, sampled)
+    visible = _register_sidecar(clients, sampled, scene.objects, overlap, cfg.tau)
 
     records = []
     for view_id, ref in zip(sampled.ids, image_refs(sampled)):
@@ -534,14 +543,15 @@ def extend_dataset_triplets(
     picks: dict[int, tuple[str, float] | None] = {}
     visible: dict[str, dict[str, set[int]]] = {}
     for scene_id, indices in by_scene.items():
-        scene = scenes_by_id[scene_id]
-        visible[scene_id] = _register_sidecar([scorer_client], scene.views, scene.objects, tau)
+        views, objects = scenes_by_id[scene_id].views, scenes_by_id[scene_id].objects
+        overlap = geometry.image_overlap(objects.corners, views)
+        visible[scene_id] = _register_sidecar([scorer_client], views, objects, overlap, tau)
         qa = [i for i in indices if instructions[i].task != "dc"]
         dc = [i for i in indices if instructions[i].task == "dc"]
         texts = [instructions[i].text for i in qa]
         targets = [instructions[i].target_object_id for i in dc]
-        picks.update(zip(qa, select_views_for_qa(texts, scene.views, scorer_client)))
-        picks.update(zip(dc, select_views_for_dc(targets, scene.views, scene.objects)))
+        picks.update(zip(qa, select_views_for_qa(texts, views, scorer_client)))
+        picks.update(zip(dc, select_views_for_dc(targets, views, objects, overlap)))
 
     records = []
     for i, ins in enumerate(instructions):

@@ -25,17 +25,17 @@ and clips only the pairs that straddle the near plane, as a masked
 intersection over the 12 cube edges.  Cameras come as columns: an object
 whose `rotations` (V, 3, 3), `translations` (V, 3) and `pinhole` (V, 4) rows
 hold one camera each, plus `sizes` (V, 2) of (width, height);
-`solvability.Views` is that object for a scene.  Pairs reach the kernel a
-fixed chunk at a time, from two sources:
-
-  - `project_boxes` feeds it every (view, box) pair; `project_box`,
-    `project_point` and `iosa` are batch-of-one wrappers over it and
-    `iosa_rects`.
-  - `image_visibility` first drops the pairs whose box's bounding sphere
-    lies wholly outside one of the view's five frustum planes (near, left,
-    right, top, bottom) and feeds it the rest.  This changes no boolean as
-    long as the IoSA threshold is >= 0: such a box projects outside the
-    image (IoSA 0) or is wholly behind the near plane (not visible).
+`solvability.Views` is that object for a scene.  One function feeds it a
+scene's pairs, a fixed chunk at a time: `image_overlap` first drops the
+pairs whose box's bounding sphere lies wholly outside one of the view's
+five frustum planes (near, left, right, top, bottom), and returns the IoSA
+against the image and the unclipped rect's area of the rest.  A dropped
+pair's IoSA is 0: its box projects outside the image or lies wholly behind
+the near plane.  So no rule that takes only IoSA above a threshold >= 0
+changes: `image_visibility`, the alignment sets and the dc picks of
+`corpus` and `selection`.  `project_box` and `project_point` pass their one
+pair to the kernel directly; `iosa` is a batch-of-one wrapper over
+`iosa_rects`.
 
 The value rules are `first_bad_box`, `first_bad_intrinsics` and
 `first_bad_pose`, which name the first failing row of columns and its reason;
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -282,23 +281,6 @@ def _pair_chunks(corners: np.ndarray, views, pairs: np.ndarray):
         )
 
 
-def project_boxes(corners: np.ndarray, views) -> tuple[np.ndarray, np.ndarray]:
-    """Project boxes, as world corners (N, 8, 3), into camera columns (see the
-    module docstring): rects (V, N, 4) of (x_min, y_min, x_max, y_max) and a
-    visible mask (V, N).  A rect bounds the box's corners in front of
-    the near plane and its crossing edges' near-plane intersections, and is
-    not intersected with the image.  Boxes wholly behind are not visible and
-    their rects are NaN."""
-    corners = np.asarray(corners, dtype=np.float64)
-    n_views, n_boxes = len(views.rotations), len(corners)
-    rects = np.empty((n_views * n_boxes, 4))
-    visible = np.empty(n_views * n_boxes, dtype=bool)
-    pairs = np.arange(n_views * n_boxes)
-    for chunk, _, chunk_rects, chunk_visible in _pair_chunks(corners, views, pairs):
-        rects[chunk], visible[chunk] = chunk_rects, chunk_visible
-    return rects.reshape(n_views, n_boxes, 4), visible.reshape(n_views, n_boxes)
-
-
 def rect_area(rects: np.ndarray) -> np.ndarray:
     """Areas of rects stored as (..., 4) arrays of (x_min, y_min, x_max, y_max)."""
     return (rects[..., 2] - rects[..., 0]) * (rects[..., 3] - rects[..., 1])
@@ -326,7 +308,7 @@ def _in_frustum(corners: np.ndarray, views) -> np.ndarray:
     """
     centres = corners.mean(axis=1)
     radii = np.sqrt(((corners - centres[:, None, :]) ** 2).sum(axis=2).max(axis=1))
-    scale = max(np.abs(centres).max(), np.abs(views.translations).max())
+    scale = max(np.abs(centres).max(initial=0.0), np.abs(views.translations).max(initial=0.0))
     radii += _SPHERE_SLACK * (radii + scale + 1.0)
     # Camera axes in world coordinates; image u grows along right, v along down.
     right, down, forward = np.moveaxis(views.rotations, 2, 0)
@@ -352,6 +334,23 @@ def _in_frustum(corners: np.ndarray, views) -> np.ndarray:
     return inside
 
 
+def image_overlap(corners: np.ndarray, views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The overlap of boxes, as world corners (N, 8, 3), with the images of
+    camera columns, for the (view, box) pairs that pass `_in_frustum` only:
+    each pair's index view * N + box (increasing), its IoSA against its
+    view's image, and the area of its rect, which is not intersected with
+    the image.  A box wholly behind the near plane has a NaN area and IoSA
+    0; so has, in IoSA, every dropped pair."""
+    corners = np.asarray(corners, dtype=np.float64)
+    pairs = np.flatnonzero(_in_frustum(corners, views))
+    overlap, area = np.empty(len(pairs)), np.empty(len(pairs))
+    images = image_rects(views)
+    for chunk, view, rects, _ in _pair_chunks(corners, views, pairs):
+        overlap[chunk] = iosa_rects(rects, images[view])
+        area[chunk] = rect_area(rects)
+    return pairs, overlap, area
+
+
 def image_visibility(
     corners: np.ndarray, views, iosa_threshold: float, min_area_ratio: float = 0.0
 ) -> np.ndarray:
@@ -360,41 +359,26 @@ def image_visibility(
     min_area_ratio times the image area.
 
     Premise: iosa_threshold >= 0 (`WitnessConfig` keeps it in (0, 1)); a
-    negative one raises ValueError.  Only the pairs that pass the frustum
-    test (`_in_frustum`) are projected: a box whose bounding sphere lies
-    wholly outside a side plane projects outside the image, so its IoSA is
-    0 and fails `> iosa_threshold`, and one wholly behind the near plane is
-    not visible.  The other pairs are projected a chunk at a time and only
-    the booleans are kept.
+    negative one raises ValueError.  It thresholds `image_overlap`: a pair
+    that drops has IoSA 0, which fails `> iosa_threshold`, and a box wholly
+    behind the near plane a NaN area, which fails `>=`.
     """
     if not iosa_threshold >= 0.0:
         raise ValueError("iosa_threshold must be >= 0")
-    corners = np.asarray(corners, dtype=np.float64)
     out = np.zeros((len(views.rotations), len(corners)), dtype=bool)
-    if not out.size:
-        return out
-    pairs = np.flatnonzero(_in_frustum(corners, views))
-    keep = np.empty(len(pairs), dtype=bool)
-    images = image_rects(views)
-    for chunk, view, rects, visible in _pair_chunks(corners, views, pairs):
-        image = images[view]
-        keep[chunk] = (
-            visible
-            & (rect_area(rects) >= min_area_ratio * rect_area(image))
-            & (iosa_rects(rects, image) > iosa_threshold)
-        )
-    out.flat[pairs[keep]] = True
+    pairs, overlap, area = image_overlap(corners, views)
+    image_area = rect_area(image_rects(views))[pairs // len(corners)]  # by each pair's view
+    out.flat[pairs[(area >= min_area_ratio * image_area) & (overlap > iosa_threshold)]] = True
     return out
 
 
-def _one_camera(intr: CameraIntrinsics, pose: CameraPose) -> SimpleNamespace:
-    """Camera columns holding one camera."""
-    return SimpleNamespace(
-        rotations=pose.rotation[None],
-        translations=pose.translation[None],
-        pinhole=np.array([[intr.fx, intr.fy, intr.cx, intr.cy]], dtype=np.float64),
-        sizes=np.array([[intr.width, intr.height]]),
+def _project_one(corners: np.ndarray, intr: CameraIntrinsics, pose: CameraPose):
+    """Rect (4,) and visibility of one box's world corners (8, 3) in one camera."""
+    pinhole = np.array([[intr.fx, intr.fy, intr.cx, intr.cy]], dtype=np.float64)
+    rects, visible = _project_pairs(
+        corners[None], pose.rotation[None], pose.translation[None], pinhole
     )
+    return rects[0], visible[0]
 
 
 def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[float, float]:
@@ -403,24 +387,24 @@ def project_point(point, intr: CameraIntrinsics, pose: CameraPose) -> tuple[floa
     Raises BehindCamera when the point's camera depth is at or behind the
     near plane (0.01 m).
     """
-    corners = np.broadcast_to(np.asarray(point, dtype=np.float64), (1, 8, 3))
-    rects, visible = project_boxes(corners, _one_camera(intr, pose))
-    if not visible[0, 0]:
+    corners = np.broadcast_to(np.asarray(point, dtype=np.float64), (8, 3))
+    rect, visible = _project_one(corners, intr, pose)
+    if not visible:
         raise BehindCamera("point lies at or behind the near plane")
-    return float(rects[0, 0, 0]), float(rects[0, 0, 1])
+    return float(rect[0]), float(rect[1])
 
 
 def project_box(box: OrientedBox3D, intr: CameraIntrinsics, pose: CameraPose) -> Rect2D:
     """Project an oriented box and return the bounding rectangle of its image,
-    as `project_boxes` does.  The rectangle is NOT intersected with the image
+    the rect `image_overlap` measures.  It is NOT intersected with the image
     rectangle; overlap with the frame is the caller's concern (see `iosa`).
 
     Raises NotVisible when every corner lies at or behind the near plane.
     """
-    rects, visible = project_boxes(box.corners()[None], _one_camera(intr, pose))
-    if not visible[0, 0]:
+    rect, visible = _project_one(box.corners(), intr, pose)
+    if not visible:
         raise NotVisible("box lies entirely behind the camera")
-    return Rect2D(*rects[0, 0].tolist())
+    return Rect2D(*rect.tolist())
 
 
 def iosa(a: Rect2D, b: Rect2D) -> float:

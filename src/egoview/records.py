@@ -179,7 +179,7 @@ INSTRUCTIONS = RecordKind("instruction_id", (
     Field("instruction_id", "text"),
     Field("scene_id", "text"),
     Field("task", "text", rule=_one_of(("qa", "dc", "caption"))),
-    Field("text", "text"),
+    Field("text", "text", rule=_non_empty),
     Field("answer", "text or null", None, _qa_answer),
     Field("related_object_ids", "integer list", []),
     Field("target_object_id", "integer or null", None, _dc_target),

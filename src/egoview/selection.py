@@ -6,6 +6,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
+import numpy as np
+
 from . import geometry
 from .errors import NoneVisible, NoViews, UnknownObjectId
 from .solvability import Objects, SceneObject, View, Views, WitnessConfig, WitnessTable
@@ -71,19 +73,21 @@ def select_view_for_qa(
 
 def select_views_for_dc(
     target_object_ids: Sequence[int],
-    views: Views | Sequence[View],
-    objects: Objects | Sequence[SceneObject],
+    views: Views,
+    objects: Objects,
+    overlap: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[tuple[str, float] | None]:
     """The view that best captures each target object, by overlap with the image.
 
-    One `project_boxes` call covers every distinct target.  Ties on overlap
-    break toward the larger projected rectangle (the closer view), then the
-    smaller view_id.  Only views where the target's IoSA is above 0 are
-    candidates.  Returns (view_id, score) per target, in input order, and
-    None for a target that overlaps no view's image.  The first unknown
-    target id raises UnknownObjectId.
+    The picks are read from `overlap`, `geometry.image_overlap` of the whole
+    `objects` table in the `views` table; nothing is projected.  Ties on
+    overlap break toward the larger projected rectangle (the closer view),
+    then the smaller view_id.  Only views where the target's IoSA is above
+    0 are candidates, so no pair `image_overlap` drops is one.  Returns
+    (view_id, score) per target, in input order, and None for a target that
+    overlaps no view's image.  The first unknown target id raises
+    UnknownObjectId.
     """
-    objects = Objects.of(objects)
     row_of = {object_id: j for j, object_id in enumerate(objects.ids)}
     distinct = list(dict.fromkeys(target_object_ids))
     for target in distinct:
@@ -91,19 +95,16 @@ def select_views_for_dc(
             raise UnknownObjectId(f"unknown target object id {target}")
     if not distinct:
         return []
-    views = Views.of(views)
-    corners = objects.corners[[row_of[target] for target in distinct]]
-    # Rects of boxes wholly behind a camera are NaN, and their IoSA is 0.
-    rects, _ = geometry.project_boxes(corners, views)
-    scores = geometry.iosa_rects(rects, geometry.image_rects(views)[:, None]).T.tolist()
-    areas = geometry.rect_area(rects).T.tolist()
-    best = {}
-    for target, row_scores, row_areas in zip(distinct, scores, areas):
-        candidates = [c for c in zip(views.ids, row_scores, row_areas) if c[1] > 0.0]
-        best[target] = (
-            min(candidates, key=lambda c: (-c[1], -c[2], c[0]))[:2] if candidates else None
-        )
-    return [best[target] for target in target_object_ids]
+    pairs, scores, areas = overlap
+    view, box = np.divmod(pairs, len(objects))
+    take = (scores > 0.0) & np.isin(box, [row_of[target] for target in distinct])
+    best = {}  # per box row, the least (-score, -area, view_id)
+    for v, j, score, area in zip(*(a[take].tolist() for a in (view, box, scores, areas))):
+        key = (-score, -area, views.ids[v])
+        if j not in best or key < best[j]:
+            best[j] = key
+    picks = {row: (key[2], -key[0]) for row, key in best.items()}
+    return [picks.get(row_of[target]) for target in target_object_ids]
 
 
 def select_view_for_dc(
@@ -111,9 +112,11 @@ def select_view_for_dc(
     views: Views | Sequence[View],
     objects: Objects | Sequence[SceneObject],
 ) -> tuple[str, float]:
-    """`select_views_for_dc` for one target: (view_id, score) of its best
-    view.  Raises NoneVisible when the target overlaps no view's image."""
-    (best,) = select_views_for_dc([target_object_id], views, objects)
+    """`select_views_for_dc` for one target, projecting for this call: (view_id,
+    score) of its best view.  Raises NoneVisible when it overlaps no view's image."""
+    views, objects = Views.of(views), Objects.of(objects)
+    overlap = geometry.image_overlap(objects.corners, views)
+    (best,) = select_views_for_dc([target_object_id], views, objects, overlap)
     if best is None:
         raise NoneVisible(f"object {target_object_id} overlaps no view's image")
     return best

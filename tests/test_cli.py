@@ -619,6 +619,30 @@ class TestBuildCorpusCommand:
         assert calls == []
         assert list(tmp_path.iterdir()) == [instructions]
 
+    def test_empty_instruction_text_exits_2_before_any_service_call(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "egoview.services.StubModelService.score_image_text",
+            lambda *args, **kw: calls.append(args),
+        )
+        lines = (data_dir / "instructions_extend.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["task"] == "dc"
+        record["text"] = ""
+        lines[1] = json.dumps(record)
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(
+            "build-corpus", "--scenes", str(data_dir / "scenes"), "--mode", "extend",
+            "--instructions", str(instructions), "--out", str(tmp_path / "t.jsonl"), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {instructions}:2.text: must be non-empty\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [instructions]
+
     def test_duplicate_instruction_id_exits_2(self, tmp_path, data_dir, capsys):
         instructions = with_repeated_first_record(
             data_dir / "instructions_extend.jsonl", tmp_path / "ins.jsonl"

@@ -37,6 +37,7 @@ from egoview.synthesis import read_questions
 
 from .oracles import scalar_box_rect
 from .scenegen import random_posed_scene, scene_to_dict
+from .test_geometry import dense_pairs
 from .test_scene_errors import VALUES, _paths, base_scene
 
 
@@ -117,6 +118,18 @@ class TestLoadScene:
         path.write_text(json.dumps(scene_payload(split="dev")), encoding="utf-8")
         with pytest.raises(SchemaError):
             load_scene(path)
+
+    def test_scene_checks_its_split_with_the_loaders_rule(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_payload(split="dev")), encoding="utf-8")
+        with pytest.raises(SchemaError) as loaded:
+            load_scene(path)
+        with pytest.raises(ValueError) as built:
+            Scene("s", [], [], "dev")
+        reason = "must be one of ('train', 'val', 'test'), got 'dev'"
+        for error in (loaded.value, built.value):
+            assert isinstance(error, SchemaError)
+            assert (error.field, error.reason) == ("scene.split", reason)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "scene.json"
@@ -284,7 +297,7 @@ class TestColumnLoad:
     def test_loaded_rects_equal_scalar_oracle_bit_for_bit(self, tmp_path):
         views, objects = random_posed_scene(np.random.default_rng(61), 12, 15)
         scene = load_scene(_write_scene(tmp_path, scene_to_dict(views, objects)))
-        rects, visible = geometry.project_boxes(scene.objects.corners, scene.views)
+        rects, visible = dense_pairs(scene.objects.corners, scene.views)
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
                 reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
@@ -913,14 +926,24 @@ class TestExtendBatching:
                         ins.answer, ins.related_object_ids, ins.target_object_id)
             for ins in fixture
         ]
-        projections = []
-        project_boxes = geometry.project_boxes
+        overlaps, inside, stray = [], [], []
+        image_overlap, project_pairs = geometry.image_overlap, geometry._project_pairs
 
-        def counting_project_boxes(corners, views):
-            projections.append((len(corners), len(views)))
-            return project_boxes(corners, views)
+        def counting_image_overlap(corners, views):
+            overlaps.append((len(corners), views.ids))
+            inside.append(True)
+            try:
+                return image_overlap(corners, views)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(geometry, "project_boxes", counting_project_boxes)
+        def checked_project_pairs(corners, *cameras):
+            if not inside:
+                stray.append(len(corners))
+            return project_pairs(corners, *cameras)
+
+        monkeypatch.setattr(geometry, "image_overlap", counting_image_overlap)
+        monkeypatch.setattr(geometry, "_project_pairs", checked_project_pairs)
         stub = _CountingStub()
         records = extend_dataset_triplets(instructions, scenes, stub)
 
@@ -936,8 +959,13 @@ class TestExtendBatching:
             for scene_id in ("scene-a", "scene-b")
             for ref in image_refs(scenes[scene_id].views)
         ]
-        # scene-a's three distinct dc targets in one call; scene-b has none.
-        assert projections == [(3, len(scenes["scene-a"].views))]
+        # One overlap per scene, of all of its objects in all of its views,
+        # read by the sidecar and by scene-a's dc picks; nothing else projects.
+        assert overlaps == [
+            (len(scenes[scene_id].objects), scenes[scene_id].views.ids)
+            for scene_id in ("scene-a", "scene-b")
+        ]
+        assert stray == []
         single = extend_dataset_triplets(fixture, scenes, StubModelService(seed=0))
         assert [triplet_to_dict(r) for r in records[: len(fixture)]] == [
             triplet_to_dict(r) for r in single

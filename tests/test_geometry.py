@@ -20,12 +20,12 @@ from egoview.geometry import (
     first_bad_box,
     first_bad_intrinsics,
     first_bad_pose,
+    image_overlap,
     image_rects,
     image_visibility,
     iosa,
     iosa_rects,
     project_box,
-    project_boxes,
     project_point,
     rect_area,
 )
@@ -162,7 +162,21 @@ def _straddles(box: OrientedBox3D, pose: CameraPose) -> bool:
     return bool(depth.min() <= NEAR_PLANE < depth.max())
 
 
+def dense_pairs(corners, views) -> tuple[np.ndarray, np.ndarray]:
+    """Rects (V, N, 4) and visibility (V, N) of every (view, box) pair: the
+    projection kernel over all pairs through `_pair_chunks`, no frustum test."""
+    n_views, n_boxes = len(views.rotations), len(corners)
+    rects = np.empty((n_views * n_boxes, 4))
+    visible = np.empty(n_views * n_boxes, dtype=bool)
+    pairs = np.arange(n_views * n_boxes)
+    for chunk, _, chunk_rects, chunk_visible in geometry._pair_chunks(corners, views, pairs):
+        rects[chunk], visible[chunk] = chunk_rects, chunk_visible
+    return rects.reshape(n_views, n_boxes, 4), visible.reshape(n_views, n_boxes)
+
+
 class TestProjectBoxes:
+    """The kernel over every (view, box) pair, fed through `_pair_chunks`."""
+
     @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
     @pytest.mark.parametrize("seed", [47, 48])
     def test_equals_batch_of_one_and_scalar_loop_bit_for_bit(self, make_scene, seed):
@@ -173,7 +187,7 @@ class TestProjectBoxes:
         assert n_views * n_boxes > _PAIR_CHUNK
         assert n_views * n_boxes % _PAIR_CHUNK and _PAIR_CHUNK % n_boxes
         views, objects = make_scene(np.random.default_rng(seed), n_views, n_boxes)
-        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
+        rects, visible = dense_pairs(Objects.of(objects).corners, Views.of(views))
         assert rects.shape == (n_views, n_boxes, 4) and visible.shape == (n_views, n_boxes)
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
@@ -194,7 +208,7 @@ class TestProjectBoxes:
         # view's boxes and leave a short last chunk.
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
         views, objects = random_posed_scene(np.random.default_rng(61), 5, 12)
-        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
+        rects, visible = dense_pairs(Objects.of(objects).corners, Views.of(views))
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
                 reference = scalar_box_rect(obj.box, view.intrinsics, view.pose)
@@ -206,7 +220,7 @@ class TestProjectBoxes:
 
     def test_straddling_pairs_match_sampling_oracle(self):
         views, objects = random_posed_scene(np.random.default_rng(53), 8, 12)
-        rects, visible = project_boxes(Objects.of(objects).corners, Views.of(views))
+        rects, visible = dense_pairs(Objects.of(objects).corners, Views.of(views))
         checked = 0
         for i, view in enumerate(views):
             for j, obj in enumerate(objects):
@@ -226,9 +240,9 @@ class TestProjectBoxes:
 
     def test_no_boxes_or_no_views(self):
         views, objects = random_posed_scene(np.random.default_rng(3), 3, 2)
-        rects, visible = project_boxes(np.empty((0, 8, 3)), Views.of(views))
+        rects, visible = dense_pairs(np.empty((0, 8, 3)), Views.of(views))
         assert rects.shape == (3, 0, 4) and visible.shape == (3, 0)
-        rects, visible = project_boxes(Objects.of(objects).corners, Views.of([]))
+        rects, visible = dense_pairs(Objects.of(objects).corners, Views.of([]))
         assert rects.shape == (0, 2, 4) and visible.shape == (0, 2)
 
 
@@ -278,13 +292,22 @@ def plane_scene(shift: float) -> tuple[list[View], list[SceneObject]]:
 
 def dense_visibility(corners, views, tau: float, min_area_ratio: float) -> np.ndarray:
     """`image_visibility` with every (view, box) pair projected: no frustum test."""
-    rects, visible = project_boxes(corners, views)
+    rects, visible = dense_pairs(corners, views)
     image = image_rects(views)[:, None, :]
     return (
         visible
         & (rect_area(rects) >= min_area_ratio * rect_area(image))
         & (iosa_rects(rects, image) > tau)
     )
+
+
+def _scene_columns(scene):
+    """Box corners and camera columns of a posed scene (by seed) or a plane scene (by shift)."""
+    if isinstance(scene, int):
+        views, objects = random_posed_scene(np.random.default_rng(scene), 25, 40)
+    else:
+        views, objects = plane_scene(scene)
+    return Objects.of(objects).corners, Views.of(views)
 
 
 class TestImageVisibility:
@@ -298,14 +321,10 @@ class TestImageVisibility:
         ],
     )
     def test_equals_dense_reference(self, scene):
-        if isinstance(scene, int):
-            views, objects = random_posed_scene(np.random.default_rng(scene), 25, 40)
-        else:
-            views, objects = plane_scene(scene)
-        corners, views = Objects.of(objects).corners, Views.of(views)
+        corners, views = _scene_columns(scene)
         culled = ~geometry._in_frustum(corners, views)
         assert culled.any() and not culled.all()
-        for tau in (1e-9, 0.5, 0.99):
+        for tau in (0.0, 1e-9, 0.5, 0.99):
             for min_area_ratio in (0.0, 0.005):
                 expected = dense_visibility(corners, views, tau, min_area_ratio)
                 got = image_visibility(corners, views, tau, min_area_ratio)
@@ -342,6 +361,36 @@ class TestImageVisibility:
         for i, plane in enumerate(_PLANES):
             own = np.array([obj.label == plane for obj in objects])
             assert seen[i, own].any() and culled[i, own].any(), plane
+
+
+class TestImageOverlap:
+    """The one overlap: the dense values on the pairs the frustum test keeps,
+    and only pairs whose dense IoSA is 0 dropped."""
+
+    @pytest.mark.parametrize("scene", [72, 0.0, 1.0, 1e5])
+    def test_kept_pairs_equal_dense_and_dropped_pairs_have_iosa_0(self, scene):
+        corners, views = _scene_columns(scene)
+        pairs, overlap, area = image_overlap(corners, views)
+        np.testing.assert_array_equal(pairs, np.flatnonzero(geometry._in_frustum(corners, views)))
+        rects, visible = dense_pairs(corners, views)
+        dense_iosa = iosa_rects(rects, image_rects(views)[:, None, :]).ravel()
+        dense_area = rect_area(rects).ravel()
+        assert overlap.tolist() == dense_iosa[pairs].tolist()
+        np.testing.assert_array_equal(area, dense_area[pairs])  # NaN where wholly behind
+        behind = ~visible.ravel()[pairs]
+        assert behind.any() and np.isnan(area[behind]).all() and not overlap[behind].any()
+        assert not np.isnan(area[~behind]).any()
+        dropped = np.setdiff1d(np.arange(visible.size), pairs)
+        assert len(dropped) and not dense_iosa[dropped].any()
+
+    def test_no_boxes_or_no_views(self):
+        views, objects = random_posed_scene(np.random.default_rng(3), 3, 2)
+        for corners, columns in (
+            (np.empty((0, 8, 3)), Views.of(views)),
+            (Objects.of(objects).corners, Views.of([])),
+        ):
+            pairs, overlap, area = image_overlap(corners, columns)
+            assert len(pairs) == len(overlap) == len(area) == 0
 
 
 class TestIosa:

@@ -6,7 +6,14 @@ import pytest
 from egoview import services
 from egoview.corpus import CaptionBuildConfig, build_caption_triplets
 from egoview.errors import NoneVisible, NoViews, UnknownObjectId
-from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D, Rect2D, iosa
+from egoview.geometry import (
+    CameraIntrinsics,
+    CameraPose,
+    OrientedBox3D,
+    Rect2D,
+    image_overlap,
+    iosa,
+)
 from egoview.selection import (
     alignment,
     image_refs,
@@ -17,7 +24,15 @@ from egoview.selection import (
     visible_objects,
 )
 from egoview.services import StubModelService
-from egoview.solvability import SceneObject, View, Views, WitnessConfig, WitnessTable, witnesses
+from egoview.solvability import (
+    Objects,
+    SceneObject,
+    View,
+    Views,
+    WitnessConfig,
+    WitnessTable,
+    witnesses,
+)
 
 from .oracles import scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene
@@ -36,6 +51,12 @@ def make_view(view_id="v", translation=(0, 0, 0), intr=INTR, image_path=None) ->
 
 def make_object(object_id, label, center, size=(0.5, 0.5, 0.5)) -> SceneObject:
     return SceneObject(object_id, label, OrientedBox3D(center, size))
+
+
+def select_dc(targets, views, objects):
+    """`select_views_for_dc` over the overlap of all of `objects` in `views`."""
+    views, objects = Views.of(views), Objects.of(objects)
+    return select_views_for_dc(targets, views, objects, image_overlap(objects.corners, views))
 
 
 class TestVisibleObjects:
@@ -187,7 +208,7 @@ class TestSelectViewForDC:
         # In front of the camera, far off to the side: its rect misses the
         # image, so the view's IoSA is 0 and it is no candidate.
         objects = [make_object(1, "desk", (50, 0, 5)), make_object(2, "chair", (0, 0, 2.5))]
-        assert select_views_for_dc([1, 2], [make_view("v0")], objects) == [None, ("v0", 1.0)]
+        assert select_dc([1, 2], [make_view("v0")], objects) == [None, ("v0", 1.0)]
         with pytest.raises(NoneVisible):
             select_view_for_dc(1, [make_view("v0")], objects)
 
@@ -232,7 +253,7 @@ class TestBatchSelectors:
         views, objects = random_posed_scene(np.random.default_rng(41), 14, 10)
         views = _with_twins(views[first:last])
         targets = [obj.object_id for obj in objects] + [3, 0, 3]
-        batch = select_views_for_dc(targets, views, objects)
+        batch = select_dc(targets, views, objects)
         for target, best in zip(targets, batch):
             if best is None:
                 with pytest.raises(NoneVisible):
@@ -246,8 +267,8 @@ class TestBatchSelectors:
 
     def test_dc_first_unknown_target_raises(self, scene_a):
         with pytest.raises(UnknownObjectId, match="unknown target object id 98"):
-            select_views_for_dc([7, 98, 99], scene_a.views, scene_a.objects)
-        assert select_views_for_dc([], scene_a.views, scene_a.objects) == []
+            select_dc([7, 98, 99], scene_a.views, scene_a.objects)
+        assert select_dc([], scene_a.views, scene_a.objects) == []
 
 
 class _FixedCaptions:
