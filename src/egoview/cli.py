@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -83,38 +83,27 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises _UsageError instead of exiting.  A
     command's parser may take `arguments`, a function that adds its
-    arguments, and `config`, a function returning its config, whose fields
-    become defaults.  Both run only when that command is parsed, so
-    building the parser adds no command's arguments and imports no
-    command's modules."""
+    arguments and sets their defaults.  It runs only when that command is
+    parsed, so building the parser adds no command's arguments and imports
+    no command's modules."""
 
-    def __init__(self, *args, arguments=None, config=None, **kwargs):
+    def __init__(self, *args, arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.arguments = arguments
-        self.config = config
 
     def parse_known_args(self, args=None, namespace=None):
         if self.arguments is not None:
             self.arguments(self)
             self.arguments = None  # added once, however often it is parsed
-        if self.config is not None:
-            self.set_defaults(**asdict(self.config()))
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise _UsageError(message)
 
 
-def _witness_config():
-    from .solvability import WitnessConfig
-
-    return WitnessConfig()
-
-
-def _caption_config():
-    from .corpus import CaptionBuildConfig
-
-    return CaptionBuildConfig()
+def _config(cls, args):
+    """The config dataclass `cls` with each field read from its flag."""
+    return cls(**{field.name: getattr(args, field.name) for field in fields(cls)})
 
 
 def _service_client(args, seed: int):
@@ -132,12 +121,26 @@ def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
 
 
 def _report_path(args) -> str:
-    """`--report`, else `<out>.report.json`.  A report that resolves to the
-    `--out` file would replace the records, so that is a usage error."""
-    path = args.report or str(args.out) + ".report.json"
-    if os.path.realpath(path) == os.path.realpath(args.out):
-        raise _UsageError(f"--report {path} names the --out file")
-    return path
+    """`--report`, else `<out>.report.json`."""
+    return args.report or str(args.out) + ".report.json"
+
+
+def _check_outputs(args, **outputs: str) -> None:
+    """Raise a usage error if an output resolves to an input file or to an
+    earlier output, which writing it would replace.  `outputs` maps each
+    output's flag name to its path.  Commands call it before reading."""
+    taken = {}
+    for name in ("instructions", "questions", "gold", "pred"):
+        if getattr(args, name, None):
+            taken.setdefault(os.path.realpath(getattr(args, name)), f"the --{name} file")
+    if getattr(args, "scenes", None):
+        for path in Path(args.scenes).glob("*.json"):
+            taken.setdefault(os.path.realpath(path), "a --scenes file")
+    for name, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in taken:
+            raise _UsageError(f"--{name} {path} names {taken[real]}")
+        taken[real] = f"the --{name} file"
 
 
 def cmd_solvability(args) -> int:
@@ -149,19 +152,10 @@ def cmd_solvability(args) -> int:
         view_requirement_stats,
     )
 
-    cfg = WitnessConfig(
-        iosa_threshold=args.iosa_threshold, min_area_ratio=args.min_area_ratio
-    )
-    run = RunConfig(
-        command="solvability",
-        seed=args.seed,
-        stub=True,
-        knobs={
-            "stride": args.stride,
-            "iosa_threshold": cfg.iosa_threshold,
-            "min_area_ratio": cfg.min_area_ratio,
-        },
-    )
+    _check_outputs(args, out=args.out)
+    cfg = _config(WitnessConfig, args)
+    knobs = {"stride": args.stride, **asdict(cfg)}
+    run = RunConfig(command="solvability", seed=args.seed, stub=True, knobs=knobs)
     scenes = load_scenes_dir(args.scenes)
     instructions = read_instructions(args.instructions)
     hist = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
@@ -188,6 +182,7 @@ def cmd_synthesize(args) -> int:
     )
 
     report_path = _report_path(args)
+    _check_outputs(args, out=args.out, report=report_path)
     run = RunConfig(
         command="synthesize",
         seed=args.seed,
@@ -197,8 +192,7 @@ def cmd_synthesize(args) -> int:
             "max_attempts": MAX_GENERATION_ATTEMPTS,
             "answer_token_limit": ANSWER_TOKEN_LIMIT,
             "temperature": TEMPERATURE,
-            "iosa_threshold": WitnessConfig.iosa_threshold,
-            "min_area_ratio": WitnessConfig.min_area_ratio,
+            **asdict(WitnessConfig()),
         },
     )
     scenes = load_scenes_dir(args.scenes)
@@ -231,6 +225,7 @@ def cmd_build_corpus(args) -> int:
         triplet_to_dict,
         write_jsonl,
     )
+    from .selection import alignment
 
     report_path = _report_path(args)
     if args.mode == "extend":
@@ -240,26 +235,17 @@ def cmd_build_corpus(args) -> int:
         for name in ("stride", "num_captions", "threshold"):
             if getattr(args, name) != getattr(CaptionBuildConfig, name):
                 raise _UsageError(f"--{name.replace('_', '-')} is read only by --mode captions")
+    _check_outputs(args, out=args.out, report=report_path)
+    cfg = _config(CaptionBuildConfig, args)
+    alignment(cfg.tau)  # a bad --tau fails here, before any scene is read
     scenes = load_scenes_dir(args.scenes)
-    knobs = {
-        "mode": args.mode,
-        "stride": args.stride,
-        "num_captions": args.num_captions,
-        "threshold": args.threshold,
-        "tau": args.tau,
-    }
+    knobs = {"mode": args.mode, **asdict(cfg)}
     run = RunConfig(command="build-corpus", seed=args.seed, stub=args.stub, knobs=knobs)
     chash = config_hash(run.hash_payload())
     client = _service_client(args, args.seed)
 
     records = []
     if args.mode == "captions":
-        cfg = CaptionBuildConfig(
-            stride=args.stride,
-            num_captions=args.num_captions,
-            threshold=args.threshold,
-            tau=args.tau,
-        )
         for scene_id in sorted(scenes):
             records.extend(
                 build_caption_triplets(scenes[scene_id], client, client, cfg, config_hash=chash)
@@ -267,7 +253,7 @@ def cmd_build_corpus(args) -> int:
     else:
         instructions = read_instructions(args.instructions)
         records = extend_dataset_triplets(
-            instructions, scenes, client, tau=args.tau, config_hash=chash
+            instructions, scenes, client, tau=cfg.tau, config_hash=chash
         )
 
     provenance = run.provenance()
@@ -297,6 +283,7 @@ def cmd_eval(args) -> int:
         read_predictions,
     )
 
+    _check_outputs(args, out=args.out)
     gold = read_gold(args.gold)
     predictions = read_predictions(args.pred)
     report = em_score(predictions, gold)
@@ -323,6 +310,8 @@ def _add_service_args(sub) -> None:
 
 
 def _solvability_arguments(sub) -> None:
+    from .solvability import WitnessConfig
+
     sub.add_argument("--scenes", required=True, help="directory of scene JSON files")
     sub.add_argument("--instructions", required=True, help="instruction JSONL file")
     sub.add_argument("--out", required=True, help="report JSON output path")
@@ -330,7 +319,7 @@ def _solvability_arguments(sub) -> None:
     sub.add_argument("--iosa-threshold", type=float)
     sub.add_argument("--min-area-ratio", type=float)
     sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=cmd_solvability)
+    sub.set_defaults(func=cmd_solvability, **asdict(WitnessConfig()))
 
 
 def _synthesize_arguments(sub) -> None:
@@ -344,6 +333,8 @@ def _synthesize_arguments(sub) -> None:
 
 
 def _build_corpus_arguments(sub) -> None:
+    from .corpus import CaptionBuildConfig
+
     sub.add_argument("--scenes", required=True)
     sub.add_argument("--mode", required=True, choices=["captions", "extend"])
     sub.add_argument("--instructions", help="instruction JSONL (required for extend mode)")
@@ -355,7 +346,7 @@ def _build_corpus_arguments(sub) -> None:
     sub.add_argument("--tau", type=float, help="visibility threshold")
     sub.add_argument("--seed", type=int, default=0)
     _add_service_args(sub)
-    sub.set_defaults(func=cmd_build_corpus)
+    sub.set_defaults(func=cmd_build_corpus, **asdict(CaptionBuildConfig()))
 
 
 def _eval_arguments(sub) -> None:
@@ -374,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solvability",
         help="view-requirement analysis over instructions",
         arguments=_solvability_arguments,
-        config=_witness_config,
     )
     commands.add_parser(
         "synthesize",
@@ -385,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "build-corpus",
         help="build view/object/text triplets",
         arguments=_build_corpus_arguments,
-        config=_caption_config,
     )
     commands.add_parser(
         "eval", help="exact-match evaluation of predictions", arguments=_eval_arguments

@@ -413,10 +413,11 @@ def load_scenes_dir(directory: str | Path) -> dict[str, Scene]:
 
     Errors name the file, as record errors do: `path:field: reason` for a
     SchemaError and `path: message` for a DuplicateId; a scene_id repeated
-    across files names both files."""
+    across files names both files.  A `directory` that is missing or is
+    not a directory raises the OSError naming it."""
     scenes: dict[str, Scene] = {}
     files: dict[str, Path] = {}
-    for path in sorted(Path(directory).glob("*.json")):
+    for path in sorted(p for p in Path(directory).iterdir() if p.match("*.json")):
         try:
             scene = load_scene(path)
         except SchemaError as exc:

@@ -14,7 +14,7 @@ through the solver's pruning, greedy and exact search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -476,10 +476,7 @@ def solvability_report(hist: RequirementHistogram, cfg: WitnessConfig) -> dict:
         "percentages": hist.percentages(),
         "solver_mix": dict(hist.solver_counts),
         "stride": hist.stride,
-        "config": {
-            "iosa_threshold": cfg.iosa_threshold,
-            "min_area_ratio": cfg.min_area_ratio,
-        },
+        "config": asdict(cfg),
         "total_zero": hist.total == 0,
     }
 

@@ -6,10 +6,11 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egoview.cli import build_parser, main
+from egoview.corpus import CaptionBuildConfig
+from egoview.solvability import WitnessConfig
 
 from .conftest import DATA_DIR
 from .test_scene_errors import _paths, mutated, mutation_names
@@ -786,6 +789,173 @@ class TestExtendCaptionOnlyFlags:
         )
         assert code == 0
         assert out.read_bytes() == (golden_dir / "triplets_extend.jsonl").read_bytes()
+
+
+class TestMissingScenes:
+    """A --scenes path that is missing or names a file is an unreadable
+    input, not an empty scene set."""
+
+    @pytest.mark.parametrize("command", ["solvability", "synthesize", "build-corpus"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_exits_2_naming_the_path_and_writes_nothing(self, tmp_path, capsys, command, kind):
+        argv = {
+            "solvability": ("solvability", "--instructions", f"{DATA}/instructions_solvability.jsonl"),
+            "synthesize": ("synthesize", "--questions", f"{DATA}/questions.jsonl", "--stub"),
+            "build-corpus": ("build-corpus", "--mode", "captions", "--stub"),
+        }[command]
+        scenes = tmp_path / "nowhere" if kind == "missing" else DATA_DIR / "scenes" / "scene-a.json"
+        code = run(*argv, "--scenes", str(scenes), "--out", str(tmp_path / "out.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{scenes}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# Each command's input flags with the fixture inputs they name, and its
+# other arguments.
+_INPUTS = {
+    "solvability": (
+        {"--scenes": "scenes", "--instructions": "instructions_solvability.jsonl"}, (),
+    ),
+    "synthesize": ({"--scenes": "scenes", "--questions": "questions.jsonl"}, ("--stub",)),
+    "build-corpus": (
+        {"--scenes": "scenes", "--instructions": "instructions_extend.jsonl"},
+        ("--mode", "extend", "--stub"),
+    ),
+    "eval": ({"--gold": "eval_gold.jsonl", "--pred": "eval_pred.jsonl"}, ()),
+}
+
+
+def _file_bytes(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+class TestOutputIsNotAnInput:
+    """An output that resolves to an input file would replace it."""
+
+    @pytest.mark.parametrize(
+        "command,source,output",
+        [
+            ("solvability", "--instructions", "--out"),
+            ("solvability", "--scenes", "--out"),
+            ("synthesize", "--questions", "--out"),
+            ("synthesize", "--questions", "--report"),
+            ("synthesize", "--scenes", "--out"),
+            ("synthesize", "--scenes", "--report"),
+            ("build-corpus", "--instructions", "--out"),
+            ("build-corpus", "--instructions", "--report"),
+            ("build-corpus", "--scenes", "--out"),
+            ("build-corpus", "--scenes", "--report"),
+            ("eval", "--gold", "--out"),
+            ("eval", "--pred", "--out"),
+        ],
+    )
+    def test_exits_1_and_leaves_the_input_as_it_was(
+        self, tmp_path, capsys, command, source, output
+    ):
+        inputs = tmp_path / "in"
+        shutil.copytree(DATA_DIR, inputs)
+        flags, extra = _INPUTS[command]
+        target = inputs / ("scenes/scene-a.json" if source == "--scenes" else flags[source])
+        argv = [command, *extra, "--out", str(tmp_path / "y.json")]
+        for flag, name in flags.items():
+            argv += [flag, str(inputs / name)]
+        before = _file_bytes(inputs)
+        code = run(*argv, output, str(target))  # a repeated --out replaces the first
+        assert code == 1
+        named = "a --scenes file" if source == "--scenes" else f"the {source} file"
+        assert capsys.readouterr().err == f"usage error: {output} {target} names {named}\n"
+        assert _file_bytes(inputs) == before
+        assert sorted(tmp_path.iterdir()) == [inputs]
+
+
+class TestBuildCorpusChecksSettingsFirst:
+    """A bad setting is named before any scene is read, even a malformed one."""
+
+    @pytest.mark.parametrize(
+        "mode,flag,message",
+        [
+            ("captions", "--tau=1.5", "tau must be in (0, 1)"),
+            ("extend", "--tau=1.5", "tau must be in (0, 1)"),
+            ("captions", "--stride=0", "stride must be >= 1"),
+            ("captions", "--num-captions=0", "num_captions must be >= 1"),
+            ("captions", "--threshold=nan", "threshold must be a finite number, got nan"),
+        ],
+    )
+    def test_the_flag_is_named_not_the_scene(self, tmp_path, capsys, mode, flag, message):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "bad.json").write_text('{"scene_id": "x"}', encoding="utf-8")
+        code = run(
+            "build-corpus",
+            "--scenes", str(scenes),
+            "--mode", mode,
+            "--instructions", f"{DATA}/instructions_extend.jsonl",
+            flag,
+            "--out", str(tmp_path / "t.jsonl"),
+            "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [scenes]
+
+
+# Each command on the fixture inputs, less --out.
+_RUNS = {
+    "solvability": (
+        "solvability",
+        "--scenes", f"{DATA}/scenes",
+        "--instructions", f"{DATA}/instructions_solvability.jsonl",
+    ),
+    "synthesize": _COMMAND_ARGS["synthesize"] + ("--scenes", f"{DATA}/scenes", "--stub"),
+    "captions": ("build-corpus", "--mode", "captions", "--scenes", f"{DATA}/scenes", "--stub"),
+    "extend": _COMMAND_ARGS["build-corpus"] + ("--scenes", f"{DATA}/scenes", "--stub"),
+    "eval": ("eval", "--gold", f"{DATA}/eval_gold.jsonl", "--pred", f"{DATA}/eval_pred.jsonl"),
+}
+
+
+def _config_hash(tmp_path, argv) -> str:
+    """The config hash in the provenance of a run of `argv`."""
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", str(out)) == 0
+    report = out if argv[0] in ("solvability", "eval") else Path(f"{out}.report.json")
+    return json.loads(report.read_text(encoding="utf-8"))["provenance"]["config_hash"]
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize(
+        "name,config,values",
+        [
+            ("solvability", WitnessConfig, {"iosa_threshold": "0.4", "min_area_ratio": "0.01"}),
+            ("captions", CaptionBuildConfig,
+             {"stride": "3", "num_captions": "2", "threshold": "0.3", "tau": "0.4"}),
+        ],
+    )
+    def test_every_setting_enters_the_hash(self, tmp_path, capsys, name, config, values):
+        assert set(values) == {field.name for field in fields(config)}
+        default = _config_hash(tmp_path, _RUNS[name])
+        for field, value in values.items():
+            flag = "--" + field.replace("_", "-")
+            assert _config_hash(tmp_path, _RUNS[name] + (f"{flag}={value}",)) != default, flag
+
+    # Non-default settings, hashed by the release that first pinned them;
+    # a hash may change only with the tool version.
+    @pytest.mark.parametrize(
+        "name,settings,expected",
+        [
+            ("solvability",
+             ("--stride", "2", "--iosa-threshold", "0.4", "--min-area-ratio", "0.01"),
+             "52b153c087c6"),
+            ("synthesize", (), "61183b65eac7"),
+            ("captions",
+             ("--stride", "3", "--num-captions", "2", "--threshold", "0.3", "--tau", "0.4"),
+             "34f1cafe0182"),
+            ("extend", ("--tau", "0.4"), "1b2e4e0db4db"),
+            ("eval", (), "4ccf4787c9e9"),
+        ],
+    )
+    def test_pinned_hash(self, tmp_path, capsys, name, settings, expected):
+        assert _config_hash(tmp_path, _RUNS[name] + settings + ("--seed", "7")) == expected
 
 
 class TestEvalCommand:

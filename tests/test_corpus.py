@@ -157,6 +157,13 @@ class TestLoadScene:
         scenes = load_scenes_dir(data_dir / "scenes")
         assert set(scenes) == {"scene-a", "scene-b"}
 
+    def test_load_scenes_dir_raises_for_a_missing_path_or_a_file(self, tmp_path, data_dir):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nowhere"))):
+            load_scenes_dir(tmp_path / "nowhere")
+        scene = data_dir / "scenes" / "scene-a.json"
+        with pytest.raises(NotADirectoryError, match=re.escape(str(scene))):
+            load_scenes_dir(scene)
+
     def test_gc_state_is_restored_after_load_and_error(self, tmp_path, data_dir):
         bad = tmp_path / "scene.json"
         bad.write_text(json.dumps(scene_payload(split="dev")), encoding="utf-8")
