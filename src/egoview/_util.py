@@ -1,5 +1,5 @@
 """Small shared helpers: half-up rounding, config hashing, token splitting,
-the finite-number test for decoded JSON."""
+the finite-number test for decoded JSON, the view-stride rule."""
 
 from __future__ import annotations
 
@@ -40,3 +40,10 @@ def config_hash(payload: Mapping) -> str:
     """Stable short hash of semantic configuration (never includes paths)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def check_stride(stride: int) -> int:
+    """`stride`, which takes every stride-th view, if it is at least 1."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    return stride

@@ -16,11 +16,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from ._util import config_hash
+from ._util import check_stride, config_hash
 from .errors import (
     DuplicateId,
     DuplicatePrediction,
@@ -45,35 +45,19 @@ MODEL_SERVICE_ENV = "MODEL_SERVICE_URL"
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run settings; the semantic part feeds the config hash."""
-
-    command: str
-    seed: int
-    stub: bool
-    knobs: dict
-
-    def hash_payload(self) -> dict:
-        # Paths never enter the hash: identical runs on different machines
-        # must produce identical provenance.
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "stub": self.stub,
-            "tool_version": __version__,
-            **self.knobs,
-        }
-
-    def provenance(self) -> dict:
-        return {
-            "tool": "egoview",
-            "version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "stub": self.stub,
-            "config_hash": config_hash(self.hash_payload()),
-        }
+def _provenance(command: str, seed: int, stub: bool, knobs: dict) -> dict:
+    """A run's provenance block.  Its config hash covers the command, seed,
+    stub mode, tool version and `knobs`; paths never enter it, so identical
+    runs on different machines produce identical provenance."""
+    payload = {"command": command, "seed": seed, "stub": stub, "tool_version": __version__}
+    return {
+        "tool": "egoview",
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "stub": stub,
+        "config_hash": config_hash({**payload, **knobs}),
+    }
 
 
 class _UsageError(Exception):
@@ -154,13 +138,13 @@ def cmd_solvability(args) -> int:
 
     _check_outputs(args, out=args.out)
     cfg = _config(WitnessConfig, args)
-    knobs = {"stride": args.stride, **asdict(cfg)}
-    run = RunConfig(command="solvability", seed=args.seed, stub=True, knobs=knobs)
+    knobs = {"stride": check_stride(args.stride), **asdict(cfg)}
+    provenance = _provenance("solvability", args.seed, True, knobs)
     scenes = load_scenes_dir(args.scenes)
     instructions = read_instructions(args.instructions)
     hist = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
     report = solvability_report(hist, cfg)
-    report["provenance"] = run.provenance()
+    report["provenance"] = provenance
     with OutputFiles() as outputs:
         _write_json(args.out, report, outputs)
     print(format_solvability_report(report))
@@ -183,25 +167,21 @@ def cmd_synthesize(args) -> int:
 
     report_path = _report_path(args)
     _check_outputs(args, out=args.out, report=report_path)
-    run = RunConfig(
-        command="synthesize",
-        seed=args.seed,
-        stub=args.stub,
-        knobs={
-            "prompt_version": PROMPT_VERSION,
-            "max_attempts": MAX_GENERATION_ATTEMPTS,
-            "answer_token_limit": ANSWER_TOKEN_LIMIT,
-            "temperature": TEMPERATURE,
-            **asdict(WitnessConfig()),
-        },
-    )
+    knobs = {
+        "prompt_version": PROMPT_VERSION,
+        "max_attempts": MAX_GENERATION_ATTEMPTS,
+        "answer_token_limit": ANSWER_TOKEN_LIMIT,
+        "temperature": TEMPERATURE,
+        **asdict(WitnessConfig()),
+    }
+    provenance = _provenance("synthesize", args.seed, args.stub, knobs)
     scenes = load_scenes_dir(args.scenes)
     questions = read_questions(args.questions)
     client = _service_client(args, args.seed)
     records, report = synthesize_dataset(
-        questions, client, scenes, config_hash=config_hash(run.hash_payload())
+        questions, client, scenes, config_hash=provenance["config_hash"]
     )
-    provenance = {**run.provenance(), "prompt_version": PROMPT_VERSION}
+    provenance["prompt_version"] = PROMPT_VERSION
     with OutputFiles() as outputs:
         rows = [composed_to_dict(r) for r in records]
         write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
@@ -240,8 +220,8 @@ def cmd_build_corpus(args) -> int:
     alignment(cfg.tau)  # a bad --tau fails here, before any scene is read
     scenes = load_scenes_dir(args.scenes)
     knobs = {"mode": args.mode, **asdict(cfg)}
-    run = RunConfig(command="build-corpus", seed=args.seed, stub=args.stub, knobs=knobs)
-    chash = config_hash(run.hash_payload())
+    provenance = _provenance("build-corpus", args.seed, args.stub, knobs)
+    chash = provenance["config_hash"]
     client = _service_client(args, args.seed)
 
     records = []
@@ -256,7 +236,6 @@ def cmd_build_corpus(args) -> int:
             instructions, scenes, client, tau=cfg.tau, config_hash=chash
         )
 
-    provenance = run.provenance()
     sources: dict[str, int] = {}
     for record in records:
         sources[record.source] = sources.get(record.source, 0) + 1
@@ -287,13 +266,8 @@ def cmd_eval(args) -> int:
     gold = read_gold(args.gold)
     predictions = read_predictions(args.pred)
     report = em_score(predictions, gold)
-    run = RunConfig(
-        command="eval",
-        seed=args.seed,
-        stub=True,
-        knobs={"normalization": NORMALIZATION_VERSION, "articles": ARTICLES_POLICY},
-    )
-    payload = {**report.to_dict(), "provenance": run.provenance()}
+    knobs = {"normalization": NORMALIZATION_VERSION, "articles": ARTICLES_POLICY}
+    payload = {**report.to_dict(), "provenance": _provenance("eval", args.seed, True, knobs)}
     with OutputFiles() as outputs:
         _write_json(args.out, payload, outputs)
     print(f"overall EM: {report.overall_em:.1f} over {report.total} questions")

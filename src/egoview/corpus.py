@@ -49,7 +49,7 @@ from typing import Mapping, NoReturn, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import finite_number
+from ._util import check_stride, finite_number
 from .errors import DuplicateId, NoViews, RuleError, SchemaError, UnknownObjectId, UnknownScene
 from .geometry import (
     CameraIntrinsics,
@@ -169,8 +169,7 @@ class CaptionBuildConfig:
     tau: float = 0.5
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        check_stride(self.stride)
         if self.num_captions < 1:
             raise ValueError("num_captions must be >= 1")
         if not finite_number(self.threshold):  # NaN would keep every caption
@@ -191,7 +190,7 @@ def _number(value, path: str, depth: int = 0):
 
 # One row per field of a scene entry, in the order `_walk` reports errors:
 # key path, kind and, for a vector or matrix, its shape error.  Kinds:
-# "integer", "text", "label" (non-empty text), "path" (text or null, may be
+# "integer", "id" and "label" (non-empty text), "path" (text or null, may be
 # absent), "convention" ("camera_to_world"), "size" (an integer below 2**63)
 # and "number", "vector", "matrix" (a JSON number, 3 numbers, 3 rows of 3).
 # Value rules are `geometry.first_bad_*`.
@@ -203,7 +202,7 @@ _OBJECT_FIELDS = (
     (("box", "heading"), "number", None),
 )
 _VIEW_FIELDS = (
-    (("view_id",), "text", None),
+    (("view_id",), "id", None),
     (("intrinsics", "fx"), "number", None),
     (("intrinsics", "fy"), "number", None),
     (("intrinsics", "cx"), "number", None),
@@ -255,7 +254,7 @@ def _gather(fields, entries: list) -> list:
             columns.append(None)
         else:
             present = [value for value in values if value is not None] if kind == "path" else values
-            _expect(_strings(present) and (kind != "label" or all(values)))
+            _expect(_strings(present) and (kind == "path" or all(values)))
             columns.append(tuple(values))
     return columns
 
@@ -304,6 +303,8 @@ def _walk(fields, entry, where: str) -> list:
             _text(value, path, optional=kind == "path")
             if kind == "label" and not value:
                 raise SchemaError(where, "label must be non-empty")
+            if kind == "id" and not value:
+                raise SchemaError(path, "must be non-empty")
         values.append(value)
     return values
 
@@ -488,7 +489,7 @@ def build_caption_triplets(
     records = []
     for view_id, ref in zip(sampled.ids, image_refs(sampled)):
         captions = caption_client.caption_image(ref, cfg.num_captions)
-        scores = scorer_client.score_image_text(ref, captions).scores
+        scores = scorer_client.score_image_text(ref, captions)
         object_ids = frozenset(visible[view_id])
         for idx, (caption, score) in enumerate(zip(captions, scores)):
             if score < cfg.threshold:

@@ -54,7 +54,7 @@ def select_views_for_qa(
     if not len(views):
         raise NoViews("select_view_for_qa requires at least one view")
     views = Views.of(views)
-    columns = zip(*(scorer.score_image_text(ref, distinct).scores for ref in image_refs(views)))
+    columns = zip(*(scorer.score_image_text(ref, distinct) for ref in image_refs(views)))
     best = {
         text: min(zip(views.ids, column), key=lambda kv: (-kv[1], kv[0]))
         for text, column in zip(distinct, columns)

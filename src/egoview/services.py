@@ -61,13 +61,6 @@ class ServiceEndpointConfig:
     timeout: float = 30.0
 
 
-@dataclass(frozen=True)
-class ScoreResult:
-    """Per-text scores in [0, 1], aligned with the input texts."""
-
-    scores: tuple[float, ...]
-
-
 def _join_labels(labels: Sequence[str]) -> str:
     if not labels:
         return "no distinct objects"
@@ -138,8 +131,9 @@ class StubModelService:
             self._batch = (key, tokens)
         return tokens
 
-    def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
-        """Jaccard overlap between text tokens and the view's label tokens."""
+    def score_image_text(self, image_ref: str, texts: Sequence[str]) -> tuple[float, ...]:
+        """Jaccard overlap between text tokens and the view's label tokens,
+        one score in [0, 1] per text."""
         if not texts:
             raise EmptyInput("score_image_text requires at least one text")
         label_tokens = self._view(image_ref)[1]
@@ -148,7 +142,7 @@ class StubModelService:
             shared = len(text_tokens & label_tokens)
             union = len(text_tokens) + len(label_tokens) - shared
             scores.append(shared / union if union else 0.0)
-        return ScoreResult(scores=tuple(scores))
+        return tuple(scores)
 
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:
         """Deterministic generation; temperature is ignored.
@@ -232,7 +226,7 @@ class RemoteModelService:
             raise ServiceUnavailable(f"{route} reply: 'captions' must be a list of strings")
         return captions
 
-    def score_image_text(self, image_ref: str, texts: Sequence[str]) -> ScoreResult:
+    def score_image_text(self, image_ref: str, texts: Sequence[str]) -> tuple[float, ...]:
         if not texts:
             raise EmptyInput("score_image_text requires at least one text")
         if not image_ref:
@@ -245,7 +239,7 @@ class RemoteModelService:
         for score in scores:
             if not finite_number(score):
                 raise ServiceUnavailable(f"{route} reply: a score must be a finite number, got {score!r}")
-        return ScoreResult(scores=tuple(min(1.0, max(0.0, float(s))) for s in scores))
+        return tuple(min(1.0, max(0.0, float(s))) for s in scores)
 
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:
         if max_tokens < 1:

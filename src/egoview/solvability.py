@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import percent
+from ._util import check_stride, percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
 from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, box_corners
 from .records import BUCKETS, view_bucket
@@ -221,19 +221,6 @@ def _check_known(
     if not ids:
         raise EmptyInput("relevant object set is empty")
     return ids
-
-
-def is_solvable(
-    relevant_object_ids: Iterable[int],
-    view_set: Sequence[View],
-    scene_objects: Sequence[SceneObject],
-    cfg: WitnessConfig = WitnessConfig(),
-) -> bool:
-    """True when every relevant object is witnessed by at least one view in the set."""
-    objects = Objects.of(scene_objects)
-    ids = _check_known(relevant_object_ids, objects.ids)
-    table = WitnessTable.build(_among(objects, ids), view_set, cfg)
-    return bool(table.matrix.any(axis=0).all())
 
 
 def _among(objects: Objects, ids: Iterable[int]) -> Objects:
@@ -514,8 +501,7 @@ def view_requirement_stats(
     computed once, over the objects its instructions reference, and shared
     by its instructions.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    check_stride(stride)
     tables = {  # one per scene, for this call only
         scene_id: WitnessTable.build(objects, Views.of(scenes_by_id[scene_id].views)[::stride], cfg)
         for scene_id, objects in referenced_objects(instructions, scenes_by_id, "instruction").items()

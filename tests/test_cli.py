@@ -900,6 +900,42 @@ class TestBuildCorpusChecksSettingsFirst:
         assert sorted(tmp_path.iterdir()) == [scenes]
 
 
+def test_solvability_names_a_bad_stride_before_a_malformed_scene(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "bad.json").write_text('{"scene_id": "x"}', encoding="utf-8")
+    code = run(
+        "solvability",
+        "--scenes", str(scenes),
+        "--instructions", f"{DATA}/instructions_solvability.jsonl",
+        "--stride=0",
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: stride must be >= 1\n"
+    assert sorted(tmp_path.iterdir()) == [scenes]
+
+
+def test_empty_view_id_exits_2_naming_the_field(tmp_path, capsys):
+    scene = json.loads((DATA_DIR / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
+    scene["views"][3]["view_id"] = ""
+    scene["views"][3].pop("image_path", None)
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
+    code = run(
+        "build-corpus",
+        "--scenes", str(scenes),
+        "--mode", "captions",
+        "--out", str(tmp_path / "t.jsonl"),
+        "--stub",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {scenes / 'scene-a.json'}:views[3].view_id: must be non-empty\n"
+    assert sorted(tmp_path.iterdir()) == [scenes]
+
+
 # Each command on the fixture inputs, less --out.
 _RUNS = {
     "solvability": (

@@ -422,6 +422,14 @@ class TestColumnLoad:
             "objects[0]", "label must be non-empty"
         )
 
+    def test_empty_view_id_is_rejected(self, tmp_path):
+        payload = scene_payload()
+        payload["views"][0]["view_id"] = ""
+        payload["views"][0].pop("image_path", None)
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(_write_scene(tmp_path, payload))
+        assert (excinfo.value.field, excinfo.value.reason) == ("views[0].view_id", "must be non-empty")
+
     @pytest.mark.parametrize(
         "table,edits",
         [

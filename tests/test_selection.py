@@ -317,7 +317,7 @@ class TestFilterCaptions:
     def test_semantic_fixture_ordering(self):
         stub = StubModelService()
         stub.register_view_labels("v", ["sofa", "table"])
-        scores = stub.score_image_text("v", self.CAPTIONS).scores
+        scores = stub.score_image_text("v", self.CAPTIONS)
         # token sets: {a,sofa,next,to,table}, {an,empty,corridor} and
         # {the,table} against the labels' {sofa,table}
         assert scores == pytest.approx((2 / 5, 0.0, 1 / 3))

@@ -17,7 +17,6 @@ from egoview import services
 from egoview.errors import EmptyInput, InvalidImageReference, ServiceUnavailable
 from egoview.services import (
     RemoteModelService,
-    ScoreResult,
     ServiceEndpointConfig,
     StubModelService,
 )
@@ -53,32 +52,32 @@ class TestStubScores:
     def test_exact_label_match(self):
         stub = StubModelService()
         stub.register_view_labels("r", ["desk"])
-        assert stub.score_image_text("r", ["desk"]).scores == (1.0,)
+        assert stub.score_image_text("r", ["desk"]) == (1.0,)
 
     def test_jaccard_with_stopwords_kept(self):
         stub = StubModelService()
         stub.register_view_labels("r", ["desk", "chair"])
-        assert stub.score_image_text("r", ["the desk"]).scores[0] == pytest.approx(1 / 3)
+        assert stub.score_image_text("r", ["the desk"])[0] == pytest.approx(1 / 3)
 
     def test_alignment_with_inputs(self):
         stub = StubModelService()
         stub.register_view_labels("r", ["desk"])
-        result = stub.score_image_text("r", ["desk", "sofa"])
-        assert len(result.scores) == 2
-        assert result.scores[0] > result.scores[1]
+        scores = stub.score_image_text("r", ["desk", "sofa"])
+        assert len(scores) == 2
+        assert scores[0] > scores[1]
 
     def test_multiword_labels_are_tokenized(self):
         stub = StubModelService()
         stub.register_view_labels("r", ["waste basket"])
-        assert stub.score_image_text("r", ["waste basket"]).scores == (1.0,)
+        assert stub.score_image_text("r", ["waste basket"]) == (1.0,)
 
     def test_each_text_scored_alone_as_in_a_batch(self):
         stub = StubModelService(seed=3)
         stub.register_view_labels("v", ["office chair", "desk", "lamp"])
         texts = ["the desk", "an office chair by the lamp", "", "nothing", "the desk", "LAMP"]
-        batch = stub.score_image_text("v", texts).scores
-        assert batch == tuple(stub.score_image_text("v", [t]).scores[0] for t in texts)
-        assert stub.score_image_text("v", texts[::-1]).scores == batch[::-1]
+        batch = stub.score_image_text("v", texts)
+        assert batch == tuple(stub.score_image_text("v", [t])[0] for t in texts)
+        assert stub.score_image_text("v", texts[::-1]) == batch[::-1]
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyInput):
@@ -88,7 +87,7 @@ class TestStubScores:
         stub = StubModelService()
         stub.register_view_labels("r", ["desk", "chair", "sofa"])
         texts = ["", "desk", "desk chair sofa", "something unrelated entirely"]
-        assert all(0.0 <= s <= 1.0 for s in stub.score_image_text("r", texts).scores)
+        assert all(0.0 <= s <= 1.0 for s in stub.score_image_text("r", texts))
 
 
 _WORDS = ("desk", "Desk", "office chair", "waste basket", "TV-stand", "lamp!", "the", "A", "2nd")
@@ -105,7 +104,7 @@ _TEXTS = st.lists(_PHRASES, min_size=1, max_size=4).flatmap(
 
 
 def _assert_oracle(stub, ref, texts, labels):
-    assert stub.score_image_text(ref, texts).scores == tuple(
+    assert stub.score_image_text(ref, texts) == tuple(
         jaccard_score(text, labels) for text in texts
     )
 
@@ -252,6 +251,7 @@ def model_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteService:
@@ -261,7 +261,7 @@ class TestRemoteService:
 
     def test_scores_clamped_to_unit_interval(self, model_server):
         client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
-        assert client.score_image_text("img.jpg", ["x"]).scores == (1.0,)
+        assert client.score_image_text("img.jpg", ["x"]) == (1.0,)
 
     def test_generate_round_trip(self, model_server):
         client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
@@ -356,7 +356,7 @@ class TestRemoteReplies:
     def test_integer_and_float_scores_are_clamped_floats(self, monkeypatch, item, expected):
         _serve(monkeypatch, "/v1/score_image_text", item)
         client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
-        scores = client.score_image_text("img.jpg", ["x"]).scores
+        scores = client.score_image_text("img.jpg", ["x"])
         assert scores == (expected,) and type(scores[0]) is float
 
     @pytest.mark.parametrize(
@@ -380,9 +380,6 @@ class TestConfigAndFactory:
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):
             RemoteModelService(ServiceEndpointConfig())
-
-    def test_score_result_shape(self):
-        assert ScoreResult(scores=(0.5,)).scores == (0.5,)
 
 
 class TestRouteDrift:

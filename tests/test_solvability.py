@@ -21,7 +21,6 @@ from egoview.solvability import (
     WitnessTable,
     format_solvability_report,
     greedy_cover,
-    is_solvable,
     min_cover,
     min_view_count,
     solvability_report,
@@ -176,27 +175,34 @@ class TestWitnessMatrix:
             witness_matrix([make_object()], [])
 
 
+def solvable(ids, views, objects) -> bool:
+    return min_view_count(ids, views, objects).n is not None
+
+
 class TestIsSolvable:
+    """A set of views solves an instruction when it jointly witnesses every
+    relevant object: `min_view_count(...).n is not None`."""
+
     def test_single_view_covers_all(self):
         objects = [make_object(1, "desk", (0, 0, 2.5)), make_object(2, "chair", (1.0, 0, 2.5))]
         view = make_view(translation=(0.5, 0, 0))
-        assert is_solvable({1, 2}, [view], objects) is True
+        assert solvable({1, 2}, [view], objects)
 
     def test_missing_object_not_solvable(self):
         objects = [make_object(1), make_object(2, center=(100, 0, 2.5))]
         view = make_view()
-        assert is_solvable({1, 2}, [view], objects) is False
+        assert not solvable({1, 2}, [view], objects)
 
     def test_fixture_instruction_needs_two_specific_views(self, scene_a):
         # Chair (2) only in v01/v12, lamp (7) only in v04: the full view set
         # solves it, v01 alone does not.
-        assert is_solvable({2, 7}, scene_a.views, scene_a.objects) is True
+        assert solvable({2, 7}, scene_a.views, scene_a.objects)
         v01 = [scene_a.views[scene_a.views.ids.index("v01")]]
-        assert is_solvable({2, 7}, v01, scene_a.objects) is False
+        assert not solvable({2, 7}, v01, scene_a.objects)
 
     def test_unknown_object_id(self):
         with pytest.raises(UnknownObjectId):
-            is_solvable({99}, [make_view()], [make_object(1)])
+            solvable({99}, [make_view()], [make_object(1)])
 
     def test_monotone_under_supersets(self):
         rng = np.random.default_rng(23)
@@ -206,8 +212,8 @@ class TestIsSolvable:
             subset_size = int(rng.integers(1, len(views) + 1))
             chosen = list(rng.choice(len(views), size=subset_size, replace=False))
             subset = [views[i] for i in chosen]
-            if is_solvable(ids, subset, objects):
-                assert is_solvable(ids, views, objects)
+            if solvable(ids, subset, objects):
+                assert solvable(ids, views, objects)
 
 
 class TestMinCover:
@@ -361,7 +367,8 @@ class TestMinViewCount:
             views, objects = random_line_scene(rng, 6, 4)
             ids = random_relevant_ids(rng, 4)
             req = min_view_count(ids, views, objects)
-            single = any(is_solvable(ids, [v], objects) for v in views)
+            relevant = [o.object_id in ids for o in objects]
+            single = witness_matrix(objects, views)[:, relevant].all(axis=1).any()
             assert (req.n == 1) == single
 
 
