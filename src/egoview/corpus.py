@@ -9,15 +9,17 @@ Scene files are JSON, one scene per file:
                 "pose": {"rotation": [3][3], "translation": [3],
                          "convention": "camera_to_world"}}]}
 
-`load_scene` decodes a scene straight into two tables: `Objects` (ids,
-labels, box parameters and world corners (N, 8, 3)) and `Views` (ids, image
-paths, rotations (V, 3, 3), translations (V, 3), pinhole rows (V, 4) and
-image sizes (V, 2)).  One table of fields per entry kind (`_OBJECT_FIELDS`,
-`_VIEW_FIELDS`) states each leaf's key path, kind and shape.  `_gather`
-reads each field of every entry as one column, one `np.array` call per
-numeric field, and the `geometry.first_bad_*` value checks run over whole
-columns.  If either rejects a table, `_walk` reads its entries in file
-order against the same table and raises the first error.  When only a
+`load_scene` decodes a scene file's bytes with orjson, or with the stdlib
+decoder where orjson refuses or misreads them (see `_scene`), and reads the
+tree straight into two tables: `Objects` (ids, labels, box parameters and
+world corners (N, 8, 3)) and `Views` (ids, image paths, rotations (V, 3, 3),
+translations (V, 3), pinhole rows (V, 4) and image sizes (V, 2)).  One
+table of fields per entry kind (`_OBJECT_FIELDS`, `_VIEW_FIELDS`) states
+each leaf's key path, kind and shape.  `_gather` reads each field of
+every entry as one column, one `np.array` call per numeric field, and the
+`geometry.first_bad_*` value checks run over whole columns.  If either
+rejects a table, `_walk` reads its entries in file order against the same
+table and raises the first error.  When only a
 value check rejects it, the walk starts at the first entry that check
 names: every earlier entry passed every rule.  Float fields take
 JSON numbers only, integer fields JSON integers only.  The cyclic GC is
@@ -37,8 +39,10 @@ triplet builders import `selection` when they run; loading scenes needs none.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import logging
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -47,6 +51,7 @@ from pathlib import Path
 from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
+import orjson
 
 from . import geometry
 from ._util import check_stride, finite_number
@@ -86,6 +91,13 @@ def _check_split(split) -> str:
     return split
 
 
+def _check_scene_id(scene_id: str) -> str:
+    """`scene_id` if it is non-empty, else RuleError naming `scene.scene_id`."""
+    if not scene_id:
+        raise RuleError("scene.scene_id", "must be non-empty")
+    return scene_id
+
+
 @dataclass(eq=False)
 class Scene:
     """A 3D scene: annotated objects and posed views, as tables (lists of
@@ -98,6 +110,7 @@ class Scene:
     points_path: str | None = None
 
     def __post_init__(self):
+        _check_scene_id(self.scene_id)
         _check_split(self.split)
         self.objects = Objects.of(self.objects)
         self.views = Views.of(self.views)
@@ -386,17 +399,69 @@ def load_scene(path: str | Path) -> Scene:
             gc.enable()
 
 
+# orjson 3.8 builds its tree recursively with no depth limit: valid text
+# nested some 40,000 deep overflows the C stack.  Later releases refuse
+# text nested deeper than 1024 themselves; the stdlib decoder names it.
+_ORJSON_DEPTH = 1024
+_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+# Where an integer literal outside [-2**63, 2**64), which orjson reads as a
+# float, could start: any such literal has 19 digits or more, and the
+# digits of a fraction, which follow a point, never match.
+_LONG_DIGITS = re.compile(rb"(?<![.\d])\d{19}")
+
+
 def _scene(path: Path) -> Scene:
+    """The scene in the file at `path`.  orjson decodes its bytes; the
+    stdlib decoder is the reference, and decodes them instead when orjson
+    refuses them (NaN, Infinity, an overflowing number, a lone surrogate,
+    a BOM, invalid UTF-8 or JSON), when they nest deeper than
+    _ORJSON_DEPTH, or when the orjson tree fails a check and the bytes
+    hold a digit run long enough for an integer orjson reads as a float."""
+    raw = path.read_bytes()
+    if _nesting(raw) <= _ORJSON_DEPTH:
+        try:
+            tree = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            try:
+                return _scene_of(tree, path)
+            except (SchemaError, DuplicateId):
+                if not _LONG_DIGITS.search(raw):
+                    raise
+    return _scene_of(_reference_tree(raw, path), path)
+
+
+def _nesting(raw: bytes) -> int:
+    """How deep the brackets of the JSON text `raw` nest outside its strings;
+    exact for valid JSON, the only text orjson builds a tree from."""
+    if b"\\" in raw:  # drop escaped backslashes, then escaped quotes
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    # Brackets and quotes, less the quote pairs that enclose no bracket.
+    marks = np.frombuffer(raw.translate(None, _NOT_STRUCTURAL).replace(b'""', b""), np.uint8)
+    step = (marks & 2).astype(np.int64) - 1  # [ and { have bit 1 set, ] and } clear
+    quotes = marks == ord('"')
+    step[quotes | (np.cumsum(quotes) % 2 == 1)] = 0  # quotes and what they enclose
+    return int(step.cumsum().max(initial=0))
+
+
+def _reference_tree(raw: bytes, path: Path):
+    """`raw` decoded as `Path.read_text` and `json.loads` decode a file;
+    their errors are SchemaErrors naming `path`."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except UnicodeDecodeError as exc:
         raise SchemaError(str(path), f"invalid UTF-8: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
+
+
+def _scene_of(data, path: Path) -> Scene:
+    """The scene a decoded file holds; raises its first error."""
     if not isinstance(data, dict):
         raise SchemaError(str(path), "scene file must hold a JSON object")
 
-    scene_id = _text(_require(data, "scene_id", "scene"), "scene.scene_id")
+    scene_id = _check_scene_id(_text(_require(data, "scene_id", "scene"), "scene.scene_id"))
     split = _check_split(_require(data, "split", "scene"))
     objects = _object_table(_list(_require(data, "objects", "scene"), "scene.objects"))
     views = _view_table(_list(_require(data, "views", "scene"), "scene.views"))

@@ -936,6 +936,25 @@ def test_empty_view_id_exits_2_naming_the_field(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [scenes]
 
 
+def test_empty_scene_id_exits_2_naming_the_field(tmp_path, capsys):
+    scene = json.loads((DATA_DIR / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
+    scene["scene_id"] = ""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
+    code = run(
+        "build-corpus",
+        "--scenes", str(scenes),
+        "--mode", "captions",
+        "--out", str(tmp_path / "t.jsonl"),
+        "--stub", "--threshold", "0", "--stride", "1",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {scenes / 'scene-a.json'}:scene.scene_id: must be non-empty\n"
+    assert sorted(tmp_path.iterdir()) == [scenes]
+
+
 # Each command on the fixture inputs, less --out.
 _RUNS = {
     "solvability": (

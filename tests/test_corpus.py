@@ -1,15 +1,24 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import gc
 import json
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoview.corpus import (
     CaptionBuildConfig,
@@ -38,7 +47,7 @@ from egoview.synthesis import read_questions
 from .oracles import scalar_box_rect
 from .scenegen import random_posed_scene, scene_to_dict
 from .test_geometry import dense_pairs
-from .test_scene_errors import VALUES, _paths, base_scene
+from .test_scene_errors import VALUES, _paths, base_scene, refuse
 
 
 def scene_payload(**overrides):
@@ -188,6 +197,141 @@ class TestLoadScene:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _columns(table) -> tuple:
+    """Every column of a table: a tuple by its repr, which tells 1 from 1.0,
+    an array by its dtype, shape and bytes."""
+    return tuple(
+        (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+        else repr(value)
+        for value in (getattr(table, f.name) for f in dataclasses.fields(table))
+    )
+
+
+def _load_outcome(path) -> tuple:
+    try:
+        scene = load_scene(path)
+    except SchemaError as exc:
+        return ("SchemaError", exc.field, exc.reason)
+    except DuplicateId as exc:
+        return ("DuplicateId", str(exc))
+    return (repr(scene.scene_id), scene.split, scene.points_path,
+            _columns(scene.objects), _columns(scene.views))
+
+
+def _both_decoders(path) -> tuple:
+    """The outcome of loading `path` as it is, and with the stdlib decoder forced."""
+    fast = _load_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orjson, "loads", refuse)
+        return fast, _load_outcome(path)
+
+
+def _depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(_depth, value), default=0) if isinstance(value, list) else 0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(alphabet='"\\[]{}a\u00e9\U0001f600'),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(alphabet='"\\[]{}b'), children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestDecodePaths:
+    """orjson and the stdlib decoder, which reads what orjson refuses or
+    misreads, load every scene file alike."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("objects", 0, "object_id"), ("views", 0, "intrinsics", "width"),
+         ("objects", 0, "label"), ("objects", 0, "box", "heading")],
+        ids=["object_id", "width", "label", "heading"],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**19, 10**30, 10**400],
+        ids=["2**63-1", "2**63", "2**64-1", "2**64", "-2**63", "-2**63-1",
+             "10**19", "10**30", "10**400"],
+    )
+    def test_integer_literals_load_alike(self, tmp_path, keys, value):
+        """orjson reads an integer outside [-2**63, 2**64) as a float."""
+        fast, reference = _both_decoders(_write_scene(tmp_path, _edited(scene_payload(), keys, value)))
+        assert fast == reference
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_floats_load_bit_identical(self, numbers):
+        payload = scene_payload()
+        box = payload["objects"][0]["box"]
+        box["center"], box["heading"] = numbers[:3], numbers[3]
+        payload["views"][0]["pose"]["translation"] = numbers[4:]
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, reference = _both_decoders(_write_scene(Path(tmp), payload))
+        assert fast == reference
+        assert fast[0] == "'s1'"
+
+    @given(_JSON_VALUES, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_nesting_counts_brackets_outside_strings(self, value, ascii_only):
+        text = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8")
+        assert corpus._nesting(text) == _depth(value)
+
+    @pytest.mark.parametrize("level", [b"[", b'{"a": ', b'[{"a": '])
+    def test_deep_nesting_is_named_by_the_stdlib_decoder(self, tmp_path, level):
+        """orjson 3.8 overflows the C stack on valid text nested some 40,000
+        deep.  Such a file goes to the stdlib decoder, which names it as
+        invalid JSON.  A fresh interpreter loads it, so that a crash fails
+        this test instead of the test run."""
+        closing = level.replace(b"[", b"]").replace(b'{"a": ', b"}")[::-1]
+        deep = level * 200_000 + b"1" + closing * 200_000
+        path = tmp_path / "scene.json"
+        path.write_bytes(json.dumps(scene_payload()).encode()[:-1] + b', "extra": ' + deep + b"}")
+        script = (
+            "import sys\n"
+            "from egoview.corpus import load_scene\n"
+            "try:\n"
+            "    load_scene(sys.argv[1])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc.reason)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("SchemaError invalid JSON: maximum recursion depth exceeded")
+
+    def test_nesting_within_the_limit_is_decoded_by_orjson(self, tmp_path, monkeypatch):
+        depth = corpus._ORJSON_DEPTH - 1  # below the scene object
+        path = tmp_path / "scene.json"
+        path.write_bytes(
+            json.dumps(scene_payload()).encode()[:-1]
+            + b', "extra": ' + b"[" * depth + b"]" * depth + b"}"
+        )
+        assert corpus._nesting(path.read_bytes()) == corpus._ORJSON_DEPTH
+        monkeypatch.setattr(corpus, "_reference_tree", None)
+        assert load_scene(path).scene_id == "s1"
+
+    def test_stdlib_errors_count_lines_as_read_text_does(self, tmp_path):
+        """The stdlib decoder reads the bytes with universal newlines, as
+        `Path.read_text` did, so a CRLF file's error names the same place."""
+        path = tmp_path / "scene.json"
+        path.write_bytes(b'{\r\n"scene_id": "s1",\r\r\n"split": }\r\n')
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(SchemaError) as loaded:
+            load_scene(path)
+        assert decoded.value.pos == 30  # 33 in the undecoded bytes
+        assert (loaded.value.field, loaded.value.reason) == (
+            str(path), f"invalid JSON: {decoded.value}"
+        )
 
 
 def _bad_rotation_scale(pose):
@@ -421,6 +565,14 @@ class TestColumnLoad:
         assert (excinfo.value.field, excinfo.value.reason) == (
             "objects[0]", "label must be non-empty"
         )
+
+    def test_empty_scene_id_is_rejected_by_the_loader_and_the_scene(self, tmp_path):
+        with pytest.raises(SchemaError) as loaded:
+            load_scene(_write_scene(tmp_path, scene_payload(scene_id="")))
+        with pytest.raises(SchemaError) as built:
+            Scene("", [], [], "train")
+        for error in (loaded.value, built.value):
+            assert (error.field, error.reason) == ("scene.scene_id", "must be non-empty")
 
     def test_empty_view_id_is_rejected(self, tmp_path):
         payload = scene_payload()

@@ -37,7 +37,8 @@ def test_eval_runs_without_numpy(tmp_path, data_dir):
         "import egoview.cli\n"
         "code = egoview.cli.main(sys.argv[1:])\n"
         "assert code == 0, code\n"
-        "unwanted = {'numpy', 'egoview.corpus', 'egoview.geometry', 'egoview.solvability'}\n"
+        "unwanted = {'numpy', 'orjson', 'egoview.corpus', 'egoview.geometry',\n"
+        "            'egoview.solvability'}\n"
         "loaded = unwanted & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n",
         "eval",

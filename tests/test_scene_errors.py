@@ -4,6 +4,8 @@ generated scene, loaded with `load_scene`, and its outcome pinned.
 The outcome of a case is the error type with its field and reason (or its
 message, for DuplicateId), or "loads".  `tests/golden/scene_errors.jsonl`
 holds one line per case; nothing but SchemaError and DuplicateId may escape.
+Both decode paths reproduce it: orjson, which hands what it refuses to the
+stdlib decoder, and the stdlib decoder alone.
 A property test runs sampled cases through the `solvability` command: each
 exits 0 or 2, an error names the file and the mutated entry, and no output
 or temp file is left behind a failure.
@@ -23,9 +25,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoview import corpus
 from egoview.cli import main
 from egoview.corpus import load_scene
 from egoview.errors import DuplicateId, SchemaError
@@ -133,10 +138,28 @@ def _lines(cases) -> list[str]:
     return [json.dumps(case, ensure_ascii=False) for case in cases]
 
 
-def test_every_mutation_matches_golden(tmp_path):
+def refuse(raw):
+    """Stands in for `orjson.loads` to force the stdlib decoder."""
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+@pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
+def test_every_mutation_matches_golden(tmp_path, monkeypatch, decoder):
+    reference_tree, references = corpus._reference_tree, []
+
+    def counted(raw, path):
+        references.append(path)
+        return reference_tree(raw, path)
+
+    monkeypatch.setattr(corpus, "_reference_tree", counted)
+    if decoder == "stdlib":
+        monkeypatch.setattr(orjson, "loads", refuse)
     cases = scene_error_cases(tmp_path)
     assert len(cases) > 1000
     assert _lines(cases) == GOLDEN.read_text(encoding="utf-8").splitlines()
+    # orjson refuses the NaN and 1e400 mutations; it decodes every other case.
+    refused = [case for case in cases if case["mutation"] in ("nan", "1e400")]
+    assert len(references) == (len(refused) if decoder == "orjson" else len(cases))
 
 
 BASE = base_scene()
