@@ -434,15 +434,24 @@ def _scene(path: Path) -> Scene:
 
 def _nesting(raw: bytes) -> int:
     """How deep the brackets of the JSON text `raw` nest outside its strings;
-    exact for valid JSON, the only text orjson builds a tree from."""
+    exact for valid JSON, the only text orjson builds a tree from.
+
+    Once the quote pairs that enclose no bracket are gone, a quote remains
+    only where a string holds a bracket (no generated or fixture scene
+    has one); only then are quotes and what they enclose zeroed, by quote
+    parity.  Otherwise the depth is the running sum of +1 per [ or { and
+    -1 per ] or }.  That sum moves by one per bracket, so in int32 it
+    cannot wrap without first passing any depth limit."""
     if b"\\" in raw:  # drop escaped backslashes, then escaped quotes
         raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
     # Brackets and quotes, less the quote pairs that enclose no bracket.
-    marks = np.frombuffer(raw.translate(None, _NOT_STRUCTURAL).replace(b'""', b""), np.uint8)
-    step = (marks & 2).astype(np.int64) - 1  # [ and { have bit 1 set, ] and } clear
-    quotes = marks == ord('"')
-    step[quotes | (np.cumsum(quotes) % 2 == 1)] = 0  # quotes and what they enclose
-    return int(step.cumsum().max(initial=0))
+    marks = raw.translate(None, _NOT_STRUCTURAL).replace(b'""', b"")
+    codes = np.frombuffer(marks, np.uint8)
+    step = (codes & 2).astype(np.int32) - 1  # [ and { have bit 1 set, ] and } clear
+    if b'"' in marks:
+        quotes = codes == ord('"')
+        step[quotes | (np.cumsum(quotes) % 2 == 1)] = 0  # quotes and what they enclose
+    return int(np.cumsum(step, dtype=np.int32).max(initial=0))
 
 
 def _reference_tree(raw: bytes, path: Path):

@@ -103,11 +103,13 @@ def _claim_id(seen: dict[str, str], record_id: str, where: str, error=DuplicateI
 
 
 def _iter_jsonl(path: str | Path):
-    """Yield (lineno, record) for each data line; skips provenance headers."""
+    """Yield (lineno, record) for each data line; skips provenance headers
+    and blank lines.  Only JSON whitespace (space, tab, CR, LF) counts as
+    blank: any other character around a record is invalid JSON."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}", f"invalid UTF-8: {exc}") from exc
             if not line:

@@ -12,6 +12,16 @@ DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def pytest_collection_modifyitems(items):
+    """Any warning fails a test of this directory, a numpy RuntimeWarning
+    first among them.  Set here, not in the ini options, so the benchmark's
+    own tests keep their outcome."""
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR

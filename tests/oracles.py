@@ -3,7 +3,8 @@
 Each oracle takes a deliberately different route from the production code:
 counting grid cells instead of interval arithmetic, polytope vertex
 enumeration plus surface sampling instead of edge clipping, a scalar loop
-over points instead of batched arrays, exhaustive subset enumeration
+over points instead of batched arrays, a matrix product and an LU
+determinant instead of closed-form dot products, exhaustive subset enumeration
 instead of branch and bound, and a from-scratch set Jaccard per text instead
 of token sets kept across calls.
 """
@@ -156,6 +157,29 @@ def clipped_box_rect_oracle(box, intr, pose, n_samples: int = 100_000, seed: int
     u = intr.cx + intr.fx * points[:, 0] / points[:, 2]
     v = intr.cy + intr.fy * points[:, 1] / points[:, 2]
     return Rect2D(float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+
+
+def matmul_pose_errors(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormality residual max |R^T R - I| and determinant error
+    |det R - 1| of rotations (V, 3, 3), by a batched matrix product and
+    LAPACK's determinant; non-finite entries give inf or NaN."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).max(axis=(1, 2))
+        det_error = np.abs(np.linalg.det(rotations) - 1.0)
+    return residual, det_error
+
+
+def reference_first_bad_pose(rotations, translations, tol: float) -> tuple[int, str] | None:
+    """`geometry.first_bad_pose` from `matmul_pose_errors`, one row at a time."""
+    residual, det_error = matmul_pose_errors(rotations)
+    for index in range(len(rotations)):
+        if not np.isfinite(translations[index]).all():
+            return index, "translation must be finite"
+        if not residual[index] <= tol:
+            return index, "rotation must be finite and orthonormal"
+        if not det_error[index] <= tol:
+            return index, "rotation determinant must be +1"
+    return None
 
 
 def brute_force_min_cover(sets: list[frozenset], universe: frozenset) -> int | None:

@@ -308,16 +308,67 @@ class TestDecodePaths:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("SchemaError invalid JSON: maximum recursion depth exceeded")
 
-    def test_nesting_within_the_limit_is_decoded_by_orjson(self, tmp_path, monkeypatch):
-        depth = corpus._ORJSON_DEPTH - 1  # below the scene object
+    @pytest.mark.parametrize(
+        "text,depth",
+        [
+            (b'{"a": [1, [2, {"b": []}]], "c": {}}', 5),
+            (b'[[], [[]], "x"]', 3),
+            (b'{"a": "[[[{", "b": [1]}', 2),
+            (b'{"a": "}}]]", "b": {"c": "{"}}', 2),
+            (b'{"a": "\\"[", "b": []}', 2),
+            (b'{"a": "\\\\", "b": [[]]}', 3),
+            (b'{"a": "\\\\\\"[[", "b": [], "c": "\\\\["}', 2),
+        ],
+        ids=["quote-free", "quote-free-list", "bracket-in-string", "closing-in-strings",
+             "escaped-quote", "escaped-backslash", "both-escapes"],
+    )
+    def test_nesting_of_explicit_texts(self, text, depth):
+        """Where no string holds a bracket (quote-free, escaped-backslash), no
+        quote is left once the empty quote pairs are gone; the others go
+        through the quote-parity pass."""
+        assert _depth(json.loads(text)) == depth
+        assert corpus._nesting(text) == depth
+
+    @staticmethod
+    def _nested_scene(tmp_path, depth: int) -> Path:
+        """A valid scene file whose brackets nest `depth` deep, the scene
+        object included, in a key the loader ignores."""
         path = tmp_path / "scene.json"
         path.write_bytes(
             json.dumps(scene_payload()).encode()[:-1]
-            + b', "extra": ' + b"[" * depth + b"]" * depth + b"}"
+            + b', "extra": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
         )
-        assert corpus._nesting(path.read_bytes()) == corpus._ORJSON_DEPTH
-        monkeypatch.setattr(corpus, "_reference_tree", None)
+        assert corpus._nesting(path.read_bytes()) == depth
+        return path
+
+    @staticmethod
+    def _spy_reference_tree(monkeypatch) -> list:
+        calls = []
+        reference_tree = corpus._reference_tree
+
+        def spy(raw, path):
+            calls.append(path)
+            return reference_tree(raw, path)
+
+        monkeypatch.setattr(corpus, "_reference_tree", spy)
+        return calls
+
+    def test_nesting_within_the_limit_is_decoded_by_orjson(self, tmp_path, monkeypatch):
+        path = self._nested_scene(tmp_path, corpus._ORJSON_DEPTH)
+        calls = self._spy_reference_tree(monkeypatch)
         assert load_scene(path).scene_id == "s1"
+        assert calls == []
+
+    def test_nesting_beyond_the_limit_goes_to_the_stdlib_decoder(self, tmp_path, monkeypatch):
+        """Whether the stdlib decoder then names the text as too deep
+        depends on the caller's stack depth; only the route is pinned."""
+        path = self._nested_scene(tmp_path, corpus._ORJSON_DEPTH + 1)
+        calls = self._spy_reference_tree(monkeypatch)
+        try:
+            load_scene(path)
+        except SchemaError as exc:
+            assert exc.reason.startswith("invalid JSON: maximum recursion depth exceeded")
+        assert calls == [path]
 
     def test_stdlib_errors_count_lines_as_read_text_does(self, tmp_path):
         """The stdlib decoder reads the bytes with universal newlines, as

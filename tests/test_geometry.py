@@ -31,7 +31,14 @@ from egoview.geometry import (
 )
 from egoview.solvability import Objects, SceneObject, View, Views, witness_matrix
 
-from .oracles import clipped_box_rect_oracle, grid_count_iosa, random_grid_rect, scalar_box_rect
+from .oracles import (
+    clipped_box_rect_oracle,
+    grid_count_iosa,
+    matmul_pose_errors,
+    random_grid_rect,
+    reference_first_bad_pose,
+    scalar_box_rect,
+)
 from .scenegen import random_line_scene, random_posed_scene
 
 
@@ -180,10 +187,10 @@ class TestProjectBoxes:
     @pytest.mark.parametrize("make_scene", [random_line_scene, random_posed_scene])
     @pytest.mark.parametrize("seed", [47, 48])
     def test_equals_batch_of_one_and_scalar_loop_bit_for_bit(self, make_scene, seed):
-        # 20 views x 30 boxes = 600 pairs: more than one chunk, a pair count
+        # 40 views x 30 boxes = 1200 pairs: more than one chunk, a pair count
         # that is not a multiple of the chunk size, and a chunk edge (at
-        # pair 512) that splits one view's boxes.
-        n_views, n_boxes = 20, 30
+        # pair 1024) that splits one view's boxes.
+        n_views, n_boxes = 40, 30
         assert n_views * n_boxes > _PAIR_CHUNK
         assert n_views * n_boxes % _PAIR_CHUNK and _PAIR_CHUNK % n_boxes
         views, objects = make_scene(np.random.default_rng(seed), n_views, n_boxes)
@@ -466,6 +473,36 @@ def _bad_intrinsics_rows(size_type):
     return pinhole, sizes
 
 
+def _random_rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _pose_row(rng, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """One (rotation, translation) row of `kind`; the moved rotations land
+    1e-7 to 1e-5 off orthonormal, either side of the 1e-6 tolerance."""
+    rotation, translation = _random_rotation(rng), rng.normal(scale=10.0, size=3)
+    offset = 10.0 ** rng.uniform(-7, -5)
+    if kind == "moved":
+        rotation += offset * rng.normal(size=(3, 3))
+    elif kind == "scaled":  # residual about 2x, determinant error 3x the offset
+        rotation *= 1.0 + rng.choice([-1, 1]) * offset / 3
+    elif kind == "reflection":
+        rotation[:, rng.integers(3)] *= -1.0
+    elif kind in ("special rotation", "special translation"):
+        target = rotation if kind == "special rotation" else translation
+        target.flat[rng.integers(target.size)] = rng.choice(
+            [math.nan, math.inf, -math.inf, 1e200, -1e200]
+        )
+    return rotation, translation
+
+
+_POSE_KINDS = ["rotation", "moved", "scaled", "reflection", "special rotation", "special translation"]
+
+
 class TestValidation:
     def test_bad_rotation_rejected(self):
         with pytest.raises(ValueError):
@@ -475,6 +512,28 @@ class TestValidation:
         rot = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             CameraPose(rotation=rot, translation=np.zeros(3))
+
+    @given(st.lists(st.sampled_from(_POSE_KINDS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_pose_closed_form_matches_matmul_reference(self, kinds, seed):
+        """Over the batch, and row by row, so that no row hides behind an
+        earlier failing one."""
+        rng = np.random.default_rng(seed)
+        rows = [_pose_row(rng, kind) for kind in kinds]
+        rotations, translations = np.array([r for r, _ in rows]), np.array([t for _, t in rows])
+        # Rounding differs between the two forms: keep rows clear of the tolerance.
+        tol = geometry._ORTHO_TOL
+        near = [np.abs(error - tol) <= 1e-12 for error in matmul_pose_errors(rotations)]
+        keep = ~np.logical_or(*near)
+        rotations, translations = rotations[keep], translations[keep]
+        assert first_bad_pose(rotations, translations) == reference_first_bad_pose(
+            rotations, translations, tol
+        )
+        for row in range(len(rotations)):
+            one = slice(row, row + 1)
+            assert first_bad_pose(rotations[one], translations[one]) == reference_first_bad_pose(
+                rotations[one], translations[one], tol
+            )
 
     @pytest.mark.parametrize(
         "rotation,translation,reason",

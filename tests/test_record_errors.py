@@ -9,6 +9,9 @@ line duplicated.  Instructions go through `solvability` and `build-corpus
 which no command reads, through `corpus.read_triplets`.  Each exits 0, 2 or
 3 with no traceback: exit 2 names the file, the line and the field, exit 3
 the record, and a failure leaves no output or temp file.
+
+Around a record only JSON whitespace (space, tab, CR, LF) is allowed: a
+line that other whitespace wraps, or holds alone, is invalid JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from egoview import records
 from egoview.cli import main
 from egoview.corpus import read_triplets
 from egoview.errors import DuplicateId, SchemaError
+from egoview.synthesis import read_questions
 
 from .conftest import DATA_DIR, GOLDEN_DIR
 from .test_scene_errors import VALUES, mutated
@@ -99,6 +103,7 @@ def _check_exit(code, message, path, line, keys, names, left, inputs, outputs):
 
 
 INSTRUCTION_LINES = _data_lines(DATA_DIR / "instructions_extend.jsonl")
+QUESTION_LINES = _data_lines(DATA_DIR / "questions.jsonl")
 GOLD_LINES = _data_lines(DATA_DIR / "eval_gold.jsonl")
 PREDICTION_LINES = _data_lines(DATA_DIR / "eval_pred.jsonl")
 TRIPLET_LINES = _data_lines(GOLDEN_DIR / "triplets_extend.jsonl")
@@ -209,3 +214,50 @@ def test_readme_lists_each_table(name):
     ]
     assert _readme_rows()[name] == expected
     assert kind.id_key == kind.fields[0].key
+
+
+# Whitespace to `str.strip` but not to JSON.
+NON_JSON_SPACE = ["\u00a0", "\u2028", "\x0b", "\x0c", "\x1c", "\x1f"]
+SPACE_IDS = ["nbsp", "line-separator", "vt", "ff", "fs", "us"]
+
+
+def _wrapped(lines: list[str], index: int, space: str, where: str) -> list[str]:
+    """`lines` with line `index` wrapped in `space`, or replaced by it."""
+    line = {"before": space + lines[index], "after": lines[index] + space, "alone": space}[where]
+    return [*lines[:index], line, *lines[index + 1:]]
+
+
+@pytest.mark.parametrize("where", ["before", "after", "alone"])
+@pytest.mark.parametrize("space", NON_JSON_SPACE, ids=SPACE_IDS)
+def test_non_json_whitespace_is_invalid_json_in_questions(tmp_path, space, where):
+    path = tmp_path / "q.jsonl"
+    path.write_text("\n".join(_wrapped(QUESTION_LINES, 2, space, where)) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        read_questions(path)
+    assert raised.value.field == f"{path}:3"
+    assert raised.value.reason.startswith("invalid JSON: ")
+
+
+@pytest.mark.parametrize("where", ["before", "after", "alone"])
+@pytest.mark.parametrize("space", NON_JSON_SPACE, ids=SPACE_IDS)
+def test_non_json_whitespace_exits_2_through_eval(tmp_path, space, where):
+    (tmp_path / "pred.jsonl").write_text("\n".join(PREDICTION_LINES) + "\n", encoding="utf-8")
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("\n".join(_wrapped(GOLD_LINES, 1, space, where)) + "\n", encoding="utf-8")
+    code, message = _run(
+        "eval", "--gold", str(gold), "--pred", str(tmp_path / "pred.jsonl"),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert message.startswith(f"error: {gold}:2: invalid JSON: "), message
+    assert sorted(child.name for child in tmp_path.iterdir()) == ["gold.jsonl", "pred.jsonl"]
+
+
+def test_crlf_and_blank_lines_still_load(tmp_path):
+    path = tmp_path / "q.jsonl"
+    path.write_text("\n".join(QUESTION_LINES) + "\n", encoding="utf-8")
+    expected = [vars(record) for record in read_questions(path)]
+    path.write_bytes(
+        b"\r\n \t\r\n\n".join(line.encode("utf-8") for line in QUESTION_LINES) + b"\r\n\r\n"
+    )
+    assert [vars(record) for record in read_questions(path)] == expected
