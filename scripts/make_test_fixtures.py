@@ -21,7 +21,7 @@ DATA = REPO / "tests" / "data"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from egoview.corpus import load_scene  # noqa: E402
+from egoview.scene import load_scene  # noqa: E402
 from egoview.selection import select_view_for_dc, visible_objects  # noqa: E402
 from egoview.solvability import WitnessConfig, min_view_count, witness_matrix  # noqa: E402
 from egoview.synthesis import eligible_pairs, read_questions  # noqa: E402

@@ -128,7 +128,8 @@ def _check_outputs(args, **outputs: str) -> None:
 
 
 def cmd_solvability(args) -> int:
-    from .corpus import load_scenes_dir, read_instructions
+    from .corpus import read_instructions
+    from .scene import load_scenes_dir
     from .solvability import (
         WitnessConfig,
         format_solvability_report,
@@ -153,7 +154,8 @@ def cmd_solvability(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    from .corpus import load_scenes_dir, write_jsonl
+    from .corpus import write_jsonl
+    from .scene import load_scenes_dir
     from .solvability import WitnessConfig
     from .synthesis import (
         ANSWER_TOKEN_LIMIT,
@@ -200,11 +202,11 @@ def cmd_build_corpus(args) -> int:
         CaptionBuildConfig,
         build_caption_triplets,
         extend_dataset_triplets,
-        load_scenes_dir,
         read_instructions,
         triplet_to_dict,
         write_jsonl,
     )
+    from .scene import load_scenes_dir
     from .selection import alignment
 
     report_path = _report_path(args)

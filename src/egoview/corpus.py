@@ -1,133 +1,33 @@
-"""Scene and instruction data model, file schemas, and triplet corpus building.
-
-Scene files are JSON, one scene per file:
-
-    {"scene_id": ..., "split": "train"|"val"|"test", "points_path"?: ...,
-     "objects": [{"object_id", "label", "box": {"center": [3], "size": [3], "heading"}}],
-     "views": [{"view_id", "image_path"?,
-                "intrinsics": {"fx","fy","cx","cy","width","height"},
-                "pose": {"rotation": [3][3], "translation": [3],
-                         "convention": "camera_to_world"}}]}
-
-`load_scene` decodes a scene file's bytes with orjson, or with the stdlib
-decoder where orjson refuses or misreads them (see `_scene`), and reads the
-tree straight into two tables: `Objects` (ids, labels, box parameters and
-world corners (N, 8, 3)) and `Views` (ids, image paths, rotations (V, 3, 3),
-translations (V, 3), pinhole rows (V, 4) and image sizes (V, 2)).  One
-table of fields per entry kind (`_OBJECT_FIELDS`, `_VIEW_FIELDS`) states
-each leaf's key path, kind and shape.  `_gather` reads each field of
-every entry as one column, one `np.array` call per numeric field, and the
-`geometry.first_bad_*` value checks run over whole columns.  If either
-rejects a table, `_walk` reads its entries in file order against the same
-table and raises the first error.  When only a
-value check rejects it, the walk starts at the first entry that check
-names: every earlier entry passed every rule.  Float fields take
-JSON numbers only, integer fields JSON integers only.  The cyclic GC is
-paused for one `load_scene`: the decoded tree has many fresh containers and
-no cycles.
-
-Scene and record files must be UTF-8, and no text field may hold a lone
-surrogate; either is a SchemaError naming the file, line or field.  Record
-files (instructions, triplets, predictions, composed questions) are
-line-delimited JSON with keys in a fixed order so identical inputs produce
-byte-identical outputs.  Their field tables, their one reader and
-`OutputFiles` live in `records`, which needs no numpy; this module reads
-instructions and triplets with them and writes JSONL through them.  The
-triplet builders import `selection` when they run; loading scenes needs none.
+"""Instructions and the triplet corpus: instruction and triplet files, and
+the builders of <2D view, set of 3D objects, text> triplets from the
+scenes `scene` loads.  Record files are UTF-8 JSON lines whose keys keep a
+fixed order, so identical inputs give byte-identical outputs; their field
+tables, their one reader and `OutputFiles` live in `records`, which needs
+no numpy.  The triplet builders import `selection` when they run.
 """
 
 from __future__ import annotations
 
-import gc
-import io
 import json
 import logging
-import re
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-import orjson
 
 from . import geometry
 from ._util import check_stride, finite_number
-from .errors import DuplicateId, NoViews, RuleError, SchemaError, UnknownObjectId, UnknownScene
-from .geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    OrientedBox3D,
-    box_corners,
-    first_bad_box,
-    first_bad_intrinsics,
-    first_bad_pose,
-)
-from .records import (
-    INSTRUCTIONS,
-    TRIPLETS,
-    OutputFiles,
-    _encodable,
-    _integer,
-    _list,
-    _require,
-    _text,
-    check_rules,
-    read_records,
-)
-from .solvability import Objects, SceneObject, View, Views
+from .errors import NoViews, UnknownObjectId, UnknownScene
+from .records import INSTRUCTIONS, TRIPLETS, OutputFiles, check_rules, read_records
+from .scene import Objects, Scene, Views
+
+# perfbench/probe.py, tracer.py and test_perfbench.py read the loaders here.
+from .scene import load_scene, load_scenes_dir  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-SPLITS = ("train", "val", "test")
-
-
-def _check_split(split) -> str:
-    """`split` if it is one of SPLITS, else RuleError naming `scene.split`."""
-    if split not in SPLITS:
-        raise RuleError("scene.split", f"must be one of {SPLITS}, got {split!r}")
-    return split
-
-
-def _check_scene_id(scene_id: str) -> str:
-    """`scene_id` if it is non-empty, else RuleError naming `scene.scene_id`."""
-    if not scene_id:
-        raise RuleError("scene.scene_id", "must be non-empty")
-    return scene_id
-
-
-@dataclass(eq=False)
-class Scene:
-    """A 3D scene: annotated objects and posed views, as tables (lists of
-    records are converted), and a dataset split."""
-
-    scene_id: str
-    objects: Objects
-    views: Views
-    split: str
-    points_path: str | None = None
-
-    def __post_init__(self):
-        _check_scene_id(self.scene_id)
-        _check_split(self.split)
-        self.objects = Objects.of(self.objects)
-        self.views = Views.of(self.views)
-        self._check_unique(self.objects.ids, "objects", "object_id")
-        self._check_unique(self.views.ids, "views", "view_id")
-
-    def _check_unique(self, ids: tuple, table: str, key: str) -> None:
-        """Raise DuplicateId naming the first entry whose id repeats an earlier one."""
-        if len(set(ids)) == len(ids):
-            return
-        first: dict = {}
-        for i, value in enumerate(ids):
-            j = first.setdefault(value, i)
-            if j != i:
-                raise DuplicateId(
-                    f"scene {self.scene_id}: {table}[{i}].{key}: {value!r} repeats {table}[{j}]"
-                )
 
 
 @dataclass(eq=False)
@@ -187,327 +87,6 @@ class CaptionBuildConfig:
             raise ValueError("num_captions must be >= 1")
         if not finite_number(self.threshold):  # NaN would keep every caption
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
-
-
-def _number(value, path: str, depth: int = 0):
-    """`value` if it is a JSON number or, for depth > 0, if the entries
-    `depth` lists deep in it are; the first that is not raises SchemaError
-    naming its path.  A non-list where one is expected is left alone."""
-    if depth:
-        for k, item in enumerate(value if isinstance(value, list) else ()):
-            _number(item, f"{path}[{k}]", depth - 1)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"must be a number, got {value!r}")
-    return value
-
-
-# One row per field of a scene entry, in the order `_walk` reports errors:
-# key path, kind and, for a vector or matrix, its shape error.  Kinds:
-# "integer", "id" and "label" (non-empty text), "path" (text or null, may be
-# absent), "convention" ("camera_to_world"), "size" (an integer below 2**63)
-# and "number", "vector", "matrix" (a JSON number, 3 numbers, 3 rows of 3).
-# Value rules are `geometry.first_bad_*`.
-_OBJECT_FIELDS = (
-    (("object_id",), "integer", None),
-    (("label",), "label", None),
-    (("box", "center"), "vector", "center and size must be 3-vectors"),
-    (("box", "size"), "vector", "center and size must be 3-vectors"),
-    (("box", "heading"), "number", None),
-)
-_VIEW_FIELDS = (
-    (("view_id",), "id", None),
-    (("intrinsics", "fx"), "number", None),
-    (("intrinsics", "fy"), "number", None),
-    (("intrinsics", "cx"), "number", None),
-    (("intrinsics", "cy"), "number", None),
-    (("intrinsics", "width"), "size", None),
-    (("intrinsics", "height"), "size", None),
-    (("pose", "convention"), "convention", None),
-    (("pose", "rotation"), "matrix", "rotation must be 3x3"),
-    (("pose", "translation"), "vector", "translation must be a 3-vector"),
-    (("image_path",), "path", None),
-)
-_DEPTH = {"number": 0, "vector": 1, "matrix": 2}
-_REJECTED = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _expect(ok: bool) -> None:
-    if not ok:
-        raise ValueError("rejected")
-
-
-def _strings(values: Sequence) -> bool:
-    """Whether every value is a string UTF-8 can encode; some non-strings raise TypeError."""
-    return all(map(str.isascii, values)) or all(map(_encodable, values))
-
-
-def _gather(fields, entries: list) -> list:
-    """Each field of every entry as a column, in table order: a tuple, None
-    (convention) or an array (N, *shape); a field of the wrong kind or shape
-    raises one of _REJECTED.  Rows are measured before their leaves are
-    flattened: a 3-character string or a 3-key object unpacks like 3 numbers."""
-    nodes = {(): entries}
-    columns = []
-    for keys, kind, _ in fields:
-        if kind == "path":
-            values = list(map(dict.get, _node(nodes, keys[:-1]), repeat(keys[-1])))
-        else:
-            values = _node(nodes, keys)
-        if kind in _DEPTH:
-            for _ in range(_DEPTH[kind]):
-                _expect({3}.issuperset(map(len, values)))
-                values = list(chain.from_iterable(values))
-            _expect({int, float}.issuperset(map(type, values)))
-            columns.append(np.array(values, dtype=np.float64).reshape(-1, *(3,) * _DEPTH[kind]))
-        elif kind in ("integer", "size"):
-            _expect({int}.issuperset(map(type, values)))
-            columns.append(np.array(values, dtype=np.int64) if kind == "size" else tuple(values))
-        elif kind == "convention":
-            _expect(values.count("camera_to_world") == len(values))
-            columns.append(None)
-        else:
-            present = [value for value in values if value is not None] if kind == "path" else values
-            _expect(_strings(present) and (kind == "path" or all(values)))
-            columns.append(tuple(values))
-    return columns
-
-
-def _node(nodes: dict, keys: tuple) -> list:
-    """Every entry's value at `keys`, cached in `nodes` ({(): entries}).  Not a
-    closure: one calling itself is a reference cycle, which would keep the
-    decoded tree alive while the cyclic GC is paused."""
-    if keys not in nodes:
-        nodes[keys] = list(map(itemgetter(keys[-1]), _node(nodes, keys[:-1])))
-    return nodes[keys]
-
-
-def _walk(fields, entry, where: str) -> list:
-    """Each field of the entry at `where`, converted, in table order; the
-    first that is missing or of the wrong kind or shape raises SchemaError
-    naming it, or, for a failed conversion, the object holding it."""
-    values = []
-    for keys, kind, shape in fields:
-        value, path = entry, where
-        for key in keys:
-            parent = path
-            try:
-                if key not in value and kind != "path":
-                    raise SchemaError(f"{path}.{key}", "missing")
-                value = value.get(key) if kind == "path" else value[key]
-            except TypeError as exc:  # a non-object is named; inside a pose, by its entry
-                raise SchemaError(where if keys[0] == "pose" else path, str(exc)) from exc
-            path = f"{path}.{key}"
-        if kind in _DEPTH:
-            try:
-                value = _number(value, path, _DEPTH[kind])
-                value = float(value) if kind == "number" else np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(parent, str(exc)) from exc
-            if np.shape(value) != (3,) * _DEPTH[kind]:
-                raise SchemaError(parent, shape)
-        elif kind in ("integer", "size"):
-            _integer(value, path)
-            if kind == "size" and value >= 2**63:
-                raise SchemaError(path, f"must be below 2**63, got {value!r}")
-        elif kind == "convention":
-            if value != "camera_to_world":
-                raise SchemaError(path, f"unsupported convention {value!r}")
-        else:
-            _text(value, path, optional=kind == "path")
-            if kind == "label" and not value:
-                raise SchemaError(where, "label must be non-empty")
-            if kind == "id" and not value:
-                raise SchemaError(path, "must be non-empty")
-        values.append(value)
-    return values
-
-
-def _checked(path: str, record, *args):
-    """record(*args), with its ValueError raised as SchemaError naming `path`."""
-    try:
-        return record(*args)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _object_record(entry, where: str) -> SceneObject:
-    """The objects entry at `where` as a record; raises its first error."""
-    object_id, label, center, size, heading = _walk(_OBJECT_FIELDS, entry, where)
-    box = _checked(f"{where}.box", OrientedBox3D, center, size, heading)
-    return SceneObject(object_id, label, box)
-
-
-def _view_record(entry, where: str) -> View:
-    """The views entry at `where` as a record; raises its first error."""
-    view_id, *pinhole, width, height, _, rotation, translation, path = _walk(
-        _VIEW_FIELDS, entry, where
-    )
-    intrinsics = _checked(f"{where}.intrinsics", CameraIntrinsics, *pinhole, width, height)
-    pose = _checked(f"{where}.pose", CameraPose, rotation, translation)
-    return View(view_id, intrinsics, pose, path)
-
-
-def _first_error(record, table: str, entries: list, start: int) -> NoReturn:
-    """Raise the first error of the first entry of `table`, from `start` on,
-    that has one."""
-    for i in range(start, len(entries)):
-        record(entries[i], f"{table}[{i}]")
-    raise AssertionError(f"{table} fail a column check, but no entry fails its walk")
-
-
-def _object_table(entries: list) -> Objects:
-    start = 0
-    try:
-        ids, labels, centers, sizes, headings = _gather(_OBJECT_FIELDS, entries)
-        bad = first_bad_box(centers, sizes, headings)
-        if bad is None:
-            corners = box_corners(centers, sizes, headings.tolist())
-            return Objects(ids, labels, centers, sizes, headings, corners)
-        start = bad[0]  # every earlier entry passed every rule
-    except _REJECTED:  # walked below, outside the handler: no chained internal error
-        pass
-    _first_error(_object_record, "objects", entries, start)
-
-
-def _view_table(entries: list) -> Views:
-    start = 0
-    try:
-        ids, *pinhole, width, height, _, rotations, translations, paths = _gather(
-            _VIEW_FIELDS, entries
-        )
-        pinhole, sizes = np.stack(pinhole, axis=1), np.stack([width, height], axis=1)
-        found = (first_bad_intrinsics(pinhole, sizes), first_bad_pose(rotations, translations))
-        bad = [index for index, _ in filter(None, found)]
-        if not bad:
-            return Views(ids, paths, rotations, translations, pinhole, sizes)
-        start = min(bad)  # every earlier entry passed every rule
-    except _REJECTED:
-        pass
-    _first_error(_view_record, "views", entries, start)
-
-
-def load_scene(path: str | Path) -> Scene:
-    """Parse and validate one scene file into object and view tables; raises
-    SchemaError / DuplicateId naming the first bad entry in file order.  The
-    cyclic GC is paused until the decoded tree, which holds no cycles, is freed."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _scene(Path(path))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# orjson 3.8 builds its tree recursively with no depth limit: valid text
-# nested some 40,000 deep overflows the C stack.  Later releases refuse
-# text nested deeper than 1024 themselves; the stdlib decoder names it.
-_ORJSON_DEPTH = 1024
-_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'"[]{}')))
-# Where an integer literal outside [-2**63, 2**64), which orjson reads as a
-# float, could start: any such literal has 19 digits or more, and the
-# digits of a fraction, which follow a point, never match.
-_LONG_DIGITS = re.compile(rb"(?<![.\d])\d{19}")
-
-
-def _scene(path: Path) -> Scene:
-    """The scene in the file at `path`.  orjson decodes its bytes; the
-    stdlib decoder is the reference, and decodes them instead when orjson
-    refuses them (NaN, Infinity, an overflowing number, a lone surrogate,
-    a BOM, invalid UTF-8 or JSON), when they nest deeper than
-    _ORJSON_DEPTH, or when the orjson tree fails a check and the bytes
-    hold a digit run long enough for an integer orjson reads as a float."""
-    raw = path.read_bytes()
-    if _nesting(raw) <= _ORJSON_DEPTH:
-        try:
-            tree = orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            try:
-                return _scene_of(tree, path)
-            except (SchemaError, DuplicateId):
-                if not _LONG_DIGITS.search(raw):
-                    raise
-    return _scene_of(_reference_tree(raw, path), path)
-
-
-def _nesting(raw: bytes) -> int:
-    """How deep the brackets of the JSON text `raw` nest outside its strings;
-    exact for valid JSON, the only text orjson builds a tree from.
-
-    Once the quote pairs that enclose no bracket are gone, a quote remains
-    only where a string holds a bracket (no generated or fixture scene
-    has one); only then are quotes and what they enclose zeroed, by quote
-    parity.  Otherwise the depth is the running sum of +1 per [ or { and
-    -1 per ] or }.  That sum moves by one per bracket, so in int32 it
-    cannot wrap without first passing any depth limit."""
-    if b"\\" in raw:  # drop escaped backslashes, then escaped quotes
-        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
-    # Brackets and quotes, less the quote pairs that enclose no bracket.
-    marks = raw.translate(None, _NOT_STRUCTURAL).replace(b'""', b"")
-    codes = np.frombuffer(marks, np.uint8)
-    step = (codes & 2).astype(np.int32) - 1  # [ and { have bit 1 set, ] and } clear
-    if b'"' in marks:
-        quotes = codes == ord('"')
-        step[quotes | (np.cumsum(quotes) % 2 == 1)] = 0  # quotes and what they enclose
-    return int(np.cumsum(step, dtype=np.int32).max(initial=0))
-
-
-def _reference_tree(raw: bytes, path: Path):
-    """`raw` decoded as `Path.read_text` and `json.loads` decode a file;
-    their errors are SchemaErrors naming `path`."""
-    try:
-        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
-    except UnicodeDecodeError as exc:
-        raise SchemaError(str(path), f"invalid UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
-
-
-def _scene_of(data, path: Path) -> Scene:
-    """The scene a decoded file holds; raises its first error."""
-    if not isinstance(data, dict):
-        raise SchemaError(str(path), "scene file must hold a JSON object")
-
-    scene_id = _check_scene_id(_text(_require(data, "scene_id", "scene"), "scene.scene_id"))
-    split = _check_split(_require(data, "split", "scene"))
-    objects = _object_table(_list(_require(data, "objects", "scene"), "scene.objects"))
-    views = _view_table(_list(_require(data, "views", "scene"), "scene.views"))
-    return Scene(
-        scene_id=scene_id,
-        objects=objects,
-        views=views,
-        split=split,
-        points_path=_text(data.get("points_path"), "scene.points_path", optional=True),
-    )
-
-
-def load_scenes_dir(directory: str | Path) -> dict[str, Scene]:
-    """Load every *.json scene file in a directory, keyed by scene_id.
-
-    Errors name the file, as record errors do: `path:field: reason` for a
-    SchemaError and `path: message` for a DuplicateId; a scene_id repeated
-    across files names both files.  A `directory` that is missing or is
-    not a directory raises the OSError naming it."""
-    scenes: dict[str, Scene] = {}
-    files: dict[str, Path] = {}
-    for path in sorted(p for p in Path(directory).iterdir() if p.match("*.json")):
-        try:
-            scene = load_scene(path)
-        except SchemaError as exc:
-            if exc.field == str(path):  # whole-file errors already name it
-                raise
-            raise SchemaError(f"{path}:{exc.field}", exc.reason) from exc
-        except DuplicateId as exc:
-            raise DuplicateId(f"{path}: {exc}") from exc
-        if scene.scene_id in scenes:
-            raise DuplicateId(
-                f"{path}: scene id {scene.scene_id!r} already used in {files[scene.scene_id]}"
-            )
-        scenes[scene.scene_id] = scene
-        files[scene.scene_id] = path
-    return scenes
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:

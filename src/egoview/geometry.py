@@ -25,7 +25,7 @@ and clips only the pairs that straddle the near plane, as a masked
 intersection over the 12 cube edges.  Cameras come as columns: an object
 whose `rotations` (V, 3, 3), `translations` (V, 3) and `pinhole` (V, 4) rows
 hold one camera each, plus `sizes` (V, 2) of (width, height);
-`solvability.Views` is that object for a scene.  One function feeds it a
+`scene.Views` is that object for a scene.  One function feeds it a
 scene's pairs, a fixed chunk at a time: `image_overlap` first drops the
 pairs whose box's bounding sphere lies wholly outside one of the view's
 five frustum planes (near, left, right, top, bottom), and returns the IoSA
@@ -39,7 +39,7 @@ pair to the kernel directly; `iosa` is a batch-of-one wrapper over
 
 The value rules are `first_bad_box`, `first_bad_intrinsics` and
 `first_bad_pose`, which name the first failing row of columns and its reason;
-the dataclasses check their one row with them, `corpus.load_scene` whole tables.
+the dataclasses check their one row with them, `scene.load_scene` whole tables.
 
 All operations are pure functions of value inputs and are safe to call
 concurrently.

@@ -34,12 +34,6 @@ def view_bucket(n: int | None) -> str:
     return str(n)
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing")
-    return obj[key]
-
-
 def _integer(value, path: str) -> int:
     """`value` if it is a JSON integer; bools, fractions and other types raise
     SchemaError naming `path`."""

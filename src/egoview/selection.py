@@ -10,7 +10,8 @@ import numpy as np
 
 from . import geometry
 from .errors import NoneVisible, NoViews, UnknownObjectId
-from .solvability import Objects, SceneObject, View, Views, WitnessConfig, WitnessTable
+from .scene import Objects, SceneObject, View, Views
+from .solvability import WitnessConfig, WitnessTable
 
 
 def alignment(tau: float) -> WitnessConfig:

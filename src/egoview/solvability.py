@@ -6,15 +6,16 @@ image rectangle with intersection-over-smaller-area above a threshold and the
 projection is not impractically small.  An instruction is "solvable" under a
 view set when every referenced object is witnessed by at least one view in
 the set; the minimum number of views needed is a set-cover optimum over the
-per-view witness sets.  A witness table packs its rows once into Python-int
-bitmasks, one bit per object id, and every count stays on those ints down
-through the solver's pruning, greedy and exact search.
+per-view witness sets.  A witness table of a scene's `Objects` and `Views`
+(see `scene`) packs its rows once into Python-int bitmasks, one bit per
+object id, and every count stays on those ints down through the solver's
+pruning, greedy and exact search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -23,138 +24,13 @@ import numpy as np
 from . import geometry
 from ._util import check_stride, percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
-from .geometry import CameraIntrinsics, CameraPose, OrientedBox3D, box_corners
 from .records import BUCKETS, view_bucket
+from .scene import Objects, SceneObject, View, Views
 
 # Above this many candidate views (after dominance pruning) the exact
 # branch-and-bound search is abandoned in favour of greedy max-coverage.
 EXACT_SEARCH_LIMIT = 24
 _Sets = Sequence[tuple[str, "frozenset | int"]]  # (id, members) pairs
-
-
-@dataclass(eq=False)
-class SceneObject:
-    """An annotated scene object: id, label, oriented 3D box."""
-
-    object_id: int
-    label: str
-    box: OrientedBox3D
-
-    def __post_init__(self):
-        if not self.label:
-            raise ValueError("label must be non-empty")
-
-
-@dataclass(eq=False)
-class View:
-    """A posed egocentric camera, optionally backed by an image file."""
-
-    view_id: str
-    intrinsics: CameraIntrinsics
-    pose: CameraPose
-    image_path: str | None = None
-
-
-class _Columns:
-    """Rows of a column table.  An int index gives one row as a record and
-    iteration yields every record; a slice, index array or boolean mask gives
-    the selected rows as a table of the same kind."""
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self._record(range(len(self))[key])
-        index = np.arange(len(self))[key]
-        rows = index.tolist()
-        return type(self)(**{
-            f.name: tuple(map(value.__getitem__, rows)) if isinstance(value, tuple) else value[index]
-            for f in fields(self)
-            for value in [getattr(self, f.name)]
-        })
-
-
-@dataclass(frozen=True, eq=False)
-class Objects(_Columns):
-    """Scene objects as columns, one row per object: ids, labels, box centers
-    (N, 3), full extents (N, 3), headings (N,) and world corners (N, 8, 3)."""
-
-    ids: tuple[int, ...]
-    labels: tuple[str, ...]
-    centers: np.ndarray
-    sizes: np.ndarray
-    headings: np.ndarray
-    corners: np.ndarray
-
-    @classmethod
-    def of(cls, objects: Objects | Iterable[SceneObject]) -> Objects:
-        """`objects` itself if it is a table, else the table of the records."""
-        if isinstance(objects, Objects):
-            return objects
-        objects = list(objects)
-        centers = np.array([obj.box.center for obj in objects], dtype=np.float64).reshape(-1, 3)
-        sizes = np.array([obj.box.size for obj in objects], dtype=np.float64).reshape(-1, 3)
-        headings = np.array([obj.box.heading for obj in objects], dtype=np.float64)
-        return cls(
-            ids=tuple(obj.object_id for obj in objects),
-            labels=tuple(obj.label for obj in objects),
-            centers=centers,
-            sizes=sizes,
-            headings=headings,
-            corners=box_corners(centers, sizes, headings.tolist()),
-        )
-
-    def _record(self, i: int) -> SceneObject:
-        box = OrientedBox3D(self.centers[i], self.sizes[i], float(self.headings[i]))
-        return SceneObject(self.ids[i], self.labels[i], box)
-
-
-@dataclass(frozen=True, eq=False)
-class Views(_Columns):
-    """Posed cameras as columns, one row per view: ids, image paths (None
-    where a view has none), camera-to-world rotations (V, 3, 3) and
-    translations (V, 3), pinhole rows (V, 4) of (fx, fy, cx, cy), and image
-    sizes (V, 2) of (width, height) as integers.  These are the camera
-    columns the `geometry` projector reads."""
-
-    ids: tuple[str, ...]
-    image_paths: tuple[str | None, ...]
-    rotations: np.ndarray
-    translations: np.ndarray
-    pinhole: np.ndarray
-    sizes: np.ndarray
-
-    @classmethod
-    def of(cls, views: Views | Iterable[View]) -> Views:
-        """`views` itself if it is a table, else the table of the records."""
-        if isinstance(views, Views):
-            return views
-        views = list(views)
-        intrinsics = [view.intrinsics for view in views]
-        return cls(
-            ids=tuple(view.view_id for view in views),
-            image_paths=tuple(view.image_path for view in views),
-            rotations=np.array([view.pose.rotation for view in views]).reshape(-1, 3, 3),
-            translations=np.array([view.pose.translation for view in views]).reshape(-1, 3),
-            pinhole=np.array(
-                [(i.fx, i.fy, i.cx, i.cy) for i in intrinsics], dtype=np.float64
-            ).reshape(-1, 4),
-            sizes=np.array([(i.width, i.height) for i in intrinsics], dtype=np.int64).reshape(-1, 2),
-        )
-
-    def _record(self, i: int) -> View:
-        fx, fy, cx, cy = self.pinhole[i].tolist()
-        width, height = self.sizes[i].tolist()
-        return View(
-            view_id=self.ids[i],
-            intrinsics=CameraIntrinsics(fx, fy, cx, cy, width, height),
-            pose=CameraPose(self.rotations[i], self.translations[i]),
-            image_path=self.image_paths[i],
-        )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Scene
 from .records import QUESTIONS, check_rules, read_records
+from .scene import Scene
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
 

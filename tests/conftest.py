@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egoview.corpus import load_scene
+from egoview.scene import load_scene
 from egoview.geometry import CameraIntrinsics, CameraPose
 
 DATA_DIR = Path(__file__).parent / "data"

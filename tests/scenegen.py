@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
-from egoview.solvability import SceneObject, View
+from egoview.scene import SceneObject, View
 
 _INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 _STANDOFFS = (0.0, -2.0, -5.0, -20.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from egoview.cli import main
-from egoview.corpus import CaptionBuildConfig, Scene, build_caption_triplets
+from egoview.corpus import CaptionBuildConfig, build_caption_triplets
 from egoview.evaluate import normalize_answer
 from egoview.geometry import (
     CameraIntrinsics,
@@ -24,10 +24,9 @@ from egoview.geometry import (
     project_box,
     project_point,
 )
+from egoview.scene import Scene, SceneObject, View
 from egoview.services import StubModelService
 from egoview.solvability import (
-    SceneObject,
-    View,
     WitnessConfig,
     greedy_cover,
     min_cover,

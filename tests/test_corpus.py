@@ -20,28 +20,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egoview.scene
+from egoview import geometry
 from egoview.corpus import (
     CaptionBuildConfig,
     Instruction,
-    Scene,
     TripletProvenance,
     TripletRecord,
     build_caption_triplets,
     extend_dataset_triplets,
-    load_scene,
-    load_scenes_dir,
     read_instructions,
     read_triplets,
     triplet_to_dict,
     write_jsonl,
 )
-from egoview import corpus, geometry
-from egoview.errors import DuplicateId, NoViews, SchemaError, UnknownObjectId, UnknownScene
+from egoview.errors import (
+    DuplicateId,
+    NoViews,
+    RuleError,
+    SchemaError,
+    UnknownObjectId,
+    UnknownScene,
+)
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from egoview.scene import Scene, SceneObject, View, load_scene, load_scenes_dir
 from egoview.selection import image_refs
 from egoview.services import StubModelService
-from egoview.solvability import SceneObject, View
 from egoview.synthesis import read_questions
 
 from .oracles import scalar_box_rect
@@ -90,7 +95,7 @@ class TestLoadScene:
         assert len(scene_a.objects) == 8
         assert len(scene_a.views) == 12
         assert scene_a.split == "train"
-        assert scene_a.points_path == "points/scene-a.ply"
+        assert not hasattr(scene_a, "points_path")  # checked, not kept
 
     def test_split_is_read_from_the_scene_file(self, scenes):
         assert {scene_id: scene.split for scene_id, scene in scenes.items()} == {
@@ -216,8 +221,7 @@ def _load_outcome(path) -> tuple:
         return ("SchemaError", exc.field, exc.reason)
     except DuplicateId as exc:
         return ("DuplicateId", str(exc))
-    return (repr(scene.scene_id), scene.split, scene.points_path,
-            _columns(scene.objects), _columns(scene.views))
+    return (repr(scene.scene_id), scene.split, _columns(scene.objects), _columns(scene.views))
 
 
 def _both_decoders(path) -> tuple:
@@ -280,7 +284,7 @@ class TestDecodePaths:
     @settings(max_examples=300, deadline=None)
     def test_nesting_counts_brackets_outside_strings(self, value, ascii_only):
         text = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8")
-        assert corpus._nesting(text) == _depth(value)
+        assert egoview.scene._nesting(text) == _depth(value)
 
     @pytest.mark.parametrize("level", [b"[", b'{"a": ', b'[{"a": '])
     def test_deep_nesting_is_named_by_the_stdlib_decoder(self, tmp_path, level):
@@ -294,7 +298,7 @@ class TestDecodePaths:
         path.write_bytes(json.dumps(scene_payload()).encode()[:-1] + b', "extra": ' + deep + b"}")
         script = (
             "import sys\n"
-            "from egoview.corpus import load_scene\n"
+            "from egoview.scene import load_scene\n"
             "try:\n"
             "    load_scene(sys.argv[1])\n"
             "except Exception as exc:\n"
@@ -302,7 +306,7 @@ class TestDecodePaths:
         )
         result = subprocess.run(
             [sys.executable, "-c", script, str(path)],
-            env={**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])},
+            env={**os.environ, "PYTHONPATH": str(Path(egoview.scene.__file__).parents[1])},
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
@@ -327,7 +331,7 @@ class TestDecodePaths:
         quote is left once the empty quote pairs are gone; the others go
         through the quote-parity pass."""
         assert _depth(json.loads(text)) == depth
-        assert corpus._nesting(text) == depth
+        assert egoview.scene._nesting(text) == depth
 
     @staticmethod
     def _nested_scene(tmp_path, depth: int) -> Path:
@@ -338,23 +342,23 @@ class TestDecodePaths:
             json.dumps(scene_payload()).encode()[:-1]
             + b', "extra": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
         )
-        assert corpus._nesting(path.read_bytes()) == depth
+        assert egoview.scene._nesting(path.read_bytes()) == depth
         return path
 
     @staticmethod
     def _spy_reference_tree(monkeypatch) -> list:
         calls = []
-        reference_tree = corpus._reference_tree
+        reference_tree = egoview.scene._reference_tree
 
         def spy(raw, path):
             calls.append(path)
             return reference_tree(raw, path)
 
-        monkeypatch.setattr(corpus, "_reference_tree", spy)
+        monkeypatch.setattr(egoview.scene, "_reference_tree", spy)
         return calls
 
     def test_nesting_within_the_limit_is_decoded_by_orjson(self, tmp_path, monkeypatch):
-        path = self._nested_scene(tmp_path, corpus._ORJSON_DEPTH)
+        path = self._nested_scene(tmp_path, egoview.scene._ORJSON_DEPTH)
         calls = self._spy_reference_tree(monkeypatch)
         assert load_scene(path).scene_id == "s1"
         assert calls == []
@@ -362,7 +366,7 @@ class TestDecodePaths:
     def test_nesting_beyond_the_limit_goes_to_the_stdlib_decoder(self, tmp_path, monkeypatch):
         """Whether the stdlib decoder then names the text as too deep
         depends on the caller's stack depth; only the route is pinned."""
-        path = self._nested_scene(tmp_path, corpus._ORJSON_DEPTH + 1)
+        path = self._nested_scene(tmp_path, egoview.scene._ORJSON_DEPTH + 1)
         calls = self._spy_reference_tree(monkeypatch)
         try:
             load_scene(path)
@@ -562,9 +566,9 @@ class TestColumnLoad:
                     pass
             try:
                 for i, entry in enumerate(payload["objects"]):
-                    corpus._object_record(entry, f"objects[{i}]")
+                    egoview.scene._object_record(entry, f"objects[{i}]")
                 for i, entry in enumerate(payload["views"]):
-                    corpus._view_record(entry, f"views[{i}]")
+                    egoview.scene._view_record(entry, f"views[{i}]")
                 expected = None
             except SchemaError as exc:
                 expected = (exc.field, exc.reason)
@@ -593,9 +597,9 @@ class TestColumnLoad:
                 payload = _edited(copy.deepcopy(base), keys, copy.deepcopy(trap))
                 try:
                     for i, entry in enumerate(payload["objects"]):
-                        corpus._object_record(entry, f"objects[{i}]")
+                        egoview.scene._object_record(entry, f"objects[{i}]")
                     for i, entry in enumerate(payload["views"]):
-                        corpus._view_record(entry, f"views[{i}]")
+                        egoview.scene._view_record(entry, f"views[{i}]")
                     expected = "loads"
                 except SchemaError as exc:
                     expected = (exc.field, exc.reason)
@@ -646,7 +650,7 @@ class TestColumnLoad:
         payload = scene_payload()
         for keys, value in edits.items():
             _edited(payload, (table, 0, *keys), value)
-        parse = corpus._view_record if table == "views" else corpus._object_record
+        parse = egoview.scene._view_record if table == "views" else egoview.scene._object_record
         with pytest.raises(SchemaError) as expected:
             parse(payload[table][0], f"{table}[0]")
         with pytest.raises(SchemaError) as excinfo:
@@ -688,13 +692,13 @@ class TestFirstErrorWalk:
         for keys, value in edits.items():
             _edited(payload, (table, *keys), copy.deepcopy(value))
         name = "_view_record" if table == "views" else "_object_record"
-        record, walks = getattr(corpus, name), []
+        record, walks = getattr(egoview.scene, name), []
 
         def counted(entry, where):
             walks.append(where)
             return record(entry, where)
 
-        monkeypatch.setattr(corpus, name, counted)
+        monkeypatch.setattr(egoview.scene, name, counted)
         with pytest.raises(SchemaError) as excinfo:
             load_scene(_write_scene(tmp_path, payload))
         assert (excinfo.value.field, excinfo.value.reason) == error
@@ -716,16 +720,86 @@ class TestSchemaDrift:
 
     @pytest.mark.parametrize(
         "table,fields,index",
-        [("objects", corpus._OBJECT_FIELDS, 0), ("views", corpus._VIEW_FIELDS, 1)],
+        [("objects", egoview.scene._OBJECT_FIELDS, 0), ("views", egoview.scene._VIEW_FIELDS, 1)],
     )
     def test_field_table_matches_scene_and_docstring(self, table, fields, index):
         rows = [keys for keys, _, _ in fields]
         assert len(set(rows)) == len(rows)
         assert sorted(rows) == sorted(_leaf_keys(base_scene()[table][index]))
-        schema = corpus.__doc__.split("\n\n")[2]
+        schema = egoview.scene.__doc__.split("\n\n")[2]
         documented = schema.split(f'"{table}": ')[1].split('"views": ')[0]
         named = set(re.findall(r'(?<!: )"(\w+)"', documented))  # ': "..."' is a value
         assert named == {key for keys in rows for key in keys}
+
+    def test_top_level_table_matches_scene_file_and_docstring(self, data_dir):
+        rows = [keys for keys, _, _ in egoview.scene._SCENE_FIELDS]
+        assert all(len(keys) == 1 for keys in rows)
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
+        assert sorted(keys[0] for keys in rows) == sorted(scene)
+        schema = egoview.scene.__doc__.split("\n\n")[2]
+        top_level = re.sub(r"\[\{.*?\}\]", "", schema, flags=re.DOTALL)  # drop the entries
+        assert set(re.findall(r'"(\w+)"\??:', top_level)) == set(scene)
+
+
+class TestSceneRules:
+    """A Scene built in code is held to the loader's rules, with its reasons."""
+
+    @staticmethod
+    def _loader_error(tmp_path, data_dir, keys, value) -> tuple:
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
+        with pytest.raises(SchemaError) as excinfo:
+            load_scene(_write_scene(tmp_path, _edited(scene, keys, value)))
+        return excinfo.value.field, excinfo.value.reason
+
+    @pytest.mark.parametrize("value", [5, None, "\ud800"])
+    def test_scene_id(self, tmp_path, data_dir, value):
+        """An empty id and a bad split: see TestLoadScene and TestColumnLoad."""
+        expected = self._loader_error(tmp_path, data_dir, ("scene_id",), value)
+        assert expected[0] == "scene.scene_id"
+        with pytest.raises(RuleError) as built:
+            Scene(value, [], [], "train")
+        assert (built.value.field, built.value.reason) == expected
+
+    @pytest.mark.parametrize(
+        "table,index,key,value",
+        [("views", 3, "view_id", ""), ("views", 3, "view_id", 7), ("views", 0, "view_id", "\ud800"),
+         ("objects", 2, "object_id", "a"), ("objects", 2, "object_id", True),
+         ("objects", 1, "label", 7)],
+    )
+    def test_records_with_a_bad_id_or_label(self, tmp_path, data_dir, scene_a, table, index, key, value):
+        """scene-a's own records, one of them edited after it was built."""
+        expected = self._loader_error(tmp_path, data_dir, (table, index, key), value)
+        records = {"objects": list(scene_a.objects), "views": list(scene_a.views)}
+        setattr(records[table][index], key, value)
+        with pytest.raises(RuleError) as built:
+            Scene("scene-a", records["objects"], records["views"], "train")
+        assert (built.value.field, built.value.reason) == expected
+
+    def test_table_with_an_empty_label(self, tmp_path, data_dir, scene_a):
+        expected = self._loader_error(tmp_path, data_dir, ("objects", 4, "label"), "")
+        assert expected == ("objects[4]", "label must be non-empty")
+        labels = list(scene_a.objects.labels)
+        labels[4] = ""
+        objects = dataclasses.replace(scene_a.objects, labels=tuple(labels))
+        with pytest.raises(RuleError) as built:
+            Scene("scene-a", objects, scene_a.views, "train")
+        assert (built.value.field, built.value.reason) == expected
+
+    @pytest.mark.parametrize(
+        "edits,field",
+        [
+            ({("scene_id",): "", ("objects", 0, "object_id"): "x"}, "scene.scene_id"),
+            ({("objects", 0, "object_id"): "x", ("points_path",): 5}, "objects[0].object_id"),
+        ],
+        ids=["scene_id-before-objects", "objects-before-points_path"],
+    )
+    def test_error_order_across_two_faults(self, tmp_path, edits, field):
+        payload = scene_payload(points_path="points/s1.ply")
+        for keys, value in edits.items():
+            _edited(payload, keys, value)
+        fast, reference = _both_decoders(_write_scene(tmp_path, payload))
+        assert fast == reference
+        assert fast[:2] == ("SchemaError", field)
 
 
 class TestStrictIntegers:
@@ -983,9 +1057,7 @@ class TestStrictText:
         scene["views"][0]["image_path"] = None
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(scene), encoding="utf-8")
-        loaded = load_scene(path)
-        assert loaded.points_path is None
-        assert loaded.views[0].image_path is None
+        assert load_scene(path).views[0].image_path is None
 
 
 class TestInstructionIO:

@@ -29,7 +29,8 @@ from egoview.geometry import (
     project_point,
     rect_area,
 )
-from egoview.solvability import Objects, SceneObject, View, Views, witness_matrix
+from egoview.scene import Objects, SceneObject, View, Views
+from egoview.solvability import witness_matrix
 
 from .oracles import (
     clipped_box_rect_oracle,

@@ -3,6 +3,7 @@ interpreters, since this test process has long since imported everything."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,15 +12,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run(script: str, *args: str) -> None:
-    """Run `script` in a fresh interpreter with egoview importable; it
-    signals a broken contract by failing an assert."""
+def _run(script: str, *args: str) -> str:
+    """Run `script` in a fresh interpreter with egoview importable and
+    return what it prints; it signals a broken contract by failing an assert."""
     result = subprocess.run(
         [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_cli_imports_no_command_module():
@@ -38,7 +40,7 @@ def test_eval_runs_without_numpy(tmp_path, data_dir):
         "code = egoview.cli.main(sys.argv[1:])\n"
         "assert code == 0, code\n"
         "unwanted = {'numpy', 'orjson', 'egoview.corpus', 'egoview.geometry',\n"
-        "            'egoview.solvability'}\n"
+        "            'egoview.scene', 'egoview.solvability'}\n"
         "loaded = unwanted & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n",
         "eval",
@@ -49,24 +51,31 @@ def test_eval_runs_without_numpy(tmp_path, data_dir):
     assert (tmp_path / "eval.report.json").is_file()
 
 
+_PRINT_LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'egoview'))\n"
+)
+
+
 def test_solvability_imports_what_the_benchmark_probe_imports(tmp_path, data_dir):
     """The probe behind `setup_s` imports egoview.cli and egoview.corpus;
-    the solvability command needs no module beyond those."""
-    _run(
+    the solvability command loads those modules and egoview.solvability,
+    nothing else."""
+    probe = _run("import sys\nimport egoview.cli\nimport egoview.corpus\n" + _PRINT_LOADED)
+    command = _run(
         "import sys\n"
         "import egoview.cli\n"
         "code = egoview.cli.main(sys.argv[1:])\n"
-        "assert code == 0, code\n"
-        "loaded = {m for m in sys.modules if m.split('.')[0] == 'egoview'}\n"
-        "expected = {'egoview', 'egoview._util', 'egoview.cli', 'egoview.corpus',\n"
-        "            'egoview.errors', 'egoview.geometry', 'egoview.records',\n"
-        "            'egoview.solvability'}\n"
-        "assert loaded == expected, sorted(loaded ^ expected)\n",
+        "assert code == 0, code\n" + _PRINT_LOADED,
         "solvability",
         "--scenes", str(data_dir / "scenes"),
         "--instructions", str(data_dir / "instructions_solvability.jsonl"),
         "--out", str(tmp_path / "report.json"),
     )
+    probe_modules = set(ast.literal_eval(probe))
+    command_modules = set(ast.literal_eval(command.splitlines()[-1]))
+    assert {"egoview.corpus", "egoview.scene"} <= probe_modules
+    assert "egoview.solvability" not in probe_modules
+    assert command_modules == probe_modules | {"egoview.solvability"}
 
 
 def test_package_import_loads_no_numpy():

@@ -30,10 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview import corpus
+import egoview.scene
 from egoview.cli import main
-from egoview.corpus import load_scene
 from egoview.errors import DuplicateId, SchemaError
+from egoview.scene import load_scene
 
 from .scenegen import random_posed_scene, scene_to_dict
 
@@ -145,13 +145,13 @@ def refuse(raw):
 
 @pytest.mark.parametrize("decoder", ["orjson", "stdlib"])
 def test_every_mutation_matches_golden(tmp_path, monkeypatch, decoder):
-    reference_tree, references = corpus._reference_tree, []
+    reference_tree, references = egoview.scene._reference_tree, []
 
     def counted(raw, path):
         references.append(path)
         return reference_tree(raw, path)
 
-    monkeypatch.setattr(corpus, "_reference_tree", counted)
+    monkeypatch.setattr(egoview.scene, "_reference_tree", counted)
     if decoder == "stdlib":
         monkeypatch.setattr(orjson, "loads", refuse)
     cases = scene_error_cases(tmp_path)

@@ -23,16 +23,9 @@ from egoview.selection import (
     select_views_for_qa,
     visible_objects,
 )
+from egoview.scene import Objects, SceneObject, View, Views
 from egoview.services import StubModelService
-from egoview.solvability import (
-    Objects,
-    SceneObject,
-    View,
-    Views,
-    WitnessConfig,
-    WitnessTable,
-    witnesses,
-)
+from egoview.solvability import WitnessConfig, WitnessTable, witnesses
 
 from .oracles import scalar_box_rect
 from .scenegen import random_line_scene, random_posed_scene

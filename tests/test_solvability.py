@@ -9,13 +9,10 @@ import pytest
 from egoview import solvability
 from egoview.errors import EmptyInput, UnknownObjectId, UnknownScene
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from egoview.scene import Objects, SceneObject, View, Views
 from egoview.solvability import (
     EXACT_SEARCH_LIMIT,
-    Objects,
     RequirementHistogram,
-    SceneObject,
-    View,
-    Views,
     ViewRequirement,
     WitnessConfig,
     WitnessTable,
