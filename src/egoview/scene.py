@@ -393,8 +393,9 @@ _SCENE_FIELDS = (
 @dataclass(eq=False)
 class Scene:
     """A 3D scene: annotated objects and posed views, as tables (lists of
-    records are converted), and a dataset split.  An id, split or label
-    that breaks a loader rule raises the loader's error as a RuleError."""
+    records are converted), and a dataset split.  An id, split, label or
+    image path that breaks a loader rule raises the loader's error as a
+    RuleError."""
 
     scene_id: str
     objects: Objects
@@ -409,6 +410,7 @@ class Scene:
                 ("objects", "object_id", "integer", self.objects.ids),
                 ("objects", "label", "label", self.objects.labels),
                 ("views", "view_id", "id", self.views.ids),
+                ("views", "image_path", "path", self.views.image_paths),
             ):
                 try:
                     _column(kind, values)

@@ -222,8 +222,12 @@ class RemoteModelService:
         route = "/v1/caption"
         body = self._post(route, {"image_path": image_ref, "num_captions": num_captions})
         captions = body.get("captions")
-        if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
-            raise ServiceUnavailable(f"{route} reply: 'captions' must be a list of strings")
+        if (
+            not isinstance(captions, list)
+            or len(captions) != num_captions
+            or not all(isinstance(c, str) for c in captions)
+        ):
+            raise ServiceUnavailable(f"{route} reply: 'captions' must be a list of {num_captions} strings")
         return captions
 
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> tuple[float, ...]:

@@ -9,7 +9,8 @@ the set; the minimum number of views needed is a set-cover optimum over the
 per-view witness sets.  A witness table of a scene's `Objects` and `Views`
 (see `scene`) packs its rows once into Python-int bitmasks, one bit per
 object id, and every count stays on those ints down through the solver's
-pruning, greedy and exact search.
+pruning, greedy bound and exact search.  The search is budgeted by nodes: a
+count whose search runs out is the best cover found, tagged 'greedy'.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .errors import EmptyInput, UnknownObjectId, UnknownScene
 from .records import BUCKETS, view_bucket
 from .scene import Objects, SceneObject, View, Views
 
-# Above this many candidate views (after dominance pruning) the exact
-# branch-and-bound search is abandoned in favour of greedy max-coverage.
-EXACT_SEARCH_LIMIT = 24
+# The exact search stops after this many nodes, keeping the best cover found;
+# a count, not a time, so the tag is the same on every machine.
+EXACT_SEARCH_NODES = 20000
 _Sets = Sequence[tuple[str, "frozenset | int"]]  # (id, members) pairs
 
 
@@ -54,7 +55,8 @@ class WitnessConfig:
 
 @dataclass(frozen=True)
 class ViewRequirement:
-    """Minimum-view result: n is None when unsolvable; solver is 'exact' or 'greedy'."""
+    """Minimum-view result: n is None when unsolvable; solver is 'exact', or
+    'greedy' when the search ran out of nodes and n is the best cover found."""
 
     n: int | None
     solver: str
@@ -169,33 +171,32 @@ def greedy_cover(sets_by_id: _Sets, universe: frozenset | int) -> list[str]:
     return chosen
 
 
-def _exact_cover_size(masks: Sequence[int], universe: int, upper_bound: int) -> int:
-    """Minimum number of masks whose union covers `universe` (branch and bound).
-
-    The masks must jointly cover the universe; upper_bound is a known
-    feasible size used as the initial pruning bound.
-    """
+def _exact_cover_size(masks: Sequence[int], universe: int, upper_bound: int) -> tuple[int, bool]:
+    """Minimum number of masks whose union covers `universe`, by branch and
+    bound below upper_bound (a known feasible size), depth first from a stack
+    so no recursion limit applies; and whether it ended within
+    EXACT_SEARCH_NODES nodes.  If not, the size is the best cover found.
+    The masks must jointly cover the universe."""
     element_bits = list(_bits(universe))
     masks_for = {bit: [m for m in masks if m & bit] for bit in element_bits}
     best = upper_bound
-
-    def dfs(covered: int, used: int) -> None:
-        nonlocal best
+    stack = [(0, 0)]  # (covered, used) of the nodes still to visit
+    budget = EXACT_SEARCH_NODES
+    while stack and budget:
+        budget -= 1
+        covered, used = stack.pop()
         if covered == universe:
             best = min(best, used)
-            return
+            continue
         remaining = universe & ~covered
         max_gain = max((m & remaining).bit_count() for m in masks)
-        lower = used + math.ceil(remaining.bit_count() / max_gain)
-        if lower >= best:
-            return
+        if used + math.ceil(remaining.bit_count() / max_gain) >= best:
+            continue
         # Branch on the rarest uncovered element: smallest fan-out first.
         bit = min((b for b in element_bits if remaining & b), key=lambda b: len(masks_for[b]))
-        for m in sorted(masks_for[bit], key=lambda m: (m & remaining).bit_count(), reverse=True):
-            dfs(covered | m, used + 1)
-
-    dfs(0, 0)
-    return best
+        children = sorted(masks_for[bit], key=lambda m: (m & remaining).bit_count(), reverse=True)
+        stack.extend((covered | m, used + 1) for m in reversed(children))
+    return best, not stack
 
 
 def min_cover(sets_by_id: _Sets, universe: frozenset | int) -> ViewRequirement:
@@ -206,10 +207,10 @@ def min_cover(sets_by_id: _Sets, universe: frozenset | int) -> ViewRequirement:
     that covers the universe alone answers 1, and a union that falls short
     of the universe answers unsolvable (n None), both tagged 'exact'.  Only
     the counts left go on: dominated sets (subsets of another candidate)
-    are pruned, which never changes the optimum; when at most
-    EXACT_SEARCH_LIMIT candidates remain the optimum is found by branch and
-    bound, otherwise greedy max-coverage gives an upper bound tagged
-    'greedy'.
+    are pruned, which never changes the optimum; greedy max-coverage gives
+    the first upper bound, and branch and bound searches below it.  A search
+    that ends within EXACT_SEARCH_NODES nodes is tagged 'exact'; one that
+    runs out answers the best cover found, tagged 'greedy'.
     """
     if not universe:
         raise EmptyInput("universe is empty")
@@ -232,10 +233,8 @@ def min_cover(sets_by_id: _Sets, universe: frozenset | int) -> ViewRequirement:
         if all(mask & ~other for _, other in kept):
             kept.append((set_id, mask))
     greedy_n = len(greedy_cover(kept, universe))
-    if len(kept) > EXACT_SEARCH_LIMIT:
-        return ViewRequirement(greedy_n, "greedy")
-    n = _exact_cover_size([mask for _, mask in kept], universe, upper_bound=greedy_n)
-    return ViewRequirement(n, "exact")
+    n, finished = _exact_cover_size([mask for _, mask in kept], universe, upper_bound=greedy_n)
+    return ViewRequirement(n, "exact" if finished else "greedy")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,9 @@ counting grid cells instead of interval arithmetic, polytope vertex
 enumeration plus surface sampling instead of edge clipping, a scalar loop
 over points instead of batched arrays, a matrix product and an LU
 determinant instead of closed-form dot products, exhaustive subset enumeration
-instead of branch and bound, and a from-scratch set Jaccard per text instead
-of token sets kept across calls.
+instead of branch and bound, a recursive search instead of an explicit stack
+with a node budget, and a from-scratch set Jaccard per text instead of token
+sets kept across calls.
 """
 
 from __future__ import annotations
@@ -192,6 +193,31 @@ def brute_force_min_cover(sets: list[frozenset], universe: frozenset) -> int | N
             if universe <= frozenset().union(frozenset(), *combo):
                 return k
     return None
+
+
+def recursive_cover_nodes(masks: list[int], universe: int, upper_bound: int) -> int:
+    """Nodes visited by the branch and bound of `solvability._exact_cover_size`
+    written as recursion with no budget: the same bound, branching element
+    and child order, so the stack form visits the same nodes in this order."""
+    element_bits = [1 << i for i in range(universe.bit_length()) if universe >> i & 1]
+    best, nodes = upper_bound, 0
+
+    def visit(covered: int, used: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if covered == universe:
+            best = min(best, used)
+            return
+        remaining = universe & ~covered
+        max_gain = max(bin(m & remaining).count("1") for m in masks)
+        if used + math.ceil(bin(remaining).count("1") / max_gain) >= best:
+            return
+        bit = min((b for b in element_bits if remaining & b), key=lambda b: sum(1 for m in masks if m & b))
+        for m in sorted((m for m in masks if m & bit), key=lambda m: bin(m & remaining).count("1"), reverse=True):
+            visit(covered | m, used + 1)
+
+    visit(0, 0)
+    return nodes
 
 
 def brute_force_eligible_pairs(questions) -> set[tuple[str, str]]:

@@ -764,7 +764,8 @@ class TestSceneRules:
         "table,index,key,value",
         [("views", 3, "view_id", ""), ("views", 3, "view_id", 7), ("views", 0, "view_id", "\ud800"),
          ("objects", 2, "object_id", "a"), ("objects", 2, "object_id", True),
-         ("objects", 1, "label", 7)],
+         ("objects", 1, "label", 7), ("views", 0, "image_path", 5),
+         ("views", 2, "image_path", "\ud800")],
     )
     def test_records_with_a_bad_id_or_label(self, tmp_path, data_dir, scene_a, table, index, key, value):
         """scene-a's own records, one of them edited after it was built."""

@@ -315,10 +315,11 @@ class _Reply:
         return json.loads(self.text)
 
 
-def _serve(monkeypatch, route: str, item: str) -> None:
+def _serve(monkeypatch, route: str, item: str | None, keep: int | None = None) -> None:
     """Answer every requests session in-process: `route` replies with the raw
-    JSON `item` in place of each caption or score, the other routes with
-    well-formed lists."""
+    JSON `item` in place of each caption or score (None leaves them) and
+    with only the first `keep` of them, the other routes with well-formed
+    lists."""
 
     def post(session, url, **kwargs):
         payload = kwargs["json"]
@@ -327,7 +328,7 @@ def _serve(monkeypatch, route: str, item: str) -> None:
         else:
             key, items = "scores", ["0.5"] * len(payload["texts"])
         if url.endswith(route):
-            items = [item] * len(items)
+            items = ([item] * len(items) if item is not None else items)[:keep]
         return _Reply(f'{{"{key}": [{", ".join(items)}]}}')
 
     monkeypatch.setattr(requests.Session, "post", post)
@@ -335,6 +336,7 @@ def _serve(monkeypatch, route: str, item: str) -> None:
 
 BAD_SCORES = ["null", "[0.5]", '"abc"', '"0.5"', "true", "NaN", "Infinity", "-Infinity", "1e400", "9" * 400]
 BAD_CAPTIONS = ["null", "1", "true", '["a chair"]', '{"text": "a chair"}']
+CLI_BAD_ITEMS = [*(("/v1/score_image_text", i) for i in BAD_SCORES[:3]), ("/v1/caption", "null")]
 
 
 class TestRemoteReplies:
@@ -352,6 +354,13 @@ class TestRemoteReplies:
         with pytest.raises(ServiceUnavailable, match="^/v1/caption reply: 'captions' must be"):
             client.caption_image("img.jpg", 2)
 
+    @pytest.mark.parametrize("keep", [0, -1], ids=["none", "one-short"])
+    def test_caption_reply_must_hold_one_per_caption_requested(self, monkeypatch, keep):
+        _serve(monkeypatch, "/v1/caption", None, keep)
+        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        with pytest.raises(ServiceUnavailable, match="^/v1/caption reply: 'captions' must be"):
+            client.caption_image("img.jpg", 2)
+
     @pytest.mark.parametrize("item,expected", [("0", 0.0), ("1", 1.0), ("-3", 0.0), ("0.25", 0.25)])
     def test_integer_and_float_scores_are_clamped_floats(self, monkeypatch, item, expected):
         _serve(monkeypatch, "/v1/score_image_text", item)
@@ -360,12 +369,15 @@ class TestRemoteReplies:
         assert scores == (expected,) and type(scores[0]) is float
 
     @pytest.mark.parametrize(
-        "route,item", [*(("/v1/score_image_text", i) for i in BAD_SCORES[:3]), ("/v1/caption", "null")]
+        "route,item,keep",
+        [*(pytest.param(r, i, None, id=f"{r}-{i}") for r, i in CLI_BAD_ITEMS),
+         pytest.param("/v1/caption", None, 0, id="/v1/caption-none"),
+         pytest.param("/v1/caption", None, -1, id="/v1/caption-one-short")],
     )
-    def test_cli_exits_4_naming_the_route(self, monkeypatch, tmp_path, capsys, route, item):
+    def test_cli_exits_4_naming_the_route(self, monkeypatch, tmp_path, capsys, route, item, keep):
         from egoview.cli import main
 
-        _serve(monkeypatch, route, item)
+        _serve(monkeypatch, route, item, keep)
         scenes = Path(__file__).resolve().parent / "data" / "scenes"
         code = main([
             "build-corpus", "--scenes", str(scenes), "--mode", "captions", "--threshold", "0",

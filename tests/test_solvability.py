@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egoview import solvability
 from egoview.errors import EmptyInput, UnknownObjectId, UnknownScene
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.scene import Objects, SceneObject, View, Views
 from egoview.solvability import (
-    EXACT_SEARCH_LIMIT,
     RequirementHistogram,
     ViewRequirement,
     WitnessConfig,
@@ -26,7 +30,7 @@ from egoview.solvability import (
     witnesses,
 )
 
-from .oracles import brute_force_min_cover, scalar_box_corners
+from .oracles import brute_force_min_cover, recursive_cover_nodes, scalar_box_corners
 from .scenegen import (
     random_abstract_instance,
     random_line_scene,
@@ -251,14 +255,14 @@ class TestMinCover:
         chosen = greedy_cover(sets, frozenset("abcd"))
         assert chosen == ["va", "vb"]
 
-    def test_greedy_mode_above_exact_limit(self):
-        # 30 pairwise-incomparable chain sets {i, i+1} survive pruning, which
-        # exceeds the exact-search limit and flips the solver to greedy.
+    def test_greedy_tag_when_the_search_has_no_nodes(self, monkeypatch):
+        # 30 pairwise-incomparable chain sets {i, i+1} survive pruning; with
+        # no search nodes the greedy bound is the answer, tagged greedy.
         sets = [(f"s{i:02d}", frozenset({i, i + 1})) for i in range(30)]
         universe = frozenset(range(31))
-        req = min_cover(sets, universe)
-        assert req.solver == "greedy"
-        assert req.n >= 16  # optimum: every other chain link
+        assert min_cover(sets, universe) == ViewRequirement(16, "exact")  # every other link
+        monkeypatch.setattr(solvability, "EXACT_SEARCH_NODES", 0)
+        assert min_cover(sets, universe) == ViewRequirement(16, "greedy")
 
     @staticmethod
     def _given_as(sets_by_id, universe, kind):
@@ -276,7 +280,7 @@ class TestMinCover:
         universe = frozenset(range(int(rng.integers(6, 40))))
         sets_by_id = [
             (f"s{i:02d}", frozenset(int(e) for e in universe if rng.random() < 0.3))
-            for i in range(int(rng.integers(EXACT_SEARCH_LIMIT + 1, 40)))
+            for i in range(int(rng.integers(25, 40)))
         ]
         cover = universe | {100, 101}  # members outside the universe do not count
         sets_by_id.insert(int(rng.integers(len(sets_by_id) + 1)), ("s99", cover))
@@ -290,7 +294,7 @@ class TestMinCover:
         # Pairwise-incomparable chain links {i, i + 1} would all survive
         # pruning; the last element of the universe is in no set.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(EXACT_SEARCH_LIMIT + 1, 40))
+        n = int(rng.integers(25, 40))
         sets_by_id = [(f"s{i:02d}", frozenset({i, i + 1})) for i in rng.permutation(n).tolist()]
         universe = frozenset(range(n + 2))
         assert brute_force_min_cover([s for _, s in sets_by_id], universe) is None
@@ -471,22 +475,23 @@ class TestDistinctWitnessRows:
         assert sorted(sets) == [("v1", {3}), ("v10", {1, 2})]
         assert universe == {1, 2, 3}
 
-    def test_greedy_tie_break_sees_the_smallest_id(self, min_cover_calls):
+    def test_greedy_tie_break_sees_the_smallest_id(self, min_cover_calls, monkeypatch):
         # {1, 2} (views v5 and v1), {2, 3} (v3) and {3, 4} (v4) tie at gain 2
-        # with 30 chain links {i, i + 1}, so 33 sets survive pruning and greedy
-        # decides.  Taking {1, 2} first costs 2 + 16 sets; were it named v5,
-        # v3 would come first and cost 3 + 16.
+        # with 30 chain links {i, i + 1}, so 33 sets survive pruning, and with
+        # no search nodes greedy decides.  Taking {1, 2} first costs 2 + 16
+        # sets; were it named v5, v3 would come first and cost 3 + 16.
         chain = [(f"z{i:02d}", {100 + i, 101 + i}) for i in range(30)]
         rows = [("v5", {1, 2}), ("v3", {2, 3}), ("v1", {1, 2}), ("v4", {3, 4}), *chain]
         object_ids = [1, 2, 3, 4, *range(100, 131)]
         table = hand_table(rows, object_ids)
         ids = frozenset(object_ids)
-        assert len(rows) - 1 > EXACT_SEARCH_LIMIT
+        misnamed = [(view_id, frozenset(m)) for view_id, m in rows if view_id != "v1"]
+        assert table.min_view_count(ids) == min_cover(misnamed, ids) == ViewRequirement(18, "exact")
+        monkeypatch.setattr(solvability, "EXACT_SEARCH_NODES", 0)
         req = table.min_view_count(ids)
         assert req == min_cover(one_set_per_view(table, ids), ids) == ViewRequirement(18, "greedy")
-        sets, _ = decode(table, min_cover_calls[0])
+        sets, _ = decode(table, min_cover_calls[-1])
         assert len(sets) == len(rows) - 1 and ("v1", {1, 2}) in sets
-        misnamed = [(view_id, frozenset(m)) for view_id, m in rows if view_id != "v1"]
         assert min_cover(misnamed, ids) == ViewRequirement(19, "greedy")
 
     def test_unsolvable_set_still_reaches_min_cover(self, min_cover_calls):
@@ -545,16 +550,108 @@ class TestBitLayout:
             outcomes.add(req.n is None)
         assert outcomes == ({True} if n_ids == 1 else {True, False})
 
-    def test_more_kept_rows_than_the_exact_limit(self):
+    def test_32_kept_rows_with_and_without_search_nodes(self, monkeypatch):
         # Rows {2i, 2i + 1, 2i + 2} over ids 0..64 are pairwise incomparable,
-        # so all 32 are kept and greedy decides; each odd id is in one row only.
+        # so all 32 are kept; each odd id is in one row only.
         rows = [(f"v{i}", {2 * i, 2 * i + 1, 2 * i + 2}) for i in range(32)]
         order = np.random.default_rng(77).permutation(len(rows))
         table = hand_table([rows[k] for k in order], list(range(65)))
         ids = frozenset(range(65))
-        assert len(rows) > EXACT_SEARCH_LIMIT
+        assert table.min_view_count(ids) == ViewRequirement(32, "exact")
+        monkeypatch.setattr(solvability, "EXACT_SEARCH_NODES", 0)
         req = table.min_view_count(ids)
         assert req == min_cover(one_set_per_view(table, ids), ids) == ViewRequirement(32, "greedy")
+
+
+@st.composite
+def wide_instances(draw):
+    """25 to 32 distinct sets of one size over 9 to 20 elements, jointly
+    covering them: no set holds another, so all of them survive pruning.
+    The sets come from a drawn seed, so a failure shrinks in a few steps."""
+    n = draw(st.integers(9, 20))
+    size = draw(st.integers(n // 3 + 1, n // 2))
+    count = draw(st.integers(25, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets: dict[frozenset, None] = {}
+    while len(sets) < count:
+        sets[frozenset(rng.choice(n, size, replace=False).tolist())] = None
+    universe = frozenset(range(n))
+    assume(universe == frozenset().union(*sets))
+    return [(f"s{i:02d}", s) for i, s in enumerate(sets)], universe
+
+
+class TestSearchBudget:
+    """Every count the settle pass leaves is searched, however many sets
+    survive pruning; only a search that runs out of EXACT_SEARCH_NODES
+    nodes is tagged greedy."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(wide_instances())
+    def test_more_than_24_kept_sets_match_brute_force(self, instance):
+        sets_by_id, universe = instance
+        expected = brute_force_min_cover([s for _, s in sets_by_id], universe)
+        assert min_cover(sets_by_id, universe) == ViewRequirement(expected, "exact")
+
+    def test_posed_scene_where_greedy_overshoots(self):
+        rng = np.random.default_rng(6)
+        views, objects = random_posed_scene(rng, 300, 30)
+        table = WitnessTable.build(objects, views, WitnessConfig())
+        overshoots = 0
+        for _ in range(20):
+            ids = random_relevant_ids(rng, 30, max_size=30)
+            req = table.min_view_count(ids)
+            reference = one_set_per_view(table, ids)
+            if req.n is None or len(greedy_cover(reference, ids)) == req.n:
+                continue
+            distinct = list({members for _, members in reference if members})
+            assert req == ViewRequirement(brute_force_min_cover(distinct, ids), "exact"), ids
+            overshoots += 1
+        assert overshoots == 7
+
+    def test_a_search_of_k_nodes_is_exact_at_budget_k(self, monkeypatch):
+        searches = []
+        search = solvability._exact_cover_size
+
+        def spy(masks, universe, upper_bound):
+            searches.append((masks, universe, upper_bound))
+            return search(masks, universe, upper_bound)
+
+        monkeypatch.setattr(solvability, "_exact_cover_size", spy)
+        rng = np.random.default_rng(41)
+        searched = []
+        for sets_by_id, universe in (random_abstract_instance(rng) for _ in range(60)):
+            searches.clear()
+            req = min_cover(sets_by_id, universe)
+            if searches:  # (instance, optimum, nodes, greedy's count)
+                searched.append((sets_by_id, universe, req.n, recursive_cover_nodes(*searches[0]), searches[0][2]))
+        assert len(searched) > 20
+        for sets_by_id, universe, optimum, k, greedy_n in searched:
+            assert optimum == brute_force_min_cover([s for _, s in sets_by_id], universe)
+            monkeypatch.setattr(solvability, "EXACT_SEARCH_NODES", k)
+            assert min_cover(sets_by_id, universe) == ViewRequirement(optimum, "exact")
+            monkeypatch.setattr(solvability, "EXACT_SEARCH_NODES", k - 1)
+            short = min_cover(sets_by_id, universe)
+            assert short.solver == "greedy" and optimum <= short.n <= greedy_n
+
+    def test_a_search_deeper_than_the_recursion_limit(self):
+        # 300 pairs {2i, 2i + 1} and one set of every even element: greedy
+        # takes the even set first and needs 301 sets; the optimum, the 300
+        # pairs, lies 300 nodes deep.
+        sets = [(f"p{i:03d}", 0b11 << 2 * i) for i in range(300)]
+        sets.append(("even", sum(1 << 2 * i for i in range(300))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            req = min_cover(sets, (1 << 600) - 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert req == ViewRequirement(300, "exact")
+
+    def test_readme_gives_the_node_budget(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        note = re.search(r"^- \*\*Minimum view counts\*\*.*?(?=^- \*\*)", readme, re.M | re.S)
+        assert note is not None
+        assert f"`EXACT_SEARCH_NODES = {solvability.EXACT_SEARCH_NODES}`" in note.group()
 
 
 class TestViewRequirementBuckets:
