@@ -1,9 +1,10 @@
 """Instructions and the triplet corpus: instruction and triplet files, and
 the builders of <2D view, set of 3D objects, text> triplets from the
 scenes `scene` loads.  Record files are UTF-8 JSON lines whose keys keep a
-fixed order, so identical inputs give byte-identical outputs; their field
-tables, their one reader and `OutputFiles` live in `records`, which needs
-no numpy.  The triplet builders import `selection` when they run.
+fixed order, so identical inputs give byte-identical outputs; their record
+dataclasses declare their fields, and their one reader and `OutputFiles`
+live in `records`, which needs no numpy.  The triplet builders import
+`selection` when they run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from . import geometry
 from ._util import check_stride, finite_number
 from .errors import NoViews, UnknownObjectId, UnknownScene
-from .records import INSTRUCTIONS, TRIPLETS, OutputFiles, check_rules, read_records
+from .records import OutputFiles, check_rules, read_records, record_field
+from .records import dc_target, non_empty, one_of, qa_answer
 from .scene import Objects, Scene, Views
 
 # perfbench/probe.py, tracer.py and test_perfbench.py read the loaders here.
@@ -34,41 +36,41 @@ logger = logging.getLogger(__name__)
 class Instruction:
     """A task record: question answering, dense captioning, or captioning."""
 
-    instruction_id: str
-    scene_id: str
-    task: str
-    text: str
-    answer: str | None = None
-    related_object_ids: frozenset[int] = frozenset()
-    target_object_id: int | None = None
+    instruction_id: str = record_field("text")
+    scene_id: str = record_field("text")
+    task: str = record_field("text", one_of(("qa", "dc", "caption")))
+    text: str = record_field("text", non_empty)
+    answer: str | None = record_field("text or null", qa_answer, default=None)
+    related_object_ids: frozenset[int] = record_field("integer list", default=frozenset())
+    target_object_id: int | None = record_field("integer or null", dc_target, default=None)
 
     def __post_init__(self):
         self.related_object_ids = frozenset(self.related_object_ids)
-        check_rules(INSTRUCTIONS, self)
+        check_rules(self)
 
 
 @dataclass(frozen=True)
 class TripletProvenance:
-    config_hash: str = ""
-    retrieval_score: float | None = None
-    parent_instruction_id: str | None = None
+    config_hash: str = record_field("text", default="")
+    retrieval_score: float | None = record_field("finite number or null", default=None)
+    parent_instruction_id: str | None = record_field("text or null", default=None)
 
 
 @dataclass(eq=False)
 class TripletRecord:
     """One <2D view, set of 3D objects, text> alignment record."""
 
-    triplet_id: str
-    scene_id: str
-    view_id: str
-    object_ids: frozenset[int]
-    text: str
-    source: str
-    provenance: TripletProvenance
+    triplet_id: str = record_field("text")
+    scene_id: str = record_field("text")
+    view_id: str = record_field("text")
+    object_ids: frozenset[int] = record_field("integer list")
+    text: str = record_field("text", non_empty)
+    source: str = record_field("text", one_of(("generated_caption", "extended_qa", "extended_dc")))
+    provenance: TripletProvenance = record_field(TripletProvenance, default=TripletProvenance())
 
     def __post_init__(self):
         self.object_ids = frozenset(self.object_ids)
-        check_rules(TRIPLETS, self)
+        check_rules(self)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class CaptionBuildConfig:
 
 def read_instructions(path: str | Path) -> list[Instruction]:
     """Read the instruction lines of a JSONL file (see `records.read_records`)."""
-    return read_records(path, INSTRUCTIONS, Instruction)
+    return read_records(path, Instruction)
 
 
 def _register_sidecar(clients, views: Views, objects: Objects, overlap, tau: float) -> dict:
@@ -274,5 +276,5 @@ def write_jsonl(
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:
-    """Read triplet lines (see `records.read_records`); TRIPLETS ends with the provenance."""
-    return read_records(path, TRIPLETS, lambda *v: TripletRecord(*v[:6], TripletProvenance(*v[6:])))
+    """Read the triplet lines of a JSONL file (see `records.read_records`)."""
+    return read_records(path, TripletRecord)

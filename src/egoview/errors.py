@@ -46,7 +46,7 @@ class SchemaError(EgoviewError):
 
 
 class RuleError(SchemaError, ValueError):
-    """A record breaks a rule of its field table: a bad constructor argument."""
+    """A record breaks a rule declared on one of its fields: a bad constructor argument."""
 
 
 class DuplicateId(EgoviewError):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._util import percent
 from .errors import DuplicateId, DuplicatePrediction, MissingGold
-from .records import BUCKETS, GOLD, PREDICTIONS, check_rules, read_records, view_bucket
+from .records import BUCKETS, at_least_one, check_rules, read_records, record_field, view_bucket
 
 NORMALIZATION_VERSION = "nfkc-lower-ws-trailpunct-v1"
 ARTICLES_POLICY = "preserved"
@@ -24,20 +24,20 @@ _TRAILING_PUNCT = ".?!"
 
 @dataclass(frozen=True)
 class Prediction:
-    question_id: str
-    prediction: str
+    question_id: str = record_field("text", duplicate=DuplicatePrediction)
+    prediction: str = record_field("text")
 
 
 @dataclass(frozen=True)
 class GoldAnswer:
     """A gold answer with an optional minimum-view count for bucketing."""
 
-    question_id: str
-    answer: str
-    min_views: int | None = None
+    question_id: str = record_field("text")
+    answer: str = record_field("text")
+    min_views: int | None = record_field("integer or null", at_least_one, default=None)
 
     def __post_init__(self):
-        check_rules(GOLD, self)
+        check_rules(self)
 
     @property
     def bucket(self) -> str:
@@ -132,9 +132,9 @@ def em_score(
 
 def read_predictions(path) -> list[Prediction]:
     """Read the prediction lines of a JSONL file (see `records.read_records`)."""
-    return read_records(path, PREDICTIONS, Prediction)
+    return read_records(path, Prediction)
 
 
 def read_gold(path) -> list[GoldAnswer]:
     """Read gold answers (see `records.read_records`); composed questions are gold."""
-    return read_records(path, GOLD, GoldAnswer)
+    return read_records(path, GoldAnswer)

@@ -64,7 +64,11 @@ _ORTHO_TOL = 1e-6
 # sweeps of `image_overlap` over the two seed-301 solvability witness
 # tables (2 vCPUs, medians of 40 rounds) took 21.8 and 23.1 ms at 512
 # pairs, 19.0 and 19.5 at 1024, 18.3 and 20.3 at 2048, 19.5 and 20.2 at
-# 4096: larger chunks gain nothing over 1024 and need more memory.
+# 4096: larger chunks gain nothing over 1024 and need more memory.  At 1024
+# each chunk's corner temporaries (196 KB) cross glibc's 128 KB mmap
+# threshold: in one process per setting, getrusage's ru_minflt counted about
+# 215 minor page faults per corpus job and 244-340 per synthesize job (seed
+# 301), against 4-12 at 512, with no job_s difference beyond noise.
 _PAIR_CHUNK = 1024
 
 # Relative and absolute widening of a box's bounding sphere in the frustum

@@ -1,10 +1,13 @@
-"""Record files: one field table per record kind and the one reader that
-walks them, strict field types, outputs that appear together or not at
-all, and the view-count buckets.
+"""Record files: the field declarations of record dataclasses and the one
+reader that walks them, strict field types, outputs that appear together
+or not at all, and the view-count buckets.
 
-`read_records` checks each line's fields against its kind's table and
-builds the record, whose constructor applies the table's extra rules
-(`check_rules`), so a record built in code is held to the same rules.
+Each record kind is declared once, on the dataclass its reader returns:
+each `record_field` gives a leaf kind, a rule and, as its default, its
+value when absent.  `read_records` checks each line against the steps
+`steps_of` derives from the class and builds the record by field name; its
+constructor applies the rules (`check_rules`), so a record built in code
+is held to the same rules.
 Every error names `path:line.field`.  The module needs no numpy, so
 `egoview eval` starts without it.
 """
@@ -14,11 +17,13 @@ from __future__ import annotations
 import errno
 import json
 import os
+from dataclasses import MISSING, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._util import finite_number
-from .errors import DuplicateId, DuplicatePrediction, RuleError, SchemaError
+from .errors import DuplicateId, RuleError, SchemaError
 
 # Minimum view counts, bucketed as in the paper's tables.
 BUCKETS = ("1", "2", "3", "4+", "unsolvable")
@@ -127,122 +132,109 @@ _LEAVES = {
     "integer list": _integers,
     "finite number or null": _score,
 }
-REQUIRED = object()  # the `absent` of a field whose key every line must hold
 
 
-class Field(NamedTuple):
-    """A field of a line: its key (`parent.key` when nested), kind, value when
-    absent and extra rule, a function of (value, record) giving a reason to reject."""
+def record_field(kind, rule: Callable | None = None, default=MISSING, duplicate=DuplicateId):
+    """A dataclass field that `read_records` reads as leaf kind `kind` (a
+    key of `_LEAVES`, or a record class read from a JSON object) and that
+    `check_rules` holds to `rule`, a function of (value, record) giving a
+    reason to reject.  `default` is its value when the key is absent;
+    without one the key is required.  On a record's first field, its id,
+    `duplicate` is the error a repeated id raises."""
+    return field(default=default, metadata={"kind": kind, "rule": rule, "duplicate": duplicate})
+
+
+class Step(NamedTuple):
+    """How `read_records` reads one field of a record class."""
 
     key: str
-    kind: str
-    absent: object = REQUIRED
-    rule: Callable | None = None
+    kind: str | type
+    check: Callable  # (JSON value, path) in, the field's value out
+    default: object  # MISSING when every line must hold the key
+    rule: Callable | None
 
 
-class RecordKind(NamedTuple):
-    """Its id's key, its fields in constructor order, and the error a repeated id raises."""
+@cache
+def steps_of(cls) -> tuple[Step, ...]:
+    """The steps of record class `cls`'s fields, in declaration order."""
+    return tuple(
+        Step(f.name, f.metadata["kind"], _check(f.metadata["kind"]), f.default, f.metadata["rule"])
+        for f in fields(cls)
+    )
 
-    id_key: str
-    fields: tuple[Field, ...]
-    duplicate: type = DuplicateId
+
+def _check(kind: str | type) -> Callable:
+    """The check of leaf kind `kind`; for a record class, one that builds it
+    from a JSON object."""
+    if isinstance(kind, str):
+        return _LEAVES[kind]
+
+    def nested(value, path: str):
+        if not isinstance(value, dict):
+            raise SchemaError(path, f"must be an object, got {value!r}")
+        return kind(**_values(value, path, steps_of(kind)))
+
+    return nested
 
 
-def _one_of(choices: tuple[str, ...]):
+def _values(node: dict, at: str, steps: tuple[Step, ...]) -> dict:
+    """The checked value of each key of `node` by field name; a missing
+    required key raises SchemaError."""
+    values = {}
+    for key, _, check, default, _ in steps:
+        if key in node:
+            values[key] = check(node[key], f"{at}.{key}")
+        elif default is MISSING:
+            raise SchemaError(f"{at}.{key}", "missing")
+    return values
+
+
+def one_of(choices: tuple[str, ...]):
     reason = f"must be one of {choices}, got "
     return lambda value, record: None if value in choices else reason + repr(value)
 
 
-def _non_empty(value, record):
+def non_empty(value, record):
     return None if value else "must be non-empty"
 
 
-def _at_least_one(value, record):  # a view count below 1 falls in no bucket
+def at_least_one(value, record):  # a view count below 1 falls in no bucket
     return None if value is None or value >= 1 else f"must be at least 1, got {value!r}"
 
 
-def _qa_answer(value, record):
+def qa_answer(value, record):
     if record.task == "qa" and not value:
         return f"must be a non-empty string for a qa instruction, got {value!r}"
 
 
-def _dc_target(value, record):
+def dc_target(value, record):
     if record.task == "dc" and value is None:
         return "must be an integer for a dc instruction, got None"
 
 
-INSTRUCTIONS = RecordKind("instruction_id", (
-    Field("instruction_id", "text"),
-    Field("scene_id", "text"),
-    Field("task", "text", rule=_one_of(("qa", "dc", "caption"))),
-    Field("text", "text", rule=_non_empty),
-    Field("answer", "text or null", None, _qa_answer),
-    Field("related_object_ids", "integer list", []),
-    Field("target_object_id", "integer or null", None, _dc_target),
-))
-QUESTIONS = RecordKind("question_id", (
-    Field("question_id", "text"),
-    Field("scene_id", "text"),
-    Field("text", "text"),
-    Field("answer", "text", rule=_non_empty),
-    Field("related_object_ids", "integer list", rule=_non_empty),
-))
-GOLD = RecordKind("question_id", (
-    Field("question_id", "text"),
-    Field("answer", "text"),
-    Field("min_views", "integer or null", None, _at_least_one),
-))
-PREDICTIONS = RecordKind(
-    "question_id", (Field("question_id", "text"), Field("prediction", "text")), DuplicatePrediction
-)
-TRIPLETS = RecordKind("triplet_id", (
-    Field("triplet_id", "text"),
-    Field("scene_id", "text"),
-    Field("view_id", "text"),
-    Field("object_ids", "integer list"),
-    Field("text", "text", rule=_non_empty),
-    Field("source", "text", rule=_one_of(("generated_caption", "extended_qa", "extended_dc"))),
-    Field("provenance.config_hash", "text", ""),
-    Field("provenance.retrieval_score", "finite number or null", None),
-    Field("provenance.parent_instruction_id", "text or null", None),
-))
-
-
-def check_rules(kind: RecordKind, record) -> None:
+def check_rules(record) -> None:
     """Raise RuleError naming the first field of `record` that breaks its rule."""
-    for field in kind.fields:
-        if field.rule is not None:
-            reason = field.rule(getattr(record, field.key), record)
+    for step in steps_of(type(record)):
+        if step.rule is not None:
+            reason = step.rule(getattr(record, step.key), record)
             if reason is not None:
-                raise RuleError(field.key, reason)
+                raise RuleError(step.key, reason)
 
 
-def read_records(path: str | Path, kind: RecordKind, build: Callable) -> list:
-    """build(*values of the line's fields) for each data line of `path`; a
-    bad field raises SchemaError naming it, a repeated id `kind.duplicate`."""
-    # (parent key or "", key, leaf check, value when absent) of each field
-    steps = [(*f.key.rpartition(".")[::2], _LEAVES[f.kind], f.absent) for f in kind.fields]
+def read_records(path: str | Path, cls) -> list:
+    """A `cls` built from each data line of `path` by field name; a bad field
+    raises SchemaError naming it, a repeated id the error its first field names."""
+    steps = steps_of(cls)
+    duplicate = fields(cls)[0].metadata["duplicate"]
     records = []
     seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
-        values = []
-        for parent, key, leaf, absent in steps:
-            node, at = data, where
-            if parent:
-                at = f"{where}.{parent}"
-                node = data.get(parent, {})
-                if not isinstance(node, dict):
-                    raise SchemaError(at, f"must be an object, got {node!r}")
-            value = node.get(key, absent)
-            if value is REQUIRED:
-                raise SchemaError(f"{at}.{key}", "missing")
-            values.append(leaf(value, f"{at}.{key}"))
         try:
-            record = build(*values)
+            record = cls(**_values(data, where, steps))
         except RuleError as exc:
             raise SchemaError(f"{where}.{exc.field}", exc.reason) from exc
-        _claim_id(seen, getattr(record, kind.id_key), where, kind.duplicate)
+        _claim_id(seen, getattr(record, steps[0].key), where, duplicate)
         records.append(record)
     return records
 

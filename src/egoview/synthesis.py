@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .records import QUESTIONS, check_rules, read_records
+from .records import check_rules, non_empty, read_records, record_field
 from .scene import Scene
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
@@ -30,15 +30,15 @@ _JSON_BLOCK_RE = re.compile(r"\{.*\}", re.DOTALL)
 class QuestionRecord:
     """A single-scene question with the set of object ids it depends on."""
 
-    question_id: str
-    scene_id: str
-    text: str
-    answer: str
-    related_object_ids: frozenset[int]
+    question_id: str = record_field("text")
+    scene_id: str = record_field("text")
+    text: str = record_field("text")
+    answer: str = record_field("text", non_empty)
+    related_object_ids: frozenset[int] = record_field("integer list", non_empty)
 
     def __post_init__(self):
         self.related_object_ids = frozenset(self.related_object_ids)
-        check_rules(QUESTIONS, self)
+        check_rules(self)
 
 
 @dataclass(eq=False)
@@ -289,4 +289,4 @@ def composed_to_dict(record: ComposedQA) -> dict:
 
 def read_questions(path) -> list[QuestionRecord]:
     """Read the question lines of a JSONL file (see `records.read_records`)."""
-    return read_records(path, QUESTIONS, QuestionRecord)
+    return read_records(path, QuestionRecord)

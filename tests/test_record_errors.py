@@ -1,10 +1,10 @@
-"""Record-boundary property: mutations generated from each record kind's
-field table, run through the command that reads that kind.
+"""Record-boundary property: mutations generated from the fields each record
+dataclass declares, run through the command that reads that kind.
 
-A case is one mutation of one data line of a fixture file: a field of the
-kind's table deleted, set to one of `test_scene_errors.VALUES` or, for an
-id list, emptied (the list's first entry gets the values too), or the whole
-line duplicated.  Instructions go through `solvability` and `build-corpus
+A case is one mutation of one data line of a fixture file: a leaf field of
+the kind's steps (`records.steps_of`, nested records flattened) deleted,
+set to one of `test_scene_errors.VALUES` or, for an id list, emptied (the
+list's first entry gets the values too), or the whole line duplicated.  Instructions go through `solvability` and `build-corpus
 --mode extend`, gold answers and predictions through `eval`, and triplets,
 which no command reads, through `corpus.read_triplets`.  Each exits 0, 2 or
 3 with no traceback: exit 2 names the file, the line and the field, exit 3
@@ -21,6 +21,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,10 @@ from hypothesis import strategies as st
 
 from egoview import records
 from egoview.cli import main
-from egoview.corpus import read_triplets
+from egoview.corpus import Instruction, TripletRecord, read_triplets
 from egoview.errors import DuplicateId, SchemaError
-from egoview.synthesis import read_questions
+from egoview.evaluate import GoldAnswer, Prediction
+from egoview.synthesis import QuestionRecord, read_questions
 
 from .conftest import DATA_DIR, GOLDEN_DIR
 from .test_scene_errors import VALUES, mutated
@@ -43,23 +45,32 @@ def _data_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def table_mutations(kind: records.RecordKind, lines: list[str]) -> list[tuple]:
+def leaf_steps(cls, prefix: tuple[str, ...] = ()):
+    """(key path, step) of each leaf field of record class `cls`, in order,
+    with the fields of a nested record class in its place."""
+    for step in records.steps_of(cls):
+        if isinstance(step.kind, type):
+            yield from leaf_steps(step.kind, (*prefix, step.key))
+        else:
+            yield (*prefix, step.key), step
+
+
+def table_mutations(cls, lines: list[str]) -> list[tuple]:
     """(line index, key path, mutation) of every case on the data lines of
-    `lines`; a key path of None duplicates the line."""
+    `lines` for record class `cls`; a key path of None duplicates the line."""
     cases = []
     for index, line in enumerate(lines):
         record = json.loads(line)
         if record.get("record") == "provenance":
             continue
         cases.append((index, None, "duplicate"))
-        for field in kind.fields:
-            keys = tuple(field.key.split("."))
+        for keys, step in leaf_steps(cls):
             value, present = record, True
             for key in keys:
                 present = isinstance(value, dict) and key in value
                 value = value[key] if present else None
             names = [*VALUES, "delete"] if present else [*VALUES]
-            if field.kind == "integer list":
+            if step.kind == "integer list":
                 names.append("empty")
                 if value:
                     cases.extend((index, (*keys, 0), name) for name in VALUES)
@@ -109,7 +120,7 @@ PREDICTION_LINES = _data_lines(DATA_DIR / "eval_pred.jsonl")
 TRIPLET_LINES = _data_lines(GOLDEN_DIR / "triplets_extend.jsonl")
 
 
-@given(st.sampled_from(table_mutations(records.INSTRUCTIONS, INSTRUCTION_LINES)))
+@given(st.sampled_from(table_mutations(Instruction, INSTRUCTION_LINES)))
 @settings(max_examples=80, deadline=None)
 def test_instruction_mutations_through_solvability_and_extend(case):
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,8 +146,8 @@ def test_instruction_mutations_through_solvability_and_extend(case):
 
 
 EVAL_CASES = [
-    *(("gold.jsonl", case) for case in table_mutations(records.GOLD, GOLD_LINES)),
-    *(("pred.jsonl", case) for case in table_mutations(records.PREDICTIONS, PREDICTION_LINES)),
+    *(("gold.jsonl", case) for case in table_mutations(GoldAnswer, GOLD_LINES)),
+    *(("pred.jsonl", case) for case in table_mutations(Prediction, PREDICTION_LINES)),
 ]
 
 
@@ -161,7 +172,7 @@ def test_gold_and_prediction_mutations_through_eval(name_and_case):
     _check_exit(code, message, path, line, case[1], names, left, list(files), ["r.json"])
 
 
-@given(st.sampled_from(table_mutations(records.TRIPLETS, TRIPLET_LINES)))
+@given(st.sampled_from(table_mutations(TripletRecord, TRIPLET_LINES)))
 @settings(max_examples=100, deadline=None)
 def test_triplet_mutations_through_read_triplets(case):
     with tempfile.TemporaryDirectory() as tmp:
@@ -177,11 +188,11 @@ def test_triplet_mutations_through_read_triplets(case):
 
 # The README's name for each record kind's row group in its "Record files" table.
 KINDS = {
-    "instructions": records.INSTRUCTIONS,
-    "questions": records.QUESTIONS,
-    "gold answers": records.GOLD,
-    "predictions": records.PREDICTIONS,
-    "triplets": records.TRIPLETS,
+    "instructions": Instruction,
+    "questions": QuestionRecord,
+    "gold answers": GoldAnswer,
+    "predictions": Prediction,
+    "triplets": TripletRecord,
 }
 
 
@@ -202,18 +213,16 @@ def _readme_rows() -> dict[str, list[tuple[str, str, str, bool]]]:
 
 @pytest.mark.parametrize("name", KINDS)
 def test_readme_lists_each_table(name):
-    kind = KINDS[name]
     expected = [
         (
-            field.key,
-            field.kind,
-            "required" if field.absent is records.REQUIRED else f"`{json.dumps(field.absent)}`",
-            field.rule is not None,
+            ".".join(keys),
+            step.kind,
+            "required" if step.default is MISSING else f"`{json.dumps(step.default, default=list)}`",
+            step.rule is not None,
         )
-        for field in kind.fields
+        for keys, step in leaf_steps(KINDS[name])
     ]
     assert _readme_rows()[name] == expected
-    assert kind.id_key == kind.fields[0].key
 
 
 # Whitespace to `str.strip` but not to JSON.
