@@ -21,8 +21,9 @@ DATA = REPO / "tests" / "data"
 
 sys.path.insert(0, str(REPO / "src"))
 
+from egoview.geometry import image_overlap  # noqa: E402
 from egoview.scene import load_scene  # noqa: E402
-from egoview.selection import select_view_for_dc, visible_objects  # noqa: E402
+from egoview.selection import alignment, select_views_for_dc  # noqa: E402
 from egoview.solvability import WitnessConfig, min_view_count, witness_matrix  # noqa: E402
 from egoview.synthesis import eligible_pairs, read_questions  # noqa: E402
 
@@ -324,11 +325,12 @@ def main() -> None:
     assert got_pairs == [("q01", "q02"), ("q03", "q04"), ("q04", "q05")], got_pairs
 
     write_jsonl(DATA / "instructions_extend.jsonl", EXTEND_INSTRUCTIONS)
-    assert select_view_for_dc(5, scene_a.views, scene_a.objects)[0] == "v08"
-    assert select_view_for_dc(7, scene_a.views, scene_a.objects)[0] == "v04"
-    assert select_view_for_dc(3, scene_a.views, scene_a.objects)[0] == "v03"
-    v08 = scene_a.views[scene_a.views.ids.index("v08")]
-    assert visible_objects(v08, scene_a.objects) == {5, 6}
+    overlap = image_overlap(scene_a.objects.corners, scene_a.views)
+    picks = select_views_for_dc([5, 7, 3], scene_a.views, scene_a.objects, overlap)
+    assert [pick and pick[0] for pick in picks] == ["v08", "v04", "v03"], picks
+    v08 = scene_a.views.ids.index("v08")
+    row = witness_matrix(scene_a.objects, scene_a.views, alignment(0.5))[v08]
+    assert set(compress(scene_a.objects.ids, row.tolist())) == {5, 6}
 
     write_jsonl(DATA / "eval_gold.jsonl", EVAL_GOLD)
     write_jsonl(DATA / "eval_pred.jsonl", EVAL_PRED)

@@ -229,9 +229,7 @@ def cmd_build_corpus(args) -> int:
     records = []
     if args.mode == "captions":
         for scene_id in sorted(scenes):
-            records.extend(
-                build_caption_triplets(scenes[scene_id], client, client, cfg, config_hash=chash)
-            )
+            records.extend(build_caption_triplets(scenes[scene_id], client, cfg, config_hash=chash))
     else:
         instructions = read_instructions(args.instructions)
         records = extend_dataset_triplets(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -96,30 +95,28 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     return read_records(path, Instruction)
 
 
-def _register_sidecar(clients, views: Views, objects: Objects, overlap, tau: float) -> dict:
+def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float) -> dict:
     """Ids of the objects each view shows with IoSA > tau, keyed by view_id,
     read from `overlap`, `geometry.image_overlap` of `objects` in `views`;
-    registers each view's labels on any client that takes them (the stub)."""
+    registers each view's labels on the client if it takes them (the stub)."""
     from .selection import alignment, image_refs
 
     tau = alignment(tau).iosa_threshold
     pairs, scores, _ = overlap
     table = np.zeros((len(views), len(objects)), dtype=bool)
     table.flat[pairs[scores > tau]] = True
-    registers = [c.register_view_labels for c in clients if hasattr(c, "register_view_labels")]
+    register = getattr(client, "register_view_labels", None)
     visible: dict[str, set[int]] = {}
     for view_id, ref, row in zip(views.ids, image_refs(views), table.tolist()):
         visible[view_id] = set(compress(objects.ids, row))
-        labels = sorted(set(compress(objects.labels, row)))
-        for register in registers:
-            register(ref, labels)
+        if register is not None:
+            register(ref, sorted(set(compress(objects.labels, row))))
     return visible
 
 
 def build_caption_triplets(
     scene: Scene,
-    caption_client,
-    scorer_client,
+    client,
     cfg: CaptionBuildConfig = CaptionBuildConfig(),
     config_hash: str = "",
 ) -> list[TripletRecord]:
@@ -135,16 +132,13 @@ def build_caption_triplets(
     if not scene.views:
         raise ValueError(f"scene {scene.scene_id} has no views")
     sampled = scene.views[:: cfg.stride]
-    clients = [caption_client]
-    if scorer_client is not caption_client:
-        clients.append(scorer_client)
     overlap = geometry.image_overlap(scene.objects.corners, sampled)
-    visible = _register_sidecar(clients, sampled, scene.objects, overlap, cfg.tau)
+    visible = _register_sidecar(client, sampled, scene.objects, overlap, cfg.tau)
 
     records = []
     for view_id, ref in zip(sampled.ids, image_refs(sampled)):
-        captions = caption_client.caption_image(ref, cfg.num_captions)
-        scores = scorer_client.score_image_text(ref, captions)
+        captions = client.caption_image(ref, cfg.num_captions)
+        scores = client.score_image_text(ref, captions)
         object_ids = frozenset(visible[view_id])
         for idx, (caption, score) in enumerate(zip(captions, scores)):
             if score < cfg.threshold:
@@ -202,7 +196,7 @@ def extend_dataset_triplets(
     for scene_id, indices in by_scene.items():
         views, objects = scenes_by_id[scene_id].views, scenes_by_id[scene_id].objects
         overlap = geometry.image_overlap(objects.corners, views)
-        visible[scene_id] = _register_sidecar([scorer_client], views, objects, overlap, tau)
+        visible[scene_id] = _register_sidecar(scorer_client, views, objects, overlap, tau)
         qa = [i for i in indices if instructions[i].task != "dc"]
         dc = [i for i in indices if instructions[i].task == "dc"]
         texts = [instructions[i].text for i in qa]
@@ -258,21 +252,11 @@ def triplet_to_dict(record: TripletRecord) -> dict:
     }
 
 
-def write_jsonl(
-    path: str | Path,
-    rows: Sequence[dict],
-    provenance: dict | None = None,
-    outputs: OutputFiles | None = None,
-) -> None:
-    """Write records as UTF-8 JSON lines with an optional provenance header.
-
-    The file appears whole or not at all; pass `outputs` to move it into
-    place together with the other files written to it.
-    """
-    header = [] if provenance is None else [{"record": "provenance", **provenance}]
-    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in [*header, *rows])
-    with nullcontext(outputs) if outputs is not None else OutputFiles() as staged:
-        staged.write(path, text)
+def write_jsonl(path: str | Path, rows: Sequence[dict], provenance: dict, outputs: OutputFiles) -> None:
+    """Stage records as UTF-8 JSON lines after a provenance header line, to
+    be moved into place with the other files of `outputs`."""
+    lines = [{"record": "provenance", **provenance}, *rows]
+    outputs.write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in lines))
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:

@@ -32,6 +32,7 @@ from typing import Sequence
 
 from ._util import finite_number, tokenize
 from .errors import EmptyInput, InvalidImageReference, ServiceUnavailable
+from .records import _encodable
 
 logger = logging.getLogger(__name__)
 
@@ -175,8 +176,9 @@ class RemoteModelService:
     Transport failures (connection errors, timeouts) are retried twice with
     backoff, then raised as ServiceUnavailable.  Well-formed replies are
     never retried; malformed bodies and non-2xx statuses fail immediately.
-    A reply must hold a string per caption and a finite JSON number (not a
-    bool) per score; anything else is a ServiceUnavailable naming the route.
+    A reply must hold a non-empty string that UTF-8 can encode per caption
+    and a finite JSON number (not a bool) per score; anything else is a
+    ServiceUnavailable naming the route.
     `requests` is imported here, not at module level, so stub runs never
     load it.
     """
@@ -225,9 +227,12 @@ class RemoteModelService:
         if (
             not isinstance(captions, list)
             or len(captions) != num_captions
-            or not all(isinstance(c, str) for c in captions)
+            or not all(isinstance(c, str) and c and _encodable(c) for c in captions)
         ):
-            raise ServiceUnavailable(f"{route} reply: 'captions' must be a list of {num_captions} strings")
+            raise ServiceUnavailable(
+                f"{route} reply: 'captions' must be a list of {num_captions} non-empty strings"
+                " that UTF-8 can encode"
+            )
         return captions
 
     def score_image_text(self, image_ref: str, texts: Sequence[str]) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .records import check_rules, non_empty, read_records, record_field
+from .records import _encodable, check_rules, non_empty, read_records, record_field
 from .scene import Scene
 from .services import COMPOSE_MARKER
 from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
@@ -124,16 +124,13 @@ def eligible_pairs(questions: Sequence[QuestionRecord]) -> list[CandidatePair]:
 
 def build_compose_prompt(pair: CandidatePair, anchor_labels: Sequence[str]) -> str:
     """Prompt embedding both parents and the two composition directives."""
-    shared = ", ".join(anchor_labels) if anchor_labels else ", ".join(
-        str(oid) for oid in sorted(pair.shared_anchor_ids)
-    )
     return (
         f"{COMPOSE_MARKER} version={PROMPT_VERSION}\n"
         f"Parent question 1: {pair.first.text}\n"
         f"Parent answer 1: {pair.first.answer}\n"
         f"Parent question 2: {pair.second.text}\n"
         f"Parent answer 2: {pair.second.answer}\n"
-        f"Shared objects: {shared}\n"
+        f"Shared objects: {', '.join(anchor_labels)}\n"
         "Write one new question that integrates the informational requirements of "
         "both parent questions, so that answering it needs everything both parents "
         "ask about. The question must be clearly stated and must have a single, "
@@ -163,9 +160,7 @@ def _parse_generation(text: str) -> tuple[str, str] | None:
 
 
 def compose_question(
-    pair: CandidatePair,
-    generator,
-    anchor_labels: Sequence[str] = (),
+    pair: CandidatePair, generator, anchor_labels: Sequence[str]
 ) -> ComposedQA | Dropped:
     """Generate one composed question from a pair, retrying on parse failure.
 
@@ -194,14 +189,14 @@ def compose_question(
 
 
 def verify_composition(
-    record: ComposedQA,
-    parents_by_id: Mapping[str, QuestionRecord] | None = None,
+    record: ComposedQA, parents_by_id: Mapping[str, QuestionRecord]
 ) -> str | None:
     """Structural verification; returns None on pass, else the failure reason.
 
     Checks the question ends with '?', the answer is non-empty and at most
-    ANSWER_TOKEN_LIMIT tokens, and (when parents are supplied) the question
-    is not a verbatim copy of either parent.
+    ANSWER_TOKEN_LIMIT tokens, neither holds a lone surrogate (which no
+    output could encode), and the question is not a verbatim copy of
+    either parent, looked up in `parents_by_id`.
     """
     if not record.question.endswith("?"):
         return "missing_question_mark"
@@ -209,11 +204,10 @@ def verify_composition(
         return "empty_answer"
     if len(record.answer.split()) > ANSWER_TOKEN_LIMIT:
         return "overlong_answer"
-    if parents_by_id is not None:
-        for parent_id in record.parent_question_ids:
-            parent = parents_by_id.get(parent_id)
-            if parent is not None and record.question == parent.text:
-                return "degenerate_copy"
+    if not (_encodable(record.question) and _encodable(record.answer)):
+        return "unencodable_text"
+    if any(record.question == parents_by_id[p].text for p in record.parent_question_ids):
+        return "degenerate_copy"
     return None
 
 
@@ -233,18 +227,20 @@ def synthesize_dataset(
     Output order follows the sorted pair order, so identical inputs give
     identical bytes.
     """
-    objects = referenced_objects(questions, scenes_by_id, "question")
-    labels = {scene_id: dict(zip(among.ids, among.labels)) for scene_id, among in objects.items()}
+    tables = {  # one per scene, for this call only
+        scene_id: WitnessTable.build(objects, scenes_by_id[scene_id].views, WitnessConfig())
+        for scene_id, objects in referenced_objects(questions, scenes_by_id, "question").items()
+    }
     parents_by_id = {q.question_id: q for q in questions}
     report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
-    tables: dict[str, WitnessTable] = {}  # one per scene, for this call only
 
     records: list[ComposedQA] = []
     for pair in pairs:
-        scene_id = pair.first.scene_id
-        anchor_labels = sorted({labels[scene_id][oid] for oid in pair.shared_anchor_ids})
+        table = tables[pair.first.scene_id]
+        label_of = dict(zip(table.objects.ids, table.objects.labels))
+        anchor_labels = sorted({label_of[oid] for oid in pair.shared_anchor_ids})
         result = compose_question(pair, generator, anchor_labels)
         if isinstance(result, Dropped):
             report.note_drop(result.reason)
@@ -255,11 +251,7 @@ def synthesize_dataset(
             report.note_drop(reason)
             logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
             continue
-        if scene_id not in tables:
-            tables[scene_id] = WitnessTable.build(
-                objects[scene_id], scenes_by_id[scene_id].views, WitnessConfig()
-            )
-        result.min_view_count = tables[scene_id].min_view_count(result.related_object_ids)
+        result.min_view_count = table.min_view_count(result.related_object_ids)
         records.append(result)
 
     report.composed = len(records)

@@ -359,6 +359,37 @@ class TestSynthesizeCommand:
         assert out.read_bytes() == (golden_dir / "composed.jsonl").read_bytes()
         assert report.read_bytes() == (golden_dir / "composed.report.json").read_bytes()
 
+    def test_unencodable_reply_drops_its_pair(self, tmp_path, data_dir, golden_dir, monkeypatch):
+        """A reply holding a lone surrogate, which no output could encode, drops
+        its pair as 'unencodable_text'; the other records are written as ever."""
+        from egoview.services import StubModelService
+
+        stub_reply = StubModelService.generate_text
+        calls = []
+
+        def generate_text(self, prompt, **kwargs):
+            calls.append(prompt)
+            if len(calls) == 1:  # the first pair, q01+q02
+                return '{"question": "Which \\ud800 one?", "answer": "x"}'
+            return stub_reply(self, prompt, **kwargs)
+
+        monkeypatch.setattr(StubModelService, "generate_text", generate_text)
+        out = tmp_path / "composed.jsonl"
+        code = run(
+            "synthesize",
+            "--scenes", str(data_dir / "scenes"),
+            "--questions", str(data_dir / "questions.jsonl"),
+            "--out", str(out),
+            "--stub",
+            "--seed", "7",
+        )
+        assert code == 0
+        golden = (golden_dir / "composed.jsonl").read_text(encoding="utf-8").splitlines()
+        assert out.read_text(encoding="utf-8").splitlines() == [golden[0], *golden[2:]]
+        report = json.loads((tmp_path / "composed.jsonl.report.json").read_text())
+        assert (report["composed"], report["dropped"]) == (2, {"unencodable_text": 1})
+        assert len(calls) == 3
+
     def test_two_runs_identical(self, tmp_path, data_dir):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):

@@ -44,6 +44,7 @@ from egoview.errors import (
 )
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
+from egoview.records import OutputFiles
 from egoview.scene import Scene, SceneObject, View, load_scene, load_scenes_dir
 from egoview.selection import image_refs
 from egoview.services import StubModelService
@@ -1083,7 +1084,7 @@ class TestBuildCaptionTriplets:
     def test_fixture_run(self, scene_a):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2, tau=0.5)
-        records = build_caption_triplets(scene_a, stub, stub, cfg, config_hash="abc")
+        records = build_caption_triplets(scene_a, stub, cfg, config_hash="abc")
         # Views v01, v05, v09 sampled; every stub caption clears 0.2.
         assert len(records) == 9
         assert [r.view_id for r in records[:3]] == ["v01", "v01", "v01"]
@@ -1097,7 +1098,7 @@ class TestBuildCaptionTriplets:
     def test_threshold_above_stub_range_drops_everything(self, scene_a):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=1.1)
-        assert build_caption_triplets(scene_a, stub, stub, cfg) == []
+        assert build_caption_triplets(scene_a, stub, cfg) == []
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, "0.5", None, True])
     def test_threshold_must_be_a_finite_number(self, threshold):
@@ -1107,20 +1108,20 @@ class TestBuildCaptionTriplets:
     def test_stride_beyond_view_count_keeps_first_view(self, scene_a):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=99, num_captions=1, threshold=0.0)
-        records = build_caption_triplets(scene_a, stub, stub, cfg)
+        records = build_caption_triplets(scene_a, stub, cfg)
         assert {r.view_id for r in records} == {"v01"}
 
     def test_record_bound_and_equality_condition(self, scene_a):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.0)
-        records = build_caption_triplets(scene_a, stub, stub, cfg)
+        records = build_caption_triplets(scene_a, stub, cfg)
         sampled_views = len(scene_a.views[::4])
         assert len(records) == sampled_views * cfg.num_captions
 
     def test_deterministic(self, scene_a):
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2)
-        run1 = build_caption_triplets(scene_a, StubModelService(0), StubModelService(0), cfg)
-        run2 = build_caption_triplets(scene_a, StubModelService(0), StubModelService(0), cfg)
+        run1 = build_caption_triplets(scene_a, StubModelService(0), cfg)
+        run2 = build_caption_triplets(scene_a, StubModelService(0), cfg)
         assert [triplet_to_dict(r) for r in run1] == [triplet_to_dict(r) for r in run2]
 
 
@@ -1179,6 +1180,43 @@ class TestExtendDatasetTriplets:
         records = extend_dataset_triplets([ins], scenes, StubModelService())
         assert records[0].source == "extended_qa"
         assert records[0].text == "a desk with a chair"  # no answer appended
+
+
+class _NoSidecar:
+    """A model client shaped as the remote one: it takes no view labels.
+    Every caption it gives scores 1, so a threshold of 0 keeps them all."""
+
+    def caption_image(self, image_ref, n):
+        return ["a view"] * n
+
+    def score_image_text(self, image_ref, texts):
+        return (1.0,) * len(texts)
+
+
+class TestClientWithoutSidecar:
+    """A client without `register_view_labels` gets the same visible-object
+    sets as the stub, which takes each view's labels."""
+
+    @staticmethod
+    def _visible(scenes, client) -> dict:
+        cfg = CaptionBuildConfig(stride=1, num_captions=1, threshold=0.0)
+        return {
+            (r.scene_id, r.view_id): r.object_ids
+            for scene in scenes.values()
+            for r in build_caption_triplets(scene, client, cfg)
+        }
+
+    def test_captions(self, scenes):
+        visible = self._visible(scenes, StubModelService())
+        assert self._visible(scenes, _NoSidecar()) == visible
+        assert len(visible) == sum(len(scene.views) for scene in scenes.values())
+
+    def test_extend(self, data_dir, scenes):
+        visible = self._visible(scenes, StubModelService())
+        instructions = read_instructions(data_dir / "instructions_extend.jsonl")
+        records = extend_dataset_triplets(instructions, scenes, _NoSidecar())
+        assert len(records) == len(instructions)
+        assert all(r.object_ids == visible[r.scene_id, r.view_id] for r in records)
 
 
 class _CountingStub(StubModelService):
@@ -1347,12 +1385,14 @@ class TestTripletIO:
     def test_round_trip_is_byte_stable(self, scene_a, tmp_path):
         stub = StubModelService(seed=0)
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=0.2)
-        records = build_caption_triplets(scene_a, stub, stub, cfg, config_hash="h")
+        records = build_caption_triplets(scene_a, stub, cfg, config_hash="h")
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        write_jsonl(first, [triplet_to_dict(r) for r in records])
+        with OutputFiles() as outputs:
+            write_jsonl(first, [triplet_to_dict(r) for r in records], {"seed": 7}, outputs)
         reread = read_triplets(first)
-        write_jsonl(second, [triplet_to_dict(r) for r in reread])
+        with OutputFiles() as outputs:
+            write_jsonl(second, [triplet_to_dict(r) for r in reread], {"seed": 7}, outputs)
         assert first.read_bytes() == second.read_bytes()
 
     def test_provenance_header_is_skipped_on_read(self, tmp_path):
@@ -1366,7 +1406,8 @@ class TestTripletIO:
             source="extended_qa",
             provenance=TripletProvenance(config_hash="h"),
         )
-        write_jsonl(path, [triplet_to_dict(record)], provenance={"seed": 7})
+        with OutputFiles() as outputs:
+            write_jsonl(path, [triplet_to_dict(record)], {"seed": 7}, outputs)
         loaded = read_triplets(path)
         assert len(loaded) == 1
         assert loaded[0].object_ids == {1, 2}
@@ -1385,7 +1426,8 @@ class TestTripletIO:
             )
             for triplet_id, view_id in [("t", "v1"), ("u", "v1"), ("t", "v2")]
         ]
-        write_jsonl(path, [triplet_to_dict(r) for r in records], provenance={"seed": 7})
+        with OutputFiles() as outputs:
+            write_jsonl(path, [triplet_to_dict(r) for r in records], {"seed": 7}, outputs)
         with pytest.raises(DuplicateId) as excinfo:
             read_triplets(path)
         assert str(excinfo.value) == f"{path}:4: id 't' already used at {path}:2"

@@ -264,22 +264,17 @@ class TestBatchSelectors:
         assert select_dc([], scene_a.views, scene_a.objects) == []
 
 
-class _FixedCaptions:
-    """Caption client that returns the same captions for every view."""
+class _FixedReplies:
+    """Model client that gives every view the same captions, and scores every
+    view against one fixed label set with the stub's scorer."""
 
-    def __init__(self, captions):
+    def __init__(self, captions, labels):
         self._captions = list(captions)
+        self._stub = StubModelService()
+        self._labels = list(labels)
 
     def caption_image(self, image_ref, n):
         return self._captions[:n]
-
-
-class _FixedLabels:
-    """Stub scorer that scores every view against one fixed label set."""
-
-    def __init__(self, labels):
-        self._stub = StubModelService()
-        self._labels = list(labels)
 
     def score_image_text(self, image_ref, texts):
         self._stub.register_view_labels(image_ref, self._labels)
@@ -293,9 +288,8 @@ class TestFilterCaptions:
 
     def test_threshold_and_order(self, scene_a):
         cfg = CaptionBuildConfig(stride=len(scene_a.views), num_captions=3, threshold=0.3)
-        records = build_caption_triplets(
-            scene_a, _FixedCaptions(self.CAPTIONS), _FixedLabels(["sofa", "table"]), cfg
-        )
+        client = _FixedReplies(self.CAPTIONS, ["sofa", "table"])
+        records = build_caption_triplets(scene_a, client, cfg)
         assert [r.text for r in records] == ["a sofa next to a table", "the table"]
         view_id = scene_a.views.ids[0]
         assert [r.triplet_id for r in records] == [

@@ -335,8 +335,11 @@ def _serve(monkeypatch, route: str, item: str | None, keep: int | None = None) -
 
 
 BAD_SCORES = ["null", "[0.5]", '"abc"', '"0.5"', "true", "NaN", "Infinity", "-Infinity", "1e400", "9" * 400]
-BAD_CAPTIONS = ["null", "1", "true", '["a chair"]', '{"text": "a chair"}']
-CLI_BAD_ITEMS = [*(("/v1/score_image_text", i) for i in BAD_SCORES[:3]), ("/v1/caption", "null")]
+BAD_CAPTIONS = ["null", "1", "true", '["a chair"]', '{"text": "a chair"}', '""', '"\\ud800"']
+CLI_BAD_ITEMS = [
+    *(("/v1/score_image_text", i) for i in BAD_SCORES[:3]),
+    *(("/v1/caption", i) for i in ("null", '""', '"\\ud800"')),
+]
 
 
 class TestRemoteReplies:

@@ -147,25 +147,27 @@ class TestComposeQuestion:
 
     def test_unparseable_reply_dropped_after_three_attempts(self):
         generator = _UnparseableGenerator()
-        result = compose_question(self._pair(), generator)
+        result = compose_question(self._pair(), generator, ["desk"])
         assert result == Dropped(parent_question_ids=("q1", "q2"), reason="parse_failure")
         assert generator.calls == 3
 
     def test_service_failure_propagates(self):
         with pytest.raises(ServiceUnavailable):
-            compose_question(self._pair(), _FailingGenerator())
+            compose_question(self._pair(), _FailingGenerator(), ["desk"])
 
     def test_json_embedded_in_prose_is_parsed(self):
         class Chatty:
             def generate_text(self, prompt, max_tokens=256, temperature=0.0):
                 return 'Sure! {"question": "Which side?", "answer": "left"} Hope that helps.'
 
-        result = compose_question(self._pair(), Chatty())
+        result = compose_question(self._pair(), Chatty(), ["desk"])
         assert isinstance(result, ComposedQA)
         assert result.question == "Which side?"
 
 
 class TestVerifyComposition:
+    PARENTS = {"q1": question("q1", {1}), "q2": question("q2", {2})}
+
     def _record(self, question="What is combined here?", answer="a thing"):
         return ComposedQA(
             question_id="q1+q2",
@@ -178,27 +180,33 @@ class TestVerifyComposition:
         )
 
     def test_pass(self):
-        assert verify_composition(self._record()) is None
+        assert verify_composition(self._record(), self.PARENTS) is None
 
     def test_combined_fixture_record_passes(self):
         record = self._record(
             question="What is on the right of the small desk where the wooden chair is in front of?",
             answer="waste basket",
         )
-        assert verify_composition(record) is None
+        assert verify_composition(record, self.PARENTS) is None
 
     def test_empty_answer(self):
-        assert verify_composition(self._record(answer="  ")) == "empty_answer"
+        assert verify_composition(self._record(answer="  "), self.PARENTS) == "empty_answer"
 
     def test_overlong_answer(self):
         answer = " ".join(["word"] * 11)
-        assert verify_composition(self._record(answer=answer)) == "overlong_answer"
+        assert verify_composition(self._record(answer=answer), self.PARENTS) == "overlong_answer"
 
     def test_ten_token_answer_passes(self):
-        assert verify_composition(self._record(answer=" ".join(["w"] * 10))) is None
+        assert verify_composition(self._record(answer=" ".join(["w"] * 10)), self.PARENTS) is None
 
     def test_missing_question_mark(self):
-        assert verify_composition(self._record(question="no mark")) == "missing_question_mark"
+        record = self._record(question="no mark")
+        assert verify_composition(record, self.PARENTS) == "missing_question_mark"
+
+    @pytest.mark.parametrize("field", ["question", "answer"])
+    def test_unencodable_text(self, field):
+        record = self._record(**{field: "Which \ud800 one?"})
+        assert verify_composition(record, self.PARENTS) == "unencodable_text"
 
     def test_degenerate_copy(self):
         parents = {
