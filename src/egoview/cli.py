@@ -162,7 +162,6 @@ def cmd_synthesize(args) -> int:
         MAX_GENERATION_ATTEMPTS,
         PROMPT_VERSION,
         TEMPERATURE,
-        composed_to_dict,
         read_questions,
         synthesize_dataset,
     )
@@ -185,8 +184,7 @@ def cmd_synthesize(args) -> int:
     )
     provenance["prompt_version"] = PROMPT_VERSION
     with OutputFiles() as outputs:
-        rows = [composed_to_dict(r) for r in records]
-        write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
+        write_jsonl(args.out, records, provenance=provenance, outputs=outputs)
         _write_json(report_path, {**report.to_dict(), "provenance": provenance}, outputs)
     print(
         f"synthesized {report.composed} of {report.pairs_considered} eligible pairs "
@@ -201,9 +199,9 @@ def cmd_build_corpus(args) -> int:
     from .corpus import (
         CaptionBuildConfig,
         build_caption_triplets,
+        check_image_refs,
         extend_dataset_triplets,
         read_instructions,
-        triplet_to_dict,
         write_jsonl,
     )
     from .scene import load_scenes_dir
@@ -221,6 +219,7 @@ def cmd_build_corpus(args) -> int:
     cfg = _config(CaptionBuildConfig, args)
     alignment(cfg.tau)  # a bad --tau fails here, before any scene is read
     scenes = load_scenes_dir(args.scenes)
+    check_image_refs(scenes)  # before any label is registered or service called
     knobs = {"mode": args.mode, **asdict(cfg)}
     provenance = _provenance("build-corpus", args.seed, args.stub, knobs)
     chash = provenance["config_hash"]
@@ -246,8 +245,7 @@ def cmd_build_corpus(args) -> int:
         "provenance": provenance,
     }
     with OutputFiles() as outputs:
-        rows = [triplet_to_dict(r) for r in records]
-        write_jsonl(args.out, rows, provenance=provenance, outputs=outputs)
+        write_jsonl(args.out, records, provenance=provenance, outputs=outputs)
         _write_json(report_path, summary, outputs)
     print(f"built {len(records)} triplets -> {args.out}")
     return EXIT_OK

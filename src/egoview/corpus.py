@@ -1,9 +1,8 @@
 """Instructions and the triplet corpus: instruction and triplet files, and
 the builders of <2D view, set of 3D objects, text> triplets from the
-scenes `scene` loads.  Record files are UTF-8 JSON lines whose keys keep a
-fixed order, so identical inputs give byte-identical outputs; their record
-dataclasses declare their fields, and their one reader and `OutputFiles`
-live in `records`, which needs no numpy.  The triplet builders import
+scenes `scene` loads.  Record files are UTF-8 JSON lines, read and written
+from their dataclasses' declarations by `records`, which needs no numpy;
+identical inputs give byte-identical outputs.  The triplet builders import
 `selection` when they run.
 """
 
@@ -20,9 +19,9 @@ import numpy as np
 
 from . import geometry
 from ._util import check_stride, finite_number
-from .errors import NoViews, UnknownObjectId, UnknownScene
-from .records import OutputFiles, check_rules, read_records, record_field
-from .records import dc_target, non_empty, one_of, qa_answer
+from .errors import DuplicateId, NoViews, UnknownObjectId, UnknownScene
+from .records import OutputFiles, _claim_id, check_rules, read_records, record_field
+from .records import dc_target, non_empty, one_of, qa_answer, record_json, steps_of
 from .scene import Objects, Scene, Views
 
 # perfbench/probe.py, tracer.py and test_perfbench.py read the loaders here.
@@ -93,6 +92,24 @@ class CaptionBuildConfig:
 def read_instructions(path: str | Path) -> list[Instruction]:
     """Read the instruction lines of a JSONL file (see `records.read_records`)."""
     return read_records(path, Instruction)
+
+
+def check_image_refs(scenes: Mapping[str, Scene]) -> None:
+    """Raise DuplicateId naming a scene's first two views that share one image
+    reference (`selection.image_refs`), which the services would take for one
+    image."""
+    from .selection import image_refs
+
+    for scene_id in sorted(scenes):
+        first: dict[str, str] = {}
+        views = scenes[scene_id].views
+        for view_id, ref in zip(views.ids, image_refs(views)):
+            other = first.setdefault(ref, view_id)
+            if other != view_id:
+                raise DuplicateId(
+                    f"scene {scene_id!r}: views {other!r} and {view_id!r} "
+                    f"share the image reference {ref!r}"
+                )
 
 
 def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float) -> dict:
@@ -235,28 +252,17 @@ def extend_dataset_triplets(
     return records
 
 
-def triplet_to_dict(record: TripletRecord) -> dict:
-    """Serialize with fixed key order for byte-stable files."""
-    return {
-        "triplet_id": record.triplet_id,
-        "scene_id": record.scene_id,
-        "view_id": record.view_id,
-        "object_ids": sorted(record.object_ids),
-        "text": record.text,
-        "source": record.source,
-        "provenance": {
-            "config_hash": record.provenance.config_hash,
-            "retrieval_score": record.provenance.retrieval_score,
-            "parent_instruction_id": record.provenance.parent_instruction_id,
-        },
-    }
-
-
-def write_jsonl(path: str | Path, rows: Sequence[dict], provenance: dict, outputs: OutputFiles) -> None:
-    """Stage records as UTF-8 JSON lines after a provenance header line, to
-    be moved into place with the other files of `outputs`."""
-    lines = [{"record": "provenance", **provenance}, *rows]
-    outputs.write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in lines))
+def write_jsonl(path: str | Path, rows: Sequence, provenance: dict, outputs: OutputFiles) -> None:
+    """Stage records as UTF-8 JSON lines (`records.record_json`) after a
+    provenance header line, to be moved into place with the other files of
+    `outputs`; a repeated id raises as its reader would, naming both lines."""
+    lines = [json.dumps({"record": "provenance", **provenance}, ensure_ascii=False)]
+    seen: dict[str, str] = {}
+    for row in rows:
+        data, first = record_json(row), steps_of(type(row))[0]
+        _claim_id(seen, data[first.key], f"{path}:{len(lines) + 1}", first.duplicate)
+        lines.append(json.dumps(data, ensure_ascii=False))
+    outputs.write(path, "\n".join(lines) + "\n")
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:

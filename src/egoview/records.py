@@ -1,13 +1,12 @@
 """Record files: the field declarations of record dataclasses and the one
-reader that walks them, strict field types, outputs that appear together
-or not at all, and the view-count buckets.
+reader and line writer that walk them, strict field types, outputs that
+appear together or not at all, and the view-count buckets.
 
-Each record kind is declared once, on the dataclass its reader returns:
-each `record_field` gives a leaf kind, a rule and, as its default, its
-value when absent.  `read_records` checks each line against the steps
-`steps_of` derives from the class and builds the record by field name; its
-constructor applies the rules (`check_rules`), so a record built in code
-is held to the same rules.
+Each record kind is declared once, on its dataclass: each `record_field`
+gives a leaf kind, a rule and, as its default, its value when absent.
+`read_records` checks each line against the steps `steps_of` derives from
+the class and builds the record by field name, whose constructor applies
+the rules (`check_rules`); `record_json` writes it back from the same steps.
 Every error names `path:line.field`.  The module needs no numpy, so
 `egoview eval` starts without it.
 """
@@ -77,6 +76,12 @@ def _list(value, path: str) -> list:
     return value
 
 
+def _texts(values, path: str) -> tuple[str, ...]:
+    """The JSON array `values` of strings as a tuple; a non-list or a bad
+    entry raises SchemaError naming its path."""
+    return tuple(_text(value, f"{path}[{i}]") for i, value in enumerate(_list(values, path)))
+
+
 def _integers(values, path: str) -> frozenset[int]:
     """The JSON array `values` of integers as a set; a non-list or a
     non-integer entry raises SchemaError naming its path."""
@@ -124,48 +129,52 @@ def _iter_jsonl(path: str | Path):
             yield lineno, data
 
 
-# The leaf check of each field kind: (JSON value, path) in, the record's value out.
+# Each leaf kind's check, (JSON value, path) in and the record's value out,
+# and its write form, the record's value in and JSON out; None writes the
+# value as is (`json.dumps` writes a tuple as a list).
 _LEAVES = {
-    "text": _text,
-    "text or null": lambda value, path: _text(value, path, optional=True),
-    "integer or null": lambda value, path: None if value is None else _integer(value, path),
-    "integer list": _integers,
-    "finite number or null": _score,
+    "text": (_text, None),
+    "text or null": (lambda value, path: _text(value, path, optional=True), None),
+    "text list": (_texts, None),
+    "integer or null": (lambda value, path: None if value is None else _integer(value, path), None),
+    "integer list": (_integers, sorted),
+    "finite number or null": (_score, None),
 }
 
 
 def record_field(kind, rule: Callable | None = None, default=MISSING, duplicate=DuplicateId):
-    """A dataclass field that `read_records` reads as leaf kind `kind` (a
-    key of `_LEAVES`, or a record class read from a JSON object) and that
-    `check_rules` holds to `rule`, a function of (value, record) giving a
-    reason to reject.  `default` is its value when the key is absent;
-    without one the key is required.  On a record's first field, its id,
-    `duplicate` is the error a repeated id raises."""
+    """A dataclass field that `read_records` reads and `record_json` writes
+    as leaf kind `kind` (a key of `_LEAVES`, or a record class, a JSON
+    object) and that `check_rules` holds to `rule`, a function of (value,
+    record) giving a reason to reject.  `default` is its value when the key
+    is absent; without one the key is required.  On a record's first
+    field, its id, `duplicate` is the error a repeated id raises."""
     return field(default=default, metadata={"kind": kind, "rule": rule, "duplicate": duplicate})
 
 
 class Step(NamedTuple):
-    """How `read_records` reads one field of a record class."""
+    """How `read_records` reads and `record_json` writes one field of a record class."""
 
     key: str
-    kind: str | type
     check: Callable  # (JSON value, path) in, the field's value out
+    write: Callable | None  # the field's value in, JSON out; None writes it as is
     default: object  # MISSING when every line must hold the key
+    kind: str | type  # this and the rest are the field's `record_field` metadata
     rule: Callable | None
+    duplicate: type  # on the first field, the id: the error a repeated id raises
 
 
 @cache
 def steps_of(cls) -> tuple[Step, ...]:
     """The steps of record class `cls`'s fields, in declaration order."""
     return tuple(
-        Step(f.name, f.metadata["kind"], _check(f.metadata["kind"]), f.default, f.metadata["rule"])
-        for f in fields(cls)
+        Step(f.name, *_forms(f.metadata["kind"]), f.default, **f.metadata) for f in fields(cls)
     )
 
 
-def _check(kind: str | type) -> Callable:
-    """The check of leaf kind `kind`; for a record class, one that builds it
-    from a JSON object."""
+def _forms(kind: str | type) -> tuple[Callable, Callable | None]:
+    """The check and write form of leaf kind `kind`; for a record class, a
+    check that builds it from a JSON object, written by `record_json`."""
     if isinstance(kind, str):
         return _LEAVES[kind]
 
@@ -174,19 +183,35 @@ def _check(kind: str | type) -> Callable:
             raise SchemaError(path, f"must be an object, got {value!r}")
         return kind(**_values(value, path, steps_of(kind)))
 
-    return nested
+    return nested, record_json
 
 
 def _values(node: dict, at: str, steps: tuple[Step, ...]) -> dict:
     """The checked value of each key of `node` by field name; a missing
     required key raises SchemaError."""
     values = {}
-    for key, _, check, default, _ in steps:
+    for key, check, _, default, _, _, _ in steps:
         if key in node:
             values[key] = check(node[key], f"{at}.{key}")
         elif default is MISSING:
             raise SchemaError(f"{at}.{key}", "missing")
     return values
+
+
+@cache
+def _writes(cls) -> tuple[tuple[str, Callable | None], ...]:
+    """(key, write form) of each field of record class `cls`, in order."""
+    return tuple((step.key, step.write) for step in steps_of(cls))
+
+
+def record_json(record) -> dict:
+    """The JSON object of `record`: each field's key in declaration order,
+    with its value in its kind's write form, as `read_records` reads it."""
+    data = {}
+    for key, write in _writes(type(record)):
+        value = getattr(record, key)
+        data[key] = value if write is None else write(value)
+    return data
 
 
 def one_of(choices: tuple[str, ...]):
@@ -225,7 +250,6 @@ def read_records(path: str | Path, cls) -> list:
     """A `cls` built from each data line of `path` by field name; a bad field
     raises SchemaError naming it, a repeated id the error its first field names."""
     steps = steps_of(cls)
-    duplicate = fields(cls)[0].metadata["duplicate"]
     records = []
     seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
@@ -234,7 +258,7 @@ def read_records(path: str | Path, cls) -> list:
             record = cls(**_values(data, where, steps))
         except RuleError as exc:
             raise SchemaError(f"{where}.{exc.field}", exc.reason) from exc
-        _claim_id(seen, getattr(record, steps[0].key), where, duplicate)
+        _claim_id(seen, getattr(record, steps[0].key), where, steps[0].duplicate)
         records.append(record)
     return records
 

@@ -10,10 +10,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .records import _encodable, check_rules, non_empty, read_records, record_field
+from .records import _encodable, at_least_one, check_rules, non_empty, read_records, record_field
 from .scene import Scene
 from .services import COMPOSE_MARKER
-from .solvability import ViewRequirement, WitnessConfig, WitnessTable, referenced_objects
+from .solvability import WitnessConfig, WitnessTable, referenced_objects
 
 logger = logging.getLogger(__name__)
 
@@ -52,16 +52,20 @@ class CandidatePair:
 
 @dataclass(eq=False)
 class ComposedQA:
-    """A synthesized question spanning both parents' object sets."""
+    """A synthesized question over both parents' object sets, and its view count."""
 
-    question_id: str
-    scene_id: str
-    question: str
-    answer: str
-    parent_question_ids: tuple[str, str]
-    anchor_object_ids: frozenset[int]
-    related_object_ids: frozenset[int]
-    min_view_count: ViewRequirement | None = None
+    question_id: str = record_field("text")
+    scene_id: str = record_field("text")
+    question: str = record_field("text")
+    answer: str = record_field("text")
+    parent_question_ids: tuple[str, ...] = record_field("text list")
+    anchor_object_ids: frozenset[int] = record_field("integer list")
+    related_object_ids: frozenset[int] = record_field("integer list")
+    min_views: int | None = record_field("integer or null", at_least_one, default=None)
+    solver: str | None = record_field("text or null", default=None)
+
+    def __post_init__(self):
+        check_rules(self)
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,10 @@ def synthesize_dataset(
         scene_id: WitnessTable.build(objects, scenes_by_id[scene_id].views, WitnessConfig())
         for scene_id, objects in referenced_objects(questions, scenes_by_id, "question").items()
     }
+    label_of = {
+        scene_id: dict(zip(table.objects.ids, table.objects.labels))
+        for scene_id, table in tables.items()
+    }
     parents_by_id = {q.question_id: q for q in questions}
     report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
@@ -238,9 +246,8 @@ def synthesize_dataset(
 
     records: list[ComposedQA] = []
     for pair in pairs:
-        table = tables[pair.first.scene_id]
-        label_of = dict(zip(table.objects.ids, table.objects.labels))
-        anchor_labels = sorted({label_of[oid] for oid in pair.shared_anchor_ids})
+        labels = label_of[pair.first.scene_id]
+        anchor_labels = sorted({labels[oid] for oid in pair.shared_anchor_ids})
         result = compose_question(pair, generator, anchor_labels)
         if isinstance(result, Dropped):
             report.note_drop(result.reason)
@@ -251,7 +258,8 @@ def synthesize_dataset(
             report.note_drop(reason)
             logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
             continue
-        result.min_view_count = table.min_view_count(result.related_object_ids)
+        req = tables[pair.first.scene_id].min_view_count(result.related_object_ids)
+        result.min_views, result.solver = req.n, req.solver
         records.append(result)
 
     report.composed = len(records)
@@ -261,22 +269,6 @@ def synthesize_dataset(
             report.exact_duplicate_questions += 1
         seen_questions.add(record.question)
     return records, report
-
-
-def composed_to_dict(record: ComposedQA) -> dict:
-    """Serialize with fixed key order for byte-stable files."""
-    req = record.min_view_count
-    return {
-        "question_id": record.question_id,
-        "scene_id": record.scene_id,
-        "question": record.question,
-        "answer": record.answer,
-        "parent_question_ids": list(record.parent_question_ids),
-        "anchor_object_ids": sorted(record.anchor_object_ids),
-        "related_object_ids": sorted(record.related_object_ids),
-        "min_views": None if req is None else req.n,
-        "solver": None if req is None else req.solver,
-    }
 
 
 def read_questions(path) -> list[QuestionRecord]:

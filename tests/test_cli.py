@@ -359,6 +359,26 @@ class TestSynthesizeCommand:
         assert out.read_bytes() == (golden_dir / "composed.jsonl").read_bytes()
         assert report.read_bytes() == (golden_dir / "composed.report.json").read_bytes()
 
+    def test_repeated_composed_id_exits_2_without_output(self, tmp_path, data_dir, capsys):
+        # The pairs (a, b+c) and (a+b, c) both compose to the id 'a+b+c'.
+        questions = tmp_path / "q.jsonl"
+        questions.write_text(
+            "".join(
+                json.dumps({"question_id": qid, "scene_id": "scene-a", "text": f"where is {qid}?",
+                            "answer": "here", "related_object_ids": [1, other]}) + "\n"
+                for qid, other in [("a", 2), ("a+b", 3), ("b+c", 4), ("c", 5)]
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "c.jsonl"
+        code = run(
+            "synthesize", "--scenes", str(data_dir / "scenes"), "--questions", str(questions),
+            "--out", str(out), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}:6: id 'a+b+c' already used at {out}:3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["q.jsonl"]
+
     def test_unencodable_reply_drops_its_pair(self, tmp_path, data_dir, golden_dir, monkeypatch):
         """A reply holding a lone surrogate, which no output could encode, drops
         its pair as 'unencodable_text'; the other records are written as ever."""
@@ -738,6 +758,64 @@ class TestBuildCorpusCommand:
             f"error: threshold must be a finite number, got {float(value)!r}\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_caption_id_exits_2_without_output(self, tmp_path, data_dir, capsys):
+        # Scene 'a' with view 'b:c' and scene 'a:b' with view 'c' both caption 'cap:a:b:c:0'.
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
+        for scene_id, view_id in [("a", "b:c"), ("a:b", "c")]:
+            view = {**scene["views"][0], "view_id": view_id}
+            (scenes / f"{view_id}.json").write_text(
+                json.dumps({**scene, "scene_id": scene_id, "views": [view]}), encoding="utf-8"
+            )
+        out = tmp_path / "t.jsonl"
+        code = run(
+            "build-corpus", "--scenes", str(scenes), "--mode", "captions", "--threshold", "0",
+            "--out", str(out), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}:5: id 'cap:a:b:c:0' already used at {out}:2\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["scenes"]
+
+    @pytest.mark.parametrize("mode", ["captions", "extend"])
+    @pytest.mark.parametrize(
+        "paths,ref",
+        [({"v01": "frames/a.jpg", "v02": "frames/a.jpg"}, "frames/a.jpg"),
+         ({"v01": "v02", "v02": None}, "v02")],
+        ids=["same-path", "path-is-view-id"],
+    )
+    def test_views_sharing_an_image_exit_2_before_any_service_call(
+        self, tmp_path, data_dir, capsys, monkeypatch, mode, paths, ref
+    ):
+        calls = []
+        for method in ("register_view_labels", "caption_image", "score_image_text"):
+            monkeypatch.setattr(
+                f"egoview.services.StubModelService.{method}",
+                lambda *args, **kw: calls.append(args),
+            )
+        scenes = tmp_path / "scenes"
+        shutil.copytree(data_dir / "scenes", scenes)
+        scene = json.loads((scenes / "scene-a.json").read_text(encoding="utf-8"))
+        for view in scene["views"]:
+            if view["view_id"] in paths:
+                view.pop("image_path")
+                if paths[view["view_id"]] is not None:
+                    view["image_path"] = paths[view["view_id"]]
+        (scenes / "scene-a.json").write_text(json.dumps(scene), encoding="utf-8")
+        code = run(
+            "build-corpus", "--scenes", str(scenes), "--mode", mode,
+            "--instructions", str(data_dir / "instructions_extend.jsonl"),
+            "--out", str(tmp_path / "t.jsonl"), "--stub",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: scene 'scene-a': views 'v01' and 'v02' share the image reference {ref!r}\n"
+        )
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["scenes"]
 
     def test_extend_requires_instructions(self, tmp_path, data_dir):
         code = run(

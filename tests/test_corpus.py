@@ -31,7 +31,6 @@ from egoview.corpus import (
     extend_dataset_triplets,
     read_instructions,
     read_triplets,
-    triplet_to_dict,
     write_jsonl,
 )
 from egoview.errors import (
@@ -44,7 +43,7 @@ from egoview.errors import (
 )
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
-from egoview.records import OutputFiles
+from egoview.records import OutputFiles, record_json
 from egoview.scene import Scene, SceneObject, View, load_scene, load_scenes_dir
 from egoview.selection import image_refs
 from egoview.services import StubModelService
@@ -1122,7 +1121,7 @@ class TestBuildCaptionTriplets:
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2)
         run1 = build_caption_triplets(scene_a, StubModelService(0), cfg)
         run2 = build_caption_triplets(scene_a, StubModelService(0), cfg)
-        assert [triplet_to_dict(r) for r in run1] == [triplet_to_dict(r) for r in run2]
+        assert [record_json(r) for r in run1] == [record_json(r) for r in run2]
 
 
 class TestExtendDatasetTriplets:
@@ -1296,8 +1295,8 @@ class TestExtendBatching:
         ]
         assert stray == []
         single = extend_dataset_triplets(fixture, scenes, StubModelService(seed=0))
-        assert [triplet_to_dict(r) for r in records[: len(fixture)]] == [
-            triplet_to_dict(r) for r in single
+        assert [record_json(r) for r in records[: len(fixture)]] == [
+            record_json(r) for r in single
         ]
 
     def test_score_calls_have_the_shape_the_tracer_counts(self, data_dir, scenes, monkeypatch):
@@ -1389,10 +1388,10 @@ class TestTripletIO:
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         with OutputFiles() as outputs:
-            write_jsonl(first, [triplet_to_dict(r) for r in records], {"seed": 7}, outputs)
+            write_jsonl(first, records, {"seed": 7}, outputs)
         reread = read_triplets(first)
         with OutputFiles() as outputs:
-            write_jsonl(second, [triplet_to_dict(r) for r in reread], {"seed": 7}, outputs)
+            write_jsonl(second, reread, {"seed": 7}, outputs)
         assert first.read_bytes() == second.read_bytes()
 
     def test_provenance_header_is_skipped_on_read(self, tmp_path):
@@ -1407,7 +1406,7 @@ class TestTripletIO:
             provenance=TripletProvenance(config_hash="h"),
         )
         with OutputFiles() as outputs:
-            write_jsonl(path, [triplet_to_dict(record)], {"seed": 7}, outputs)
+            write_jsonl(path, [record], {"seed": 7}, outputs)
         loaded = read_triplets(path)
         assert len(loaded) == 1
         assert loaded[0].object_ids == {1, 2}
@@ -1426,11 +1425,16 @@ class TestTripletIO:
             )
             for triplet_id, view_id in [("t", "v1"), ("u", "v1"), ("t", "v2")]
         ]
-        with OutputFiles() as outputs:
-            write_jsonl(path, [triplet_to_dict(r) for r in records], {"seed": 7}, outputs)
+        message = f"{path}:4: id 't' already used at {path}:2"
+        with pytest.raises(DuplicateId) as excinfo, OutputFiles() as outputs:
+            write_jsonl(path, records, {"seed": 7}, outputs)
+        assert str(excinfo.value) == message
+        assert not path.exists()
+        lines = [{"record": "provenance"}, *map(record_json, records)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(DuplicateId) as excinfo:
             read_triplets(path)
-        assert str(excinfo.value) == f"{path}:4: id 't' already used at {path}:2"
+        assert str(excinfo.value) == message
 
     def test_triplets_reference_only_scene_views_and_objects(self, scenes, golden_dir):
         for name in ("triplets_captions.jsonl", "triplets_extend.jsonl"):

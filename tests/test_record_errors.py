@@ -3,12 +3,14 @@ dataclass declares, run through the command that reads that kind.
 
 A case is one mutation of one data line of a fixture file: a leaf field of
 the kind's steps (`records.steps_of`, nested records flattened) deleted,
-set to one of `test_scene_errors.VALUES` or, for an id list, emptied (the
-list's first entry gets the values too), or the whole line duplicated.  Instructions go through `solvability` and `build-corpus
---mode extend`, gold answers and predictions through `eval`, and triplets,
-which no command reads, through `corpus.read_triplets`.  Each exits 0, 2 or
-3 with no traceback: exit 2 names the file, the line and the field, exit 3
-the record, and a failure leaves no output or temp file.
+set to one of `test_scene_errors.VALUES` or, for a list, emptied (the
+list's first entry gets the values too), or the whole line duplicated.
+Instructions go through `solvability` and `build-corpus --mode extend`,
+gold answers and predictions through `eval`, and triplets and composed
+questions, which no command reads as such, through `records.read_records`.
+Each exits 0, 2 or 3 with no traceback: exit 2 names the file, the line
+and the field, exit 3 the record, and a failure leaves no output or temp
+file.
 
 Around a record only JSON whitespace (space, tab, CR, LF) is allowed: a
 line that other whitespace wraps, or holds alone, is invalid JSON.
@@ -33,7 +35,7 @@ from egoview.cli import main
 from egoview.corpus import Instruction, TripletRecord, read_triplets
 from egoview.errors import DuplicateId, SchemaError
 from egoview.evaluate import GoldAnswer, Prediction
-from egoview.synthesis import QuestionRecord, read_questions
+from egoview.synthesis import ComposedQA, QuestionRecord, read_questions
 
 from .conftest import DATA_DIR, GOLDEN_DIR
 from .test_scene_errors import VALUES, mutated
@@ -70,7 +72,7 @@ def table_mutations(cls, lines: list[str]) -> list[tuple]:
                 present = isinstance(value, dict) and key in value
                 value = value[key] if present else None
             names = [*VALUES, "delete"] if present else [*VALUES]
-            if step.kind == "integer list":
+            if step.kind in ("integer list", "text list"):
                 names.append("empty")
                 if value:
                     cases.extend((index, (*keys, 0), name) for name in VALUES)
@@ -118,6 +120,7 @@ QUESTION_LINES = _data_lines(DATA_DIR / "questions.jsonl")
 GOLD_LINES = _data_lines(DATA_DIR / "eval_gold.jsonl")
 PREDICTION_LINES = _data_lines(DATA_DIR / "eval_pred.jsonl")
 TRIPLET_LINES = _data_lines(GOLDEN_DIR / "triplets_extend.jsonl")
+COMPOSED_LINES = _data_lines(GOLDEN_DIR / "composed.jsonl")
 
 
 @given(st.sampled_from(table_mutations(Instruction, INSTRUCTION_LINES)))
@@ -172,18 +175,30 @@ def test_gold_and_prediction_mutations_through_eval(name_and_case):
     _check_exit(code, message, path, line, case[1], names, left, list(files), ["r.json"])
 
 
-@given(st.sampled_from(table_mutations(TripletRecord, TRIPLET_LINES)))
-@settings(max_examples=100, deadline=None)
-def test_triplet_mutations_through_read_triplets(case):
+def _check_read(read, lines, case) -> None:
+    """`read` of a file of `lines` with `case` applied returns, or raises an
+    error naming the file, the line and the field (for a repeated line, its id)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
-        line, _ = _write_mutated(path, TRIPLET_LINES, case)
+        line, _ = _write_mutated(path, lines, case)
         try:
-            read_triplets(path)
+            read(path)
         except SchemaError as exc:
             assert exc.field.startswith(f"{path}:{line}.{case[1][0]}"), exc
         except DuplicateId as exc:
             assert str(exc).startswith(f"{path}:{line}: id "), exc
+
+
+@given(st.sampled_from(table_mutations(TripletRecord, TRIPLET_LINES)))
+@settings(max_examples=100, deadline=None)
+def test_triplet_mutations_through_read_triplets(case):
+    _check_read(read_triplets, TRIPLET_LINES, case)
+
+
+@given(st.sampled_from(table_mutations(ComposedQA, COMPOSED_LINES)))
+@settings(max_examples=100, deadline=None)
+def test_composed_mutations_through_read_records(case):
+    _check_read(lambda path: records.read_records(path, ComposedQA), COMPOSED_LINES, case)
 
 
 # The README's name for each record kind's row group in its "Record files" table.
@@ -193,6 +208,7 @@ KINDS = {
     "gold answers": GoldAnswer,
     "predictions": Prediction,
     "triplets": TripletRecord,
+    "composed questions": ComposedQA,
 }
 
 

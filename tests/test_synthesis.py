@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egoview import synthesis
+from egoview.records import record_json
 from egoview.errors import SchemaError, ServiceUnavailable, UnknownObjectId, UnknownScene
 from egoview.services import StubModelService
 from egoview.solvability import WitnessConfig, WitnessTable
@@ -16,7 +17,6 @@ from egoview.synthesis import (
     Dropped,
     QuestionRecord,
     compose_question,
-    composed_to_dict,
     eligible_pairs,
     read_questions,
     synthesize_dataset,
@@ -226,8 +226,8 @@ class TestSynthesizeDataset:
         assert report.dropped == {}
         assert [r.question_id for r in records] == ["q01+q02", "q03+q04", "q04+q05"]
         # Each composed record spans clusters, so two views are needed.
-        assert all(r.min_view_count.n == 2 for r in records)
-        assert all(r.min_view_count.solver == "exact" for r in records)
+        assert all(r.min_views == 2 for r in records)
+        assert all(r.solver == "exact" for r in records)
 
     def test_union_and_intersection_invariants(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
@@ -242,7 +242,7 @@ class TestSynthesizeDataset:
         questions = read_questions(data_dir / "questions.jsonl")
         run1, _ = synthesize_dataset(questions, StubModelService(seed=7), scenes)
         run2, _ = synthesize_dataset(questions, StubModelService(seed=7), scenes)
-        assert [composed_to_dict(r) for r in run1] == [composed_to_dict(r) for r in run2]
+        assert [record_json(r) for r in run1] == [record_json(r) for r in run2]
 
     def test_no_eligible_pairs(self, scenes):
         questions = [question("q1", {1}, scene_id="scene-a"), question("q2", {1, 2}, scene_id="scene-a")]
@@ -299,8 +299,9 @@ class TestSynthesizeDataset:
         assert len(referenced) < len(objects)
         assert report.composed == len(records) > 0
         for record in records:
-            assert record.min_view_count == all_objects.min_view_count(record.related_object_ids)
-        assert {record.min_view_count.n for record in records} >= {None, 1, 2}
+            req = all_objects.min_view_count(record.related_object_ids)
+            assert (record.min_views, record.solver) == (req.n, req.solver)
+        assert {record.min_views for record in records} >= {None, 1, 2}
 
     def test_unparseable_generator_reports_drops(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
