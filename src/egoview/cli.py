@@ -92,12 +92,12 @@ def _config(cls, args):
 
 def _service_client(args, seed: int):
     """Build the model-service client; env var overrides the --service URL."""
-    from .services import RemoteModelService, ServiceEndpointConfig, StubModelService
+    from .services import RemoteModelService, StubModelService
 
     if args.stub:
         return StubModelService(seed)
     base_url = os.environ.get(MODEL_SERVICE_ENV) or args.service
-    return RemoteModelService(ServiceEndpointConfig(base_url=base_url))
+    return RemoteModelService(base_url)
 
 
 def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
@@ -199,6 +199,7 @@ def cmd_build_corpus(args) -> int:
     from .corpus import (
         CaptionBuildConfig,
         build_caption_triplets,
+        check_caption_ids,
         check_image_refs,
         extend_dataset_triplets,
         read_instructions,
@@ -220,6 +221,8 @@ def cmd_build_corpus(args) -> int:
     alignment(cfg.tau)  # a bad --tau fails here, before any scene is read
     scenes = load_scenes_dir(args.scenes)
     check_image_refs(scenes)  # before any label is registered or service called
+    if args.mode == "captions":
+        check_caption_ids(scenes, cfg)
     knobs = {"mode": args.mode, **asdict(cfg)}
     provenance = _provenance("build-corpus", args.seed, args.stub, knobs)
     chash = provenance["config_hash"]

@@ -112,6 +112,22 @@ def check_image_refs(scenes: Mapping[str, Scene]) -> None:
                 )
 
 
+def _caption_id(scene_id: str, view_id: str, idx: int) -> str:
+    return f"cap:{scene_id}:{view_id}:{idx}"
+
+
+def check_caption_ids(scenes: Mapping[str, Scene], cfg: CaptionBuildConfig) -> None:
+    """Raise DuplicateId naming the first two captions of the views that
+    `build_caption_triplets` samples that would take one triplet id, before
+    any caption is made."""
+    seen: dict[str, str] = {}
+    for scene_id in sorted(scenes):
+        for view_id in scenes[scene_id].views.ids[:: cfg.stride]:
+            for idx in range(cfg.num_captions):
+                where = f"scene {scene_id!r} view {view_id!r} caption {idx}"
+                _claim_id(seen, _caption_id(scene_id, view_id, idx), where)
+
+
 def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float) -> dict:
     """Ids of the objects each view shows with IoSA > tau, keyed by view_id,
     read from `overlap`, `geometry.image_overlap` of `objects` in `views`;
@@ -162,7 +178,7 @@ def build_caption_triplets(
                 continue
             records.append(
                 TripletRecord(
-                    triplet_id=f"cap:{scene.scene_id}:{view_id}:{idx}",
+                    triplet_id=_caption_id(scene.scene_id, view_id, idx),
                     scene_id=scene.scene_id,
                     view_id=view_id,
                     object_ids=object_ids,

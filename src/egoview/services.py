@@ -27,7 +27,6 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._util import finite_number, tokenize
@@ -40,6 +39,8 @@ COMPOSE_MARKER = "[task:compose-qa]"
 
 # Transport retry schedule: sleeps between attempts, transport errors only.
 RETRY_BACKOFF = (0.5, 2.0)
+# Seconds each request may take before it counts as a transport failure.
+REQUEST_TIMEOUT = 30.0
 
 _CAPTION_TEMPLATES = (
     "a view containing {}",
@@ -52,14 +53,6 @@ _PROMPT_FIELD_RE = {
     "a1": re.compile(r"^Parent answer 1: (.*)$", re.MULTILINE),
     "q2": re.compile(r"^Parent question 2: (.*)$", re.MULTILINE),
 }
-
-
-@dataclass(frozen=True)
-class ServiceEndpointConfig:
-    """Where and how to reach a model service."""
-
-    base_url: str = ""
-    timeout: float = 30.0
 
 
 def _join_labels(labels: Sequence[str]) -> str:
@@ -183,25 +176,25 @@ class RemoteModelService:
     load it.
     """
 
-    def __init__(self, config: ServiceEndpointConfig):
+    def __init__(self, base_url: str):
         import requests
 
-        if not config.base_url:
+        if not base_url:
             raise ValueError("remote mode requires a base_url")
-        self.config = config
+        self.base_url = base_url
         self._session = requests.Session()
 
     def _post(self, route: str, payload: dict) -> dict:
         import requests
 
-        url = self.config.base_url.rstrip("/") + route
+        url = self.base_url.rstrip("/") + route
         last_error: Exception | None = None
         for attempt in range(len(RETRY_BACKOFF) + 1):
             if attempt > 0:
                 time.sleep(RETRY_BACKOFF[attempt - 1])
                 logger.warning("retrying %s (attempt %d)", route, attempt + 1)
             try:
-                response = self._session.post(url, json=payload, timeout=self.config.timeout)
+                response = self._session.post(url, json=payload, timeout=REQUEST_TIMEOUT)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue

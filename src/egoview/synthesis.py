@@ -1,6 +1,8 @@
 """Compositional question synthesis: pair single-view questions that share an
 object anchor, then have a text generator weave each pair into one new
-question whose answer needs information from both parents."""
+question whose answer needs information from both parents.  Each pair takes
+one pass: its view count, its generation, its verification, then either one
+drop or one record."""
 
 from __future__ import annotations
 
@@ -10,7 +12,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .records import _encodable, at_least_one, check_rules, non_empty, read_records, record_field
+from .records import _claim_id, _encodable, at_least_one, check_rules, non_empty, read_records
+from .records import record_field
 from .scene import Scene
 from .services import COMPOSE_MARKER
 from .solvability import WitnessConfig, WitnessTable, referenced_objects
@@ -32,7 +35,7 @@ class QuestionRecord:
 
     question_id: str = record_field("text")
     scene_id: str = record_field("text")
-    text: str = record_field("text")
+    text: str = record_field("text", non_empty)
     answer: str = record_field("text", non_empty)
     related_object_ids: frozenset[int] = record_field("integer list", non_empty)
 
@@ -48,6 +51,10 @@ class CandidatePair:
     first: QuestionRecord
     second: QuestionRecord
     shared_anchor_ids: frozenset[int]
+
+    @property
+    def parent_ids(self) -> tuple[str, str]:
+        return (self.first.question_id, self.second.question_id)
 
 
 @dataclass(eq=False)
@@ -66,14 +73,6 @@ class ComposedQA:
 
     def __post_init__(self):
         check_rules(self)
-
-
-@dataclass(frozen=True)
-class Dropped:
-    """A pair that produced no usable record, with the reason why."""
-
-    parent_question_ids: tuple[str, str]
-    reason: str
 
 
 @dataclass
@@ -165,52 +164,37 @@ def _parse_generation(text: str) -> tuple[str, str] | None:
 
 def compose_question(
     pair: CandidatePair, generator, anchor_labels: Sequence[str]
-) -> ComposedQA | Dropped:
-    """Generate one composed question from a pair, retrying on parse failure.
-
-    Transport failures (ServiceUnavailable) propagate; persistent unparseable
-    replies drop the pair with reason 'parse_failure'.
-    """
-    parent_ids = (pair.first.question_id, pair.second.question_id)
+) -> tuple[str, str] | None:
+    """The (question, answer) a generator composes from a pair, retrying on
+    parse failure; None after MAX_GENERATION_ATTEMPTS unparseable replies.
+    Transport failures (ServiceUnavailable) propagate."""
     prompt = build_compose_prompt(pair, anchor_labels)
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         reply = generator.generate_text(prompt, max_tokens=MAX_TOKENS, temperature=TEMPERATURE)
         parsed = _parse_generation(reply)
-        if parsed is None:
-            logger.debug("unparseable generation for %s (attempt %d)", parent_ids, attempt + 1)
-            continue
-        question, answer = parsed
-        return ComposedQA(
-            question_id=f"{parent_ids[0]}+{parent_ids[1]}",
-            scene_id=pair.first.scene_id,
-            question=question,
-            answer=answer,
-            parent_question_ids=parent_ids,
-            anchor_object_ids=pair.shared_anchor_ids,
-            related_object_ids=pair.first.related_object_ids | pair.second.related_object_ids,
-        )
-    return Dropped(parent_question_ids=parent_ids, reason="parse_failure")
+        if parsed is not None:
+            return parsed
+        logger.debug("unparseable generation for %s (attempt %d)", pair.parent_ids, attempt + 1)
+    return None
 
 
-def verify_composition(
-    record: ComposedQA, parents_by_id: Mapping[str, QuestionRecord]
-) -> str | None:
+def verify_composition(question: str, answer: str, pair: CandidatePair) -> str | None:
     """Structural verification; returns None on pass, else the failure reason.
 
     Checks the question ends with '?', the answer is non-empty and at most
     ANSWER_TOKEN_LIMIT tokens, neither holds a lone surrogate (which no
-    output could encode), and the question is not a verbatim copy of
-    either parent, looked up in `parents_by_id`.
+    output could encode), and the question is not a verbatim copy of the
+    text of either of the pair's parents.
     """
-    if not record.question.endswith("?"):
+    if not question.endswith("?"):
         return "missing_question_mark"
-    if not record.answer.strip():
+    if not answer.strip():
         return "empty_answer"
-    if len(record.answer.split()) > ANSWER_TOKEN_LIMIT:
+    if len(answer.split()) > ANSWER_TOKEN_LIMIT:
         return "overlong_answer"
-    if not (_encodable(record.question) and _encodable(record.answer)):
+    if not (_encodable(question) and _encodable(answer)):
         return "unencodable_text"
-    if any(record.question == parents_by_id[p].text for p in record.parent_question_ids):
+    if question in (pair.first.text, pair.second.text):
         return "degenerate_copy"
     return None
 
@@ -221,15 +205,17 @@ def synthesize_dataset(
     scenes_by_id: Mapping[str, Scene],
     config_hash: str = "",
 ) -> tuple[list[ComposedQA], SynthesisReport]:
-    """Run pairing -> composition -> verification -> view-count annotation.
+    """Run pairing, then one pass per pair: count, compose, verify, keep or drop.
 
-    Surviving records are annotated with the minimum number of views needed
-    to witness the union of both parents' object sets, counted on one
-    witness table per scene over the objects its questions reference.  A
-    question whose scene is not loaded or whose ids are not in that scene
-    raises UnknownScene or UnknownObjectId naming it, before any generation.
-    Output order follows the sorted pair order, so identical inputs give
-    identical bytes.
+    A pair's count is the minimum number of views witnessing the union of
+    both parents' object sets, which the pair alone fixes, on one witness
+    table per scene over the objects its questions reference.  A pair whose
+    replies never parse ('parse_failure') or that fails verification is
+    dropped with that reason; any other becomes one record carrying its
+    count.  Before any generation, a question naming a scene that is not
+    loaded or ids not in it raises UnknownScene or UnknownObjectId, and two
+    pairs composing one id raise DuplicateId, naming them.  Output order
+    follows the sorted pair order, so identical inputs give identical bytes.
     """
     tables = {  # one per scene, for this call only
         scene_id: WitnessTable.build(objects, scenes_by_id[scene_id].views, WitnessConfig())
@@ -239,28 +225,40 @@ def synthesize_dataset(
         scene_id: dict(zip(table.objects.ids, table.objects.labels))
         for scene_id, table in tables.items()
     }
-    parents_by_id = {q.question_id: q for q in questions}
     report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
     report.pairs_considered = len(pairs)
+    ids = ["+".join(pair.parent_ids) for pair in pairs]
+    if len(set(ids)) < len(ids):  # name the first repeat before any generator call
+        seen: dict[str, str] = {}
+        for pair, composed_id in zip(pairs, ids):
+            _claim_id(seen, composed_id, f"pair {pair.parent_ids}")
 
     records: list[ComposedQA] = []
-    for pair in pairs:
-        labels = label_of[pair.first.scene_id]
-        anchor_labels = sorted({labels[oid] for oid in pair.shared_anchor_ids})
-        result = compose_question(pair, generator, anchor_labels)
-        if isinstance(result, Dropped):
-            report.note_drop(result.reason)
-            logger.info("dropped pair %s: %s", result.parent_question_ids, result.reason)
-            continue
-        reason = verify_composition(result, parents_by_id)
+    for pair, composed_id in zip(pairs, ids):
+        scene_id = pair.first.scene_id
+        related = pair.first.related_object_ids | pair.second.related_object_ids
+        req = tables[scene_id].min_view_count(related)
+        anchor_labels = sorted({label_of[scene_id][oid] for oid in pair.shared_anchor_ids})
+        parsed = compose_question(pair, generator, anchor_labels)
+        reason = "parse_failure" if parsed is None else verify_composition(*parsed, pair)
         if reason is not None:
             report.note_drop(reason)
-            logger.info("dropped pair %s: %s", result.parent_question_ids, reason)
+            logger.info("dropped pair %s: %s", pair.parent_ids, reason)
             continue
-        req = tables[pair.first.scene_id].min_view_count(result.related_object_ids)
-        result.min_views, result.solver = req.n, req.solver
-        records.append(result)
+        records.append(
+            ComposedQA(
+                question_id=composed_id,
+                scene_id=scene_id,
+                question=parsed[0],
+                answer=parsed[1],
+                parent_question_ids=pair.parent_ids,
+                anchor_object_ids=pair.shared_anchor_ids,
+                related_object_ids=related,
+                min_views=req.n,
+                solver=req.solver,
+            )
+        )
 
     report.composed = len(records)
     seen_questions: set[str] = set()

@@ -359,8 +359,15 @@ class TestSynthesizeCommand:
         assert out.read_bytes() == (golden_dir / "composed.jsonl").read_bytes()
         assert report.read_bytes() == (golden_dir / "composed.report.json").read_bytes()
 
-    def test_repeated_composed_id_exits_2_without_output(self, tmp_path, data_dir, capsys):
+    def test_repeated_composed_id_exits_2_without_output(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
         # The pairs (a, b+c) and (a+b, c) both compose to the id 'a+b+c'.
+        prompts = []
+        monkeypatch.setattr(
+            "egoview.services.StubModelService.generate_text",
+            lambda self, prompt, **kw: prompts.append(prompt),
+        )
         questions = tmp_path / "q.jsonl"
         questions.write_text(
             "".join(
@@ -376,8 +383,11 @@ class TestSynthesizeCommand:
             "--out", str(out), "--stub",
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {out}:6: id 'a+b+c' already used at {out}:3\n"
+        assert capsys.readouterr().err == (
+            "error: pair ('a+b', 'c'): id 'a+b+c' already used at pair ('a', 'b+c')\n"
+        )
         assert [p.name for p in tmp_path.iterdir()] == ["q.jsonl"]
+        assert prompts == []
 
     def test_unencodable_reply_drops_its_pair(self, tmp_path, data_dir, golden_dir, monkeypatch):
         """A reply holding a lone surrogate, which no output could encode, drops
@@ -759,8 +769,15 @@ class TestBuildCorpusCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_repeated_caption_id_exits_2_without_output(self, tmp_path, data_dir, capsys):
+    def test_repeated_caption_id_exits_2_without_output(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
         # Scene 'a' with view 'b:c' and scene 'a:b' with view 'c' both caption 'cap:a:b:c:0'.
+        captioned = []
+        monkeypatch.setattr(
+            "egoview.services.StubModelService.caption_image",
+            lambda self, ref, num_captions=1: captioned.append(ref),
+        )
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         scene = json.loads((data_dir / "scenes" / "scene-a.json").read_text(encoding="utf-8"))
@@ -776,9 +793,11 @@ class TestBuildCorpusCommand:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {out}:5: id 'cap:a:b:c:0' already used at {out}:2\n"
+            "error: scene 'a:b' view 'c' caption 0: id 'cap:a:b:c:0' already used at "
+            "scene 'a' view 'b:c' caption 0\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["scenes"]
+        assert captioned == []
 
     @pytest.mark.parametrize("mode", ["captions", "extend"])
     @pytest.mark.parametrize(
@@ -1228,11 +1247,11 @@ class TestUsageAndConfig:
 
         monkeypatch.setenv("MODEL_SERVICE_URL", "http://from-env")
         client = _service_client(Args(), seed=0)
-        assert client.config.base_url == "http://from-env"
+        assert client.base_url == "http://from-env"
 
         monkeypatch.delenv("MODEL_SERVICE_URL")
         client = _service_client(Args(), seed=0)
-        assert client.config.base_url == "http://from-flag"
+        assert client.base_url == "http://from-flag"
 
     def test_stub_runs_never_import_requests(self, tmp_path, data_dir):
         script = (

@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 
 from egoview import services
 from egoview.errors import EmptyInput, InvalidImageReference, ServiceUnavailable
-from egoview.services import (
-    RemoteModelService,
-    ServiceEndpointConfig,
-    StubModelService,
-)
+from egoview.services import RemoteModelService, StubModelService
 from egoview.synthesis import build_compose_prompt
 
 from .oracles import jaccard_score
@@ -256,23 +252,22 @@ def model_server():
 
 class TestRemoteService:
     def test_caption_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
+        client = RemoteModelService(model_server)
         assert client.caption_image("img.jpg", 2) == ["caption 0", "caption 1"]
 
     def test_scores_clamped_to_unit_interval(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
+        client = RemoteModelService(model_server)
         assert client.score_image_text("img.jpg", ["x"]) == (1.0,)
 
     def test_generate_round_trip(self, model_server):
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
+        client = RemoteModelService(model_server)
         assert client.generate_text("ping") == "echo:ping"
 
     def test_unreachable_url_raises_after_retries(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("egoview.services.time.sleep", sleeps.append)
-        client = RemoteModelService(
-            ServiceEndpointConfig(base_url="http://127.0.0.1:9", timeout=0.5)
-        )
+        monkeypatch.setattr(services, "REQUEST_TIMEOUT", 0.5)
+        client = RemoteModelService("http://127.0.0.1:9")
         with pytest.raises(ServiceUnavailable):
             client.generate_text("ping")
         assert sleeps == [0.5, 2.0]
@@ -280,13 +275,13 @@ class TestRemoteService:
     def test_malformed_body_fails_without_retry(self, model_server, monkeypatch):
         sleeps = []
         monkeypatch.setattr("egoview.services.time.sleep", sleeps.append)
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
+        client = RemoteModelService(model_server)
         with pytest.raises(ServiceUnavailable):
             client._post("/v1/broken", {})
         assert sleeps == []
 
     def test_transient_transport_error_is_retried(self, model_server, monkeypatch):
-        client = RemoteModelService(ServiceEndpointConfig(base_url=model_server))
+        client = RemoteModelService(model_server)
         monkeypatch.setattr("egoview.services.time.sleep", lambda _: None)
         real_post = client._session.post
         calls = {"n": 0}
@@ -346,28 +341,28 @@ class TestRemoteReplies:
     @pytest.mark.parametrize("item", BAD_SCORES, ids=lambda item: item[:12])
     def test_score_must_be_a_finite_number(self, monkeypatch, item):
         _serve(monkeypatch, "/v1/score_image_text", item)
-        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        client = RemoteModelService("http://model")
         with pytest.raises(ServiceUnavailable, match="^/v1/score_image_text reply: a score must be"):
             client.score_image_text("img.jpg", ["x", "y"])
 
     @pytest.mark.parametrize("item", BAD_CAPTIONS)
     def test_caption_must_be_a_string(self, monkeypatch, item):
         _serve(monkeypatch, "/v1/caption", item)
-        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        client = RemoteModelService("http://model")
         with pytest.raises(ServiceUnavailable, match="^/v1/caption reply: 'captions' must be"):
             client.caption_image("img.jpg", 2)
 
     @pytest.mark.parametrize("keep", [0, -1], ids=["none", "one-short"])
     def test_caption_reply_must_hold_one_per_caption_requested(self, monkeypatch, keep):
         _serve(monkeypatch, "/v1/caption", None, keep)
-        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        client = RemoteModelService("http://model")
         with pytest.raises(ServiceUnavailable, match="^/v1/caption reply: 'captions' must be"):
             client.caption_image("img.jpg", 2)
 
     @pytest.mark.parametrize("item,expected", [("0", 0.0), ("1", 1.0), ("-3", 0.0), ("0.25", 0.25)])
     def test_integer_and_float_scores_are_clamped_floats(self, monkeypatch, item, expected):
         _serve(monkeypatch, "/v1/score_image_text", item)
-        client = RemoteModelService(ServiceEndpointConfig(base_url="http://model"))
+        client = RemoteModelService("http://model")
         scores = client.score_image_text("img.jpg", ["x"])
         assert scores == (expected,) and type(scores[0]) is float
 
@@ -394,7 +389,7 @@ class TestRemoteReplies:
 class TestConfigAndFactory:
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):
-            RemoteModelService(ServiceEndpointConfig())
+            RemoteModelService("")
 
 
 class TestRouteDrift:

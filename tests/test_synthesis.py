@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,7 @@ from egoview.errors import SchemaError, ServiceUnavailable, UnknownObjectId, Unk
 from egoview.services import StubModelService
 from egoview.solvability import WitnessConfig, WitnessTable
 from egoview.synthesis import (
-    ComposedQA,
-    Dropped,
+    CandidatePair,
     QuestionRecord,
     compose_question,
     eligible_pairs,
@@ -134,21 +134,17 @@ class TestComposeQuestion:
         stub = StubModelService(seed=7)
         first = compose_question(pair, stub, anchor_labels=["desk"])
         second = compose_question(pair, stub, anchor_labels=["desk"])
-        assert isinstance(first, ComposedQA)
-        assert first.question == (
+        assert first == (
             "Combining: Where is the waste basket near the desk | "
-            "What is the chair in front of?"
+            "What is the chair in front of?",
+            "right",
         )
-        assert first.answer == "right"
-        assert first.question == second.question
-        assert first.related_object_ids == {1, 2, 3}
-        assert first.anchor_object_ids == {1}
-        assert first.parent_question_ids == ("q1", "q2")
+        assert first == second
+        assert pair.parent_ids == ("q1", "q2")
 
     def test_unparseable_reply_dropped_after_three_attempts(self):
         generator = _UnparseableGenerator()
-        result = compose_question(self._pair(), generator, ["desk"])
-        assert result == Dropped(parent_question_ids=("q1", "q2"), reason="parse_failure")
+        assert compose_question(self._pair(), generator, ["desk"]) is None
         assert generator.calls == 3
 
     def test_service_failure_propagates(self):
@@ -160,60 +156,47 @@ class TestComposeQuestion:
             def generate_text(self, prompt, max_tokens=256, temperature=0.0):
                 return 'Sure! {"question": "Which side?", "answer": "left"} Hope that helps.'
 
-        result = compose_question(self._pair(), Chatty(), ["desk"])
-        assert isinstance(result, ComposedQA)
-        assert result.question == "Which side?"
+        assert compose_question(self._pair(), Chatty(), ["desk"]) == ("Which side?", "left")
+
+
+def _verify(first_text=None, **reply):
+    """`verify_composition` of a reply's question and answer (each with a
+    default) against the parents q1 and q2, q1 with `first_text`."""
+    reply = {"question": "What is combined here?", "answer": "a thing", **reply}
+    pair = CandidatePair(
+        first=question("q1", {1}, text=first_text),
+        second=question("q2", {2}),
+        shared_anchor_ids=frozenset(),
+    )
+    return verify_composition(reply["question"], reply["answer"], pair)
 
 
 class TestVerifyComposition:
-    PARENTS = {"q1": question("q1", {1}), "q2": question("q2", {2})}
-
-    def _record(self, question="What is combined here?", answer="a thing"):
-        return ComposedQA(
-            question_id="q1+q2",
-            scene_id="s1",
-            question=question,
-            answer=answer,
-            parent_question_ids=("q1", "q2"),
-            anchor_object_ids=frozenset({1}),
-            related_object_ids=frozenset({1, 2}),
-        )
-
     def test_pass(self):
-        assert verify_composition(self._record(), self.PARENTS) is None
+        assert _verify() is None
 
     def test_combined_fixture_record_passes(self):
-        record = self._record(
-            question="What is on the right of the small desk where the wooden chair is in front of?",
-            answer="waste basket",
-        )
-        assert verify_composition(record, self.PARENTS) is None
+        composed = "What is on the right of the small desk where the wooden chair is in front of?"
+        assert _verify(question=composed, answer="waste basket") is None
 
     def test_empty_answer(self):
-        assert verify_composition(self._record(answer="  "), self.PARENTS) == "empty_answer"
+        assert _verify(answer="  ") == "empty_answer"
 
     def test_overlong_answer(self):
-        answer = " ".join(["word"] * 11)
-        assert verify_composition(self._record(answer=answer), self.PARENTS) == "overlong_answer"
+        assert _verify(answer=" ".join(["word"] * 11)) == "overlong_answer"
 
     def test_ten_token_answer_passes(self):
-        assert verify_composition(self._record(answer=" ".join(["w"] * 10)), self.PARENTS) is None
+        assert _verify(answer=" ".join(["w"] * 10)) is None
 
     def test_missing_question_mark(self):
-        record = self._record(question="no mark")
-        assert verify_composition(record, self.PARENTS) == "missing_question_mark"
+        assert _verify(question="no mark") == "missing_question_mark"
 
     @pytest.mark.parametrize("field", ["question", "answer"])
     def test_unencodable_text(self, field):
-        record = self._record(**{field: "Which \ud800 one?"})
-        assert verify_composition(record, self.PARENTS) == "unencodable_text"
+        assert _verify(**{field: "Which \ud800 one?"}) == "unencodable_text"
 
     def test_degenerate_copy(self):
-        parents = {
-            "q1": question("q1", {1}, text="What is combined here?"),
-            "q2": question("q2", {2}),
-        }
-        assert verify_composition(self._record(), parents) == "degenerate_copy"
+        assert _verify(first_text="What is combined here?") == "degenerate_copy"
 
 
 class TestSynthesizeDataset:
@@ -319,6 +302,44 @@ class TestSynthesizeDataset:
         assert records == []
         assert report.dropped == {"overlong_answer": 3}
 
+    def test_each_drop_is_logged_and_counted_once(self, scenes, caplog):
+        class Mixed:  # q1's pair never parses; q2's pair answers at length
+            def generate_text(self, prompt, max_tokens=256, temperature=0.0):
+                if "garbled" in prompt:
+                    return "no json here {"
+                return '{"question": "Valid?", "answer": "' + "word " * 20 + '"}'
+
+        questions = [
+            question("q1", {1, 3}, scene_id="scene-a", text="Which one is garbled?"),
+            question("q2", {1, 2}, scene_id="scene-a"),
+            question("q3", {2, 4}, scene_id="scene-a"),
+        ]
+        caplog.set_level(logging.INFO, logger="egoview.synthesis")
+        records, report = synthesize_dataset(questions, Mixed(), scenes)
+        assert records == []
+        assert report.dropped == {"parse_failure": 1, "overlong_answer": 1}
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "dropped pair ('q1', 'q2'): parse_failure",
+            "dropped pair ('q2', 'q3'): overlong_answer",
+        ]
+
+    def test_copy_of_the_pairs_own_parent_is_dropped(self, scenes):
+        """A reply that copies the pair's first parent is a degenerate copy
+        even when another question shares that parent's id."""
+
+        class CopyFirst:
+            def generate_text(self, prompt, max_tokens=256, temperature=0.0):
+                text = prompt.split("Parent question 1: ")[1].split("\n")[0]
+                return '{"question": "%s", "answer": "yes"}' % text
+
+        questions = [
+            question("a", {1, 3}, scene_id="scene-a", text="Where is the first one?"),
+            question("a", {1, 2}, scene_id="scene-a", text="Where is the second one?"),
+        ]
+        records, report = synthesize_dataset(questions, CopyFirst(), scenes)
+        assert records == []
+        assert report.dropped == {"degenerate_copy": 1}
+
     def test_duplicate_question_counted(self, scenes):
         class ConstantGenerator:
             def generate_text(self, prompt, max_tokens=256, temperature=0.0):
@@ -350,6 +371,16 @@ class TestQuestionIO:
         with pytest.raises(SchemaError) as excinfo:
             read_questions(path)
         assert ":2" in str(excinfo.value)
+
+    def test_blank_question_text_rejected(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(
+            '{"question_id": "q1", "scene_id": "s", "text": "t?", "answer": "a", "related_object_ids": [1]}\n'
+            '{"question_id": "q2", "scene_id": "s", "text": "", "answer": "a", "related_object_ids": [1]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=r"^.*questions\.jsonl:2\.text: must be non-empty$"):
+            read_questions(path)
 
     def test_empty_anchor_set_rejected(self):
         with pytest.raises(ValueError):
