@@ -268,16 +268,21 @@ def extend_dataset_triplets(
     return records
 
 
+# One encoder for every record line: `json.dumps(data, ensure_ascii=False)`
+# without constructing a `JSONEncoder` per line.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(path: str | Path, rows: Sequence, provenance: dict, outputs: OutputFiles) -> None:
     """Stage records as UTF-8 JSON lines (`records.record_json`) after a
     provenance header line, to be moved into place with the other files of
     `outputs`; a repeated id raises as its reader would, naming both lines."""
-    lines = [json.dumps({"record": "provenance", **provenance}, ensure_ascii=False)]
+    lines = [_encode({"record": "provenance", **provenance})]
     seen: dict[str, str] = {}
     for row in rows:
         data, first = record_json(row), steps_of(type(row))[0]
         _claim_id(seen, data[first.key], f"{path}:{len(lines) + 1}", first.duplicate)
-        lines.append(json.dumps(data, ensure_ascii=False))
+        lines.append(_encode(data))
     outputs.write(path, "\n".join(lines) + "\n")
 
 

@@ -7,8 +7,11 @@ gives a leaf kind, a rule and, as its default, its value when absent.
 `read_records` checks each line against the steps `steps_of` derives from
 the class and builds the record by field name, whose constructor applies
 the rules (`check_rules`); `record_json` writes it back from the same steps.
-Every error names `path:line.field`.  The module needs no numpy, so
-`egoview eval` starts without it.
+A check names the field by its path within the record; `read_records`
+puts the line's `path:line` before it, so every error names
+`path:line.field`.  Each line is decoded by `loads`: one pass of the json
+module's C scanner when the document fills the line, else `json.loads`.
+The module needs no numpy, so `egoview eval` starts without it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,22 @@ def _score(value, path: str) -> float | None:
     raise SchemaError(path, f"must be a finite number or null, got {value!r}")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def loads(text: str):
+    """`json.loads(text)`, value or error, in one scanner pass when the
+    document fills `text`; anything else (a BOM, surrounding whitespace,
+    trailing data, a decode error) is left to `json.loads` itself."""
+    try:
+        value, end = _raw_decode(text)
+        if end == len(text):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(text)
+
+
 def _claim_id(seen: dict[str, str], record_id: str, where: str, error=DuplicateId) -> None:
     """Note where an id first appears; raise `error` naming both lines when it repeats."""
     if record_id in seen:
@@ -119,8 +138,8 @@ def _iter_jsonl(path: str | Path):
             if not line:
                 continue
             try:
-                data = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+                data = loads(line)
+            except (ValueError, RecursionError) as exc:  # json.loads refuses ints past 4300 digits
                 raise SchemaError(f"{path}:{lineno}", f"invalid JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise SchemaError(f"{path}:{lineno}", "record must be a JSON object")
@@ -156,7 +175,7 @@ class Step(NamedTuple):
     """How `read_records` reads and `record_json` writes one field of a record class."""
 
     key: str
-    check: Callable  # (JSON value, path) in, the field's value out
+    check: Callable  # (JSON value, path within the record) in, the field's value out
     write: Callable | None  # the field's value in, JSON out; None writes it as is
     default: object  # MISSING when every line must hold the key
     kind: str | type  # this and the rest are the field's `record_field` metadata
@@ -181,20 +200,29 @@ def _forms(kind: str | type) -> tuple[Callable, Callable | None]:
     def nested(value, path: str):
         if not isinstance(value, dict):
             raise SchemaError(path, f"must be an object, got {value!r}")
-        return kind(**_values(value, path, steps_of(kind)))
+        return _build(kind, value, path)
 
     return nested, record_json
 
 
-def _values(node: dict, at: str, steps: tuple[Step, ...]) -> dict:
-    """The checked value of each key of `node` by field name; a missing
-    required key raises SchemaError."""
+def _build(cls, node: dict, at: str):
+    """The `cls` of JSON object `node`; a bad field raises SchemaError
+    naming `at.field`, the path built only then."""
+    try:
+        return cls(**_values(node, steps_of(cls)))
+    except SchemaError as exc:  # a RuleError from the constructor too
+        raise SchemaError(f"{at}.{exc.field}", exc.reason) from exc
+
+
+def _values(node: dict, steps: tuple[Step, ...]) -> dict:
+    """The checked value of each key of `node` by field name; a bad value
+    or a missing required key raises SchemaError naming the key."""
     values = {}
     for key, check, _, default, _, _, _ in steps:
         if key in node:
-            values[key] = check(node[key], f"{at}.{key}")
+            values[key] = check(node[key], key)
         elif default is MISSING:
-            raise SchemaError(f"{at}.{key}", "missing")
+            raise SchemaError(key, "missing")
     return values
 
 
@@ -237,28 +265,30 @@ def dc_target(value, record):
         return "must be an integer for a dc instruction, got None"
 
 
+@cache
+def _rules(cls) -> tuple[tuple[str, Callable], ...]:
+    """(key, rule) of each field of record class `cls` that declares a rule, in order."""
+    return tuple((step.key, step.rule) for step in steps_of(cls) if step.rule is not None)
+
+
 def check_rules(record) -> None:
     """Raise RuleError naming the first field of `record` that breaks its rule."""
-    for step in steps_of(type(record)):
-        if step.rule is not None:
-            reason = step.rule(getattr(record, step.key), record)
-            if reason is not None:
-                raise RuleError(step.key, reason)
+    for key, rule in _rules(type(record)):
+        reason = rule(getattr(record, key), record)
+        if reason is not None:
+            raise RuleError(key, reason)
 
 
 def read_records(path: str | Path, cls) -> list:
     """A `cls` built from each data line of `path` by field name; a bad field
     raises SchemaError naming it, a repeated id the error its first field names."""
-    steps = steps_of(cls)
+    first = steps_of(cls)[0]
     records = []
     seen: dict[str, str] = {}
     for lineno, data in _iter_jsonl(path):
         where = f"{path}:{lineno}"
-        try:
-            record = cls(**_values(data, where, steps))
-        except RuleError as exc:
-            raise SchemaError(f"{where}.{exc.field}", exc.reason) from exc
-        _claim_id(seen, getattr(record, steps[0].key), where, steps[0].duplicate)
+        record = _build(cls, data, where)
+        _claim_id(seen, getattr(record, first.key), where, first.duplicate)
         records.append(record)
     return records
 

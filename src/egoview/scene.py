@@ -510,7 +510,7 @@ def _reference_tree(raw: bytes, path: Path):
         return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except UnicodeDecodeError as exc:
         raise SchemaError(str(path), f"invalid UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # json.loads refuses ints past 4300 digits
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
 
 

@@ -168,7 +168,8 @@ class RemoteModelService:
 
     Transport failures (connection errors, timeouts) are retried twice with
     backoff, then raised as ServiceUnavailable.  Well-formed replies are
-    never retried; malformed bodies and non-2xx statuses fail immediately.
+    never retried; malformed bodies (not JSON, or nested too deep to
+    decode) and non-2xx statuses fail immediately.
     A reply must hold a non-empty string that UTF-8 can encode per caption
     and a finite JSON number (not a bool) per score; anything else is a
     ServiceUnavailable naming the route.
@@ -202,7 +203,7 @@ class RemoteModelService:
                 raise ServiceUnavailable(f"{url} returned status {response.status_code}")
             try:
                 body = response.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ServiceUnavailable(f"{url} returned a non-JSON body") from exc
             if not isinstance(body, dict):
                 raise ServiceUnavailable(f"{url} returned a non-object body")

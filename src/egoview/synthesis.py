@@ -6,14 +6,13 @@ drop or one record."""
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .records import _claim_id, _encodable, at_least_one, check_rules, non_empty, read_records
-from .records import record_field
+from .records import loads, record_field
 from .scene import Scene
 from .services import COMPOSE_MARKER
 from .solvability import WitnessConfig, WitnessTable, referenced_objects
@@ -143,15 +142,16 @@ def build_compose_prompt(pair: CandidatePair, anchor_labels: Sequence[str]) -> s
 
 
 def _parse_generation(text: str) -> tuple[str, str] | None:
-    """Extract (question, answer) from a generator reply, or None."""
+    """Extract (question, answer) from a generator reply, or None; a reply
+    `json.loads` refuses (nested too deep included) is unparseable."""
     candidates = [text]
     match = _JSON_BLOCK_RE.search(text)
     if match and match.group(0) != text:
         candidates.append(match.group(0))
     for candidate in candidates:
         try:
-            data = json.loads(candidate)
-        except json.JSONDecodeError:
+            data = loads(candidate)
+        except (ValueError, RecursionError):
             continue
         if (
             isinstance(data, dict)

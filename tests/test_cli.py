@@ -179,6 +179,19 @@ class TestSolvabilityCommand:
         assert sorted(child.name for child in tmp_path.iterdir()) == ["scenes"]
         assert not out.exists()
 
+    def test_scene_integer_past_the_conversion_limit_names_the_file(
+        self, tmp_path, data_dir, capsys
+    ):
+        text = (data_dir / "scenes" / "scene-a.json").read_text(encoding="utf-8")
+        text = re.sub(r'"width": \d+', '"width": ' + "6" * 5000, text, count=1)
+        code, out = self._run_on_scene_files(tmp_path, data_dir, {"scene-a.json": text.encode()})
+        assert code == 2
+        bad_path = tmp_path / "scenes" / "scene-a.json"
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad_path}: invalid JSON: Exceeds the limit (4300 digits)"
+        )
+        assert not out.exists()
+
     def test_deeply_nested_instruction_line_names_the_line(self, tmp_path, data_dir, capsys):
         lines = (data_dir / "instructions_solvability.jsonl").read_bytes().splitlines(True)
         lines[1] = b'{"a": ' + b"[" * 100_000 + b"\n"
@@ -1274,6 +1287,23 @@ class TestUsageAndConfig:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_record_commands_are_clean_in_dev_mode(self, tmp_path, data_dir):
+        """`synthesize` writes and `eval` reads records with no unclosed
+        handle or warning, each in a fresh `python -X dev -W error`."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for argv in (
+            ("synthesize", "--scenes", str(data_dir / "scenes"),
+             "--questions", str(data_dir / "questions.jsonl"),
+             "--out", str(tmp_path / "composed.jsonl"), "--stub"),
+            ("eval", "--gold", str(data_dir / "eval_gold.jsonl"),
+             "--pred", str(data_dir / "eval_pred.jsonl"), "--out", str(tmp_path / "eval.json")),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "egoview.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv[0]
 
     def test_seed_recorded_in_provenance(self, tmp_path, data_dir):
         out = tmp_path / "composed.jsonl"

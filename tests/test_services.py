@@ -386,6 +386,22 @@ class TestRemoteReplies:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_cli_exits_4_on_a_body_nested_too_deep(self, monkeypatch, tmp_path, capsys):
+        from egoview.cli import main
+
+        deep = _Reply('{"captions": ' + "[" * 5000)
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: deep)
+        scenes = Path(__file__).resolve().parent / "data" / "scenes"
+        code = main([
+            "build-corpus", "--scenes", str(scenes), "--mode", "captions",
+            "--out", str(tmp_path / "t.jsonl"), "--service", "http://model",
+        ])
+        assert code == 4
+        message = "service error: http://model/v1/caption returned a non-JSON body\n"
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigAndFactory:
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):

@@ -110,12 +110,18 @@ class TestEligiblePairs:
 
 
 class _UnparseableGenerator:
-    def __init__(self):
+    def __init__(self, reply="no json here {"):
         self.calls = 0
+        self.reply = reply
 
     def generate_text(self, prompt, max_tokens=256, temperature=0.0):
         self.calls += 1
-        return "no json here {"
+        return self.reply
+
+
+# Replies `json.loads` raises on without a JSONDecodeError: an array nested
+# past the recursion limit, and an integer past the digits it converts.
+REFUSED_REPLIES = {"deep": "[" * 5000 + "]" * 5000, "long-integer": "9" * 5000}
 
 
 class _FailingGenerator:
@@ -146,6 +152,19 @@ class TestComposeQuestion:
         generator = _UnparseableGenerator()
         assert compose_question(self._pair(), generator, ["desk"]) is None
         assert generator.calls == 3
+
+    @pytest.mark.parametrize("reply", REFUSED_REPLIES.values(), ids=REFUSED_REPLIES)
+    def test_reply_json_refuses_dropped_after_three_attempts(self, reply):
+        generator = _UnparseableGenerator(reply)
+        assert compose_question(self._pair(), generator, ["desk"]) is None
+        assert generator.calls == 3
+
+    def test_reply_wrapped_in_whitespace_is_parsed(self):
+        class Spacey:
+            def generate_text(self, prompt, max_tokens=256, temperature=0.0):
+                return '  {"question": "Which side?", "answer": "left"} \n'
+
+        assert compose_question(self._pair(), Spacey(), ["desk"]) == ("Which side?", "left")
 
     def test_service_failure_propagates(self):
         with pytest.raises(ServiceUnavailable):
@@ -291,6 +310,15 @@ class TestSynthesizeDataset:
         records, report = synthesize_dataset(questions, _UnparseableGenerator(), scenes)
         assert records == []
         assert report.dropped == {"parse_failure": 3}
+
+    @pytest.mark.parametrize("reply", REFUSED_REPLIES.values(), ids=REFUSED_REPLIES)
+    def test_generator_json_refuses_reports_drops(self, data_dir, scenes, reply):
+        generator = _UnparseableGenerator(reply)
+        questions = read_questions(data_dir / "questions.jsonl")
+        records, report = synthesize_dataset(questions, generator, scenes)
+        assert records == []
+        assert report.dropped == {"parse_failure": 3}
+        assert generator.calls == 3 * synthesis.MAX_GENERATION_ATTEMPTS
 
     def test_overlong_answers_never_survive(self, data_dir, scenes):
         class Rambler:
