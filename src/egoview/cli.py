@@ -4,9 +4,9 @@ building, and exact-match evaluation.
 Exit codes: 0 success, 1 usage, 2 schema/data error or unreadable input or
 unwritable output, 3 unknown reference, 4 service failure.  A command's
 outputs appear together or not at all: a failure leaves no partial file.
-All randomness flows from --seed; stub-mode runs write byte-identical
-outputs for identical configurations.  Each command imports the modules it
-runs when it runs, so eval starts without numpy.
+Nothing is random: --seed enters only provenance and the config hash, and
+stub outputs depend on their inputs alone.  Each command imports the
+modules it runs when it runs, so eval starts without numpy.
 """
 
 from __future__ import annotations
@@ -90,12 +90,12 @@ def _config(cls, args):
     return cls(**{field.name: getattr(args, field.name) for field in fields(cls)})
 
 
-def _service_client(args, seed: int):
+def _service_client(args):
     """Build the model-service client; env var overrides the --service URL."""
     from .services import RemoteModelService, StubModelService
 
     if args.stub:
-        return StubModelService(seed)
+        return StubModelService()
     base_url = os.environ.get(MODEL_SERVICE_ENV) or args.service
     return RemoteModelService(base_url)
 
@@ -178,7 +178,7 @@ def cmd_synthesize(args) -> int:
     provenance = _provenance("synthesize", args.seed, args.stub, knobs)
     scenes = load_scenes_dir(args.scenes)
     questions = read_questions(args.questions)
-    client = _service_client(args, args.seed)
+    client = _service_client(args)
     records, report = synthesize_dataset(
         questions, client, scenes, config_hash=provenance["config_hash"]
     )
@@ -226,7 +226,7 @@ def cmd_build_corpus(args) -> int:
     knobs = {"mode": args.mode, **asdict(cfg)}
     provenance = _provenance("build-corpus", args.seed, args.stub, knobs)
     chash = provenance["config_hash"]
-    client = _service_client(args, args.seed)
+    client = _service_client(args)
 
     records = []
     if args.mode == "captions":

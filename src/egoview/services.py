@@ -3,16 +3,16 @@
 Three capabilities sit behind a single request/response protocol so any
 captioner, retrieval scorer, or text generator can be adapted:
 
-    POST <base>/v1/caption            {image_path|image_b64, num_captions} -> {captions: [...]}
-    POST <base>/v1/score_image_text   {image_path|image_b64, texts: [...]} -> {scores: [...]}
-    POST <base>/v1/generate           {prompt, max_tokens, temperature}    -> {text: ...}
+    POST <base>/v1/caption            {image_path, num_captions}        -> {captions: [...]}
+    POST <base>/v1/score_image_text   {image_path, texts: [...]}        -> {scores: [...]}
+    POST <base>/v1/generate           {prompt, max_tokens, temperature} -> {text: ...}
 
 The stub client answers the same calls in-process from a sidecar of visible
 object labels per image reference, making every pipeline reproducible offline
-byte for byte.  Stub outputs are pure functions of (inputs, seed).  The stub
-tokenizes each view's labels once, when the view is registered, and keeps
-the token sets of the last `texts` batch it scored, so scoring one batch
-against many views tokenizes each text once.
+byte for byte.  Nothing in it is random: stub outputs depend on their
+inputs alone.  The stub tokenizes each view's labels once, when the view is
+registered, and keeps the token sets of the last `texts` batch it scored,
+so scoring one batch against many views tokenizes each text once.
 
 `score_image_text` scores each text independently of the other texts in
 the call: a text's score against an image is the same alone as in any
@@ -22,7 +22,6 @@ against a view in one call.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -35,8 +34,6 @@ from .records import _encodable
 
 logger = logging.getLogger(__name__)
 
-COMPOSE_MARKER = "[task:compose-qa]"
-
 # Transport retry schedule: sleeps between attempts, transport errors only.
 RETRY_BACKOFF = (0.5, 2.0)
 # Seconds each request may take before it counts as a transport failure.
@@ -48,11 +45,11 @@ _CAPTION_TEMPLATES = (
     "an egocentric view with {}",
 )
 
-_PROMPT_FIELD_RE = {
-    "q1": re.compile(r"^Parent question 1: (.*)$", re.MULTILINE),
-    "a1": re.compile(r"^Parent answer 1: (.*)$", re.MULTILINE),
-    "q2": re.compile(r"^Parent question 2: (.*)$", re.MULTILINE),
-}
+# The prompt lines the stub generator composes from: q1, a1, q2.
+_PROMPT_FIELD_RE = tuple(
+    re.compile(rf"^Parent {field}: (.*)$", re.MULTILINE)
+    for field in ("question 1", "answer 1", "question 2")
+)
 
 
 def _join_labels(labels: Sequence[str]) -> str:
@@ -78,8 +75,7 @@ class StubModelService:
     function of the inputs and the registered sidecar.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+    def __init__(self):
         # image reference -> (sorted distinct labels, their token set)
         self._views: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
         # the last scored batch of texts and the token set of each
@@ -94,14 +90,6 @@ class StubModelService:
         if image_ref not in self._views:
             raise InvalidImageReference(f"no sidecar labels registered for {image_ref!r}")
         return self._views[image_ref]
-
-    def _digest(self, *parts: str) -> str:
-        h = hashlib.blake2b(digest_size=8)
-        h.update(str(self.seed).encode("utf-8"))
-        for part in parts:
-            h.update(b"\x00")
-            h.update(part.encode("utf-8"))
-        return h.hexdigest()
 
     def caption_image(self, image_ref: str, num_captions: int = 1) -> list[str]:
         if num_captions < 1:
@@ -141,35 +129,31 @@ class StubModelService:
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:
         """Deterministic generation; temperature is ignored.
 
-        Prompts carrying the composition marker get the fixed combination
-        template (question = both parents joined, answer = first parent's);
-        anything else echoes a seeded digest string.
+        A prompt holding both parent questions and the first parent's answer
+        gets the fixed combination template (question = both parents joined,
+        answer = first parent's); any other prompt gets "".
         """
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if COMPOSE_MARKER in prompt:
-            fields = {}
-            for key, pattern in _PROMPT_FIELD_RE.items():
-                match = pattern.search(prompt)
-                if match is None:
-                    return f"stub-reply:{self._digest(prompt)}"
-                fields[key] = match.group(1).strip()
-            q1 = fields["q1"].rstrip(" ?")
-            q2 = fields["q2"].rstrip(" ?")
-            return json.dumps(
-                {"question": f"Combining: {q1} | {q2}?", "answer": fields["a1"]},
-                ensure_ascii=False,
-            )
-        return f"stub-reply:{self._digest(prompt)}"
+        matches = [pattern.search(prompt) for pattern in _PROMPT_FIELD_RE]
+        if not all(matches):
+            return ""
+        q1, a1, q2 = (match.group(1).strip() for match in matches)
+        return json.dumps(
+            {"question": f"Combining: {q1.rstrip(' ?')} | {q2.rstrip(' ?')}?", "answer": a1},
+            ensure_ascii=False,
+        )
 
 
 class RemoteModelService:
     """HTTP client for the three-route protocol.
 
-    Transport failures (connection errors, timeouts) are retried twice with
-    backoff, then raised as ServiceUnavailable.  Well-formed replies are
-    never retried; malformed bodies (not JSON, or nested too deep to
-    decode) and non-2xx statuses fail immediately.
+    Connection errors and timeouts are retried twice with backoff, then
+    raised as ServiceUnavailable.  Any other transport error (a body broken
+    off mid-stream, too many redirects) is a ServiceUnavailable at once; a
+    malformed URL or header stays a ValueError.  Replies are never retried:
+    malformed bodies (not JSON, or nested too deep to decode) and any
+    status other than 200 fail immediately.
     A reply must hold a non-empty string that UTF-8 can encode per caption
     and a finite JSON number (not a bool) per score; anything else is a
     ServiceUnavailable naming the route.
@@ -199,6 +183,10 @@ class RemoteModelService:
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue
+            except requests.RequestException as exc:
+                if isinstance(exc, ValueError):  # a malformed URL or header
+                    raise
+                raise ServiceUnavailable(f"request to {url} failed: {exc}") from exc
             if response.status_code != 200:
                 raise ServiceUnavailable(f"{url} returned status {response.status_code}")
             try:

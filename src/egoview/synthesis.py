@@ -14,11 +14,11 @@ from typing import Mapping, Sequence
 from .records import _claim_id, _encodable, at_least_one, check_rules, non_empty, read_records
 from .records import loads, record_field
 from .scene import Scene
-from .services import COMPOSE_MARKER
 from .solvability import WitnessConfig, WitnessTable, referenced_objects
 
 logger = logging.getLogger(__name__)
 
+COMPOSE_MARKER = "[task:compose-qa]"
 PROMPT_VERSION = "compose-qa-v1"
 ANSWER_TOKEN_LIMIT = 10
 MAX_GENERATION_ATTEMPTS = 3

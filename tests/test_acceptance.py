@@ -363,7 +363,7 @@ def test_criterion_8_performance_smoke():
             for j in range(30)
         ]
         scene = Scene(scene_id="synthetic", objects=big_objects, views=big_views, split="train")
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         start = time.monotonic()
         records = build_caption_triplets(
             scene, stub, CaptionBuildConfig(stride=20, num_captions=3, threshold=0.0)

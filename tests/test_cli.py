@@ -1259,11 +1259,11 @@ class TestUsageAndConfig:
             service = "http://from-flag"
 
         monkeypatch.setenv("MODEL_SERVICE_URL", "http://from-env")
-        client = _service_client(Args(), seed=0)
+        client = _service_client(Args())
         assert client.base_url == "http://from-env"
 
         monkeypatch.delenv("MODEL_SERVICE_URL")
-        client = _service_client(Args(), seed=0)
+        client = _service_client(Args())
         assert client.base_url == "http://from-flag"
 
     def test_stub_runs_never_import_requests(self, tmp_path, data_dir):
@@ -1289,11 +1289,21 @@ class TestUsageAndConfig:
         assert result.returncode == 0, result.stderr
 
     def test_record_commands_are_clean_in_dev_mode(self, tmp_path, data_dir):
-        """`synthesize` writes and `eval` reads records with no unclosed
+        """`solvability`, both `build-corpus` modes and `synthesize` decode
+        scenes and write records, and `eval` reads them, with no unclosed
         handle or warning, each in a fresh `python -X dev -W error`."""
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        scenes = str(data_dir / "scenes")
         for argv in (
-            ("synthesize", "--scenes", str(data_dir / "scenes"),
+            ("solvability", "--scenes", scenes,
+             "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+             "--out", str(tmp_path / "report.json")),
+            ("build-corpus", "--scenes", scenes, "--mode", "captions",
+             "--out", str(tmp_path / "captions.jsonl"), "--stub"),
+            ("build-corpus", "--scenes", scenes, "--mode", "extend",
+             "--instructions", str(data_dir / "instructions_extend.jsonl"),
+             "--out", str(tmp_path / "extend.jsonl"), "--stub"),
+            ("synthesize", "--scenes", scenes,
              "--questions", str(data_dir / "questions.jsonl"),
              "--out", str(tmp_path / "composed.jsonl"), "--stub"),
             ("eval", "--gold", str(data_dir / "eval_gold.jsonl"),
@@ -1319,6 +1329,32 @@ class TestUsageAndConfig:
         assert header["record"] == "provenance"
         assert header["seed"] == 123
         assert header["config_hash"]
+
+    def test_seed_reaches_no_record(self, tmp_path, data_dir):
+        """`--seed` changes only `seed` and `config_hash` in the provenance
+        header and the report; every record is the same."""
+
+        def unseeded(block):
+            return {key: unseeded(value) if isinstance(value, dict) else value
+                    for key, value in block.items() if key not in ("seed", "config_hash")}
+
+        runs = []
+        for seed in ("0", "123"):
+            out = tmp_path / f"composed-{seed}.jsonl"
+            code = run(
+                "synthesize", "--scenes", str(data_dir / "scenes"),
+                "--questions", str(data_dir / "questions.jsonl"),
+                "--out", str(out), "--stub", "--seed", seed,
+            )
+            assert code == 0
+            header, *records = out.read_text().splitlines()
+            report = json.loads(Path(f"{out}.report.json").read_text())
+            runs.append((json.loads(header), records, report))
+        (header0, records0, report0), (header123, records123, report123) = runs
+        assert (header0["seed"], header123["seed"]) == (0, 123)
+        assert records0 and records0 == records123
+        assert unseeded(header0) == unseeded(header123)
+        assert unseeded(report0) == unseeded(report123)
 
 
 # `egoview <command> --help` at 80 columns.  Building the parser imports no

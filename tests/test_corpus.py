@@ -1081,7 +1081,7 @@ class TestInstructionIO:
 
 class TestBuildCaptionTriplets:
     def test_fixture_run(self, scene_a):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2, tau=0.5)
         records = build_caption_triplets(scene_a, stub, cfg, config_hash="abc")
         # Views v01, v05, v09 sampled; every stub caption clears 0.2.
@@ -1095,7 +1095,7 @@ class TestBuildCaptionTriplets:
         assert records[0].provenance.config_hash == "abc"
 
     def test_threshold_above_stub_range_drops_everything(self, scene_a):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=1.1)
         assert build_caption_triplets(scene_a, stub, cfg) == []
 
@@ -1105,13 +1105,13 @@ class TestBuildCaptionTriplets:
             CaptionBuildConfig(threshold=threshold)
 
     def test_stride_beyond_view_count_keeps_first_view(self, scene_a):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         cfg = CaptionBuildConfig(stride=99, num_captions=1, threshold=0.0)
         records = build_caption_triplets(scene_a, stub, cfg)
         assert {r.view_id for r in records} == {"v01"}
 
     def test_record_bound_and_equality_condition(self, scene_a):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.0)
         records = build_caption_triplets(scene_a, stub, cfg)
         sampled_views = len(scene_a.views[::4])
@@ -1119,15 +1119,15 @@ class TestBuildCaptionTriplets:
 
     def test_deterministic(self, scene_a):
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2)
-        run1 = build_caption_triplets(scene_a, StubModelService(0), cfg)
-        run2 = build_caption_triplets(scene_a, StubModelService(0), cfg)
+        run1 = build_caption_triplets(scene_a, StubModelService(), cfg)
+        run2 = build_caption_triplets(scene_a, StubModelService(), cfg)
         assert [record_json(r) for r in run1] == [record_json(r) for r in run2]
 
 
 class TestExtendDatasetTriplets:
     def test_fixture_run(self, data_dir, scenes):
         instructions = read_instructions(data_dir / "instructions_extend.jsonl")
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         records = extend_dataset_triplets(instructions, scenes, stub, config_hash="h")
         by_id = {r.triplet_id: r for r in records}
         assert len(records) == 5
@@ -1220,7 +1220,7 @@ class TestClientWithoutSidecar:
 
 class _CountingStub(StubModelService):
     def __init__(self):
-        super().__init__(seed=0)
+        super().__init__()
         self.score_calls: list[tuple[str, tuple[str, ...]]] = []
 
     def score_image_text(self, image_ref, texts):
@@ -1294,7 +1294,7 @@ class TestExtendBatching:
             for scene_id in ("scene-a", "scene-b")
         ]
         assert stray == []
-        single = extend_dataset_triplets(fixture, scenes, StubModelService(seed=0))
+        single = extend_dataset_triplets(fixture, scenes, StubModelService())
         assert [record_json(r) for r in records[: len(fixture)]] == [
             record_json(r) for r in single
         ]
@@ -1382,7 +1382,7 @@ class TestExtendBatching:
 
 class TestTripletIO:
     def test_round_trip_is_byte_stable(self, scene_a, tmp_path):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=0.2)
         records = build_caption_triplets(scene_a, stub, cfg, config_hash="h")
         first = tmp_path / "a.jsonl"

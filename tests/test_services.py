@@ -23,14 +23,14 @@ from .oracles import jaccard_score
 
 class TestStubCaptions:
     def test_sorted_labels_in_caption(self):
-        stub = StubModelService(seed=0)
+        stub = StubModelService()
         stub.register_view_labels("frames/v01.jpg", ["desk", "chair"])
         captions = stub.caption_image("frames/v01.jpg", 2)
         assert captions[0] == "a view containing chair and desk"
         assert captions[1] == "a view showing chair and desk"
 
     def test_deterministic_across_calls(self):
-        stub = StubModelService(seed=9)
+        stub = StubModelService()
         stub.register_view_labels("ref", ["sofa", "table", "lamp"])
         assert stub.caption_image("ref", 5) == stub.caption_image("ref", 5)
 
@@ -68,7 +68,7 @@ class TestStubScores:
         assert stub.score_image_text("r", ["waste basket"]) == (1.0,)
 
     def test_each_text_scored_alone_as_in_a_batch(self):
-        stub = StubModelService(seed=3)
+        stub = StubModelService()
         stub.register_view_labels("v", ["office chair", "desk", "lamp"])
         texts = ["the desk", "an office chair by the lamp", "", "nothing", "the desk", "LAMP"]
         batch = stub.score_image_text("v", texts)
@@ -170,13 +170,18 @@ class TestStubTokenState:
         assert after - before < 16_000
 
 
+# One line of text with no lone surrogate: a parent text, answer or label.
+_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), min_size=1)
+
+
 class _FakePair:
-    def __init__(self):
+    def __init__(self, texts=("Where is the desk?", "left", "What color is the chair?", "red")):
         from egoview.synthesis import CandidatePair, QuestionRecord
 
+        text1, answer1, text2, answer2 = texts
         self.pair = CandidatePair(
-            first=QuestionRecord("qa", "s", "Where is the desk?", "left", frozenset({1, 2})),
-            second=QuestionRecord("qb", "s", "What color is the chair?", "red", frozenset({2, 3})),
+            first=QuestionRecord("qa", "s", text1, answer1, frozenset({1, 2})),
+            second=QuestionRecord("qb", "s", text2, answer2, frozenset({2, 3})),
             shared_anchor_ids=frozenset({2}),
         )
 
@@ -185,7 +190,7 @@ class TestStubGeneration:
     def test_compose_prompt_yields_parseable_template(self):
         pair = _FakePair().pair
         prompt = build_compose_prompt(pair, ["chair"])
-        reply = StubModelService(seed=7).generate_text(prompt)
+        reply = StubModelService().generate_text(prompt)
         data = json.loads(reply)
         assert data == {
             "question": "Combining: Where is the desk | What color is the chair?",
@@ -193,16 +198,29 @@ class TestStubGeneration:
         }
 
     def test_same_prompt_same_output(self):
-        stub = StubModelService(seed=7)
-        assert stub.generate_text("hello") == stub.generate_text("hello")
+        prompt = build_compose_prompt(_FakePair().pair, ["chair"])
+        stub = StubModelService()
+        assert stub.generate_text(prompt) == stub.generate_text(prompt)
 
-    def test_plain_prompt_gets_digest(self):
-        reply = StubModelService(seed=7).generate_text("hello")
-        assert reply.startswith("stub-reply:")
+    @pytest.mark.parametrize("field", ["Parent question 1", "Parent answer 1", "Parent question 2"])
+    def test_prompt_missing_a_field_gets_empty_reply(self, field):
+        prompt = build_compose_prompt(_FakePair().pair, ["chair"])
+        lines = [line for line in prompt.splitlines() if not line.startswith(f"{field}: ")]
+        assert len(lines) == len(prompt.splitlines()) - 1
+        assert StubModelService().generate_text("\n".join(lines)) == ""
 
     def test_temperature_ignored(self):
-        stub = StubModelService(seed=7)
-        assert stub.generate_text("x", temperature=0.0) == stub.generate_text("x", temperature=1.0)
+        prompt = build_compose_prompt(_FakePair().pair, ["chair"])
+        stub = StubModelService()
+        assert stub.generate_text(prompt, temperature=0.0) == stub.generate_text(prompt, temperature=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_LINE, min_size=4, max_size=4), labels=st.lists(_LINE, max_size=3))
+    def test_compose_reply_joins_the_parents(self, texts, labels):
+        text1, answer1, text2, _ = texts
+        reply = StubModelService().generate_text(build_compose_prompt(_FakePair(texts).pair, labels))
+        t1, t2 = (text.strip().rstrip(" ?") for text in (text1, text2))
+        assert json.loads(reply) == {"question": f"Combining: {t1} | {t2}?", "answer": answer1.strip()}
 
     def test_max_tokens_validated(self):
         with pytest.raises(ValueError):
@@ -399,6 +417,32 @@ class TestRemoteReplies:
         assert code == 4
         message = "service error: http://model/v1/caption returned a non-JSON body\n"
         assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [
+        requests.exceptions.ChunkedEncodingError("broken chunk"),
+        requests.exceptions.ContentDecodingError("bad gzip"),
+        requests.exceptions.TooManyRedirects("redirect loop"),
+    ], ids=lambda error: type(error).__name__)
+    def test_cli_exits_4_on_other_transport_errors(self, monkeypatch, tmp_path, capsys, error):
+        from egoview.cli import main
+
+        calls = []
+
+        def post(session, url, **kwargs):
+            calls.append(url)
+            raise error
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr("egoview.services.time.sleep", lambda _: None)
+        scenes = Path(__file__).resolve().parent / "data" / "scenes"
+        code = main([
+            "build-corpus", "--scenes", str(scenes), "--mode", "captions",
+            "--out", str(tmp_path / "t.jsonl"), "--service", "http://model",
+        ])
+        assert code == 4
+        assert "http://model/v1/caption" in capsys.readouterr().err
+        assert calls == ["http://model/v1/caption"]  # not retried
         assert list(tmp_path.iterdir()) == []
 
 

@@ -137,7 +137,7 @@ class TestComposeQuestion:
 
     def test_stub_template_is_stable(self):
         pair = self._pair()
-        stub = StubModelService(seed=7)
+        stub = StubModelService()
         first = compose_question(pair, stub, anchor_labels=["desk"])
         second = compose_question(pair, stub, anchor_labels=["desk"])
         assert first == (
@@ -221,7 +221,7 @@ class TestVerifyComposition:
 class TestSynthesizeDataset:
     def test_fixture_pipeline(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
-        stub = StubModelService(seed=7)
+        stub = StubModelService()
         records, report = synthesize_dataset(questions, stub, scenes)
         assert report.pairs_considered == 3
         assert report.composed == 3
@@ -234,7 +234,7 @@ class TestSynthesizeDataset:
     def test_union_and_intersection_invariants(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
         by_id = {q.question_id: q for q in questions}
-        records, _ = synthesize_dataset(questions, StubModelService(seed=7), scenes)
+        records, _ = synthesize_dataset(questions, StubModelService(), scenes)
         for record in records:
             first, second = (by_id[p] for p in record.parent_question_ids)
             assert record.related_object_ids == first.related_object_ids | second.related_object_ids
@@ -242,8 +242,8 @@ class TestSynthesizeDataset:
 
     def test_deterministic_output(self, data_dir, scenes):
         questions = read_questions(data_dir / "questions.jsonl")
-        run1, _ = synthesize_dataset(questions, StubModelService(seed=7), scenes)
-        run2, _ = synthesize_dataset(questions, StubModelService(seed=7), scenes)
+        run1, _ = synthesize_dataset(questions, StubModelService(), scenes)
+        run2, _ = synthesize_dataset(questions, StubModelService(), scenes)
         assert [record_json(r) for r in run1] == [record_json(r) for r in run2]
 
     def test_no_eligible_pairs(self, scenes):
@@ -295,7 +295,7 @@ class TestSynthesizeDataset:
 
         monkeypatch.setattr(synthesis.WitnessTable, "build", spy)
         scene = SimpleNamespace(views=views, objects=objects)
-        records, report = synthesize_dataset(questions, StubModelService(seed=7), {"s": scene})
+        records, report = synthesize_dataset(questions, StubModelService(), {"s": scene})
         assert len(built) == 1
         assert built[0].objects.ids == tuple(sorted(referenced))
         assert len(referenced) < len(objects)
