@@ -1,12 +1,15 @@
-"""Command-line entry point: solvability analysis, question synthesis, corpus
-building, and exact-match evaluation.
+"""Count the views that questions need, compose multi-view questions, build
+view/object/text triplets and score answers by exact match.
 
-Exit codes: 0 success, 1 usage, 2 schema/data error or unreadable input or
-unwritable output, 3 unknown reference, 4 service failure.  A command's
-outputs appear together or not at all: a failure leaves no partial file.
-Nothing is random: --seed enters only provenance and the config hash, and
-stub outputs depend on their inputs alone.  Each command imports the
-modules it runs when it runs, so eval starts without numpy.
+exit codes:
+  0  success
+  1  usage error
+  2  schema or data error, unreadable input or unwritable output
+  3  unknown reference
+  4  model-service failure
+
+A failing command leaves no partial output.  Nothing is random: --seed enters
+only the provenance and the config hash.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
     command's parser may take `arguments`, a function that adds its
     arguments and sets their defaults.  It runs only when that command is
     parsed, so building the parser adds no command's arguments and imports
-    no command's modules."""
+    no command's modules: each command imports the modules it runs when it
+    runs, so eval and `egoview --help` start without numpy."""
 
     def __init__(self, *args, arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -143,8 +147,8 @@ def cmd_solvability(args) -> int:
     provenance = _provenance("solvability", args.seed, True, knobs)
     scenes = load_scenes_dir(args.scenes)
     instructions = read_instructions(args.instructions)
-    hist = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
-    report = solvability_report(hist, cfg)
+    reqs = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
+    report = solvability_report(reqs, cfg, args.stride)
     report["provenance"] = provenance
     with OutputFiles() as outputs:
         _write_json(args.out, report, outputs)
@@ -333,7 +337,11 @@ def _eval_arguments(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="egoview", description=__doc__)
+    parser = _Parser(
+        prog="egoview",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument("--version", action="version", version=f"egoview {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser(

@@ -157,13 +157,12 @@ def build_caption_triplets(
 
     Every stride-th view (first always included) is captioned num_captions
     times; captions scoring >= threshold against the view survive, each
-    becoming one triplet whose object set is the view's visible objects.
-    Output order is canonical: view order, then caption index.
+    becoming one triplet whose object set is the view's visible objects;
+    a scene with no views gives none.  Output order is canonical: view
+    order, then caption index.
     """
     from .selection import image_refs
 
-    if not scene.views:
-        raise ValueError(f"scene {scene.scene_id} has no views")
     sampled = scene.views[:: cfg.stride]
     overlap = geometry.image_overlap(scene.objects.corners, sampled)
     visible = _register_sidecar(client, sampled, scene.objects, overlap, cfg.tau)

@@ -14,7 +14,8 @@ from typing import Sequence
 
 from ._util import percent
 from .errors import DuplicateId, DuplicatePrediction, MissingGold
-from .records import BUCKETS, at_least_one, check_rules, read_records, record_field, view_bucket
+from .records import BUCKETS, at_least_one, bucket_counts, check_rules, read_records, record_field
+from .records import view_bucket
 
 NORMALIZATION_VERSION = "nfkc-lower-ws-trailpunct-v1"
 ARTICLES_POLICY = "preserved"
@@ -102,31 +103,21 @@ def em_score(
             raise DuplicatePrediction(f"duplicate prediction for {pred.question_id!r}")
         pred_by_id[pred.question_id] = pred.prediction
 
-    hits: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    overall_hits = 0
-    missing = 0
-    for item in gold:
-        bucket = item.bucket
-        counts[bucket] = counts.get(bucket, 0) + 1
-        if item.question_id in pred_by_id:
-            em = int(
-                normalize_answer(pred_by_id[item.question_id])
-                == normalize_answer(item.answer)
-            )
-        else:
-            em = 0
-            missing += 1
-        hits[bucket] = hits.get(bucket, 0) + em
-        overall_hits += em
-
-    bucket_order = [b for b in (*BUCKETS[:4], "unbucketed") if b in counts]
+    hit = [
+        item.question_id in pred_by_id
+        and normalize_answer(pred_by_id[item.question_id]) == normalize_answer(item.answer)
+        for item in gold
+    ]
+    order = (*BUCKETS[:4], "unbucketed")
+    counts = bucket_counts((item.bucket for item in gold), order)
+    hits = bucket_counts((item.bucket for item, ok in zip(gold, hit) if ok), order)
+    present = [bucket for bucket in order if counts[bucket]]
     return EvalReport(
-        overall_em=percent(overall_hits, len(gold)),
-        per_bucket_em={b: percent(hits[b], counts[b]) for b in bucket_order},
-        bucket_counts={b: counts[b] for b in bucket_order},
+        overall_em=percent(sum(hit), len(gold)),
+        per_bucket_em={b: percent(hits[b], counts[b]) for b in present},
+        bucket_counts={b: counts[b] for b in present},
         total=len(gold),
-        missing_predictions=missing,
+        missing_predictions=len(gold) - len(pred_by_id),
     )
 
 

@@ -1,6 +1,6 @@
 """Record files: the field declarations of record dataclasses and the one
 reader and line writer that walk them, strict field types, outputs that
-appear together or not at all, and the view-count buckets.
+appear together or not at all, and the view-count buckets and their tally.
 
 Each record kind is declared once, on its dataclass: each `record_field`
 gives a leaf kind, a rule and, as its default, its value when absent.
@@ -22,7 +22,7 @@ import os
 from dataclasses import MISSING, field, fields
 from functools import cache
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from ._util import finite_number
 from .errors import DuplicateId, RuleError, SchemaError
@@ -39,6 +39,15 @@ def view_bucket(n: int | None) -> str:
     if n >= 4:
         return "4+"
     return str(n)
+
+
+def bucket_counts(buckets: Iterable[str], order: tuple[str, ...] = BUCKETS) -> dict[str, int]:
+    """How many of `buckets` fall in each bucket of `order`, keyed in that
+    order, zeros included; a bucket outside `order` raises KeyError."""
+    counts = dict.fromkeys(order, 0)
+    for bucket in buckets:
+        counts[bucket] += 1
+    return counts
 
 
 def _integer(value, path: str) -> int:

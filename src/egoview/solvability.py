@@ -16,7 +16,7 @@ count whose search runs out is the best cover found, tagged 'greedy'.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import geometry
 from ._util import check_stride, percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
-from .records import BUCKETS, view_bucket
+from .records import BUCKETS, bucket_counts, view_bucket
 from .scene import Objects, SceneObject, View, Views
 
 # The exact search stops after this many nodes, keeping the best cover found;
@@ -315,31 +315,32 @@ def min_view_count(
     return WitnessTable.build(_among(objects, ids), views, cfg).min_view_count(ids)
 
 
-@dataclass
-class RequirementHistogram:
-    """View-requirement distribution over a set of instructions."""
+def witness_tables(
+    records: Iterable, scenes_by_id: Mapping, kind: str, cfg: WitnessConfig, stride: int = 1
+) -> dict[str, WitnessTable]:
+    """Per scene id, the witness table of that scene's every stride-th view
+    (first always included) over the objects `records` reference (see
+    `referenced_objects`), one per scene, for this call only."""
+    check_stride(stride)
+    return {
+        scene_id: WitnessTable.build(objects, Views.of(scenes_by_id[scene_id].views)[::stride], cfg)
+        for scene_id, objects in referenced_objects(records, scenes_by_id, kind).items()
+    }
 
-    counts: dict[str, int]
-    total: int
-    solver_counts: dict[str, int]
-    stride: int
-    min_counts: list[int | None] = field(default_factory=list)
 
-    def percentages(self) -> dict[str, float]:
-        return {bucket: percent(self.counts[bucket], self.total) for bucket in BUCKETS}
-
-
-def solvability_report(hist: RequirementHistogram, cfg: WitnessConfig) -> dict:
-    """Structured view-requirement report: counts, percentages, solver mix, config."""
+def solvability_report(reqs: Sequence[ViewRequirement], cfg: WitnessConfig, stride: int) -> dict:
+    """Structured view-requirement report of `reqs`: counts and percentages
+    per bucket, solver mix, stride and config."""
+    counts = bucket_counts(req.bucket for req in reqs)
     return {
         "record": "solvability_report",
-        "total": hist.total,
-        "counts": dict(hist.counts),
-        "percentages": hist.percentages(),
-        "solver_mix": dict(hist.solver_counts),
-        "stride": hist.stride,
+        "total": len(reqs),
+        "counts": counts,
+        "percentages": {bucket: percent(n, len(reqs)) for bucket, n in counts.items()},
+        "solver_mix": bucket_counts((req.solver for req in reqs), ("exact", "greedy")),
+        "stride": stride,
         "config": asdict(cfg),
-        "total_zero": hist.total == 0,
+        "total_zero": not reqs,
     }
 
 
@@ -365,28 +366,16 @@ def view_requirement_stats(
     scenes_by_id: Mapping[str, object],
     cfg: WitnessConfig = WitnessConfig(),
     stride: int = 1,
-) -> RequirementHistogram:
-    """Bucket instructions by their minimum view count: {1, 2, 3, 4+, unsolvable}.
+) -> list[ViewRequirement]:
+    """The minimum view count of each instruction, in input order; its
+    `bucket` is one of {1, 2, 3, 4+, unsolvable} (see `solvability_report`).
 
     Instructions must carry `instruction_id`, `scene_id` and
     `related_object_ids`; scenes must carry `views` and `objects`, as tables
     or lists of records.  Candidate views are subsampled with `stride`
-    (every stride-th view, first always included); the stride is recorded
-    in the result rather than hidden.  Each scene's witness table is
-    computed once, over the objects its instructions reference, and shared
-    by its instructions.
+    (every stride-th view, first always included).  Each scene's witness
+    table is computed once, over the objects its instructions reference,
+    and shared by its instructions.
     """
-    check_stride(stride)
-    tables = {  # one per scene, for this call only
-        scene_id: WitnessTable.build(objects, Views.of(scenes_by_id[scene_id].views)[::stride], cfg)
-        for scene_id, objects in referenced_objects(instructions, scenes_by_id, "instruction").items()
-    }
-    counts = {bucket: 0 for bucket in BUCKETS}
-    solver_counts = {"exact": 0, "greedy": 0}
-    min_counts: list[int | None] = []
-    for ins in instructions:
-        req = tables[ins.scene_id].min_view_count(ins.related_object_ids)
-        counts[req.bucket] += 1
-        solver_counts[req.solver] += 1
-        min_counts.append(req.n)
-    return RequirementHistogram(counts, len(min_counts), solver_counts, stride, min_counts)
+    tables = witness_tables(instructions, scenes_by_id, "instruction", cfg, stride)
+    return [tables[ins.scene_id].min_view_count(ins.related_object_ids) for ins in instructions]

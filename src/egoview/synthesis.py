@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .records import _claim_id, _encodable, at_least_one, check_rules, non_empty, read_records
 from .records import loads, record_field
 from .scene import Scene
-from .solvability import WitnessConfig, WitnessTable, referenced_objects
+from .solvability import WitnessConfig, witness_tables
 
 logger = logging.getLogger(__name__)
 
@@ -217,10 +217,7 @@ def synthesize_dataset(
     pairs composing one id raise DuplicateId, naming them.  Output order
     follows the sorted pair order, so identical inputs give identical bytes.
     """
-    tables = {  # one per scene, for this call only
-        scene_id: WitnessTable.build(objects, scenes_by_id[scene_id].views, WitnessConfig())
-        for scene_id, objects in referenced_objects(questions, scenes_by_id, "question").items()
-    }
+    tables = witness_tables(questions, scenes_by_id, "question", WitnessConfig())
     label_of = {
         scene_id: dict(zip(table.objects.ids, table.objects.labels))
         for scene_id, table in tables.items()

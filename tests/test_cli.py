@@ -355,6 +355,67 @@ class TestSolvabilityCommand:
         assert list(tmp_path.iterdir()) == [instructions]
 
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--iosa-threshold", "1.5", "iosa_threshold must be in (0, 1)"),
+            ("--min-area-ratio", "1", "min_area_ratio must be in [0, 1)"),
+        ],
+    )
+    def test_witness_setting_out_of_range_exits_2(
+        self, tmp_path, data_dir, capsys, flag, value, message
+    ):
+        code = run(
+            "solvability",
+            "--scenes", str(data_dir / "scenes"),
+            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+            flag, value,
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_object_instruction_line_exits_2(self, tmp_path, data_dir, capsys):
+        instructions = tmp_path / "ins.jsonl"
+        instructions.write_text("[1]\n", encoding="utf-8")
+        code = run(
+            "solvability",
+            "--scenes", str(data_dir / "scenes"),
+            "--instructions", str(instructions),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {instructions}:1: record must be a JSON object\n"
+        assert list(tmp_path.iterdir()) == [instructions]
+
+    def test_non_object_scene_file_exits_2(self, tmp_path, data_dir, capsys):
+        code, out = self._run_on_scene_files(tmp_path, data_dir, {"scene-a.json": b"[]"})
+        assert code == 2
+        path = tmp_path / "scenes" / "scene-a.json"
+        assert capsys.readouterr().err == f"error: {path}: scene file must hold a JSON object\n"
+        assert not out.exists()
+
+    def test_viewless_scenes_count_every_instruction_unsolvable(self, tmp_path, data_dir):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name in ("scene-a.json", "scene-b.json"):
+            scene = json.loads((data_dir / "scenes" / name).read_text())
+            (scenes / name).write_text(json.dumps({**scene, "views": []}), encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = run(
+            "solvability",
+            "--scenes", str(scenes),
+            "--instructions", str(data_dir / "instructions_solvability.jsonl"),
+            "--stride", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["counts"] == {"1": 0, "2": 0, "3": 0, "4+": 0, "unsolvable": 5}
+        assert report["solver_mix"] == {"exact": 5, "greedy": 0}
+
+
 class TestSynthesizeCommand:
     def test_reproduces_committed_golden(self, tmp_path, data_dir, golden_dir):
         out = tmp_path / "composed.jsonl"
@@ -623,6 +684,34 @@ class TestBuildCorpusCommand:
         assert code == 0
         assert out.read_bytes() == (golden_dir / "triplets_captions.jsonl").read_bytes()
         assert report.read_bytes() == (golden_dir / "triplets_captions.report.json").read_bytes()
+
+    def test_viewless_scene_adds_no_caption_triplets(self, tmp_path, data_dir):
+        """Beside a scene with no views, the other scenes' triplets and the
+        report are byte for byte those of a run without it."""
+        scene_a = json.loads((data_dir / "scenes" / "scene-a.json").read_text())
+        written = {}
+        for name, viewless in [("with", True), ("without", False)]:
+            scenes = tmp_path / name
+            scenes.mkdir()
+            shutil.copy(data_dir / "scenes" / "scene-b.json", scenes)
+            if viewless:
+                (scenes / "scene-a.json").write_text(
+                    json.dumps({**scene_a, "views": []}), encoding="utf-8"
+                )
+            out = tmp_path / f"{name}.jsonl"
+            code = run(
+                "build-corpus",
+                "--scenes", str(scenes),
+                "--mode", "captions",
+                "--threshold", "0.2",
+                "--stride", "1",
+                "--out", str(out),
+                "--stub",
+            )
+            assert code == 0
+            written[name] = (out.read_bytes(), Path(f"{out}.report.json").read_bytes())
+        assert written["with"] == written["without"]
+        assert len(written["with"][0].splitlines()) == 1 + 15  # provenance, scene-b's triplets
 
     def test_extend_golden(self, tmp_path, data_dir, golden_dir):
         out = tmp_path / "triplets.jsonl"
@@ -1431,6 +1520,37 @@ options:
 }
 
 
+# `egoview --help` at 80 columns, the `cli` docstring first: what a user
+# reads, with no notes for developers.
+TOP_HELP = """\
+usage: egoview [-h] [--version] {solvability,synthesize,build-corpus,eval} ...
+
+Count the views that questions need, compose multi-view questions, build
+view/object/text triplets and score answers by exact match.
+
+exit codes:
+  0  success
+  1  usage error
+  2  schema or data error, unreadable input or unwritable output
+  3  unknown reference
+  4  model-service failure
+
+A failing command leaves no partial output.  Nothing is random: --seed enters
+only the provenance and the config hash.
+
+positional arguments:
+  {solvability,synthesize,build-corpus,eval}
+    solvability         view-requirement analysis over instructions
+    synthesize          compose multi-view questions from pairs
+    build-corpus        build view/object/text triplets
+    eval                exact-match evaluation of predictions
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
 class TestParser:
     def test_defaults_come_from_the_config_classes(self):
         from egoview.corpus import CaptionBuildConfig
@@ -1452,3 +1572,10 @@ class TestParser:
             main([command, "--help"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == HELP[command]
+
+    def test_top_level_help_text_is_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == TOP_HELP

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoview._util import percent
 from egoview.errors import DuplicateId, DuplicatePrediction, MissingGold, SchemaError
 from egoview.evaluate import (
     GoldAnswer,
@@ -13,6 +14,19 @@ from egoview.evaluate import (
     read_gold,
     read_predictions,
 )
+
+
+_ANSWERS = st.sampled_from(["red", "Red.", " two ", "blue", "left side"])
+
+
+@st.composite
+def _gold_and_predictions(draw):
+    """Gold answers with distinct ids and drawn view counts, and predictions
+    for a drawn subset of them."""
+    ids = draw(st.lists(st.integers(0, 50), unique=True, max_size=30))
+    gold = [GoldAnswer(f"g{i}", draw(_ANSWERS), draw(st.none() | st.integers(1, 6))) for i in ids]
+    predicted = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    return gold, [Prediction(f"g{i}", draw(_ANSWERS)) for i in predicted]
 
 
 class TestNormalizeAnswer:
@@ -116,6 +130,22 @@ class TestEmScore:
     def test_four_plus_bucket(self):
         report = em_score([Prediction("g", "x")], [GoldAnswer("g", "x", min_views=6)])
         assert report.per_bucket_em == {"4+": 100.0}
+
+    @given(case=_gold_and_predictions())
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_tally_matches_a_direct_recount(self, case):
+        gold, preds = case
+        report = em_score(preds, gold)
+        assert sum(report.bucket_counts.values()) == report.total == len(gold)
+        present = {item.bucket for item in gold}
+        order = ("1", "2", "3", "4+", "unbucketed")
+        assert list(report.bucket_counts) == [b for b in order if b in present]
+        predicted = {pred.question_id: normalize_answer(pred.prediction) for pred in preds}
+        for bucket, count in report.bucket_counts.items():
+            items = [item for item in gold if item.bucket == bucket]
+            hits = sum(predicted.get(g.question_id) == normalize_answer(g.answer) for g in items)
+            assert count == len(items)
+            assert report.per_bucket_em[bucket] == percent(hits, count)
 
     def test_report_flags_normalization_policy(self):
         payload = em_score(self._preds(), self._gold()).to_dict()

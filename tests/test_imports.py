@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -84,3 +86,22 @@ def test_package_import_loads_no_numpy():
         "import egoview\n"
         "assert 'numpy' not in sys.modules\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=" ".join)
+def test_help_loads_no_numpy(argv):
+    """Building the parser imports no command's modules, so help prints
+    without numpy."""
+    out = _run(
+        "import sys\n"
+        "import egoview.cli\n"
+        "try:\n"
+        "    egoview.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('help did not exit')\n"
+        "assert 'numpy' not in sys.modules\n",
+        *argv,
+    )
+    assert out.startswith("usage: egoview ")

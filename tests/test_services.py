@@ -446,6 +446,88 @@ class TestRemoteReplies:
         assert list(tmp_path.iterdir()) == []
 
 
+# (route, status, raw body, the ServiceUnavailable message): one reply a
+# client must refuse, every other route answering well-formed.
+BAD_REPLIES = [
+    pytest.param("/v1/caption", 503, '{"captions": ["a chair"]}',
+                 "http://model/v1/caption returned status 503", id="status"),
+    pytest.param("/v1/caption", 200, '["a chair"]',
+                 "http://model/v1/caption returned a non-object body", id="non-object"),
+    pytest.param("/v1/score_image_text", 200, '{"scores": [0.5]}',
+                 "/v1/score_image_text reply: 'scores' must be a list, one per text",
+                 id="score-count"),
+    pytest.param("/v1/generate", 200, '{"answer": "yes"}',
+                 "generate reply missing 'text'", id="no-text"),
+]
+
+
+def _serve_one_bad(monkeypatch, route: str, status: int, body: str) -> list[str]:
+    """Answer `route` with `body` at `status` and the other routes
+    well-formed; return the list of URLs posted to, filled as they are."""
+    calls = []
+
+    def post(session, url, **kwargs):
+        calls.append(url)
+        if url.endswith(route):
+            reply = _Reply(body)
+            reply.status_code = status
+            return reply
+        payload = kwargs["json"]
+        if url.endswith("/v1/caption"):
+            return _Reply(json.dumps({"captions": ["a chair"] * payload["num_captions"]}))
+        if url.endswith("/v1/score_image_text"):
+            return _Reply(json.dumps({"scores": [0.5] * len(payload["texts"])}))
+        return _Reply(json.dumps({"text": '{"question": "Both?", "answer": "yes"}'}))
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setattr("egoview.services.time.sleep", lambda _: None)
+    return calls
+
+
+class TestRemoteFailures:
+    @pytest.mark.parametrize("route,status,body,message", BAD_REPLIES)
+    def test_client_raises_without_retry(self, monkeypatch, route, status, body, message):
+        calls = _serve_one_bad(monkeypatch, route, status, body)
+        client = RemoteModelService("http://model")
+        call = {
+            "/v1/caption": lambda: client.caption_image("img.jpg", 1),
+            "/v1/score_image_text": lambda: client.score_image_text("img.jpg", ["x", "y"]),
+            "/v1/generate": lambda: client.generate_text("ping"),
+        }[route]
+        with pytest.raises(ServiceUnavailable) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+        assert calls == [f"http://model{route}"]
+
+    @pytest.mark.parametrize("route,status,body,message", BAD_REPLIES)
+    def test_cli_exits_4_without_output(
+        self, monkeypatch, tmp_path, capsys, route, status, body, message
+    ):
+        from egoview.cli import main
+
+        _serve_one_bad(monkeypatch, route, status, body)
+        data = Path(__file__).resolve().parent / "data"
+        out = str(tmp_path / "out.jsonl")
+        if route == "/v1/generate":
+            argv = ["synthesize", "--questions", str(data / "questions.jsonl")]
+        else:
+            argv = ["build-corpus", "--mode", "captions"]
+        code = main([*argv, "--scenes", str(data / "scenes"), "--out", out,
+                     "--service", "http://model"])
+        assert code == 4
+        assert capsys.readouterr().err == f"service error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_image_reference_is_refused_before_any_request(self, monkeypatch):
+        calls = _serve_one_bad(monkeypatch, "/v1/none", 200, "{}")
+        client = RemoteModelService("http://model")
+        with pytest.raises(InvalidImageReference, match="^empty image reference$"):
+            client.caption_image("", 1)
+        with pytest.raises(InvalidImageReference, match="^empty image reference$"):
+            client.score_image_text("", ["x"])
+        assert calls == []
+
+
 class TestConfigAndFactory:
     def test_remote_requires_base_url(self):
         with pytest.raises(ValueError):

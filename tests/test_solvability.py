@@ -12,11 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egoview import solvability
+from egoview._util import percent
 from egoview.errors import EmptyInput, UnknownObjectId, UnknownScene
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.scene import Objects, SceneObject, View, Views
 from egoview.solvability import (
-    RequirementHistogram,
     ViewRequirement,
     WitnessConfig,
     WitnessTable,
@@ -668,23 +668,25 @@ class TestViewRequirementStats:
         from egoview.corpus import read_instructions
 
         instructions = read_instructions(data_dir / "instructions_solvability.jsonl")
-        hist = view_requirement_stats(instructions, scenes)
-        assert hist.counts == {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}
-        assert hist.percentages() == {
+        reqs = view_requirement_stats(instructions, scenes)
+        assert [req.n for req in reqs] == [1, 1, 2, 3, 5]
+        report = solvability_report(reqs, WitnessConfig(), 1)
+        assert report["counts"] == {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}
+        assert report["percentages"] == {
             "1": 40.0,
             "2": 20.0,
             "3": 20.0,
             "4+": 20.0,
             "unsolvable": 0.0,
         }
-        assert hist.min_counts == [1, 1, 2, 3, 5]
-        assert hist.solver_counts == {"exact": 5, "greedy": 0}
+        assert report["solver_mix"] == {"exact": 5, "greedy": 0}
 
     def test_empty_instruction_list(self, scenes):
-        hist = view_requirement_stats([], scenes)
-        assert hist.total == 0
-        assert all(count == 0 for count in hist.counts.values())
-        assert all(value == 0.0 for value in hist.percentages().values())
+        assert view_requirement_stats([], scenes) == []
+        report = solvability_report([], WitnessConfig(), 1)
+        assert report["total"] == 0
+        assert all(count == 0 for count in report["counts"].values())
+        assert all(value == 0.0 for value in report["percentages"].values())
 
     def test_unknown_scene(self, scenes):
         class FakeInstruction:
@@ -707,11 +709,9 @@ class TestViewRequirementStats:
             )
             for k in range(12)
         ]
-        hist = view_requirement_stats(instructions, {"s": scene})
+        reqs = view_requirement_stats(instructions, {"s": scene})
         assert len(set().union(*(i.related_object_ids for i in instructions))) < len(objects)
-        assert hist.min_counts == [
-            min_view_count(i.related_object_ids, views, objects).n for i in instructions
-        ]
+        assert reqs == [min_view_count(i.related_object_ids, views, objects) for i in instructions]
 
     @pytest.mark.parametrize(
         "order,error",
@@ -741,28 +741,21 @@ class TestViewRequirementStats:
         instructions = read_instructions(data_dir / "instructions_solvability.jsonl")
         # Stride 4 keeps v01/v05/v09 of scene-a and w01/w05 of scene-b, so
         # every instruction except the desk-and-chair one becomes unsolvable.
-        hist = view_requirement_stats(instructions, scenes, stride=4)
-        assert hist.stride == 4
-        assert hist.counts["1"] == 1
-        assert hist.counts["unsolvable"] == 4
-        assert hist.total == 5
+        reqs = view_requirement_stats(instructions, scenes, stride=4)
+        report = solvability_report(reqs, WitnessConfig(), 4)
+        assert report["stride"] == 4
+        assert report["counts"]["1"] == 1
+        assert report["counts"]["unsolvable"] == 4
+        assert report["total"] == 5
 
 
 class TestSolvabilityReport:
-    def _hist(self, counts, total, min_counts):
-        return RequirementHistogram(
-            counts=counts,
-            total=total,
-            solver_counts={"exact": total, "greedy": 0},
-            stride=1,
-            min_counts=min_counts,
-        )
+    @staticmethod
+    def _reqs(counts):
+        return [ViewRequirement(n, "exact") for n in counts]
 
     def test_percentages(self):
-        hist = self._hist(
-            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
-        )
-        report = solvability_report(hist, WitnessConfig())
+        report = solvability_report(self._reqs([1, 1, 2, 3, 5]), WitnessConfig(), 1)
         assert report["percentages"] == {
             "1": 40.0,
             "2": 20.0,
@@ -773,16 +766,31 @@ class TestSolvabilityReport:
         assert report["config"]["iosa_threshold"] == 0.5
         assert report["total_zero"] is False
 
+    @given(
+        reqs=st.lists(
+            st.builds(
+                ViewRequirement, st.none() | st.integers(1, 9), st.sampled_from(["exact", "greedy"])
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tally_sums_to_the_total(self, reqs):
+        report = solvability_report(reqs, WitnessConfig(), 1)
+        assert report["total"] == len(reqs)
+        assert sum(report["counts"].values()) == report["total"]
+        assert sum(report["solver_mix"].values()) == report["total"]
+        for bucket, count in report["counts"].items():
+            assert count == sum(req.bucket == bucket for req in reqs)
+            assert report["percentages"][bucket] == percent(count, report["total"])
+
     def test_zero_histogram_flagged(self):
-        hist = self._hist({b: 0 for b in ("1", "2", "3", "4+", "unsolvable")}, 0, [])
-        report = solvability_report(hist, WitnessConfig())
+        report = solvability_report([], WitnessConfig(), 1)
         assert report["total_zero"] is True
         assert all(v == 0.0 for v in report["percentages"].values())
 
     def test_format_is_printable(self):
-        hist = self._hist(
-            {"1": 2, "2": 1, "3": 1, "4+": 1, "unsolvable": 0}, 5, [1, 1, 2, 3, 5]
-        )
-        text = format_solvability_report(solvability_report(hist, WitnessConfig()))
+        reqs = self._reqs([1, 1, 2, 3, 5])
+        text = format_solvability_report(solvability_report(reqs, WitnessConfig(), 1))
         assert "40.0%" in text
         assert "view stride: 1" in text

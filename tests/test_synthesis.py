@@ -293,7 +293,7 @@ class TestSynthesizeDataset:
             built.append(real_build(*args))
             return built[-1]
 
-        monkeypatch.setattr(synthesis.WitnessTable, "build", spy)
+        monkeypatch.setattr(WitnessTable, "build", spy)
         scene = SimpleNamespace(views=views, objects=objects)
         records, report = synthesize_dataset(questions, StubModelService(), {"s": scene})
         assert len(built) == 1
