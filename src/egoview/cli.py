@@ -15,7 +15,6 @@ only the provenance and the config hash.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -35,7 +34,7 @@ from .errors import (
     UnknownObjectId,
     UnknownScene,
 )
-from .records import OutputFiles
+from .records import OutputFiles, check_output, write_jsonl, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,10 +103,6 @@ def _service_client(args):
     return RemoteModelService(base_url)
 
 
-def _write_json(path: str | Path, payload: dict, outputs: OutputFiles) -> None:
-    outputs.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-
-
 def _report_path(args) -> str:
     """`--report`, else `<out>.report.json`."""
     return args.report or str(args.out) + ".report.json"
@@ -115,8 +110,10 @@ def _report_path(args) -> str:
 
 def _check_outputs(args, **outputs: str) -> None:
     """Raise a usage error if an output resolves to an input file or to an
-    earlier output, which writing it would replace.  `outputs` maps each
-    output's flag name to its path.  Commands call it before reading."""
+    earlier output, which writing it would replace, and an OSError if it is
+    a directory or its directory is missing.  `outputs` maps each output's
+    flag name to its path.  Commands call it before reading or any model
+    call."""
     taken = {}
     for name in ("instructions", "questions", "gold", "pred"):
         if getattr(args, name, None):
@@ -129,6 +126,7 @@ def _check_outputs(args, **outputs: str) -> None:
         if real in taken:
             raise _UsageError(f"--{name} {path} names {taken[real]}")
         taken[real] = f"the --{name} file"
+        check_output(path)
 
 
 def cmd_solvability(args) -> int:
@@ -149,16 +147,14 @@ def cmd_solvability(args) -> int:
     instructions = read_instructions(args.instructions)
     reqs = view_requirement_stats(instructions, scenes, cfg, stride=args.stride)
     report = solvability_report(reqs, cfg, args.stride)
-    report["provenance"] = provenance
     with OutputFiles() as outputs:
-        _write_json(args.out, report, outputs)
+        write_report(args.out, report, provenance, outputs)
     print(format_solvability_report(report))
     print(f"wrote report -> {args.out}")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    from .corpus import write_jsonl
     from .scene import load_scenes_dir
     from .solvability import WitnessConfig
     from .synthesis import (
@@ -189,7 +185,7 @@ def cmd_synthesize(args) -> int:
     provenance["prompt_version"] = PROMPT_VERSION
     with OutputFiles() as outputs:
         write_jsonl(args.out, records, provenance=provenance, outputs=outputs)
-        _write_json(report_path, {**report.to_dict(), "provenance": provenance}, outputs)
+        write_report(report_path, report.to_dict(), provenance, outputs)
     print(
         f"synthesized {report.composed} of {report.pairs_considered} eligible pairs "
         f"-> {args.out}"
@@ -207,7 +203,6 @@ def cmd_build_corpus(args) -> int:
         check_image_refs,
         extend_dataset_triplets,
         read_instructions,
-        write_jsonl,
     )
     from .scene import load_scenes_dir
     from .selection import alignment
@@ -249,11 +244,10 @@ def cmd_build_corpus(args) -> int:
         "record": "corpus_report",
         "triplets": len(records),
         "per_source": {k: sources[k] for k in sorted(sources)},
-        "provenance": provenance,
     }
     with OutputFiles() as outputs:
         write_jsonl(args.out, records, provenance=provenance, outputs=outputs)
-        _write_json(report_path, summary, outputs)
+        write_report(report_path, summary, provenance, outputs)
     print(f"built {len(records)} triplets -> {args.out}")
     return EXIT_OK
 
@@ -272,9 +266,9 @@ def cmd_eval(args) -> int:
     predictions = read_predictions(args.pred)
     report = em_score(predictions, gold)
     knobs = {"normalization": NORMALIZATION_VERSION, "articles": ARTICLES_POLICY}
-    payload = {**report.to_dict(), "provenance": _provenance("eval", args.seed, True, knobs)}
+    provenance = _provenance("eval", args.seed, True, knobs)
     with OutputFiles() as outputs:
-        _write_json(args.out, payload, outputs)
+        write_report(args.out, report.to_dict(), provenance, outputs)
     print(f"overall EM: {report.overall_em:.1f} over {report.total} questions")
     for bucket, value in report.per_bucket_em.items():
         print(f"  views={bucket}: EM {value:.1f} ({report.bucket_counts[bucket]})")

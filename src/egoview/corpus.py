@@ -1,14 +1,13 @@
-"""Instructions and the triplet corpus: instruction and triplet files, and
-the builders of <2D view, set of 3D objects, text> triplets from the
-scenes `scene` loads.  Record files are UTF-8 JSON lines, read and written
-from their dataclasses' declarations by `records`, which needs no numpy;
-identical inputs give byte-identical outputs.  The triplet builders import
-`selection` when they run.
+"""Instructions and the triplet corpus: the instruction and triplet record
+declarations, and the builders of <2D view, set of 3D objects, text>
+triplets from the scenes `scene` loads.  `records`, which needs no numpy,
+reads and writes these files from those declarations, so identical inputs
+give byte-identical outputs.  The triplet builders import `selection` when
+they run.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from itertools import compress
@@ -20,11 +19,12 @@ import numpy as np
 from . import geometry
 from ._util import check_stride, finite_number
 from .errors import DuplicateId, NoViews, UnknownObjectId, UnknownScene
-from .records import OutputFiles, _claim_id, check_rules, read_records, record_field
-from .records import dc_target, non_empty, one_of, qa_answer, record_json, steps_of
+from .records import _claim_id, check_rules, dc_target, non_empty, one_of, qa_answer
+from .records import read_records, record_field
 from .scene import Objects, Scene, Views
 
-# perfbench/probe.py, tracer.py and test_perfbench.py read the loaders here.
+# perfbench/probe.py, tracer.py and test_perfbench.py read these here.
+from .records import write_jsonl  # noqa: F401
 from .scene import load_scene, load_scenes_dir  # noqa: F401
 
 logger = logging.getLogger(__name__)
@@ -265,24 +265,6 @@ def extend_dataset_triplets(
             )
         )
     return records
-
-
-# One encoder for every record line: `json.dumps(data, ensure_ascii=False)`
-# without constructing a `JSONEncoder` per line.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def write_jsonl(path: str | Path, rows: Sequence, provenance: dict, outputs: OutputFiles) -> None:
-    """Stage records as UTF-8 JSON lines (`records.record_json`) after a
-    provenance header line, to be moved into place with the other files of
-    `outputs`; a repeated id raises as its reader would, naming both lines."""
-    lines = [_encode({"record": "provenance", **provenance})]
-    seen: dict[str, str] = {}
-    for row in rows:
-        data, first = record_json(row), steps_of(type(row))[0]
-        _claim_id(seen, data[first.key], f"{path}:{len(lines) + 1}", first.duplicate)
-        lines.append(_encode(data))
-    outputs.write(path, "\n".join(lines) + "\n")
 
 
 def read_triplets(path: str | Path) -> list[TripletRecord]:

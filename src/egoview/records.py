@@ -1,6 +1,6 @@
-"""Record files: the field declarations of record dataclasses and the one
-reader and line writer that walk them, strict field types, outputs that
-appear together or not at all, and the view-count buckets and their tally.
+"""Record files and reports: the field declarations of record dataclasses,
+the one reader and the writers that walk them, strict field types, outputs
+that appear together or not at all, and the view-count buckets and tally.
 
 Each record kind is declared once, on its dataclass: each `record_field`
 gives a leaf kind, a rule and, as its default, its value when absent.
@@ -11,6 +11,7 @@ A check names the field by its path within the record; `read_records`
 puts the line's `path:line` before it, so every error names
 `path:line.field`.  Each line is decoded by `loads`: one pass of the json
 module's C scanner when the document fills the line, else `json.loads`.
+Only `write_jsonl` and `write_report` place a run's provenance in an output.
 The module needs no numpy, so `egoview eval` starts without it.
 """
 
@@ -22,7 +23,7 @@ import os
 from dataclasses import MISSING, field, fields
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._util import finite_number
 from .errors import DuplicateId, RuleError, SchemaError
@@ -302,13 +303,51 @@ def read_records(path: str | Path, cls) -> list:
     return records
 
 
+# One encoder for every record line: `json.dumps(data, ensure_ascii=False)`
+# without constructing a `JSONEncoder` per line.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_jsonl(path: str | Path, rows: Sequence, provenance: dict, outputs: OutputFiles) -> None:
+    """Stage records as UTF-8 JSON lines (`record_json`) after a provenance
+    header line, to be moved into place with the other files of `outputs`;
+    a repeated id raises as `read_records` would, naming both lines."""
+    lines = [_encode({"record": "provenance", **provenance})]
+    seen: dict[str, str] = {}
+    for row in rows:
+        data, first = record_json(row), steps_of(type(row))[0]
+        _claim_id(seen, data[first.key], f"{path}:{len(lines) + 1}", first.duplicate)
+        lines.append(_encode(data))
+    outputs.write(path, "\n".join(lines) + "\n")
+
+
+def write_report(path: str | Path, report: dict, provenance: dict, outputs: OutputFiles) -> None:
+    """Stage `report` as indented UTF-8 JSON with `provenance` as its last key."""
+    payload = {**report, "provenance": provenance}
+    outputs.write(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+
+
+def check_output(path: str | Path) -> None:
+    """Raise the OSError that writing `path` would meet if `path` is a
+    directory or its directory does not exist, naming `path`."""
+    path = Path(path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 class OutputFiles:
     """Output files that appear together or not at all.
 
     Inside `with OutputFiles() as outputs:`, each `outputs.write(path, text)`
-    goes to a temp file beside `path`.  On a clean exit every temp file is
-    moved into place with `os.replace`; if anything raised, none is.  No temp
-    file outlives the block.
+    goes to a temp file beside `path` named for the process, the object and
+    the index, not `path`, so a long name stays short.  On a clean exit every
+    temp file is moved into place with `os.replace`; if anything raised, none
+    is.  No temp file outlives the block; a failed write raises naming `path`.
     """
 
     def __init__(self):
@@ -319,11 +358,13 @@ class OutputFiles:
 
     def write(self, path: str | Path, text: str) -> None:
         path = Path(path)
-        if path.is_dir():  # os.replace would fail only after earlier outputs moved
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        temp = path.with_name(f".{path.name}.{os.getpid()}.{len(self._staged)}.tmp")
+        check_output(path)  # os.replace would fail only after earlier outputs moved
+        temp = path.with_name(f".egoview-{os.getpid()}-{id(self):x}-{len(self._staged)}.tmp")
         self._staged.append((temp, path))
-        temp.write_text(text, encoding="utf-8", newline="\n")
+        try:
+            temp.write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:

@@ -235,11 +235,11 @@ class RemoteModelService:
     def generate_text(self, prompt: str, max_tokens: int = 256, temperature: float = 0.0) -> str:
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        route = "/v1/generate"
         body = self._post(
-            "/v1/generate",
-            {"prompt": prompt, "max_tokens": max_tokens, "temperature": temperature},
+            route, {"prompt": prompt, "max_tokens": max_tokens, "temperature": temperature}
         )
         text = body.get("text")
         if not isinstance(text, str):
-            raise ServiceUnavailable("generate reply missing 'text'")
+            raise ServiceUnavailable(f"{route} reply: 'text' must be a string")
         return text

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .records import _claim_id, _encodable, at_least_one, check_rules, non_empty, read_records
@@ -78,14 +78,11 @@ class ComposedQA:
 class SynthesisReport:
     """Pipeline accounting: what went in, what survived, what was dropped and why."""
 
-    pairs_considered: int = 0
-    composed: int = 0
-    dropped: dict[str, int] = field(default_factory=dict)
-    exact_duplicate_questions: int = 0
-    config_hash: str = ""
-
-    def note_drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    pairs_considered: int
+    composed: int
+    dropped: dict[str, int]
+    exact_duplicate_questions: int
+    config_hash: str
 
     def to_dict(self) -> dict:
         return {
@@ -222,9 +219,7 @@ def synthesize_dataset(
         scene_id: dict(zip(table.objects.ids, table.objects.labels))
         for scene_id, table in tables.items()
     }
-    report = SynthesisReport(config_hash=config_hash)
     pairs = eligible_pairs(questions)
-    report.pairs_considered = len(pairs)
     ids = ["+".join(pair.parent_ids) for pair in pairs]
     if len(set(ids)) < len(ids):  # name the first repeat before any generator call
         seen: dict[str, str] = {}
@@ -232,6 +227,7 @@ def synthesize_dataset(
             _claim_id(seen, composed_id, f"pair {pair.parent_ids}")
 
     records: list[ComposedQA] = []
+    dropped: dict[str, int] = {}
     for pair, composed_id in zip(pairs, ids):
         scene_id = pair.first.scene_id
         related = pair.first.related_object_ids | pair.second.related_object_ids
@@ -240,7 +236,7 @@ def synthesize_dataset(
         parsed = compose_question(pair, generator, anchor_labels)
         reason = "parse_failure" if parsed is None else verify_composition(*parsed, pair)
         if reason is not None:
-            report.note_drop(reason)
+            dropped[reason] = dropped.get(reason, 0) + 1
             logger.info("dropped pair %s: %s", pair.parent_ids, reason)
             continue
         records.append(
@@ -257,13 +253,13 @@ def synthesize_dataset(
             )
         )
 
-    report.composed = len(records)
-    seen_questions: set[str] = set()
-    for record in records:
-        if record.question in seen_questions:
-            report.exact_duplicate_questions += 1
-        seen_questions.add(record.question)
-    return records, report
+    return records, SynthesisReport(
+        pairs_considered=len(pairs),
+        composed=len(records),
+        dropped=dropped,
+        exact_duplicate_questions=len(records) - len({r.question for r in records}),
+        config_hash=config_hash,
+    )
 
 
 def read_questions(path) -> list[QuestionRecord]:

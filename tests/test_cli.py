@@ -826,7 +826,7 @@ class TestBuildCorpusCommand:
         assert "already used" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_report_exits_2_without_partial_output(self, tmp_path, data_dir):
+    def test_unwritable_report_exits_2_without_partial_output(self, tmp_path, data_dir, capsys):
         report = tmp_path / "missing-dir" / "t.report.json"
         code = run(
             "build-corpus",
@@ -837,6 +837,9 @@ class TestBuildCorpusCommand:
             "--stub",
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "missing-dir/t.report.json" in err
+        assert ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["captions", "extend"])
@@ -1099,6 +1102,52 @@ class TestOutputIsNotAnInput:
         assert sorted(tmp_path.iterdir()) == [inputs]
 
 
+class TestUnwritableOutputFirst:
+    """An output that cannot be written is refused before any input is read
+    or any model called: with --service each call is a paid request."""
+
+    @pytest.mark.parametrize("command", sorted(_INPUTS))
+    def test_missing_directory_exits_2_before_any_model_call(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+        for method in ("register_view_labels", "caption_image", "score_image_text", "generate_text"):
+            monkeypatch.setattr(
+                f"egoview.services.StubModelService.{method}",
+                lambda *args, **kw: calls.append(args),
+            )
+        flags, extra = _INPUTS[command]
+        argv = [command, *extra]
+        for flag, name in flags.items():
+            argv += [flag, str(DATA_DIR / name)]
+        out = tmp_path / "missing" / "o.jsonl"
+        code = run(*argv, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReportProvenance:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synthesize", "--questions", f"{DATA}/questions.jsonl"),
+            ("build-corpus", "--mode", "captions"),
+            ("build-corpus", "--mode", "extend", "--instructions", f"{DATA}/instructions_extend.jsonl"),
+        ],
+        ids=["synthesize", "captions", "extend"],
+    )
+    def test_report_ends_with_the_header_provenance(self, tmp_path, argv):
+        out = tmp_path / "o.jsonl"
+        assert run(*argv, "--scenes", f"{DATA}/scenes", "--out", str(out), "--stub") == 0
+        header = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+        report = json.loads((tmp_path / "o.jsonl.report.json").read_text(encoding="utf-8"))
+        assert list(report)[-1] == "provenance"
+        assert header.pop("record") == "provenance"
+        assert report["provenance"] == header
+
+
 class TestBuildCorpusChecksSettingsFirst:
     """A bad setting is named before any scene is read, even a malformed one."""
 
@@ -1269,6 +1318,17 @@ class TestEvalCommand:
         )
         assert code == 0
         assert out.read_bytes() == (golden_dir / "eval.report.json").read_bytes()
+
+    def test_long_output_name(self, tmp_path, data_dir, golden_dir):
+        # 250 bytes, within the usual 255-byte limit; its temp name is short.
+        out = tmp_path / ("r" * 245 + ".json")
+        code = run(
+            "eval", "--gold", str(data_dir / "eval_gold.jsonl"),
+            "--pred", str(data_dir / "eval_pred.jsonl"), "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (golden_dir / "eval.report.json").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
     def test_null_gold_answer_exits_2(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -31,7 +31,6 @@ from egoview.corpus import (
     extend_dataset_triplets,
     read_instructions,
     read_triplets,
-    write_jsonl,
 )
 from egoview.errors import (
     DuplicateId,
@@ -43,7 +42,7 @@ from egoview.errors import (
 )
 from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
-from egoview.records import OutputFiles, record_json
+from egoview.records import OutputFiles, record_json, write_jsonl
 from egoview.scene import Scene, SceneObject, View, load_scene, load_scenes_dir
 from egoview.selection import image_refs
 from egoview.services import StubModelService

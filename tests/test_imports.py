@@ -80,6 +80,24 @@ def test_solvability_imports_what_the_benchmark_probe_imports(tmp_path, data_dir
     assert command_modules == probe_modules | {"egoview.solvability"}
 
 
+def test_synthesize_loads_no_corpus(tmp_path, data_dir):
+    """`records` writes composed questions, so synthesize never loads the
+    triplet module."""
+    _run(
+        "import sys\n"
+        "import egoview.cli\n"
+        "code = egoview.cli.main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "assert 'egoview.corpus' not in sys.modules\n",
+        "synthesize",
+        "--scenes", str(data_dir / "scenes"),
+        "--questions", str(data_dir / "questions.jsonl"),
+        "--out", str(tmp_path / "composed.jsonl"),
+        "--stub",
+    )
+    assert (tmp_path / "composed.jsonl").is_file()
+
+
 def test_package_import_loads_no_numpy():
     _run(
         "import sys\n"

@@ -1,14 +1,16 @@
 """Round trip of the record files egoview writes: triplets and composed
-questions written by `corpus.write_jsonl` from their declarations read
+questions written by `records.write_jsonl` from their declarations read
 back field for field through `records.read_records`, and writing what was
 read gives the same bytes.  A composed file is gold for `eval`, so
 `evaluate.read_gold` reads each line's view count as written.  Each line
 is written as `json.dumps(..., ensure_ascii=False)` would write it,
 `records.loads` decodes as `json.loads` does, value or error, and a bad
-field's error names its full path within the record."""
+field's error names its full path within the record.  An output that
+cannot be written raises naming the output, never its temp file."""
 
 from __future__ import annotations
 
+import errno
 import json
 import sys
 import tempfile
@@ -18,10 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoview.corpus import TripletProvenance, TripletRecord, write_jsonl
+from egoview.corpus import TripletProvenance, TripletRecord
 from egoview.errors import SchemaError
 from egoview.evaluate import read_gold
-from egoview.records import OutputFiles, loads, read_records, record_json
+from egoview.records import (
+    OutputFiles,
+    check_output,
+    loads,
+    read_records,
+    record_json,
+    write_jsonl,
+)
 from egoview.synthesis import ComposedQA
 
 # Any text UTF-8 can encode: no lone surrogates, non-ASCII included.
@@ -220,3 +229,42 @@ def test_loads_is_json_loads(document, before, after):
 @pytest.mark.parametrize("document", ODD_DOCUMENTS, ids=lambda text: repr(text[:12]))
 def test_loads_is_json_loads_on_each_odd_document(document):
     assert _outcome(loads, document) == _outcome(json.loads, document)
+
+
+@pytest.mark.parametrize(
+    "name,code", [("dir", errno.EISDIR), ("missing/out", errno.ENOENT), ("file/out", errno.ENOTDIR)]
+)
+def test_unwritable_output_raises_naming_it(tmp_path, name, code):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = tmp_path / name
+    with pytest.raises(OSError) as excinfo:
+        check_output(path)
+    assert (excinfo.value.errno, excinfo.value.filename) == (code, str(path))
+    with pytest.raises(OSError) as excinfo, OutputFiles() as outputs:
+        outputs.write(path, "x")
+    assert (excinfo.value.errno, excinfo.value.filename) == (code, str(path))
+
+
+def test_failed_write_names_the_output_and_leaves_nothing(tmp_path, monkeypatch):
+    def full(self, *args, **kwargs):
+        Path.touch(self)  # a partial temp file
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    path = tmp_path / "report.json"
+    with pytest.raises(OSError) as excinfo, OutputFiles() as outputs:
+        outputs.write(path, "x")
+    assert str(excinfo.value) == f"[Errno 28] No space left on device: '{path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_temp_names_are_short_and_unique_per_object(tmp_path):
+    name = "r" * 250
+    with OutputFiles() as first, OutputFiles() as second:
+        first.write(tmp_path / name, "1")
+        first.write(tmp_path / "b", "2")
+        second.write(tmp_path / "c", "3")
+        temps = sorted(p.name for p in tmp_path.iterdir())
+    assert len(temps) == 3 and all(len(t) < 64 and name not in t for t in temps)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "c", name]

@@ -457,7 +457,7 @@ BAD_REPLIES = [
                  "/v1/score_image_text reply: 'scores' must be a list, one per text",
                  id="score-count"),
     pytest.param("/v1/generate", 200, '{"answer": "yes"}',
-                 "generate reply missing 'text'", id="no-text"),
+                 "/v1/generate reply: 'text' must be a string", id="no-text"),
 ]
 
 
