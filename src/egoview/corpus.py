@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -128,23 +128,34 @@ def check_caption_ids(scenes: Mapping[str, Scene], cfg: CaptionBuildConfig) -> N
                 _claim_id(seen, _caption_id(scene_id, view_id, idx), where)
 
 
-def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float) -> dict:
-    """Ids of the objects each view shows with IoSA > tau, keyed by view_id,
-    read from `overlap`, `geometry.image_overlap` of `objects` in `views`;
-    registers each view's labels on the client if it takes them (the stub)."""
+def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float):
+    """The aligned ids of a view by view_id: the ids of the objects it shows
+    with IoSA > tau, read from `overlap`, `geometry.image_overlap` of
+    `objects` in `views`, whose pairs are sorted by view.  Registers each
+    view's labels on the client if it takes them (the stub); builds a view's
+    id set only when it is first asked for."""
     from .selection import alignment, image_refs
 
     tau = alignment(tau).iosa_threshold
     pairs, scores, _ = overlap
-    table = np.zeros((len(views), len(objects)), dtype=bool)
-    table.flat[pairs[scores > tau]] = True
+    kept = pairs[scores > tau]
+    ends = np.searchsorted(kept, np.arange(1, len(views) + 1) * len(objects)).tolist()
+    boxes = (kept % len(objects)).tolist()  # kept is empty when there are no objects
+    rows = {
+        view_id: boxes[start:end] for view_id, start, end in zip(views.ids, [0, *ends], ends)
+    }
     register = getattr(client, "register_view_labels", None)
-    visible: dict[str, set[int]] = {}
-    for view_id, ref, row in zip(views.ids, image_refs(views), table.tolist()):
-        visible[view_id] = set(compress(objects.ids, row))
-        if register is not None:
-            register(ref, sorted(set(compress(objects.labels, row))))
-    return visible
+    if register is not None:
+        labels = objects.labels
+        for ref, row in zip(image_refs(views), rows.values()):
+            register(ref, sorted({labels[j] for j in row}))
+    ids = objects.ids
+
+    @cache
+    def aligned(view_id: str) -> frozenset[int]:
+        return frozenset([ids[j] for j in rows[view_id]])
+
+    return aligned
 
 
 def build_caption_triplets(
@@ -165,13 +176,12 @@ def build_caption_triplets(
 
     sampled = scene.views[:: cfg.stride]
     overlap = geometry.image_overlap(scene.objects.corners, sampled)
-    visible = _register_sidecar(client, sampled, scene.objects, overlap, cfg.tau)
+    aligned = _register_sidecar(client, sampled, scene.objects, overlap, cfg.tau)
 
     records = []
     for view_id, ref in zip(sampled.ids, image_refs(sampled)):
         captions = client.caption_image(ref, cfg.num_captions)
         scores = client.score_image_text(ref, captions)
-        object_ids = frozenset(visible[view_id])
         for idx, (caption, score) in enumerate(zip(captions, scores)):
             if score < cfg.threshold:
                 continue
@@ -180,7 +190,7 @@ def build_caption_triplets(
                     triplet_id=_caption_id(scene.scene_id, view_id, idx),
                     scene_id=scene.scene_id,
                     view_id=view_id,
-                    object_ids=object_ids,
+                    object_ids=aligned(view_id),
                     text=caption,
                     source="generated_caption",
                     provenance=TripletProvenance(
@@ -189,6 +199,11 @@ def build_caption_triplets(
                 )
             )
     return records
+
+
+def _named(ins: Instruction, reason: str) -> str:
+    """An error message naming instruction `ins`, built only for an error."""
+    return f"instruction {ins.instruction_id!r}: {reason}"
 
 
 def extend_dataset_triplets(
@@ -212,23 +227,24 @@ def extend_dataset_triplets(
 
     by_scene: dict[str, list[int]] = {}
     for i, ins in enumerate(instructions):
-        where = f"instruction {ins.instruction_id!r}: "
         scene = scenes_by_id.get(ins.scene_id)
         if scene is None:
-            raise UnknownScene(f"{where}scene {ins.scene_id!r} is not loaded")
+            raise UnknownScene(_named(ins, f"scene {ins.scene_id!r} is not loaded"))
         if ins.task == "dc":
             if ins.target_object_id not in scene.objects.ids:
-                raise UnknownObjectId(f"{where}unknown target object id {ins.target_object_id}")
+                raise UnknownObjectId(
+                    _named(ins, f"unknown target object id {ins.target_object_id}")
+                )
         elif not scene.views:
-            raise NoViews(f"{where}select_view_for_qa requires at least one view")
+            raise NoViews(_named(ins, "select_view_for_qa requires at least one view"))
         by_scene.setdefault(ins.scene_id, []).append(i)
 
     picks: dict[int, tuple[str, float] | None] = {}
-    visible: dict[str, dict[str, set[int]]] = {}
+    aligned = {}
     for scene_id, indices in by_scene.items():
         views, objects = scenes_by_id[scene_id].views, scenes_by_id[scene_id].objects
         overlap = geometry.image_overlap(objects.corners, views)
-        visible[scene_id] = _register_sidecar(scorer_client, views, objects, overlap, tau)
+        aligned[scene_id] = _register_sidecar(scorer_client, views, objects, overlap, tau)
         qa = [i for i in indices if instructions[i].task != "dc"]
         dc = [i for i in indices if instructions[i].task == "dc"]
         texts = [instructions[i].text for i in qa]
@@ -254,7 +270,7 @@ def extend_dataset_triplets(
                 triplet_id=f"ext:{ins.instruction_id}",
                 scene_id=ins.scene_id,
                 view_id=view_id,
-                object_ids=frozenset(visible[ins.scene_id][view_id]),
+                object_ids=aligned[ins.scene_id](view_id),
                 text=text,
                 source="extended_dc" if ins.task == "dc" else "extended_qa",
                 provenance=TripletProvenance(

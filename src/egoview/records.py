@@ -128,10 +128,12 @@ def loads(text: str):
     return json.loads(text)
 
 
-def _claim_id(seen: dict[str, str], record_id: str, where: str, error=DuplicateId) -> None:
-    """Note where an id first appears; raise `error` naming both lines when it repeats."""
+def _claim_id(seen: dict, record_id: str, where, error=DuplicateId, prefix: str = "") -> None:
+    """Note where an id first appears; raise `error` naming both places when
+    it repeats.  A place is `prefix` then `where`: a file's "path:" then a
+    line number, or no prefix and a description; it is formatted only then."""
     if record_id in seen:
-        raise error(f"{where}: id {record_id!r} already used at {seen[record_id]}")
+        raise error(f"{prefix}{where}: id {record_id!r} already used at {prefix}{seen[record_id]}")
     seen[record_id] = where
 
 
@@ -215,13 +217,14 @@ def _forms(kind: str | type) -> tuple[Callable, Callable | None]:
     return nested, record_json
 
 
-def _build(cls, node: dict, at: str):
+def _build(cls, node: dict, *at):
     """The `cls` of JSON object `node`; a bad field raises SchemaError
-    naming `at.field`, the path built only then."""
+    naming `at.field`, `at`'s parts (a field path, or a file path and a
+    line number) joined by ':' only then."""
     try:
         return cls(**_values(node, steps_of(cls)))
     except SchemaError as exc:  # a RuleError from the constructor too
-        raise SchemaError(f"{at}.{exc.field}", exc.reason) from exc
+        raise SchemaError(f"{':'.join(map(str, at))}.{exc.field}", exc.reason) from exc
 
 
 def _values(node: dict, steps: tuple[Step, ...]) -> dict:
@@ -294,11 +297,11 @@ def read_records(path: str | Path, cls) -> list:
     raises SchemaError naming it, a repeated id the error its first field names."""
     first = steps_of(cls)[0]
     records = []
-    seen: dict[str, str] = {}
+    seen: dict[str, int] = {}  # id -> its line number
+    prefix = f"{path}:"
     for lineno, data in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        record = _build(cls, data, where)
-        _claim_id(seen, getattr(record, first.key), where, first.duplicate)
+        record = _build(cls, data, path, lineno)
+        _claim_id(seen, getattr(record, first.key), lineno, first.duplicate, prefix)
         records.append(record)
     return records
 
@@ -313,10 +316,11 @@ def write_jsonl(path: str | Path, rows: Sequence, provenance: dict, outputs: Out
     header line, to be moved into place with the other files of `outputs`;
     a repeated id raises as `read_records` would, naming both lines."""
     lines = [_encode({"record": "provenance", **provenance})]
-    seen: dict[str, str] = {}
+    seen: dict[str, int] = {}  # id -> its line number
+    prefix = f"{path}:"
     for row in rows:
         data, first = record_json(row), steps_of(type(row))[0]
-        _claim_id(seen, data[first.key], f"{path}:{len(lines) + 1}", first.duplicate)
+        _claim_id(seen, data[first.key], len(lines) + 1, first.duplicate, prefix)
         lines.append(_encode(data))
     outputs.write(path, "\n".join(lines) + "\n")
 

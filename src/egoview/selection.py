@@ -46,8 +46,10 @@ def select_views_for_qa(
     Each view gets one `score_image_text` call carrying every distinct text,
     so the client must score each text independently of the others in the
     call.  Each text's column of scores is reduced canonically: highest
-    score wins, ties broken by smaller view_id.  Returns (view_id, score)
-    per text, in input order.
+    score wins, ties broken by smaller view_id.  Scores are finite (the
+    stub's are overlaps, the remote client rejects the rest), so the top
+    is one `max`, and the pick is the smallest id among the views that
+    reach it.  Returns (view_id, score) per text, in input order.
     """
     distinct = list(dict.fromkeys(texts))
     if not distinct:
@@ -56,10 +58,10 @@ def select_views_for_qa(
         raise NoViews("select_view_for_qa requires at least one view")
     views = Views.of(views)
     columns = zip(*(scorer.score_image_text(ref, distinct) for ref in image_refs(views)))
-    best = {
-        text: min(zip(views.ids, column), key=lambda kv: (-kv[1], kv[0]))
-        for text, column in zip(distinct, columns)
-    }
+    best = {}
+    for text, column in zip(distinct, columns):
+        top = max(column)
+        best[text] = (min(compress(views.ids, [score == top for score in column])), top)
     return [best[text] for text in texts]
 
 

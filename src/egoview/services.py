@@ -10,9 +10,9 @@ captioner, retrieval scorer, or text generator can be adapted:
 The stub client answers the same calls in-process from a sidecar of visible
 object labels per image reference, making every pipeline reproducible offline
 byte for byte.  Nothing in it is random: stub outputs depend on their
-inputs alone.  The stub tokenizes each view's labels once, when the view is
-registered, and keeps the token sets of the last `texts` batch it scored,
-so scoring one batch against many views tokenizes each text once.
+inputs alone.  The stub tokenizes each distinct label once, when a view
+first registers it, and keeps the token sets of the last `texts` batch it
+scored, so scoring one batch against many views tokenizes each text once.
 
 `score_image_text` scores each text independently of the other texts in
 the call: a text's score against an image is the same alone as in any
@@ -66,13 +66,17 @@ class StubModelService:
     Image understanding comes from a sidecar mapping image reference to the
     labels of objects visible in that view (registered by the corpus builder
     before any scoring call); no pixels are ever read.  Registering a view
-    also builds its label token set.  `score_image_text` keeps the token
-    sets of the last batch of texts it scored and reuses them while the
-    same batch is scored against further views; only that one batch is
-    kept, so memory does not grow with the number of calls.  Reentrant and
-    lock-free: each call reads the kept batch once and replaces it whole,
-    so concurrent callers never mix batches, and every output is a pure
-    function of the inputs and the registered sidecar.
+    also builds its label token set, from one kept token list per distinct
+    label: a label is tokenized the first time any view registers it, so
+    that table grows with the label vocabulary, not with the number of
+    views.  `score_image_text` keeps the token sets of the last
+    batch of texts it scored and reuses them while the same batch is
+    scored against further views; only that one batch is kept, so memory
+    does not grow with the number of calls.  Reentrant and lock-free: each
+    call reads the kept batch once and replaces it whole, so concurrent
+    callers never mix batches; a label's token list is the same whoever
+    adds it; and every output is a pure function of the inputs and the
+    registered sidecar.
     """
 
     def __init__(self):
@@ -80,10 +84,16 @@ class StubModelService:
         self._views: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
         # the last scored batch of texts and the token set of each
         self._batch: tuple[tuple[str, ...], list[frozenset[str]]] = ((), [])
+        # label -> its tokens, for every distinct label registered
+        self._label_tokens: dict[str, list[str]] = {}
 
     def register_view_labels(self, image_ref: str, labels: Sequence[str]) -> None:
         labels = tuple(sorted(set(labels)))
-        tokens = frozenset(token for label in labels for token in tokenize(label))
+        known = self._label_tokens
+        for label in labels:
+            if label not in known:
+                known[label] = tokenize(label)
+        tokens = frozenset(token for label in labels for token in known[label])
         self._views[image_ref] = (labels, tokens)
 
     def _view(self, image_ref: str) -> tuple[tuple[str, ...], frozenset[str]]:

@@ -89,13 +89,11 @@ def witness_matrix(
     )
 
 
-def _check_known(
-    relevant_ids: Iterable[int], known_ids: Iterable[int], where: str = ""
-) -> frozenset[int]:
+def _check_known(relevant_ids: Iterable[int], known_ids: Iterable[int]) -> frozenset[int]:
     ids = frozenset(relevant_ids)
     missing = ids.difference(known_ids)
     if missing:
-        raise UnknownObjectId(f"{where}unknown object ids: {sorted(missing)}")
+        raise UnknownObjectId(f"unknown object ids: {sorted(missing)}")
     if not ids:
         raise EmptyInput("relevant object set is empty")
     return ids
@@ -119,20 +117,25 @@ def referenced_objects(
     objects: dict[str, Objects] = {}
     known: dict[str, set[int]] = {}
     referenced: dict[str, set[int]] = {}
+
+    def named(record, reason: str) -> str:  # built only for an error
+        return f"{kind} {getattr(record, f'{kind}_id')!r}: {reason}"
+
     for record in records:
-        where = f"{kind} {getattr(record, f'{kind}_id')!r}: "
         scene = scenes_by_id.get(record.scene_id)
         if scene is None:
-            raise UnknownScene(f"{where}scene {record.scene_id!r} is not loaded")
+            raise UnknownScene(named(record, f"scene {record.scene_id!r} is not loaded"))
         if not record.related_object_ids:
-            raise UnknownObjectId(f"{where}references no object")
+            raise UnknownObjectId(named(record, "references no object"))
         if record.scene_id not in known:
             objects[record.scene_id] = Objects.of(scene.objects)
             known[record.scene_id] = set(objects[record.scene_id].ids)
             referenced[record.scene_id] = set()
-        referenced[record.scene_id] |= _check_known(
-            record.related_object_ids, known[record.scene_id], where
-        )
+        try:
+            ids = _check_known(record.related_object_ids, known[record.scene_id])
+        except UnknownObjectId as exc:
+            raise UnknownObjectId(named(record, str(exc))) from None
+        referenced[record.scene_id] |= ids
     return {scene_id: _among(objects[scene_id], ids) for scene_id, ids in referenced.items()}
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,9 @@ from egoview.evaluate import read_gold, read_predictions
 from egoview.geometry import CameraIntrinsics, CameraPose, OrientedBox3D
 from egoview.records import OutputFiles, record_json, write_jsonl
 from egoview.scene import Scene, SceneObject, View, load_scene, load_scenes_dir
-from egoview.selection import image_refs
+from egoview.selection import alignment, image_refs
 from egoview.services import StubModelService
+from egoview.solvability import WitnessTable
 from egoview.synthesis import read_questions
 
 from .oracles import scalar_box_rect
@@ -1215,6 +1217,69 @@ class TestClientWithoutSidecar:
         records = extend_dataset_triplets(instructions, scenes, _NoSidecar())
         assert len(records) == len(instructions)
         assert all(r.object_ids == visible[r.scene_id, r.view_id] for r in records)
+
+
+def _blind_view(view_id: str) -> View:
+    """A view high above the room looking up: it aligns no object."""
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    return View(view_id, intr, CameraPose(np.eye(3), (3.0, 2.5, 50.0)))
+
+
+class TestAlignedIds:
+    """Every triplet's object set is its view's row of the alignment table,
+    with the stub and with a client that takes no view labels."""
+
+    TAU = 0.5
+
+    @staticmethod
+    def _scenes() -> dict[str, Scene]:
+        views, objects = random_posed_scene(np.random.default_rng(97), 14, 11)
+        views.insert(5, _blind_view("v-blind"))
+        return {
+            "posed": Scene("posed", objects, views, "train"),
+            "bare": Scene("bare", [], [_blind_view("b0"), *views[:3]], "train"),
+        }
+
+    @classmethod
+    def _rows(cls, scene: Scene) -> dict[str, frozenset[int]]:
+        table = WitnessTable.build(scene.objects, scene.views, alignment(cls.TAU))
+        return {
+            view_id: frozenset(compress(table.objects.ids, row))
+            for view_id, row in zip(scene.views.ids, table.matrix.tolist())
+        }
+
+    def test_scenes_hold_the_cases(self):
+        scenes = self._scenes()
+        rows = self._rows(scenes["posed"])
+        assert rows["v-blind"] == frozenset()
+        assert len(set(rows.values())) > 3
+        assert len(scenes["bare"].objects) == 0 and len(scenes["bare"].views) == 4
+
+    @pytest.mark.parametrize("client", [StubModelService, _NoSidecar])
+    def test_captions(self, client):
+        cfg = CaptionBuildConfig(stride=1, num_captions=1, threshold=0.0, tau=self.TAU)
+        for scene in self._scenes().values():
+            records = build_caption_triplets(scene, client(), cfg)
+            assert [r.view_id for r in records] == list(scene.views.ids)
+            rows = self._rows(scene)
+            assert all(r.object_ids == rows[r.view_id] for r in records)
+
+    @pytest.mark.parametrize("client", [StubModelService, _NoSidecar])
+    def test_extend(self, client):
+        scenes = self._scenes()
+        texts = ["where is obj3", "obj1 and obj7 near obj10", "nothing named here"]
+        instructions = [
+            Instruction(f"{scene_id}-q{k}", scene_id, "qa", text, answer="here")
+            for scene_id in scenes
+            for k, text in enumerate(texts)
+        ] + [
+            Instruction(f"posed-d{j}", "posed", "dc", "describe it", target_object_id=j)
+            for j in scenes["posed"].objects.ids
+        ]
+        records = extend_dataset_triplets(instructions, scenes, client(), tau=self.TAU)
+        rows = {scene_id: self._rows(scene) for scene_id, scene in scenes.items()}
+        assert {r.scene_id for r in records} == set(scenes)
+        assert all(r.object_ids == rows[r.scene_id][r.view_id] for r in records)
 
 
 class _CountingStub(StubModelService):

@@ -156,6 +156,51 @@ class TestSelectViewForQA:
         assert len(calls) <= len(set(texts)) < len(views) * len(set(texts))
 
 
+class _ScriptedScorer:
+    """Scores each text against each image reference from a fixed table."""
+
+    def __init__(self, columns: dict[str, dict[str, float]]):
+        self.columns = columns
+
+    def score_image_text(self, image_ref, texts):
+        return tuple(self.columns[text][image_ref] for text in texts)
+
+
+def key_reduction(texts, view_ids, columns):
+    """The reference qa pick: the least (-score, view_id) of each text's column."""
+    return [
+        min(zip(view_ids, [columns[text][v] for v in view_ids]), key=lambda kv: (-kv[1], kv[0]))
+        for text in texts
+    ]
+
+
+class TestQAPicksUnderTies:
+    """`select_views_for_qa` picks as the key-based reduction does.  The ids
+    are unpadded, so their string order (v1 < v10 < v2 < v9) differs from
+    their numeric order and from their order in the table."""
+
+    ORDER = ("v9", "v2", "v10", "v1")
+    COLUMNS = {
+        "three-way tie": {"v9": 0.75, "v2": 0.75, "v10": 0.75, "v1": 0.5},
+        "all zero": {"v9": 0.0, "v2": 0.0, "v10": 0.0, "v1": 0.0},
+        "one top": {"v9": 0.25, "v2": 1.0, "v10": 0.25, "v1": 0.0},
+    }
+
+    def test_picks_equal_the_key_reduction(self):
+        views = [make_view(view_id) for view_id in self.ORDER]
+        texts = ["all zero", "three-way tie", "one top", "three-way tie"]
+        picks = select_views_for_qa(texts, views, _ScriptedScorer(self.COLUMNS))
+        assert picks == key_reduction(texts, self.ORDER, self.COLUMNS)
+        assert picks == [("v1", 0.0), ("v10", 0.75), ("v2", 1.0), ("v10", 0.75)]
+
+    @pytest.mark.parametrize("view_id", ORDER)
+    def test_single_view(self, view_id):
+        texts = list(self.COLUMNS)
+        picks = select_views_for_qa(texts, [make_view(view_id)], _ScriptedScorer(self.COLUMNS))
+        assert picks == key_reduction(texts, [view_id], self.COLUMNS)
+        assert picks == [(view_id, self.COLUMNS[text][view_id]) for text in texts]
+
+
 class TestSelectViewForDC:
     def test_single_containing_view(self, scene_a):
         assert select_view_for_dc(7, scene_a.views, scene_a.objects)[0] == "v04"

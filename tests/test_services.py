@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
+import sys
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -168,6 +169,68 @@ class TestStubTokenState:
             tracemalloc.stop()
         # A token set kept per text would hold ~1000 frozensets, over 200 kB.
         assert after - before < 16_000
+
+    def test_each_distinct_label_is_tokenized_once(self, monkeypatch):
+        views = {
+            "v1": ["desk", "office chair", "lamp"],
+            "v2": ["office chair", "desk"],
+            "v3": [],
+            "v4": ["lamp", "lamp", "Office Chair"],
+            "v5": ["desk"],
+        }
+        texts = ["the desk near a lamp", "office chair", "nothing"]
+        calls = []
+        tokenize = services.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(services, "tokenize", counting_tokenize)
+        stub = StubModelService()
+        for ref, labels in views.items():
+            stub.register_view_labels(ref, labels)
+        distinct = {label for labels in views.values() for label in labels}
+        assert sorted(calls) == sorted(distinct)
+        for ref, labels in views.items():
+            fresh = StubModelService()
+            fresh.register_view_labels(ref, labels)
+            assert stub.caption_image(ref, 4) == fresh.caption_image(ref, 4)
+            assert stub.score_image_text(ref, texts) == fresh.score_image_text(ref, texts)
+
+    def test_threads_sharing_the_label_table(self):
+        """Threads registering views whose labels overlap leave every view
+        with the labels and scores a fresh stub gives it."""
+        vocabulary = [f"object {k} part {k % 7}" for k in range(30)]
+        views = {
+            f"t{t}v{i}": [vocabulary[(7 * i + t) % 30], vocabulary[(3 * i) % 30]]
+            for t in range(4)
+            for i in range(150)
+        }
+        stub = StubModelService()
+
+        def register(thread: int):
+            for ref, labels in views.items():
+                if ref.startswith(f"t{thread}v"):
+                    stub.register_view_labels(ref, labels)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=register, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        texts = ["object 3 part 3", "part 5"]
+        for ref, labels in views.items():
+            fresh = StubModelService()
+            fresh.register_view_labels(ref, labels)
+            assert stub.caption_image(ref) == fresh.caption_image(ref)
+            assert stub.score_image_text(ref, texts) == fresh.score_image_text(ref, texts)
 
 
 # One line of text with no lone surrogate: a parent text, answer or label.
