@@ -1,5 +1,5 @@
 """Small shared helpers: half-up rounding, config hashing, token splitting,
-the finite-number test for decoded JSON, the view-stride rule."""
+the finite-number test for decoded JSON, the view-stride and threshold rules."""
 
 from __future__ import annotations
 
@@ -47,3 +47,10 @@ def check_stride(stride: int) -> int:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     return stride
+
+
+def check_unit_interval(name: str, value: float) -> float:
+    """`value`, a threshold named `name`, if it lies strictly between 0 and 1."""
+    if not (0.0 < value < 1.0):  # NaN fails too
+        raise ValueError(f"{name} must be in (0, 1)")
+    return value

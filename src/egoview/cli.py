@@ -179,9 +179,7 @@ def cmd_synthesize(args) -> int:
     scenes = load_scenes_dir(args.scenes)
     questions = read_questions(args.questions)
     client = _service_client(args)
-    records, report = synthesize_dataset(
-        questions, client, scenes, config_hash=provenance["config_hash"]
-    )
+    records, report = synthesize_dataset(questions, client, scenes)
     provenance["prompt_version"] = PROMPT_VERSION
     with OutputFiles() as outputs:
         write_jsonl(args.out, records, provenance=provenance, outputs=outputs)
@@ -199,13 +197,10 @@ def cmd_build_corpus(args) -> int:
     from .corpus import (
         CaptionBuildConfig,
         build_caption_triplets,
-        check_caption_ids,
-        check_image_refs,
         extend_dataset_triplets,
         read_instructions,
     )
     from .scene import load_scenes_dir
-    from .selection import alignment
 
     report_path = _report_path(args)
     if args.mode == "extend":
@@ -216,26 +211,18 @@ def cmd_build_corpus(args) -> int:
             if getattr(args, name) != getattr(CaptionBuildConfig, name):
                 raise _UsageError(f"--{name.replace('_', '-')} is read only by --mode captions")
     _check_outputs(args, out=args.out, report=report_path)
-    cfg = _config(CaptionBuildConfig, args)
-    alignment(cfg.tau)  # a bad --tau fails here, before any scene is read
+    cfg = _config(CaptionBuildConfig, args)  # a bad setting fails before any scene is read
     scenes = load_scenes_dir(args.scenes)
-    check_image_refs(scenes)  # before any label is registered or service called
-    if args.mode == "captions":
-        check_caption_ids(scenes, cfg)
     knobs = {"mode": args.mode, **asdict(cfg)}
     provenance = _provenance("build-corpus", args.seed, args.stub, knobs)
     chash = provenance["config_hash"]
     client = _service_client(args)
 
-    records = []
     if args.mode == "captions":
-        for scene_id in sorted(scenes):
-            records.extend(build_caption_triplets(scenes[scene_id], client, cfg, config_hash=chash))
+        records = build_caption_triplets(scenes, client, cfg, config_hash=chash)
     else:
         instructions = read_instructions(args.instructions)
-        records = extend_dataset_triplets(
-            instructions, scenes, client, tau=cfg.tau, config_hash=chash
-        )
+        records = extend_dataset_triplets(instructions, scenes, client, cfg, config_hash=chash)
 
     sources: dict[str, int] = {}
     for record in records:

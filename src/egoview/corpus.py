@@ -3,7 +3,10 @@ declarations, and the builders of <2D view, set of 3D objects, text>
 triplets from the scenes `scene` loads.  `records`, which needs no numpy,
 reads and writes these files from those declarations, so identical inputs
 give byte-identical outputs.  The triplet builders import `selection` when
-they run.
+they run.  Each takes a scene map and checks its preconditions itself,
+before any projection or service call, so a library caller gets the CLI's
+errors: no two views of a scene may share an image reference, and for
+captions no two captions may take one triplet id.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import check_stride, finite_number
+from ._util import check_stride, check_unit_interval, finite_number
 from .errors import DuplicateId, NoViews, UnknownObjectId, UnknownScene
 from .records import _claim_id, check_rules, dc_target, non_empty, one_of, qa_answer
 from .records import read_records, record_field
@@ -87,6 +90,7 @@ class CaptionBuildConfig:
             raise ValueError("num_captions must be >= 1")
         if not finite_number(self.threshold):  # NaN would keep every caption
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
+        check_unit_interval("tau", self.tau)
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:
@@ -94,7 +98,7 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     return read_records(path, Instruction)
 
 
-def check_image_refs(scenes: Mapping[str, Scene]) -> None:
+def _check_image_refs(scenes: Mapping[str, Scene]) -> None:
     """Raise DuplicateId naming a scene's first two views that share one image
     reference (`selection.image_refs`), which the services would take for one
     image."""
@@ -112,31 +116,14 @@ def check_image_refs(scenes: Mapping[str, Scene]) -> None:
                 )
 
 
-def _caption_id(scene_id: str, view_id: str, idx: int) -> str:
-    return f"cap:{scene_id}:{view_id}:{idx}"
-
-
-def check_caption_ids(scenes: Mapping[str, Scene], cfg: CaptionBuildConfig) -> None:
-    """Raise DuplicateId naming the first two captions of the views that
-    `build_caption_triplets` samples that would take one triplet id, before
-    any caption is made."""
-    seen: dict[str, str] = {}
-    for scene_id in sorted(scenes):
-        for view_id in scenes[scene_id].views.ids[:: cfg.stride]:
-            for idx in range(cfg.num_captions):
-                where = f"scene {scene_id!r} view {view_id!r} caption {idx}"
-                _claim_id(seen, _caption_id(scene_id, view_id, idx), where)
-
-
 def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: float):
     """The aligned ids of a view by view_id: the ids of the objects it shows
     with IoSA > tau, read from `overlap`, `geometry.image_overlap` of
     `objects` in `views`, whose pairs are sorted by view.  Registers each
     view's labels on the client if it takes them (the stub); builds a view's
     id set only when it is first asked for."""
-    from .selection import alignment, image_refs
+    from .selection import image_refs
 
-    tau = alignment(tau).iosa_threshold
     pairs, scores, _ = overlap
     kept = pairs[scores > tau]
     ends = np.searchsorted(kept, np.arange(1, len(views) + 1) * len(objects)).tolist()
@@ -158,46 +145,64 @@ def _register_sidecar(client, views: Views, objects: Objects, overlap, tau: floa
     return aligned
 
 
+def _caption_id(scene_id: str, view_id: str, idx: int) -> str:
+    return f"cap:{scene_id}:{view_id}:{idx}"
+
+
 def build_caption_triplets(
-    scene: Scene,
+    scenes_by_id: Mapping[str, Scene],
     client,
     cfg: CaptionBuildConfig = CaptionBuildConfig(),
     config_hash: str = "",
 ) -> list[TripletRecord]:
     """Caption-strategy corpus: sample views, caption them, keep strong matches.
 
-    Every stride-th view (first always included) is captioned num_captions
-    times; captions scoring >= threshold against the view survive, each
-    becoming one triplet whose object set is the view's visible objects;
-    a scene with no views gives none.  Output order is canonical: view
-    order, then caption index.
+    Every stride-th view (first always included) of each scene is captioned
+    num_captions times; captions scoring >= threshold against the view
+    survive, each becoming one triplet whose object set is the view's
+    visible objects; a scene with no views gives none.  Before any
+    projection or service call, two views of a scene sharing an image
+    reference, then the first two captions that would take one triplet id,
+    raise DuplicateId naming them.  Output order is canonical: scene id,
+    view order, then caption index.
     """
     from .selection import image_refs
 
-    sampled = scene.views[:: cfg.stride]
-    overlap = geometry.image_overlap(scene.objects.corners, sampled)
-    aligned = _register_sidecar(client, sampled, scene.objects, overlap, cfg.tau)
+    _check_image_refs(scenes_by_id)
+    sampled = {
+        scene_id: scenes_by_id[scene_id].views[:: cfg.stride] for scene_id in sorted(scenes_by_id)
+    }
+    seen: dict[str, str] = {}
+    for scene_id, views in sampled.items():
+        for view_id in views.ids:
+            for idx in range(cfg.num_captions):
+                where = f"scene {scene_id!r} view {view_id!r} caption {idx}"
+                _claim_id(seen, _caption_id(scene_id, view_id, idx), where)
 
     records = []
-    for view_id, ref in zip(sampled.ids, image_refs(sampled)):
-        captions = client.caption_image(ref, cfg.num_captions)
-        scores = client.score_image_text(ref, captions)
-        for idx, (caption, score) in enumerate(zip(captions, scores)):
-            if score < cfg.threshold:
-                continue
-            records.append(
-                TripletRecord(
-                    triplet_id=_caption_id(scene.scene_id, view_id, idx),
-                    scene_id=scene.scene_id,
-                    view_id=view_id,
-                    object_ids=aligned(view_id),
-                    text=caption,
-                    source="generated_caption",
-                    provenance=TripletProvenance(
-                        config_hash=config_hash, retrieval_score=score
-                    ),
+    for scene_id, views in sampled.items():
+        objects = scenes_by_id[scene_id].objects
+        overlap = geometry.image_overlap(objects.corners, views)
+        aligned = _register_sidecar(client, views, objects, overlap, cfg.tau)
+        for view_id, ref in zip(views.ids, image_refs(views)):
+            captions = client.caption_image(ref, cfg.num_captions)
+            scores = client.score_image_text(ref, captions)
+            for idx, (caption, score) in enumerate(zip(captions, scores)):
+                if score < cfg.threshold:
+                    continue
+                records.append(
+                    TripletRecord(
+                        triplet_id=_caption_id(scene_id, view_id, idx),
+                        scene_id=scene_id,
+                        view_id=view_id,
+                        object_ids=aligned(view_id),
+                        text=caption,
+                        source="generated_caption",
+                        provenance=TripletProvenance(
+                            config_hash=config_hash, retrieval_score=score
+                        ),
+                    )
                 )
-            )
     return records
 
 
@@ -210,7 +215,7 @@ def extend_dataset_triplets(
     instructions: Sequence[Instruction],
     scenes_by_id: Mapping[str, Scene],
     scorer_client,
-    tau: float = 0.5,
+    cfg: CaptionBuildConfig = CaptionBuildConfig(),
     config_hash: str = "",
 ) -> list[TripletRecord]:
     """Extension-strategy corpus: bind each instruction to its most informative view.
@@ -218,13 +223,17 @@ def extend_dataset_triplets(
     qa (and caption) instructions pick the view most similar to their text;
     dc instructions pick the view that best captures the target object.
     dc targets visible in no view are logged and skipped, never fatal.
-    Before any projection or service call, the first instruction naming an
-    unknown scene or dc target, or a qa text in a scene with no views,
-    raises naming it.  Views are then selected once per scene for all of
-    its instructions; records and warnings follow instruction order.
+    Only `cfg.tau`, the visibility threshold of the object sets, is read.
+    Before any projection or service call, two views of a scene sharing an
+    image reference raise DuplicateId naming them, then the first
+    instruction naming an unknown scene or dc target, or a qa text in a
+    scene with no views, raises naming it.  Views are then selected once
+    per scene for all of its instructions; records and warnings follow
+    instruction order.
     """
     from .selection import select_views_for_dc, select_views_for_qa
 
+    _check_image_refs(scenes_by_id)
     by_scene: dict[str, list[int]] = {}
     for i, ins in enumerate(instructions):
         scene = scenes_by_id.get(ins.scene_id)
@@ -236,7 +245,7 @@ def extend_dataset_triplets(
                     _named(ins, f"unknown target object id {ins.target_object_id}")
                 )
         elif not scene.views:
-            raise NoViews(_named(ins, "select_view_for_qa requires at least one view"))
+            raise NoViews(_named(ins, f"scene {ins.scene_id!r} has no views"))
         by_scene.setdefault(ins.scene_id, []).append(i)
 
     picks: dict[int, tuple[str, float] | None] = {}
@@ -244,7 +253,7 @@ def extend_dataset_triplets(
     for scene_id, indices in by_scene.items():
         views, objects = scenes_by_id[scene_id].views, scenes_by_id[scene_id].objects
         overlap = geometry.image_overlap(objects.corners, views)
-        aligned[scene_id] = _register_sidecar(scorer_client, views, objects, overlap, tau)
+        aligned[scene_id] = _register_sidecar(scorer_client, views, objects, overlap, cfg.tau)
         qa = [i for i in indices if instructions[i].task != "dc"]
         dc = [i for i in indices if instructions[i].task == "dc"]
         texts = [instructions[i].text for i in qa]

@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
+from ._util import check_unit_interval
 from .errors import NoneVisible, NoViews, UnknownObjectId
 from .scene import Objects, SceneObject, View, Views
 from .solvability import WitnessConfig, WitnessTable
@@ -17,9 +18,7 @@ from .solvability import WitnessConfig, WitnessTable
 def alignment(tau: float) -> WitnessConfig:
     """The alignment filter: the witness predicate at IoSA > tau with no
     minimum-area rule, a bare overlap test against the image rectangle."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must be in (0, 1)")
-    return WitnessConfig(iosa_threshold=tau, min_area_ratio=0.0)
+    return WitnessConfig(iosa_threshold=check_unit_interval("tau", tau), min_area_ratio=0.0)
 
 
 def image_refs(views: Views) -> list[str]:

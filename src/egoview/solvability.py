@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import geometry
-from ._util import check_stride, percent
+from ._util import check_stride, check_unit_interval, percent
 from .errors import EmptyInput, UnknownObjectId, UnknownScene
 from .records import BUCKETS, bucket_counts, view_bucket
 from .scene import Objects, SceneObject, View, Views
@@ -47,8 +47,7 @@ class WitnessConfig:
     min_area_ratio: float = 0.005
 
     def __post_init__(self):
-        if not (0.0 < self.iosa_threshold < 1.0):
-            raise ValueError("iosa_threshold must be in (0, 1)")
+        check_unit_interval("iosa_threshold", self.iosa_threshold)
         if not (0.0 <= self.min_area_ratio < 1.0):
             raise ValueError("min_area_ratio must be in [0, 1)")
 

@@ -82,7 +82,6 @@ class SynthesisReport:
     composed: int
     dropped: dict[str, int]
     exact_duplicate_questions: int
-    config_hash: str
 
     def to_dict(self) -> dict:
         return {
@@ -90,8 +89,6 @@ class SynthesisReport:
             "composed": self.composed,
             "dropped": {k: self.dropped[k] for k in sorted(self.dropped)},
             "exact_duplicate_questions": self.exact_duplicate_questions,
-            "prompt_version": PROMPT_VERSION,
-            "config_hash": self.config_hash,
         }
 
 
@@ -200,7 +197,6 @@ def synthesize_dataset(
     questions: Sequence[QuestionRecord],
     generator,
     scenes_by_id: Mapping[str, Scene],
-    config_hash: str = "",
 ) -> tuple[list[ComposedQA], SynthesisReport]:
     """Run pairing, then one pass per pair: count, compose, verify, keep or drop.
 
@@ -258,7 +254,6 @@ def synthesize_dataset(
         composed=len(records),
         dropped=dropped,
         exact_duplicate_questions=len(records) - len({r.question for r in records}),
-        config_hash=config_hash,
     )
 
 

@@ -366,7 +366,7 @@ def test_criterion_8_performance_smoke():
         stub = StubModelService()
         start = time.monotonic()
         records = build_caption_triplets(
-            scene, stub, CaptionBuildConfig(stride=20, num_captions=3, threshold=0.0)
+            {"synthetic": scene}, stub, CaptionBuildConfig(stride=20, num_captions=3, threshold=0.0)
         )
         elapsed = time.monotonic() - start
         assert len(records) == 250 * 3

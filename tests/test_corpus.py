@@ -1084,7 +1084,7 @@ class TestBuildCaptionTriplets:
     def test_fixture_run(self, scene_a):
         stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2, tau=0.5)
-        records = build_caption_triplets(scene_a, stub, cfg, config_hash="abc")
+        records = build_caption_triplets({"scene-a": scene_a}, stub, cfg, config_hash="abc")
         # Views v01, v05, v09 sampled; every stub caption clears 0.2.
         assert len(records) == 9
         assert [r.view_id for r in records[:3]] == ["v01", "v01", "v01"]
@@ -1098,30 +1098,35 @@ class TestBuildCaptionTriplets:
     def test_threshold_above_stub_range_drops_everything(self, scene_a):
         stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=1.1)
-        assert build_caption_triplets(scene_a, stub, cfg) == []
+        assert build_caption_triplets({"scene-a": scene_a}, stub, cfg) == []
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, "0.5", None, True])
     def test_threshold_must_be_a_finite_number(self, threshold):
         with pytest.raises(ValueError, match="^threshold must be a finite number, got "):
             CaptionBuildConfig(threshold=threshold)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_tau_must_be_in_the_open_unit_interval(self, tau):
+        with pytest.raises(ValueError, match=r"^tau must be in \(0, 1\)$"):
+            CaptionBuildConfig(tau=tau)
+
     def test_stride_beyond_view_count_keeps_first_view(self, scene_a):
         stub = StubModelService()
         cfg = CaptionBuildConfig(stride=99, num_captions=1, threshold=0.0)
-        records = build_caption_triplets(scene_a, stub, cfg)
+        records = build_caption_triplets({"scene-a": scene_a}, stub, cfg)
         assert {r.view_id for r in records} == {"v01"}
 
     def test_record_bound_and_equality_condition(self, scene_a):
         stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.0)
-        records = build_caption_triplets(scene_a, stub, cfg)
+        records = build_caption_triplets({"scene-a": scene_a}, stub, cfg)
         sampled_views = len(scene_a.views[::4])
         assert len(records) == sampled_views * cfg.num_captions
 
     def test_deterministic(self, scene_a):
         cfg = CaptionBuildConfig(stride=4, num_captions=3, threshold=0.2)
-        run1 = build_caption_triplets(scene_a, StubModelService(), cfg)
-        run2 = build_caption_triplets(scene_a, StubModelService(), cfg)
+        run1 = build_caption_triplets({"scene-a": scene_a}, StubModelService(), cfg)
+        run2 = build_caption_triplets({"scene-a": scene_a}, StubModelService(), cfg)
         assert [record_json(r) for r in run1] == [record_json(r) for r in run2]
 
 
@@ -1202,8 +1207,7 @@ class TestClientWithoutSidecar:
         cfg = CaptionBuildConfig(stride=1, num_captions=1, threshold=0.0)
         return {
             (r.scene_id, r.view_id): r.object_ids
-            for scene in scenes.values()
-            for r in build_caption_triplets(scene, client, cfg)
+            for r in build_caption_triplets(scenes, client, cfg)
         }
 
     def test_captions(self, scenes):
@@ -1259,7 +1263,7 @@ class TestAlignedIds:
     def test_captions(self, client):
         cfg = CaptionBuildConfig(stride=1, num_captions=1, threshold=0.0, tau=self.TAU)
         for scene in self._scenes().values():
-            records = build_caption_triplets(scene, client(), cfg)
+            records = build_caption_triplets({scene.scene_id: scene}, client(), cfg)
             assert [r.view_id for r in records] == list(scene.views.ids)
             rows = self._rows(scene)
             assert all(r.object_ids == rows[r.view_id] for r in records)
@@ -1276,18 +1280,32 @@ class TestAlignedIds:
             Instruction(f"posed-d{j}", "posed", "dc", "describe it", target_object_id=j)
             for j in scenes["posed"].objects.ids
         ]
-        records = extend_dataset_triplets(instructions, scenes, client(), tau=self.TAU)
+        cfg = CaptionBuildConfig(tau=self.TAU)
+        records = extend_dataset_triplets(instructions, scenes, client(), cfg)
         rows = {scene_id: self._rows(scene) for scene_id, scene in scenes.items()}
         assert {r.scene_id for r in records} == set(scenes)
         assert all(r.object_ids == rows[r.scene_id][r.view_id] for r in records)
 
 
 class _CountingStub(StubModelService):
+    """The stub, recording each scoring call and the name of every service
+    method called."""
+
     def __init__(self):
         super().__init__()
         self.score_calls: list[tuple[str, tuple[str, ...]]] = []
+        self.calls: list[str] = []
+
+    def register_view_labels(self, image_ref, labels):
+        self.calls.append("register_view_labels")
+        return super().register_view_labels(image_ref, labels)
+
+    def caption_image(self, image_ref, n):
+        self.calls.append("caption_image")
+        return super().caption_image(image_ref, n)
 
     def score_image_text(self, image_ref, texts):
+        self.calls.append("score_image_text")
         self.score_calls.append((image_ref, tuple(texts)))
         return super().score_image_text(image_ref, texts)
 
@@ -1399,7 +1417,7 @@ class TestExtendBatching:
         [
             (("unknown-target", "ghost-scene"), UnknownObjectId, "unknown target object id 77"),
             (("ghost-scene", "unknown-target"), UnknownScene, "scene 'ghost' is not loaded"),
-            (("no-views", "unknown-target"), NoViews, "select_view_for_qa requires at least one view"),
+            (("no-views", "unknown-target"), NoViews, "scene 'bare' has no views"),
             (("ok", "unknown-target", "no-views"), UnknownObjectId, "unknown target object id 77"),
         ],
     )
@@ -1444,11 +1462,69 @@ class TestExtendBatching:
         ]
 
 
+class TestBuildersCheckTheirInputs:
+    """Each builder checks its scene map before any service call, so a
+    library caller gets the errors the CLI reports."""
+
+    @staticmethod
+    def _shared_image() -> dict[str, Scene]:
+        # v1 shows the desk and v2 the sofa, but both name one image, which
+        # the services would take for one view.
+        intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+        scene = Scene(
+            scene_id="room",
+            objects=[
+                SceneObject(1, "desk", OrientedBox3D((0, 0, 2.5), (0.5, 0.5, 0.5))),
+                SceneObject(2, "sofa", OrientedBox3D((100, 0, 2.5), (0.5, 0.5, 0.5))),
+            ],
+            views=[
+                View(view_id, intr, CameraPose(np.eye(3), (100.0 * i, 0, 0)), "frames/a.jpg")
+                for i, view_id in enumerate(("v1", "v2"))
+            ],
+            split="train",
+        )
+        return {"room": scene}
+
+    SHARED = "scene 'room': views 'v1' and 'v2' share the image reference 'frames/a.jpg'"
+
+    def test_captions_refuse_views_sharing_an_image(self):
+        stub = _CountingStub()
+        with pytest.raises(DuplicateId) as excinfo:
+            build_caption_triplets(self._shared_image(), stub, CaptionBuildConfig(stride=1))
+        assert str(excinfo.value) == self.SHARED
+        assert stub.calls == []
+
+    def test_extend_refuses_views_sharing_an_image_before_checking_instructions(self):
+        # The instruction names a scene that is not loaded; the image check,
+        # over every scene in the map, comes first.
+        stub = _CountingStub()
+        ghost = Instruction("q", "ghost", "qa", "where is the desk", answer="here")
+        with pytest.raises(DuplicateId) as excinfo:
+            extend_dataset_triplets([ghost], self._shared_image(), stub)
+        assert str(excinfo.value) == self.SHARED
+        assert stub.calls == []
+
+    def test_captions_claim_every_id_before_any_caption(self):
+        # Scene 'a' with view 'b:c' and scene 'a:b' with view 'c' both caption 'cap:a:b:c:0'.
+        scenes = {
+            "a": _mini_scene("a", "desk", views=("b:c",)),
+            "a:b": _mini_scene("a:b", "desk", views=("c",)),
+        }
+        stub = _CountingStub()
+        with pytest.raises(DuplicateId) as excinfo:
+            build_caption_triplets(scenes, stub, CaptionBuildConfig(threshold=0.0))
+        assert str(excinfo.value) == (
+            "scene 'a:b' view 'c' caption 0: id 'cap:a:b:c:0' already used at "
+            "scene 'a' view 'b:c' caption 0"
+        )
+        assert stub.calls == []
+
+
 class TestTripletIO:
     def test_round_trip_is_byte_stable(self, scene_a, tmp_path):
         stub = StubModelService()
         cfg = CaptionBuildConfig(stride=4, num_captions=2, threshold=0.2)
-        records = build_caption_triplets(scene_a, stub, cfg, config_hash="h")
+        records = build_caption_triplets({"scene-a": scene_a}, stub, cfg, config_hash="h")
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         with OutputFiles() as outputs:

@@ -334,7 +334,7 @@ class TestFilterCaptions:
     def test_threshold_and_order(self, scene_a):
         cfg = CaptionBuildConfig(stride=len(scene_a.views), num_captions=3, threshold=0.3)
         client = _FixedReplies(self.CAPTIONS, ["sofa", "table"])
-        records = build_caption_triplets(scene_a, client, cfg)
+        records = build_caption_triplets({"scene-a": scene_a}, client, cfg)
         assert [r.text for r in records] == ["a sofa next to a table", "the table"]
         view_id = scene_a.views.ids[0]
         assert [r.triplet_id for r in records] == [
